@@ -24,9 +24,8 @@ import json
 import sys
 from fractions import Fraction
 
-import sympy
-
 from .cohomology import (
+    boundary_dimensions,
     comparison_report,
     h1_dimension,
     h1_parabolic_dimension,
@@ -44,15 +43,12 @@ from .hecke import (
 from .linalg import IllDefinedMapError, InternalInvariantError, charpoly
 from .modsym import (
     PermCosets,
-    boundary_map,
-    boundary_space,
     cuspidal_subspace,
-    eisenstein_subspace,
     manin_space,
     weight_module_for,
 )
-from .rings import GF, QQ, ZZ, IntegerRing, QuotientExtension, UnsupportedRingError
-from .triangle import InvalidSubgroupError, TriangleSubgroup, lambda_minimal_polynomial
+from .rings import GF, QQ, ZZ, IntegerRing, UnsupportedRingError, is_prime
+from .triangle import InvalidSubgroupError, TriangleSubgroup, rational_lambda_ring
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +92,7 @@ def _ring_spec(text):
             p = int(rest)
         except ValueError:
             raise argparse.ArgumentTypeError("fp:P needs an integer, got %r" % text)
-        if p < 2 or not sympy.isprime(p):
+        if not is_prime(p):
             raise argparse.ArgumentTypeError("fp:P needs a prime, got %r" % text)
         return ("fp", p)
     raise argparse.ArgumentTypeError(
@@ -131,7 +127,7 @@ def _op_spec(text):
             value = int(rest)
         except ValueError:
             raise argparse.ArgumentTypeError("operator index must be an integer: %r" % text)
-        if kind == "tp" and (value < 2 or not sympy.isprime(value)):
+        if kind == "tp" and not is_prime(value):
             raise argparse.ArgumentTypeError("tp:P needs a prime, got %r" % text)
         return (kind, value)
     raise argparse.ArgumentTypeError("op must be tp:P or diamond:D, got %r" % text)
@@ -186,10 +182,7 @@ def _build_ring(spec, cosets):
     if spec == "z":
         return ZZ
     if spec == "lambda":
-        n = cosets.n
-        if n == 3:
-            return QQ
-        return QuotientExtension(QQ, list(lambda_minimal_polynomial(n)), var="lam")
+        return rational_lambda_ring(cosets.n)[0]
     return GF(spec[1])
 
 
@@ -265,16 +258,16 @@ def _human_scalar(value):
 def cmd_dims(args):
     cosets, ring, space = _build_space(args)
     module = space.module
-    bmap = boundary_map(space)
-    cusp = cuspidal_subspace(space, bmap)
-    eis = eisenstein_subspace(space, bmap)
+    # ranks alone: the cuspidal part is the kernel of the boundary map
+    boundary, eisenstein = boundary_dimensions(module)
+    manin = space.rank()
     subgroup = cosets.subgroup
     payload = {
         "dims": {
-            "manin": space.rank(),
-            "cuspidal": cusp.module.rank(),
-            "eisenstein": eis.rank(),
-            "boundary": boundary_space(space).rank(),
+            "manin": manin,
+            "cuspidal": manin - eisenstein,
+            "eisenstein": eisenstein,
+            "boundary": boundary,
             "h1": h1_dimension(module),
             "h1_par": h1_parabolic_dimension(module),
             "surface_h1": surface_h1_dimension(module),
@@ -315,7 +308,8 @@ def cmd_hecke(args):
 def cmd_qexp(args):
     cosets, ring, space = _build_space(args)
     bound = args.bound if args.bound is not None else sturm_bound(space)
-    records = qexpansions(space, bound)
+    cusp = cuspidal_subspace(space)
+    records = qexpansions(space, bound, cusp)
     blocks = []
     for rec in records:
         blk = rec.block
@@ -332,7 +326,7 @@ def cmd_qexp(args):
     return {
         "bound": bound,
         "sturm_bound": sturm_bound(space),
-        "cuspidal_dim": cuspidal_subspace(space).module.rank(),
+        "cuspidal_dim": cusp.module.rank(),
         "blocks": blocks,
     }
 

@@ -156,14 +156,25 @@ def surface_h1_parabolic(module, surface=None):
     return Subspace(mod, gens)
 
 
-def surface_h1_parabolic_dimension(module):
-    """dim of the parabolic surface part by rank-nullity alone."""
+def boundary_dimensions(module):
+    """(boundary, Eisenstein) dimensions by rank-nullity alone.
+
+    The boundary space is the module modulo the rows of DT = 1 - T, and
+    the boundary map sends symbols there through Ds = 1 - sigma, so its
+    image, the Eisenstein part, has dimension rank([Ds; DT]) - rank(DT).
+    Over the integers these are the free ranks."""
     r_dt = module.operator_rank("DT", lambda: module.right_difference("T"))
     r_map = module.operator_rank(
         "Ds/DT",
         lambda: module.right_difference("s").stack(module.right_difference("T")),
     )
-    return surface_h1_dimension(module) - (r_map - r_dt)
+    return module.rank - r_dt, r_map - r_dt
+
+
+def surface_h1_parabolic_dimension(module):
+    """dim of the parabolic surface part by rank-nullity alone: the
+    surface part minus the image of 1 - sigma in the boundary space."""
+    return surface_h1_dimension(module) - boundary_dimensions(module)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from .congruence import (
     CongruenceCosets,
     continued_fraction_path,
@@ -44,7 +42,7 @@ from .linalg import (
     left_kernel,
 )
 from .modsym import cuspidal_subspace
-from .rings import PrimeField, RationalField, UnsupportedRingError
+from .rings import PrimeField, RationalField, UnsupportedRingError, is_prime
 
 
 def _require_congruence(space):
@@ -123,7 +121,7 @@ def hecke_matrix(space, p, check=False):
     normalized cocycle range. Pass check=True to re-verify that the norm
     relations map into the relation span."""
     _require_congruence(space)
-    if p < 2 or not sympy.isprime(p):
+    if not is_prime(p):
         raise ValueError("Hecke operators are indexed by primes, got %r" % (p,))
     ambient = _operator_ambient(space, _double_coset_reps(space.cosets, p))
     return FPMap(space.presentation, space.presentation, ambient, check=check)
@@ -202,6 +200,8 @@ class EigenBlock:
 def _factor_monic(ring, coeffs):
     """Irreducible factors of a monic polynomial over Q or F_p, as a sorted
     list of (monic coefficient tuple low->high, multiplicity)."""
+    import sympy
+
     x = sympy.Symbol("x")
     if isinstance(ring, RationalField):
         sym = [
@@ -346,7 +346,8 @@ def qexpansions(space, bound, subspace=None):
     N = space.cosets.N
     if subspace is None:
         subspace = cuspidal_subspace(space)
-    primes = list(sympy.primerange(2, max(bound, sturm_bound(space)) + 1))
+    top = max(bound, sturm_bound(space))
+    primes = [p for p in range(2, top + 1) if is_prime(p)]
     coeff_primes = [p for p in primes if p <= bound]
     blocks = eigensystem(space, primes, subspace)
     diamond_cache = {}
@@ -397,7 +398,7 @@ def _coefficients(ring, k, aps, chi, bound):
             pe *= p
     for n in range(2, bound + 1):
         if a[n] is None:
-            p = sympy.primefactors(n)[0]
+            p = next(d for d in range(2, n + 1) if n % d == 0)
             pe = p
             while n % (pe * p) == 0:
                 pe *= p

@@ -1,10 +1,19 @@
-"""Dense exact linear algebra over the rings in heckesym.rings.
+"""Exact linear algebra over the rings in heckesym.rings.
 
-Everything is sequential and deterministic: fixed pivot rules, canonical
-normal forms (leading-one echelon over fields, nonnegative divisibility
-chain for Smith form). Over Q the eliminations run on denominator-cleared
-integer rows with gcd normalization, which is ordinary exact elimination,
-just faster than Fraction arithmetic.
+Matrices are dense lists of rows at every interface. Inside, echelon
+forms, ranks and kernels over a field run on one sparse elimination core
+that keeps only the nonzero entries of each row, because the relation
+matrices here (norms, differences and translations of block-permutation
+actions) are a few percent nonzero. The core has three arithmetic
+flavours: over Q (and Z read over Q) primitive integer rows with gcd
+normalization, which is exact and faster than Fraction arithmetic; over
+F_p residues; over any other field, such as Q(2cos(pi/n)), the ring
+operations. Ranks take forward elimination alone. The integer Hermite and
+Smith forms are dense.
+
+Everything is sequential and deterministic, and the normal forms are
+canonical: leading-one reduced echelon form over fields, nonnegative
+divisibility chain for the Smith form.
 
 Row-vector convention throughout: module elements are rows, maps act by
 right multiplication, so the matrix of "f then g" is M_f * M_g.
@@ -13,12 +22,12 @@ right multiplication, so the matrix of "f then g" is M_f * M_g.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .rings import (
     QQ,
     ZZ,
-    ExactRing,
     IntegerRing,
     PrimeField,
     QuotientExtension,
@@ -190,112 +199,162 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# elimination cores
+# sparse elimination core
 # ---------------------------------------------------------------------------
+#
+# Rows are {column: value} dicts of the nonzero entries. A transform row is
+# a {row index: coefficient} dict over the loaded input rows. Forward
+# elimination takes the rows one at a time and reduces each against the
+# pivot rows found so far, in increasing pivot-column order; a pivot sits
+# at the leftmost entry of its row, so subtracting a pivot row only adds
+# columns to the right of the one it clears. The reduced echelon form then
+# takes one back-substitution pass over the pivots, right to left. The
+# three arithmetic flavours below supply loading, the row operation, pivot
+# normalization and dense output.
 
 
-def _row_primitive(row):
-    """Divide an integer row by the gcd of its entries (in place)."""
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return row
-    if g > 1:
-        for i, x in enumerate(row):
-            row[i] = x // g
-    return row
+class _Field:
+    """Any field, through its ring operations: pivots scaled to one. This
+    flavour serves the quotient extensions; the two below are faster."""
 
+    def __init__(self, ring):
+        self.ring = ring
+        self.zero, self.one = ring.zero, ring.one
 
-def _gauss_jordan_int(rows, ncols):
-    """Full Gauss-Jordan on integer rows (columns beyond ncols ride along).
+    def sparse(self, row):
+        is_zero = self.ring.is_zero
+        return {j: x for j, x in enumerate(row) if not is_zero(x)}
 
-    Pivot rule: leftmost column, then smallest |entry|, then lowest row
-    index. Rows stay integral and gcd-normalized; pivots end up positive.
-    Returns the list of (row, col) pivot positions.
-    """
-    pivots = []
-    rank = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        best = -1
-        bestabs = 0
-        for r in range(rank, nrows):
-            v = rows[r][c]
-            if v:
-                a = -v if v < 0 else v
-                if best < 0 or a < bestabs:
-                    best, bestabs = r, a
-                    if a == 1:
-                        break
-        if best < 0:
-            continue
-        rows[rank], rows[best] = rows[best], rows[rank]
-        prow = rows[rank]
-        if prow[c] < 0:
-            rows[rank] = prow = [-x for x in prow]
-        p = prow[c]
-        for r in range(nrows):
-            if r == rank:
-                continue
-            v = rows[r][c]
-            if v:
-                if p == 1:
-                    rows[r] = [x - v * y for x, y in zip(rows[r], prow)]
+    @staticmethod
+    def load(row):
+        """(loaded row, scale s) with loaded row == s * row."""
+        return row, 1
+
+    def eliminate(self, row, t, prow, pt, c):
+        """Clear column c of row (and carry t) with the pivot row at c."""
+        ring = self.ring
+        sub, mul, neg, is_zero = ring.sub, ring.mul, ring.neg, ring.is_zero
+        v = row[c]
+        for dst, src in ((row, prow),) if t is None else ((row, prow), (t, pt)):
+            for j, x in src.items():
+                cur = dst.get(j)
+                y = neg(mul(v, x)) if cur is None else sub(cur, mul(v, x))
+                if is_zero(y):
+                    dst.pop(j, None)
                 else:
-                    g = gcd(p, v)
-                    a, b = p // g, v // g
-                    rows[r] = _row_primitive([a * x - b * y for x, y in zip(rows[r], prow)])
-        pivots.append((rank, c))
-        rank += 1
-    return pivots
+                    dst[j] = y
+
+    def make_pivot(self, row, t, c):
+        if row[c] != self.one:
+            mul = self.ring.mul
+            inv = self.ring.inv(row[c])
+            for dst in (row,) if t is None else (row, t):
+                for j in dst:
+                    dst[j] = mul(inv, dst[j])
+
+    @staticmethod
+    def entries(row, p=1, scales=None):
+        """(index, value) pairs of a reduced row or a transform row, as
+        field elements; p and scales only matter over Q."""
+        return list(row.items())
 
 
-def _gauss_jordan_field(ring, rows, ncols):
-    """Generic leading-one Gauss-Jordan using ring operations."""
-    pivots = []
-    rank = 0
-    nrows = len(rows)
-    is_zero, inv, mul, sub = ring.is_zero, ring.inv, ring.mul, ring.sub
-    for c in range(ncols):
-        best = -1
-        for r in range(rank, nrows):
-            if not is_zero(rows[r][c]):
-                best = r
-                break
-        if best < 0:
-            continue
-        rows[rank], rows[best] = rows[best], rows[rank]
-        piv = rows[rank][c]
-        if piv != ring.one:
-            pinv = inv(piv)
-            rows[rank] = [mul(pinv, x) for x in rows[rank]]
-        prow = rows[rank]
-        for r in range(nrows):
-            if r != rank:
-                v = rows[r][c]
-                if not is_zero(v):
-                    rows[r] = [sub(x, mul(v, y)) for x, y in zip(rows[r], prow)]
-        pivots.append((rank, c))
-        rank += 1
-    return pivots
+class _PrimeField(_Field):
+    """F_p on residues 0..p-1."""
+
+    def __init__(self, ring):
+        super().__init__(ring)
+        self.p = ring.p
+
+    def sparse(self, row):
+        p = self.p
+        return {j: x % p for j, x in enumerate(row) if x % p}
+
+    def eliminate(self, row, t, prow, pt, c):
+        p, v = self.p, row[c]
+        for dst, src in ((row, prow),) if t is None else ((row, prow), (t, pt)):
+            for j, x in src.items():
+                y = (dst.get(j, 0) - v * x) % p
+                if y:
+                    dst[j] = y
+                else:
+                    del dst[j]
+
+    def make_pivot(self, row, t, c):
+        p = self.p
+        inv = pow(row[c], -1, p)
+        if inv != 1:
+            for dst in (row,) if t is None else (row, t):
+                for j in dst:
+                    dst[j] = dst[j] * inv % p
 
 
-def _clear_denominators(row):
-    """Scale a row of Fractions/ints to a primitive integer row; returns row."""
-    d = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            d = d * x.denominator // gcd(d, x.denominator)
-    if d == 1:
-        out = [x.numerator if isinstance(x, Fraction) else x for x in row]
-    else:
-        out = [
-            (x.numerator * (d // x.denominator)) if isinstance(x, Fraction) else x * d
-            for x in row
+class _Rationals(_Field):
+    """Q, and Z read over Q: primitive integer rows with positive pivots.
+
+    Loading clears denominators and divides out the content; its scale
+    carries transforms back to the original rows."""
+
+    def __init__(self):
+        super().__init__(QQ)
+        self.one = 1
+
+    @staticmethod
+    def sparse(row):
+        return {j: x for j, x in enumerate(row) if x}
+
+    @staticmethod
+    def load(row):
+        d = 1
+        for x in row.values():
+            if x.denominator != 1:
+                d = d * x.denominator // gcd(d, x.denominator)
+        row = {j: x.numerator * (d // x.denominator) for j, x in row.items()}
+        g = gcd(*row.values())
+        if g > 1:
+            row = {j: x // g for j, x in row.items()}
+        return row, Fraction(d, g or 1)
+
+    @staticmethod
+    def eliminate(row, t, prow, pt, c):
+        p, v = prow[c], row[c]
+        g = gcd(p, v)
+        a, b = p // g, v // g
+        pairs = ((row, prow),) if t is None else ((row, prow), (t, pt))
+        for dst, src in pairs:
+            if a != 1:
+                for j in dst:
+                    dst[j] *= a
+            for j, x in src.items():
+                y = dst.get(j, 0) - b * x
+                if y:
+                    dst[j] = y
+                else:
+                    del dst[j]
+        if a != 1:
+            g = gcd(*row.values())
+            if g > 1 and t is not None:
+                g = gcd(g, *t.values())
+            if g > 1:
+                for dst, _src in pairs:
+                    for j in dst:
+                        dst[j] //= g
+
+    @staticmethod
+    def make_pivot(row, t, c):
+        if row[c] < 0:
+            for dst in (row,) if t is None else (row, t):
+                for j in dst:
+                    dst[j] = -dst[j]
+
+    @staticmethod
+    def entries(row, p=1, scales=None):
+        if scales is None:
+            return [(j, Fraction(x, p)) for j, x in row.items()]
+        return [
+            (i, Fraction(x * scales[i].numerator, p * scales[i].denominator))
+            for i, x in row.items()
         ]
-    return _row_primitive(out)
 
 
 def _field_for(ring):
@@ -306,80 +365,108 @@ def _field_for(ring):
     raise UnsupportedRingError("field elimination over %s" % ring.kind)
 
 
+def _arithmetic(ring):
+    field = _field_for(ring)
+    if isinstance(field, RationalField):
+        return _Rationals()
+    if isinstance(field, PrimeField):
+        return _PrimeField(field)
+    return _Field(field)
+
+
+def _load(ar, dense_rows):
+    """Loaded sparse rows of a dense matrix, and their scales."""
+    loaded = [ar.load(ar.sparse(row)) for row in dense_rows]
+    return [r for r, _ in loaded], [s for _, s in loaded]
+
+
+def _echelon(ar, rows, ts=None):
+    """Forward elimination of loaded rows, consumed in place.
+
+    Returns (pivots, kernel): pivots maps each pivot column to its
+    (row, transform) pair, and kernel lists the transforms of the rows that
+    reduced to zero (left kernel vectors). With ts None nothing is carried.
+    """
+    pivots = {}
+    kernel = []
+    eliminate, make_pivot = ar.eliminate, ar.make_pivot
+    for k, row in enumerate(rows):
+        t = None if ts is None else ts[k]
+        heap = [c for c in row if c in pivots]
+        if heap:
+            heapify(heap)
+            while heap:
+                c = heappop(heap)
+                if c not in row:
+                    continue
+                prow, pt = pivots[c]
+                eliminate(row, t, prow, pt, c)
+                for j in prow.keys() & pivots.keys():
+                    if j != c and j in row:
+                        heappush(heap, j)
+        if row:
+            c = min(row)
+            make_pivot(row, t, c)
+            pivots[c] = (row, t)
+        elif t is not None:
+            kernel.append(t)
+    return pivots, kernel
+
+
+def _back_substitute(ar, pivots):
+    """Clear every pivot column above its pivot: the reduced form."""
+    eliminate = ar.eliminate
+    for c in sorted(pivots, reverse=True):
+        row, t = pivots[c]
+        for j in row.keys() & pivots.keys():
+            if j != c:
+                prow, pt = pivots[j]
+                eliminate(row, t, prow, pt, j)
+
+
+def _reduced(ar, rows, ts=None):
+    """Reduced echelon pivots of loaded rows, sorted by pivot column:
+    [(column, row, transform)], plus the kernel transforms."""
+    pivots, kernel = _echelon(ar, rows, ts)
+    _back_substitute(ar, pivots)
+    return [(c,) + pivots[c] for c in sorted(pivots)], kernel
+
+
+def _dense(ar, pairs, size):
+    out = [ar.zero] * size
+    for j, x in pairs:
+        out[j] = x
+    return out
+
+
 def rref(mat, with_transform=False):
     """Reduced row echelon form over the fraction field.
 
     Returns (R, pivots) or (R, pivots, T) with T * mat == R exactly.
-    Pivot entries are 1; pivot columns are cleared elsewhere.
+    Pivot entries are 1; pivot columns are cleared elsewhere. Rows of T
+    past the rank span the left kernel.
     """
-    field = _field_for(mat.ring)
-    n = mat.nrows
-    if isinstance(field, RationalField):
-        work = []
-        scales = []
-        for i, row in enumerate(mat.rows):
-            cleaned = _clear_denominators(row)
-            if with_transform:
-                aug = [0] * n
-                aug[i] = 1
-                cleaned = cleaned + aug
-                scales.append(_denominator_scale(row))
-            work.append(cleaned)
-        pivots = _gauss_jordan_int(work, mat.ncols)
-        rank = len(pivots)
-        rrows, trows = [], []
-        for r, c in pivots:
-            p = work[r][c]
-            rrows.append([Fraction(x, p) for x in work[r][: mat.ncols]])
-            if with_transform:
-                trows.append([Fraction(x, p) * s for x, s in zip(work[r][mat.ncols :], scales)])
-        for r in range(rank, len(work)):
-            rrows.append([Fraction(0)] * mat.ncols)
-            if with_transform:
-                trows.append([Fraction(x) * s for x, s in zip(work[r][mat.ncols :], scales)])
-        R = Matrix(QQ, rrows, mat.ncols)
-        pivcols = tuple(c for _, c in pivots)
-        if with_transform:
-            return R, pivcols, Matrix(QQ, trows, n)
+    ar = _arithmetic(mat.ring)
+    field = ar.ring
+    n, m = mat.nrows, mat.ncols
+    rows, scales = _load(ar, mat.rows)
+    ts = [{i: ar.one} for i in range(n)] if with_transform else None
+    piv, kernel = _reduced(ar, rows, ts)
+    rrows = [_dense(ar, ar.entries(row, row[c]), m) for c, row, _t in piv]
+    rrows += [[ar.zero] * m for _ in range(n - len(piv))]
+    R = Matrix(field, rrows, m)
+    pivcols = tuple(c for c, _r, _t in piv)
+    if not with_transform:
         return R, pivcols
-    # generic field
-    one, zero = field.one, field.zero
-    if with_transform:
-        work = [
-            list(row) + [one if j == i else zero for j in range(n)]
-            for i, row in enumerate(mat.rows)
-        ]
-    else:
-        work = [list(row) for row in mat.rows]
-    pivots = _gauss_jordan_field(field, work, mat.ncols)
-    R = Matrix(field, [w[: mat.ncols] for w in work], mat.ncols)
-    pivcols = tuple(c for _, c in pivots)
-    if with_transform:
-        return R, pivcols, Matrix(field, [w[mat.ncols :] for w in work], n)
-    return R, pivcols
-
-
-def _denominator_scale(row):
-    d = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            d = d * x.denominator // gcd(d, x.denominator)
-    g = 0
-    for x in row:
-        if x:
-            num = x.numerator * (d // x.denominator) if isinstance(x, Fraction) else x * d
-            g = gcd(g, num)
-            if g == 1:
-                break
-    if g == 0:
-        return 1
-    return Fraction(d, g)
+    trows = [_dense(ar, ar.entries(t, row[c], scales), n) for c, row, t in piv]
+    trows += [_dense(ar, ar.entries(t, 1, scales), n) for t in kernel]
+    return R, pivcols, Matrix(field, trows, n)
 
 
 def matrix_rank(mat):
-    if isinstance(mat.ring, IntegerRing) or mat.ring.is_field:
-        return len(rref(mat)[1])
-    raise UnsupportedRingError("rank over %s" % mat.ring.kind)
+    """Rank over the fraction field, by forward elimination alone."""
+    ar = _arithmetic(mat.ring)
+    return len(_echelon(ar, _load(ar, mat.rows)[0])[0])
 
 
 def right_kernel(mat):
@@ -401,7 +488,7 @@ def right_kernel(mat):
 def left_kernel(mat):
     """Basis of {x : x * mat = 0}.
 
-    Over a field: canonical rows (integer-primitive over Q). Over Z: basis
+    Over a field: the reduced echelon basis (leading ones). Over Z: basis
     of the full (saturated) integer kernel lattice, Hermite-normalized.
     """
     if isinstance(mat.ring, IntegerRing):
@@ -412,20 +499,14 @@ def left_kernel(mat):
         K = hermite_normal_form(Matrix(ZZ, ker, mat.nrows))
         rows = [r for r in K.rows if any(x != 0 for x in r)]
         return Matrix(ZZ, rows, mat.nrows)
-    field = _field_for(mat.ring)
-    R, pivots, T = rref(mat, with_transform=True)
-    rows = []
-    for r in range(mat.nrows):
-        if r >= len(pivots):
-            row = T.rows[r]
-            if isinstance(field, RationalField):
-                row = [Fraction(x) for x in _clear_denominators(row)]
-            rows.append(row)
-    out = Matrix(field, rows, mat.nrows)
-    if out.nrows:
-        out, _ = rref(out)
-        out = Matrix(field, [r for r in out.rows if any(not field.is_zero(x) for x in r)], mat.nrows)
-    return out
+    ar = _arithmetic(mat.ring)
+    n = mat.nrows
+    rows, scales = _load(ar, mat.rows)
+    _piv, kernel = _echelon(ar, rows, [{i: ar.one} for i in range(n)])
+    # the kernel rows are independent; re-reduce them to the canonical basis
+    krows = [ar.load(dict(ar.entries(t, 1, scales)))[0] for t in kernel]
+    piv, _ = _reduced(ar, krows)
+    return Matrix(ar.ring, [_dense(ar, ar.entries(row, row[c]), n) for c, row, _t in piv], n)
 
 
 def echelon_and_kernel(mat):
@@ -623,7 +704,11 @@ def smith_normal_form(mat):
 
 
 class RowBasis:
-    """Row space of a matrix, prepared for membership and expression."""
+    """Row space of a matrix, prepared for membership and expression.
+
+    Over a field the coefficients of an expression are unique when the rows
+    are independent, which is how the library uses it; for dependent rows
+    they are one valid choice."""
 
     def __init__(self, mat):
         self.mat = mat
@@ -632,8 +717,14 @@ class RowBasis:
             self._H, self._U = hermite_normal_form(mat, with_transform=True)
             self._pivots = _hnf_pivots(self._H)
         else:
-            self._R, pivcols, self._T = rref(mat, with_transform=True)
-            self._pivots = list(zip(range(len(pivcols)), pivcols))
+            # reduced rows with their transforms, as {index: value} dicts
+            ar = _arithmetic(mat.ring)
+            rows, scales = _load(ar, mat.rows)
+            piv, _ = _reduced(ar, rows, [{i: ar.one} for i in range(mat.nrows)])
+            self._pivots = [
+                (c, dict(ar.entries(row, row[c])), dict(ar.entries(t, row[c], scales)))
+                for c, row, t in piv
+            ]
         self.rank = len(self._pivots)
 
     def contains(self, vec):
@@ -661,21 +752,27 @@ class RowBasis:
             if any(v):
                 raise NotInSpanError("not in the lattice")
             return coeffs
-        field = self.ring if self.ring.is_field else QQ
-        sub, mul, is_zero = field.sub, field.mul, field.is_zero
-        v = [field.of_int(x) if isinstance(x, int) and not isinstance(field, RationalField) else x for x in vec]
-        cs = []
-        for r, c in self._pivots:
-            coef = v[c]
-            cs.append(coef)
-            if not is_zero(coef):
-                v = [sub(x, mul(coef, y)) for x, y in zip(v, self._R.rows[r])]
-        if any(not is_zero(x) for x in v):
-            raise NotInSpanError("not in the row space")
+        field = self.ring
+        add, sub, mul, is_zero = field.add, field.sub, field.mul, field.is_zero
+        if not isinstance(field, RationalField):
+            vec = [field.of_int(x) if isinstance(x, int) else x for x in vec]
+        v = {j: x for j, x in enumerate(vec) if not is_zero(x)}
         coeffs = [field.zero] * self.mat.nrows
-        for (r, _c), coef in zip(self._pivots, cs):
-            if not is_zero(coef):
-                coeffs = [field.add(x, mul(coef, y)) for x, y in zip(coeffs, self._T.rows[r])]
+        # pivot rows are zero at the other pivots: each coefficient is v[c]
+        for c, rrow, trow in self._pivots:
+            coef = v.get(c)
+            if coef is None:
+                continue
+            for j, x in rrow.items():
+                y = sub(v.get(j, field.zero), mul(coef, x))
+                if is_zero(y):
+                    v.pop(j, None)
+                else:
+                    v[j] = y
+            for i, x in trow.items():
+                coeffs[i] = add(coeffs[i], mul(coef, x))
+        if v:
+            raise NotInSpanError("not in the row space")
         return coeffs
 
 
@@ -734,14 +831,16 @@ class FPModule:
             self._W = W
             self._Winv = Winv
         else:
-            field = self.ring
-            R, pivcols = rref(self.relations)
-            pivset = set(pivcols)
-            self._free = [c for c in range(self.ngens) if c not in pivset]
-            self._pivot_tails = []
-            for r, c in enumerate(pivcols):
-                tail = [R.rows[r][f] for f in self._free]
-                self._pivot_tails.append((c, tail))
+            ar = _arithmetic(self.ring)
+            piv, _ = _reduced(ar, _load(ar, self.relations.rows)[0])
+            pivcols = {c for c, _r, _t in piv}
+            self._free = [c for c in range(self.ngens) if c not in pivcols]
+            where = {f: i for i, f in enumerate(self._free)}
+            # (pivot column, {free coordinate: entry}) of each reduced row
+            self._pivot_tails = [
+                (c, {where[j]: x for j, x in ar.entries(row, row[c]) if j != c})
+                for c, row, _t in piv
+            ]
         self._normalized = True
 
     # -- structure -------------------------------------------------------
@@ -785,13 +884,15 @@ class FPModule:
             for c, tail in self._pivot_tails:
                 v = vec[c]
                 if v:
-                    coords = [x - v * t for x, t in zip(coords, tail)]
+                    for i, t in tail.items():
+                        coords[i] -= v * t
             return tuple(Fraction(x) for x in coords)
         sub, mul, is_zero = field.sub, field.mul, field.is_zero
         for c, tail in self._pivot_tails:
             v = vec[c]
             if not is_zero(v):
-                coords = [sub(x, mul(v, t)) for x, t in zip(coords, tail)]
+                for i, t in tail.items():
+                    coords[i] = sub(coords[i], mul(v, t))
         return tuple(coords)
 
     def is_zero_element(self, vec):

@@ -397,11 +397,10 @@ class TriangleSubgroup:
 
     def rep_matrices(self, ring, lam):
         """Exact coset representative matrices over the given lam ring."""
-        key = id(ring)
-        if key not in self._rep_cache:
+        if ring not in self._rep_cache:
             words = self.coset_words()
-            self._rep_cache[key] = [word_matrix(ring, lam, w) for w in words]
-        return self._rep_cache[key]
+            self._rep_cache[ring] = [word_matrix(ring, lam, w) for w in words]
+        return self._rep_cache[ring]
 
     def cocycle_matrix(self, ring, lam, i, word):
         """The subgroup element r_i * g * r_{i.g}^-1 for g given as a word,

@@ -21,8 +21,6 @@ whose cocycles are exact integer matrices.
 
 from __future__ import annotations
 
-import sympy
-
 from .linalg import FPModule, InternalInvariantError, Matrix, RowBasis, left_kernel
 from .rings import GF, PrimeField, QuotientExtension, UnsupportedRingError
 from .triangle import lambda_minimal_polynomial, lambda_roots_mod_p
@@ -70,6 +68,8 @@ def lambda_splitting_field_mod_p(n, p):
     roots = lambda_roots_mod_p(n, p)
     if roots:
         return F, roots[0]
+    import sympy
+
     x = sympy.Symbol("x")
     poly = sympy.Poly(list(reversed(lambda_minimal_polynomial(n))), x, modulus=p)
     factors = sorted(

@@ -278,3 +278,144 @@ def random_order_n_perm(n, mu, rng):
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             perm[a] = b
     return tuple(perm)
+
+
+# ---------------------------------------------------------------------------
+# textbook dense elimination over a field given by its operations
+# ---------------------------------------------------------------------------
+
+
+class RationalOps:
+    """Q on Fractions."""
+
+    zero, one = Fraction(0), Fraction(1)
+
+    @staticmethod
+    def add(a, b):
+        return a + b
+
+    @staticmethod
+    def sub(a, b):
+        return a - b
+
+    @staticmethod
+    def mul(a, b):
+        return a * b
+
+    @staticmethod
+    def inv(a):
+        return 1 / Fraction(a)
+
+    @staticmethod
+    def is_zero(a):
+        return a == 0
+
+
+class PrimeFieldOps:
+    """F_p on residues 0..p-1, inverses by Fermat."""
+
+    zero, one = 0, 1
+
+    def __init__(self, p):
+        self.p = p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def inv(self, a):
+        return pow(a, self.p - 2, self.p)
+
+    @staticmethod
+    def is_zero(a):
+        return a == 0
+
+
+class SimpleExtensionOps:
+    """Q[x]/(m) for a monic irreducible m (integer coefficients, low ->
+    high) on tuples of Fractions. The inverse of a solves b * a = 1 as a
+    linear system over Q with dense_rref below."""
+
+    def __init__(self, minpoly):
+        self.m = [Fraction(c) for c in minpoly]
+        self.d = len(minpoly) - 1
+        self.zero = (Fraction(0),) * self.d
+        self.one = (Fraction(1),) + (Fraction(0),) * (self.d - 1)
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        prod = [Fraction(0)] * (2 * self.d - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        for i in range(len(prod) - 1, self.d - 1, -1):
+            c = prod[i]
+            for j in range(self.d + 1):
+                prod[i - self.d + j] -= c * self.m[j]
+        return tuple(prod[: self.d])
+
+    def inv(self, a):
+        # row i of M is a * x^i; b * M = 1 means M^T b = e_0
+        basis = [tuple(Fraction(int(i == j)) for j in range(self.d)) for i in range(self.d)]
+        M = [self.mul(a, e) for e in basis]
+        aug = [[M[i][r] for i in range(self.d)] + [Fraction(int(r == 0))] for r in range(self.d)]
+        R, pivots = dense_rref(aug, RationalOps)
+        assert pivots == list(range(self.d)), "not invertible"
+        return tuple(row[-1] for row in R)
+
+    def is_zero(self, a):
+        return all(x == 0 for x in a)
+
+
+def dense_rref(rows, F):
+    """(nonzero rows of the reduced echelon form, pivot columns) by plain
+    Gauss-Jordan: first nonzero entry down each column, scaled to one."""
+    A = [list(r) for r in rows]
+    ncols = len(A[0]) if A else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        k = next((i for i in range(r, len(A)) if not F.is_zero(A[i][c])), None)
+        if k is None:
+            continue
+        A[r], A[k] = A[k], A[r]
+        s = F.inv(A[r][c])
+        A[r] = [F.mul(s, x) for x in A[r]]
+        for i in range(len(A)):
+            if i != r and not F.is_zero(A[i][c]):
+                f = A[i][c]
+                A[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+        r += 1
+    return A[:r], pivots
+
+
+def dense_rank(rows, F):
+    return len(dense_rref(rows, F)[1])
+
+
+def dense_left_kernel(rows, F):
+    """Reduced echelon basis of {x : x * A = 0}, from the free columns of
+    the reduced form of the transpose."""
+    n = len(rows)
+    R, pivots = dense_rref([list(col) for col in zip(*rows)], F)
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [F.zero] * n
+        v[f] = F.one
+        for row, c in zip(R, pivots):
+            v[c] = F.sub(F.zero, row[f])
+        basis.append(v)
+    return dense_rref(basis, F)[0] if basis else []

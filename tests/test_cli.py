@@ -8,10 +8,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import heckesym.cli as cli
+import oracles
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 DELTA5 = os.path.join(DATA, "delta5.json")
@@ -66,6 +68,25 @@ def test_dims_integer_ring_torsion(capsys):
     doc = run_json(capsys, "dims", "--group", "perm-file:" + DELTA4, "--ring", "z")
     assert doc["dims"]["manin"] == 0
     assert doc["torsion"] == ["2"]
+
+
+def test_dims_integer_ring_weight_4_answers_from_ranks(capsys):
+    # the kernel computation this once ran over Z did not finish in minutes
+    start = time.perf_counter()
+    doc = run_json(capsys, "dims", "--group", "gamma0:15", "--weight", "4", "--ring", "z")
+    assert time.perf_counter() - start < 10
+    assert doc["dims"]["cuspidal"] == 8 == 2 * oracles.classical_cusp_form_dimension(15, 4)
+    assert doc["torsion"] == ["6"]
+
+
+def test_importing_the_cli_leaves_sympy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, heckesym.cli; print('sympy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_qexp_gamma0_11(capsys):

@@ -14,6 +14,7 @@ import sympy
 
 from heckesym.congruence import gamma0_cosets, gamma1_cosets
 from heckesym.cohomology import (
+    boundary_dimensions,
     comparison_report,
     cyclic_h1,
     h1,
@@ -31,8 +32,10 @@ from heckesym.modsym import (
     InducedModule,
     ManinSymbolSpace,
     PermCosets,
+    boundary_map,
     boundary_space,
     cuspidal_subspace,
+    eisenstein_subspace,
     weight_module_for,
 )
 from heckesym.rings import GF, QQ, ZZ, UnsupportedRingError
@@ -160,6 +163,27 @@ def test_integral_presentations_share_rank_and_small_torsion(N, k):
     assert man.rank() == group.rank() == surf.rank() == dim
     for pres in (man, group, surf):
         assert _torsion_primes(pres.invariants()) <= {2, 3}
+
+
+@pytest.mark.parametrize(
+    "group,ring,k",
+    [
+        (gamma0_cosets(11), QQ, 2),
+        (gamma0_cosets(12), GF(3), 4),
+        (gamma1_cosets(7), QQ, 3),
+        (gamma0_cosets(12), ZZ, 2),
+        (gamma0_cosets(20), ZZ, 2),
+        (level_one(4), GF(7), 4),
+    ],
+)
+def test_boundary_dimensions_agree_with_the_boundary_map(group, ring, k):
+    # the ranks-only answer against the kernel and image of the map itself
+    space = ManinSymbolSpace(induced(group, ring, k))
+    bmap = boundary_map(space)
+    boundary, eisenstein = boundary_dimensions(space.module)
+    assert boundary == boundary_space(space).rank()
+    assert eisenstein == eisenstein_subspace(space, bmap).rank()
+    assert space.rank() - eisenstein == cuspidal_subspace(space, bmap).module.rank()
 
 
 def test_integral_h1_of_level_one_vanishes():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckesym.rings import GF, QQ, ZZ, QuotientExtension
+from heckesym.triangle import rational_lambda_ring
 from heckesym.linalg import (
     FPModule,
     FPMap,
@@ -115,6 +116,95 @@ def test_left_kernel_gf_example():
     K = left_kernel(A)
     assert K.nrows == 1
     assert K.rows[0] == [1, 1, 0]
+
+
+def matrices(entry, max_n=6, max_m=6):
+    """Small matrices whose entries are zero about half the time, so rows
+    are sparse and often dependent."""
+    cell = st.one_of(st.just(0), entry)
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.integers(1, max_m).flatmap(
+            lambda m: st.lists(
+                st.lists(cell, min_size=m, max_size=m), min_size=n, max_size=n
+            )
+        )
+    )
+
+
+small_fraction = st.builds(Fraction, small_int, st.integers(1, 4))
+
+
+def _sympy_rows(M):
+    return [[Fraction(int(x.p), int(x.q)) for x in M.row(i)] for i in range(M.rows)]
+
+
+def _check_rref_against(A, want, pivots_want):
+    """rref with and without transform against an oracle's nonzero
+    reduced rows; the rank and the transform identity ride along."""
+    R, pivots, T = rref(A, with_transform=True)
+    zero = R.ring.zero
+    assert list(pivots) == list(pivots_want)
+    assert R.rows[: len(pivots)] == want
+    assert all(x == zero for row in R.rows[len(pivots):] for x in row)
+    assert T.mul(A) == R
+    assert rref(A) == (R, pivots)
+    assert matrix_rank(A) == len(pivots)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(small_fraction))
+def test_rref_rank_and_left_kernel_over_q_match_sympy(rows):
+    rows = [[Fraction(x) for x in r] for r in rows]
+    A = Matrix(QQ, rows)
+    S, spiv = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows]).rref()
+    _check_rref_against(A, _sympy_rows(S)[: len(spiv)], spiv)
+    null = sympy.Matrix(rows).T.nullspace()
+    want = []
+    if null:
+        K, kpiv = sympy.Matrix.hstack(*null).T.rref()
+        want = _sympy_rows(K)[: len(kpiv)]
+    assert left_kernel(A).rows == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(small_int))
+def test_rref_over_z_is_the_rational_rref(rows):
+    S, spiv = sympy.Matrix(rows).rref()
+    _check_rref_against(as_zz(rows), _sympy_rows(S)[: len(spiv)], spiv)
+
+
+@settings(max_examples=80)
+@given(
+    st.sampled_from([2, 3, 7]).flatmap(
+        lambda p: st.tuples(st.just(p), matrices(st.integers(1, p - 1)))
+    )
+)
+def test_rref_rank_and_left_kernel_over_fp_match_oracle(case):
+    p, rows = case
+    ops = oracles.PrimeFieldOps(p)
+    A = Matrix(GF(p), rows)
+    want, pivots = oracles.dense_rref(rows, ops)
+    _check_rref_against(A, want, pivots)
+    assert left_kernel(A).rows == oracles.dense_left_kernel(rows, ops)
+
+
+def _lambda_case(n):
+    d = len(oracles.minpoly_2cos_pi_over(n)) - 1
+    element = st.tuples(*[st.one_of(st.just(Fraction(0)), small_fraction)] * d)
+    return st.tuples(st.just(n), matrices(element, 4, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([4, 5, 7]).flatmap(_lambda_case))
+def test_rref_rank_and_left_kernel_over_lambda_field_match_oracle(case):
+    n, rows = case
+    ring = rational_lambda_ring(n)[0]
+    ops = oracles.SimpleExtensionOps(oracles.minpoly_2cos_pi_over(n))
+    rows = [[ops.zero if x == 0 else x for x in r] for r in rows]
+    A = Matrix(ring, rows)
+    want, pivots = oracles.dense_rref(rows, ops)
+    _check_rref_against(A, want, pivots)
+    assert left_kernel(A).rows == oracles.dense_left_kernel(rows, ops)
 
 
 # -- integer normal forms ----------------------------------------------------

@@ -224,6 +224,18 @@ def test_schreier_order_is_bfs_sigma_then_tau_powers():
     assert words[3] == (("t", 2),)
 
 
+def test_rep_matrices_are_cached_per_ring_value():
+    G = TriangleSubgroup(4, (1, 0, 3, 2), (2, 0, 3, 1))
+    R1, lam1 = integral_lambda_ring(4)
+    R2, lam2 = integral_lambda_ring(4)
+    assert R1 is not R2
+    assert G.rep_matrices(R1, lam1) is G.rep_matrices(R2, lam2)
+    # a different ring gets its own matrices, whatever object ids recur
+    Q, lamq = rational_lambda_ring(4)
+    assert G.rep_matrices(Q, lamq) is not G.rep_matrices(R1, lam1)
+    assert len(G._rep_cache) == 2
+
+
 def test_rep_matrices_land_in_expected_coset():
     # multiplying rep by a generator must reach the permuted coset's rep
     # up to an element whose permutation action fixes coset 0
