@@ -48,7 +48,7 @@ from .modsym import (
     weight_module_for,
 )
 from .rings import GF, QQ, ZZ, IntegerRing, UnsupportedRingError, is_prime
-from .triangle import InvalidSubgroupError, TriangleSubgroup, rational_lambda_ring
+from .triangle import InvalidSubgroupError, load_subgroup, rational_lambda_ring
 
 
 # ---------------------------------------------------------------------------
@@ -68,15 +68,11 @@ def _group_spec(text):
         return (gamma0_cosets if kind == "gamma0" else gamma1_cosets)(N)
     if kind == "perm-file" and sep:
         try:
-            with open(rest) as fh:
-                data = json.load(fh)
-            group = TriangleSubgroup(
-                int(data["n"]), tuple(data["s"]), tuple(data["t"])
-            )
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise argparse.ArgumentTypeError("bad permutation file %r: %s" % (rest, exc))
+            group = load_subgroup(rest)
         except InvalidSubgroupError as exc:
             raise argparse.ArgumentTypeError("bad permutation pair in %r: %s" % (rest, exc))
+        except (OSError, ValueError) as exc:
+            raise argparse.ArgumentTypeError("bad permutation file %r: %s" % (rest, exc))
         return PermCosets(group)
     raise argparse.ArgumentTypeError(
         "group must be gamma0:N, gamma1:N, or perm-file:PATH, got %r" % text
@@ -191,12 +187,6 @@ def _build_space(args):
     ring = _build_ring(args.ring, cosets)
     weight = weight_module_for(cosets, ring, args.weight)
     return cosets, ring, manin_space(cosets, weight)
-
-
-def _group_label(cosets):
-    if isinstance(cosets, PermCosets):
-        return "perm(n=%d, mu=%d)" % (cosets.n, cosets.mu)
-    return "%s:%d" % (cosets.kind, cosets.N)
 
 
 def _ring_label(spec):
@@ -362,7 +352,7 @@ def main(argv=None):
     full = {
         "schema_version": "1",
         "command": args.command,
-        "group": _group_label(args.group),
+        "group": args.group.label(),
         "weight": args.weight,
         "ring": _ring_label(args.ring),
     }

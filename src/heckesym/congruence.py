@@ -15,7 +15,7 @@ from math import gcd
 
 from .linalg import InternalInvariantError
 from .rings import UnsupportedRingError, xgcd
-from .triangle import TriangleSubgroup
+from .triangle import Cocycle, TriangleSubgroup
 
 SIGMA = (0, -1, 1, 0)
 TAU = (1, -1, 1, 0)  # order 6 in SL_2(Z), order 3 projectively
@@ -152,7 +152,14 @@ class CongruenceCosets:
     kind "gamma0": labels are P^1(Z/N) points, the group is the projective
     image of Gamma_0(N). kind "gamma1": labels are (c,d) pairs modulo
     negation, the group is the projective image of Gamma_1(N).
+
+    Besides the coset-table interface it shares with modsym.PermCosets
+    (twist, stabilizer_cocycle, weight_variant, label), it carries the cusp
+    arithmetic the Hecke operators and path conversion need. Cocycles are
+    exact integer matrices, so the weight action keeps their signs.
     """
+
+    weight_variant = "plus-minus-one"
 
     def __init__(self, N, kind):
         if N < 1:
@@ -220,6 +227,28 @@ class CongruenceCosets:
         mat = SIGMA if letter == "s" else TAU
         return self.act(i, imat_pow(mat, e))
 
+    def twist(self, i, letter, e=1):
+        """(j, cocycle) for coset i under letter^e; the cocycle is the
+        inverse of the Schreier element, which multiplies the coefficient."""
+        j, gamma = self.act_letter(i, letter, e)
+        return j, Cocycle(imat_inv(gamma), None)
+
+    def twist_by(self, i, g):
+        """The same as twist for any g in SL_2(Z)."""
+        j, gamma = self.act(i, g)
+        return j, Cocycle(imat_inv(gamma), None)
+
+    def stabilizer_cocycle(self, cls):
+        """Generator of the stabilizer of an elliptic class, as a cocycle."""
+        letter = "s" if cls.kind == "sigma" else "t"
+        j, gamma = self.act_letter(cls.coset, letter, cls.power)
+        if j != cls.coset:
+            raise UnsupportedRingError("elliptic class does not fix its coset")
+        return Cocycle(gamma, None)
+
+    def label(self):
+        return "%s:%d" % (self.kind, self.N)
+
     def symbol_cocycle(self, g):
         """For a determinant-1 integer matrix g, the pair (j, gamma) with
         gamma = lift_j * g^(-1) in the subgroup. This rewrites the modular
@@ -240,13 +269,13 @@ def gamma1_cosets(N):
     return CongruenceCosets(N, "gamma1")
 
 
-def gamma0_subgroup(N):
-    """The permutation presentation alone (no lifts)."""
-    return gamma0_cosets(N).subgroup
-
-
-def gamma1_subgroup(N):
-    return gamma1_cosets(N).subgroup
+def require_congruence(cosets, what):
+    """Refuse `what` (Hecke operators, path conversion, matrix right
+    actions) unless the coset table carries congruence cusp arithmetic."""
+    if not isinstance(cosets, CongruenceCosets):
+        raise UnsupportedRingError(
+            "%s need the cusp arithmetic of a congruence coset table" % what
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .congruence import (
-    CongruenceCosets,
     continued_fraction_path,
     diamond_matrix,
     hecke_representatives,
     imat_det,
     imat_mul,
+    require_congruence,
     segment_endpoints,
 )
 from .linalg import (
@@ -43,13 +43,6 @@ from .linalg import (
 )
 from .modsym import cuspidal_subspace
 from .rings import PrimeField, RationalField, UnsupportedRingError, is_prime
-
-
-def _require_congruence(space):
-    if not isinstance(space.cosets, CongruenceCosets):
-        raise UnsupportedRingError(
-            "Hecke operators need the cusp arithmetic of a congruence coset table"
-        )
 
 
 def sturm_bound(space):
@@ -120,7 +113,7 @@ def hecke_matrix(space, p, check=False):
     up to subgroup factors on the left, and those factors stay in the
     normalized cocycle range. Pass check=True to re-verify that the norm
     relations map into the relation span."""
-    _require_congruence(space)
+    require_congruence(space.cosets, "Hecke operators")
     if not is_prime(p):
         raise ValueError("Hecke operators are indexed by primes, got %r" % (p,))
     ambient = _operator_ambient(space, _double_coset_reps(space.cosets, p))
@@ -133,7 +126,7 @@ def diamond_operator(space, d, check=False):
     On P^1-labelled cosets this is the identity; on (c, d)-pair cosets it
     permutes the classes and twists the coefficients, and in odd weight
     d = -1 acts as minus the identity."""
-    _require_congruence(space)
+    require_congruence(space.cosets, "Hecke operators")
     ambient = _operator_ambient(
         space, [diamond_matrix(d, space.cosets.N)]
     )
@@ -252,7 +245,7 @@ def eigensystem(space, primes, subspace=None):
     Returns EigenBlocks sorted by their eigenvalue data. Every block is
     invariant under all the operators; a one-eigenvalue-per-prime block of
     dimension 2d corresponds to d copies of the plus/minus pair of a form."""
-    _require_congruence(space)
+    require_congruence(space.cosets, "Hecke operators")
     ring = space.ring
     if not isinstance(ring, (RationalField, PrimeField)):
         raise UnsupportedRingError(
@@ -338,7 +331,7 @@ def qexpansions(space, bound, subspace=None):
     are separated as finely as rational eigenvalues allow; coefficients at
     prime powers follow the weight-k recurrence with the diamond character,
     and multiplicativity fills in the rest."""
-    _require_congruence(space)
+    require_congruence(space.cosets, "Hecke operators")
     if bound < 1:
         raise ValueError("coefficient bound must be at least 1")
     ring = space.ring

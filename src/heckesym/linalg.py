@@ -69,15 +69,7 @@ class Matrix:
         one, zero = ring.one, ring.zero
         return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
 
-    @classmethod
-    def zero(cls, ring, nrows, ncols):
-        z = ring.zero
-        return cls(ring, [[z] * ncols for _ in range(nrows)], ncols)
-
     # -- basics ----------------------------------------------------------
-    def copy(self):
-        return Matrix(self.ring, self.rows, self.ncols)
-
     def transpose(self):
         return Matrix(self.ring, [list(col) for col in zip(*self.rows)] if self.rows else [], self.nrows)
 
@@ -90,9 +82,6 @@ class Matrix:
         if other.nrows != self.nrows:
             raise ShapeError("hstack: row counts differ")
         return Matrix(self.ring, [a + b for a, b in zip(self.rows, other.rows)], self.ncols + other.ncols)
-
-    def map_ring(self, ring, convert):
-        return Matrix(ring, [[convert(x) for x in row] for row in self.rows], self.ncols)
 
     def is_zero(self):
         rz = self.ring.is_zero
@@ -901,10 +890,6 @@ class FPModule:
         rz = self.ring.is_zero
         return all(rz(x) for x in self.reduce(vec))
 
-    def contains_in_relations(self, vec):
-        """Membership of an ambient vector in the relation span."""
-        return self.is_zero_element(vec)
-
     def coords_to_ambient(self, coords):
         """A representative ambient vector for canonical coordinates."""
         self._normalize()
@@ -937,12 +922,6 @@ class FPModule:
         if isinstance(self.ring, IntegerRing):
             return "FPModule(Z, rank %d, torsion %s)" % (self.rank(), list(self.torsion()))
         return "FPModule(%s, dim %d)" % (self.ring.kind, self.rank())
-
-
-def quotient_presentation(ring, ngens, relation_rows):
-    """Public constructor: R^ngens modulo the span of the given rows."""
-    rel = relation_rows if isinstance(relation_rows, Matrix) else Matrix(ring, relation_rows, ngens)
-    return FPModule(ring, ngens, rel)
 
 
 class IllDefinedMapError(ValueError):
@@ -1012,12 +991,6 @@ class FPMap:
             mod, _ = self.image()
             return mod.rank()
         return matrix_rank(self.matrix_on_generators())
-
-
-def induced_map(src, dst, ambient):
-    """Public op: well-definedness check plus the induced-map bundle."""
-    f = FPMap(src, dst, ambient, check=True)
-    return f
 
 
 # ---------------------------------------------------------------------------

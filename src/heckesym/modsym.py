@@ -9,14 +9,24 @@ cocycles. Modular symbols are the quotient by the sigma- and tau-norm
 relations; the boundary space is the quotient by the translation relations,
 and the boundary map sends a symbol to the difference of its endpoints.
 Cuspidal and Eisenstein parts are its kernel and image.
+
+Both kinds of table, congruence.CongruenceCosets and PermCosets here, share
+one interface, and everything in this module reads a table through it alone:
+n and mu; twist(i, letter, e), the coset reached from i by letter^e with the
+cocycle that multiplies the coefficient; stabilizer_cocycle(cls), the
+stabilizer generator of an elliptic class; the weight_variant class
+attribute naming the matching weight action; and label(). Only path
+conversion and matrix right actions need more (congruence cusp arithmetic),
+and they ask for it through congruence.require_congruence.
 """
 
 from collections import namedtuple
 
-from .congruence import CongruenceCosets, continued_fraction_path, imat_inv
+from .congruence import continued_fraction_path, require_congruence
 from .linalg import FPMap, FPModule, Matrix, left_kernel, matrix_rank
 from .rings import UnsupportedRingError
 from .triangle import (
+    Cocycle,
     integral_lambda_ring,
     mat2_inv_det_one,
     psl_canonical,
@@ -26,8 +36,6 @@ from .triangle import (
 from .weights import WeightModule
 
 
-Cocycle = namedtuple("Cocycle", ["matrix", "word"])
-
 Subspace = namedtuple("Subspace", ["module", "ambient_rows"])
 
 
@@ -36,8 +44,11 @@ class PermCosets:
 
     Cocycles come back as exact 2x2 matrices over Z[lam], sign-canonicalized,
     together with the reduced word realizing them, so both the polynomial
-    and the generic weight actions can consume them.
+    and the generic weight actions can consume them. The signs are only
+    projective, hence the projective weight variant.
     """
+
+    weight_variant = "projective"
 
     def __init__(self, group):
         self.group = group
@@ -58,12 +69,15 @@ class PermCosets:
 
     def stabilizer_cocycle(self, cls):
         """Generator of the stabilizer of an elliptic class, as a cocycle."""
-        word = (("s", 1),) if cls.kind == "sigma" else (("t", cls.power),)
+        word = (("s" if cls.kind == "sigma" else "t", cls.power),)
         gam, j = self.group.cocycle_matrix(self.ring, self.lam, cls.coset, word)
         if j != cls.coset:
             raise UnsupportedRingError("elliptic class does not fix its coset")
         wrd, _ = self.group.cocycle_word(cls.coset, word)
         return Cocycle(gam, wrd)
+
+    def label(self):
+        return "perm(n=%d, mu=%d)" % (self.n, self.mu)
 
     def __repr__(self):
         return "PermCosets(n=%d, mu=%d)" % (self.n, self.mu)
@@ -73,9 +87,7 @@ def weight_module_for(cosets, ring, k):
     """The weight action flavor matching the coset table: sign-normalized
     SL2 matrices for congruence tables (so odd weights make sense when the
     subgroup misses -1), plain projective matrices for permutation tables."""
-    if isinstance(cosets, CongruenceCosets):
-        return WeightModule(ring, k, variant="plus-minus-one")
-    return WeightModule(ring, k, variant="projective")
+    return WeightModule(ring, k, variant=cosets.weight_variant)
 
 
 class InducedModule:
@@ -100,57 +112,68 @@ class InducedModule:
         self.block = weight.dim
         self.rank = self.mu * self.block
         self._letter_cache = {}
+        self._power_cache = {}
         self._dense_cache = {}
-        sig = self._letter("s")
-        if not self._is_identity(self._compose(sig, sig)):
-            raise UnsupportedRingError(
-                "sigma does not act with order 2 on the induced module; the "
-                "weight twist is incompatible with these cosets"
-            )
-        tau = self._letter("t")
-        acc = tau
-        for _ in range(self.n - 1):
-            acc = self._compose(acc, tau)
-        if not self._is_identity(acc):
-            raise UnsupportedRingError(
-                "tau does not act with order %d on the induced module; the "
-                "weight twist is incompatible with these cosets" % self.n
-            )
+        ident = Matrix.identity(self.ring, self.block)
+        self._identity = [(i, ident) for i in range(self.mu)]
+        for letter, name in (("s", "sigma"), ("t", "tau")):
+            powers = self._powers(letter)
+            if powers[-1] != self._identity:
+                raise UnsupportedRingError(
+                    "%s does not act with order %d on the induced module; the "
+                    "weight twist is incompatible with these cosets"
+                    % (name, len(powers) - 1)
+                )
 
     # -- block maps: [(j, B)] with (i (x) v) * g = (j (x) v B) row-wise ----
 
-    def _twist(self, i, letter, e):
-        cosets = self.cosets
-        if isinstance(cosets, CongruenceCosets):
-            j, gamma = cosets.act_letter(i, letter, e)
-            return j, Cocycle(imat_inv(gamma), None)
-        return cosets.twist(i, letter, e)
+    def _from_twists(self, twists):
+        """Block map of (j, cocycle) twists listed by source coset."""
+        act = self.weight.action_for
+        return [(j, act(coc, self.n).transpose()) for j, coc in twists]
 
     def _letter(self, letter, e=1):
         key = (letter, e)
         bm = self._letter_cache.get(key)
         if bm is None:
-            bm = []
-            for i in range(self.mu):
-                j, coc = self._twist(i, letter, e)
-                bm.append((j, self.weight.action_for(coc, self.n).transpose()))
+            twist = self.cosets.twist
+            bm = self._from_twists(twist(i, letter, e) for i in range(self.mu))
             self._letter_cache[key] = bm
         return bm
+
+    def _powers(self, letter):
+        """Block maps of letter^0 .. letter^order (order 2 for sigma, n for
+        tau), composed once for both the order check and the norm."""
+        out = self._power_cache.get(letter)
+        if out is None:
+            step = self._letter(letter)
+            out = [self._identity, step]
+            for _ in range((2 if letter == "s" else self.n) - 1):
+                out.append(self._compose(out[-1], step))
+            self._power_cache[letter] = out
+        return out
 
     @staticmethod
     def _compose(first, then):
         """Block map of 'first, then then' (right actions compose in order)."""
         return [(then[j][0], B.mul(then[j][1])) for j, B in first]
 
-    def _is_identity(self, bm):
-        ident = Matrix.identity(self.ring, self.block)
-        return all(j == i and B == ident for i, (j, B) in enumerate(bm))
+    def _assemble(self, terms):
+        """Dense matrix of a signed sum of block maps, terms [(+1 or -1, bm)].
 
-    def _dense(self, bm):
-        zero = self.ring.zero
+        A block goes in by plain assignment (negated for a -1 term) where no
+        earlier term wrote; only blocks that several terms hit are added, so
+        the common case does no ring additions onto zeros."""
+        blocks = {}
+        for sign, bm in terms:
+            for i, (j, B) in enumerate(bm):
+                if sign < 0:
+                    B = B.neg()
+                cur = blocks.get((i, j))
+                blocks[i, j] = B if cur is None else cur.add(B)
         blk = self.block
-        rows = [[zero] * self.rank for _ in range(self.rank)]
-        for i, (j, B) in enumerate(bm):
+        rows = [[self.ring.zero] * self.rank for _ in range(self.rank)]
+        for (i, j), B in blocks.items():
             for a in range(blk):
                 rows[i * blk + a][j * blk : (j + 1) * blk] = B.rows[a]
         return Matrix(self.ring, rows, self.rank)
@@ -168,100 +191,55 @@ class InducedModule:
             return bm
         raise ValueError(name)
 
+    def _cached(self, key, build):
+        """The cached value under key; `build` runs only on a miss."""
+        out = self._dense_cache.get(key)
+        if out is None:
+            out = self._dense_cache[key] = build()
+        return out
+
     def right_matrix(self, name):
         """Dense matrix of the right action of sigma ("s"), tau ("t") or the
         translation T = tau sigma ("T")."""
-        out = self._dense_cache.get(name)
-        if out is None:
-            out = self._dense(self._blockmap(name))
-            self._dense_cache[name] = out
-        return out
+        return self._cached(name, lambda: self._assemble([(1, self._blockmap(name))]))
 
     def right_difference(self, name):
-        """Dense matrix of (identity - right action), assembled block-wise."""
-        key = "D" + name
-        out = self._dense_cache.get(key)
-        if out is None:
-            ring = self.ring
-            blk = self.block
-            zero, one, neg, add = ring.zero, ring.one, ring.neg, ring.add
-            rows = [[zero] * self.rank for _ in range(self.rank)]
-            for i, (j, B) in enumerate(self._blockmap(name)):
-                for a in range(blk):
-                    rows[i * blk + a][j * blk : (j + 1) * blk] = [
-                        neg(x) for x in B.rows[a]
-                    ]
-            for r in range(self.rank):
-                rows[r][r] = add(rows[r][r], one)
-            out = Matrix(ring, rows, self.rank)
-            self._dense_cache[key] = out
-        return out
+        """Dense matrix of (identity - right action)."""
+        return self._cached(
+            "D" + name,
+            lambda: self._assemble([(1, self._identity), (-1, self._blockmap(name))]),
+        )
 
     def norm_matrix(self, letter):
         """Sum of the right actions of the powers of a generator."""
-        key = "N" + letter
-        out = self._dense_cache.get(key)
-        if out is None:
-            order = 2 if letter == "s" else self.n
-            step = self._letter(letter)
-            blk = self.block
-            ident = Matrix.identity(self.ring, blk)
-            acc = [(i, ident) for i in range(self.mu)]
-            sums = [{} for _ in range(self.mu)]
-            for m in range(order):
-                for i, (j, B) in enumerate(acc):
-                    cur = sums[i].get(j)
-                    sums[i][j] = B if cur is None else cur.add(B)
-                if m < order - 1:
-                    acc = self._compose(acc, step)
-            zero = self.ring.zero
-            rows = [[zero] * self.rank for _ in range(self.rank)]
-            for i, blocks in enumerate(sums):
-                for j, B in blocks.items():
-                    for a in range(blk):
-                        rows[i * blk + a][j * blk : (j + 1) * blk] = B.rows[a]
-            out = Matrix(self.ring, rows, self.rank)
-            self._dense_cache[key] = out
-        return out
+        return self._cached(
+            "N" + letter,
+            lambda: self._assemble([(1, bm) for bm in self._powers(letter)[:-1]]),
+        )
 
     def norm_kernel(self, letter):
         """Basis of the row vectors killed by a generator norm. These are
         the admissible cocycle values on that generator."""
-        key = "K" + letter
-        out = self._dense_cache.get(key)
-        if out is None:
-            out = left_kernel(self.norm_matrix(letter))
-            self._dense_cache[key] = out
-        return out
+        return self._cached("K" + letter, lambda: left_kernel(self.norm_matrix(letter)))
 
     def fixed_vectors(self, name):
         """Basis of the vectors fixed by the right action of "s", "t" or
         the translation "T"."""
-        key = "F" + name
-        out = self._dense_cache.get(key)
-        if out is None:
-            out = left_kernel(self.right_difference(name))
-            self._dense_cache[key] = out
-        return out
+        return self._cached("F" + name, lambda: left_kernel(self.right_difference(name)))
 
     def group_fixed_vectors(self):
         """Basis of the vectors fixed by the whole group action."""
-        out = self._dense_cache.get("FG")
-        if out is None:
-            joint = self.right_difference("s").hstack(self.right_difference("t"))
-            out = left_kernel(joint)
-            self._dense_cache["FG"] = out
-        return out
+        return self._cached(
+            "FG",
+            lambda: left_kernel(
+                self.right_difference("s").hstack(self.right_difference("t"))
+            ),
+        )
 
     def operator_rank(self, key, build):
         """Cached rank of a derived operator matrix; `build` is only called
         on a cache miss."""
-        k = "rank:" + key
-        out = self._dense_cache.get(k)
-        if out is None:
-            out = matrix_rank(build())
-            self._dense_cache[k] = out
-        return out
+        return self._cached("rank:" + key, lambda: matrix_rank(build()))
 
     def apply_letter_to_row(self, vec, letter, e=1):
         """Row vector (plain list) times the right action of letter^e."""
@@ -277,31 +255,15 @@ class InducedModule:
 
         Only congruence tables carry enough structure for this; it backs the
         diamond operators and the symbol-invariance checks."""
-        if not isinstance(self.cosets, CongruenceCosets):
-            raise UnsupportedRingError(
-                "matrix right actions need a congruence coset table"
-            )
-        bm = []
-        for i in range(self.mu):
-            j, gamma = self.cosets.act(i, g)
-            coc = Cocycle(imat_inv(gamma), None)
-            bm.append((j, self.weight.action_for(coc, self.n).transpose()))
-        return self._dense(bm)
+        require_congruence(self.cosets, "matrix right actions")
+        twist_by = self.cosets.twist_by
+        bm = self._from_twists(twist_by(i, g) for i in range(self.mu))
+        return self._assemble([(1, bm)])
 
     def stabilizer_action(self, cls):
         """Action matrix on the weight module of the stabilizer generator of
         an elliptic class (columns = images of basis monomials)."""
-        if isinstance(self.cosets, CongruenceCosets):
-            from .congruence import SIGMA, TAU, imat_pow
-
-            mat = SIGMA if cls.kind == "sigma" else imat_pow(TAU, cls.power)
-            j, gamma = self.cosets.act(cls.coset, mat)
-            if j != cls.coset:
-                raise UnsupportedRingError("elliptic class does not fix its coset")
-            coc = Cocycle(gamma, None)
-        else:
-            coc = self.cosets.stabilizer_cocycle(cls)
-        return self.weight.action_for(coc, self.n)
+        return self.weight.action_for(self.cosets.stabilizer_cocycle(cls), self.n)
 
     def __repr__(self):
         return "InducedModule(mu=%d, block=%d, %s)" % (
@@ -418,10 +380,7 @@ def convert_symbol(space, alpha, beta, coeffs=None):
     defaults to the first basis monomial. Requires a congruence coset table,
     since the path is cut into unimodular segments by continued fractions."""
     cosets = space.cosets
-    if not isinstance(cosets, CongruenceCosets):
-        raise UnsupportedRingError(
-            "path conversion needs the cusp arithmetic of a congruence coset table"
-        )
+    require_congruence(cosets, "path conversions")
     module = space.module
     ring = space.ring
     blk = module.block

@@ -18,6 +18,7 @@ matrices live over Z[lam].
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .rings import ZZ, QuotientExtension, ShapeError
@@ -26,6 +27,12 @@ from .linalg import InternalInvariantError
 
 class InvalidSubgroupError(ValueError):
     pass
+
+
+# A Schreier cocycle as a coset table hands it to a weight module: an exact
+# 2x2 matrix, and the reduced word in sigma, tau realizing it (None when the
+# table only carries matrices).
+Cocycle = namedtuple("Cocycle", ["matrix", "word"])
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +148,6 @@ def mat2_mul(ring, A, B):
         add(mul(c, e), mul(d, g)),
         add(mul(c, f), mul(d, h)),
     )
-
-
-def mat2_det(ring, A):
-    a, b, c, d = A
-    return ring.sub(ring.mul(a, d), ring.mul(b, c))
 
 
 def mat2_inv_det_one(ring, A):
@@ -433,11 +435,13 @@ def subgroup_to_dict(group):
 
 
 def subgroup_from_dict(data):
+    """Subgroup from {"n", "s", "t"}; an optional "mu" must match len(s)."""
     try:
-        n, mu = int(data["n"]), int(data["mu"])
+        n = int(data["n"])
         s, t = list(data["s"]), list(data["t"])
+        mu = int(data.get("mu", len(s)))
     except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidSubgroupError("expected keys n, mu, s, t") from exc
+        raise InvalidSubgroupError("expected keys n, s, t (and optionally mu)") from exc
     if mu != len(s):
         raise InvalidSubgroupError("mu does not match the permutation length")
     return TriangleSubgroup(n, s, t)

@@ -84,8 +84,6 @@ def lambda_splitting_field_mod_p(n, p):
 class WeightModule:
     """Homogeneous polynomials of degree k-2 with the adjugate action."""
 
-    needs_words = False
-
     def __init__(self, ring, k, variant="projective"):
         if k < 2:
             raise UnsupportedRingError("weight must be >= 2")
@@ -203,8 +201,6 @@ class GenericWeightModule:
     The action is evaluated through words in sigma and tau, so modules
     with no polynomial structure can ride the same induced-module
     machinery. Only the projective free-product relations are checked."""
-
-    needs_words = True
 
     def __init__(self, ring, n, mat_sigma, mat_tau):
         if mat_sigma.nrows != mat_sigma.ncols or mat_tau.nrows != mat_tau.ncols:

@@ -222,6 +222,15 @@ def test_unsupported_exit_3(argv, capsys):
     assert "unsupported" in capsys.readouterr().err
 
 
+def test_perm_file_with_a_bad_pair_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 3, "s": [1, 2, 0], "t": [0, 1, 2]}))
+    with pytest.raises(SystemExit) as info:
+        cli.main(["dims", "--group", "perm-file:%s" % path])
+    assert info.value.code == 2
+    assert "bad permutation pair" in capsys.readouterr().err
+
+
 def test_internal_invariant_exit_4(monkeypatch, capsys):
     from heckesym.linalg import InternalInvariantError
 

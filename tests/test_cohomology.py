@@ -14,6 +14,7 @@ import sympy
 
 from heckesym.congruence import gamma0_cosets, gamma1_cosets
 from heckesym.cohomology import (
+    _zero_composite,
     boundary_dimensions,
     comparison_report,
     cyclic_h1,
@@ -27,7 +28,7 @@ from heckesym.cohomology import (
     surface_h1_parabolic,
     surface_h1_parabolic_dimension,
 )
-from heckesym.linalg import left_kernel
+from heckesym.linalg import FPMap, FPModule, Matrix, left_kernel
 from heckesym.modsym import (
     InducedModule,
     ManinSymbolSpace,
@@ -229,6 +230,19 @@ def test_six_term_golden_congruence():
     rep = mayer_vietoris(induced(gamma0_cosets(11), QQ, 2))
     assert _six_dims(rep) == (1, 10, 12, 3, 0)
     assert rep.exact
+
+
+def test_zero_composite_detects_a_nonzero_composite():
+    free = FPModule(QQ, 2)
+    first = FPMap(free, free, Matrix(QQ, [[QQ.one, QQ.zero], [QQ.zero, QQ.zero]]))
+    second = FPMap(free, free, Matrix(QQ, [[QQ.zero, QQ.zero], [QQ.zero, QQ.one]]))
+    ident = FPMap(free, free, Matrix.identity(QQ, 2))
+    assert _zero_composite(first, second)
+    assert not _zero_composite(first, ident)
+    assert not _zero_composite(ident, first)
+    # a nonzero composite that vanishes in a quotient target counts as zero
+    target = FPModule(QQ, 2, Matrix(QQ, [[QQ.one, QQ.zero]]))
+    assert _zero_composite(ident, FPMap(free, target, first.ambient))
 
 
 def test_six_term_needs_a_field():

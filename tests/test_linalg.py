@@ -17,10 +17,8 @@ from heckesym.linalg import (
     charpoly,
     echelon_and_kernel,
     hermite_normal_form,
-    induced_map,
     left_kernel,
     matrix_rank,
-    quotient_presentation,
     rref,
     right_kernel,
     smith_normal_form,
@@ -275,7 +273,7 @@ def test_rowbasis_integer_lattice():
 
 
 def test_fpmodule_z_torsion():
-    M = quotient_presentation(ZZ, 2, [[2, 0]])
+    M = FPModule(ZZ, 2, Matrix(ZZ, [[2, 0]]))
     assert M.rank() == 1
     assert M.torsion() == (2,)
     assert M.is_zero_element([2, 0])
@@ -283,7 +281,7 @@ def test_fpmodule_z_torsion():
 
 
 def test_fpmodule_field_dim_and_reduce():
-    M = quotient_presentation(QQ, 3, [[Fraction(1), Fraction(1), Fraction(0)]])
+    M = FPModule(QQ, 3, Matrix(QQ, [[Fraction(1), Fraction(1), Fraction(0)]]))
     assert M.dim() == 2
     r1 = M.reduce([Fraction(1), Fraction(0), Fraction(0)])
     r2 = M.reduce([Fraction(0), Fraction(-1), Fraction(0)])
@@ -291,18 +289,18 @@ def test_fpmodule_field_dim_and_reduce():
 
 
 def test_fpmap_welldefined_check():
-    src = quotient_presentation(ZZ, 1, [[2]])
-    dst = quotient_presentation(ZZ, 1, [[3]])
+    src = FPModule(ZZ, 1, Matrix(ZZ, [[2]]))
+    dst = FPModule(ZZ, 1, Matrix(ZZ, [[3]]))
     with pytest.raises(IllDefinedMapError):
-        induced_map(src, dst, Matrix(ZZ, [[1]]))
-    ok = induced_map(src, quotient_presentation(ZZ, 1, [[2]]), Matrix(ZZ, [[1]]))
+        FPMap(src, dst, Matrix(ZZ, [[1]]), check=True)
+    ok = FPMap(src, FPModule(ZZ, 1, Matrix(ZZ, [[2]])), Matrix(ZZ, [[1]]), check=True)
     assert ok.matrix_on_generators().rows
 
 
 def test_fpmap_kernel_image_cokernel_over_q():
     # map Q^2 -> Q^2 collapsing the second coordinate
-    src = quotient_presentation(QQ, 2, [])
-    dst = quotient_presentation(QQ, 2, [])
+    src = FPModule(QQ, 2)
+    dst = FPModule(QQ, 2)
     A = Matrix(QQ, [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]])
     f = FPMap(src, dst, A)
     ker, kgens = f.kernel()
@@ -315,8 +313,8 @@ def test_fpmap_kernel_image_cokernel_over_q():
 
 def test_fpmap_kernel_over_z_with_torsion_target():
     # multiplication by 1: Z -> Z/4 has kernel 4Z, presented as free rank 1
-    src = quotient_presentation(ZZ, 1, [])
-    dst = quotient_presentation(ZZ, 1, [[4]])
+    src = FPModule(ZZ, 1)
+    dst = FPModule(ZZ, 1, Matrix(ZZ, [[4]]))
     f = FPMap(src, dst, Matrix(ZZ, [[1]]))
     ker, kgens = f.kernel()
     assert kgens.rows == [[4]]
@@ -327,8 +325,8 @@ def test_fpmap_kernel_over_z_with_torsion_target():
 
 def test_fpmap_image_with_torsion():
     # x -> 2x : Z/4 -> Z/4 has image of order 2, kernel of order 2
-    src = quotient_presentation(ZZ, 1, [[4]])
-    dst = quotient_presentation(ZZ, 1, [[4]])
+    src = FPModule(ZZ, 1, Matrix(ZZ, [[4]]))
+    dst = FPModule(ZZ, 1, Matrix(ZZ, [[4]]))
     f = FPMap(src, dst, Matrix(ZZ, [[2]]))
     ker, kgens = f.kernel()
     assert ker.rank() == 0 and ker.torsion() == (2,)
@@ -340,8 +338,8 @@ def test_fpmap_image_with_torsion():
 @given(int_matrix(4, 4), int_matrix(4, 4))
 def test_fpmap_rank_nullity_over_q(rows_rel, rows_map):
     n = len(rows_map[0])
-    src = quotient_presentation(QQ, len(rows_map), [])
-    dst = quotient_presentation(QQ, n, [])
+    src = FPModule(QQ, len(rows_map))
+    dst = FPModule(QQ, n)
     A = Matrix(QQ, [[Fraction(x) for x in r] for r in rows_map])
     f = FPMap(src, dst, A)
     ker, _ = f.kernel()

@@ -33,7 +33,7 @@ from heckesym.modsym import (
     weight_module_for,
 )
 from heckesym.rings import GF, QQ, ZZ, UnsupportedRingError
-from heckesym.triangle import TriangleSubgroup
+from heckesym.triangle import TriangleSubgroup, rational_lambda_ring
 
 import oracles
 
@@ -269,6 +269,65 @@ def test_right_action_multiplicative():
             h = imat_mul(imat_pow(SIGMA, rng.randrange(1, 3)), imat_pow(TAU, rng.randrange(1, 4)))
             lhs = module.right_operator(g).mul(module.right_operator(h))
             assert lhs == module.right_operator(imat_mul(g, h))
+
+
+# ---------------------------------------------------------------------------
+# operator assembly: each dense operator is the signed sum of right actions
+# it names, recomputed here with plain matrix products and sums
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cosets, ring, k",
+    [
+        (gamma0_cosets(11), QQ, 4),
+        (gamma1_cosets(13), GF(7), 3),
+        (
+            PermCosets(TriangleSubgroup(4, (5, 7, 6, 3, 4, 0, 2, 1), (2, 0, 4, 7, 1, 6, 3, 5))),
+            rational_lambda_ring(4)[0],
+            4,
+        ),
+        (
+            PermCosets(TriangleSubgroup(5, (3, 2, 1, 0, 5, 4, 7, 6), (3, 1, 6, 2, 0, 5, 4, 7))),
+            rational_lambda_ring(5)[0],
+            2,
+        ),
+    ],
+    ids=["gamma0:11-k4-Q", "gamma1:13-k3-F7", "perm-n4-k4-lambda", "perm-n5-k2-lambda"],
+)
+def test_dense_operators_are_their_block_sums(cosets, ring, k):
+    module = InducedModule(cosets, weight_module_for(cosets, ring, k))
+    ident = Matrix.identity(ring, module.rank)
+    R = {x: module.right_matrix(x) for x in "stT"}
+    assert module.norm_matrix("s") == ident.add(R["s"])
+    total, power = ident, ident
+    for _ in range(cosets.n - 1):
+        power = power.mul(R["t"])
+        total = total.add(power)
+    assert module.norm_matrix("t") == total
+    for x in "stT":
+        assert module.right_difference(x) == ident.sub(R[x])
+    assert R["T"] == R["t"].mul(R["s"])
+    for x in "st":
+        for r in range(module.rank):
+            unit = [ring.zero] * module.rank
+            unit[r] = ring.one
+            assert R[x].rows[r] == module.apply_letter_to_row(unit, x)
+
+
+def test_coset_tables_share_one_interface():
+    for cosets, variant, label in (
+        (gamma0_cosets(11), "plus-minus-one", "gamma0:11"),
+        (gamma1_cosets(13), "plus-minus-one", "gamma1:13"),
+        (level_one(4), "projective", "perm(n=4, mu=1)"),
+    ):
+        assert cosets.weight_variant == variant
+        assert cosets.label() == label
+        assert weight_module_for(cosets, QQ, 2).variant == variant
+        j, cocycle = cosets.twist(0, "t", 1)
+        assert j == cosets.subgroup.t[0] and len(cocycle.matrix) == 4
+        for cls in cosets.subgroup.elliptic_classes():
+            assert len(cosets.stabilizer_cocycle(cls).matrix) == 4
 
 
 # ---------------------------------------------------------------------------

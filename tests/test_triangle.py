@@ -323,8 +323,11 @@ def test_perm_file_rejects_bad_mu():
 
 
 def test_perm_file_requires_all_fields():
-    with pytest.raises(InvalidSubgroupError, match="n, mu, s, t"):
-        subgroup_from_dict({"n": 3, "s": [0], "t": [0]})
+    with pytest.raises(InvalidSubgroupError, match="n, s, t"):
+        subgroup_from_dict({"n": 3, "mu": 1, "s": [0]})
+    with pytest.raises(InvalidSubgroupError, match="mu does not match"):
+        subgroup_from_dict({"n": 3, "mu": 2, "s": [0], "t": [0]})
+    assert subgroup_from_dict({"n": 3, "s": [0], "t": [0]}).mu == 1
 
 
 def test_round_trip_dict():
