@@ -10,6 +10,11 @@ operator assembles from the same cocycles that define the space. The
 adjugate weight action is multiplicative in any determinant, which is what
 makes the sum independent of the choice of representatives.
 
+Callers over a field read only the rows of an operator at the free
+generators of the presentation, so an operator assembles its ambient rows
+when they are first read, one batch per read, and keeps them; its .ambient
+matrix is built in full on first access.
+
 Eigenvalue extraction factors characteristic polynomials over the base
 field (the rationals or a prime field) and refines joint invariant blocks
 prime by prime. Scalars are never extended silently: a block whose
@@ -20,6 +25,7 @@ the report instead of sprouting fake eigenvalues.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .congruence import (
@@ -67,42 +73,71 @@ def _double_coset_reps(cosets, p):
     return reps
 
 
-def _operator_ambient(space, reps):
-    """Dense matrix (rows: induced-module coordinates) of the operator
-    sending each coset generator through every representative."""
-    module = space.module
+def _operator_rows(space, reps, rows):
+    """Ambient images of the given induced-module coordinates under the
+    operator that sends each coset generator through every representative,
+    as {row: dense image row}. The full ambient matrix is this with every
+    row.
+
+    Only the cosets that own a requested row are cut into unimodular
+    segments, once per representative. A segment contributes the requested
+    rows a of its block (A_gamma A_delta)^T alone, each as row a of
+    A_delta^T times A_gamma^T, so no full block product is formed."""
     cosets = space.cosets
     ring = space.ring
     weight = space.weight
-    blk = module.block
-    rank = module.rank
+    blk = space.module.block
     add, sub = ring.add, ring.sub
-    rows = [[ring.zero] * rank for _ in range(rank)]
+    out = {r: [ring.zero] * space.module.rank for r in rows}
+    owned = {}
+    for r in sorted(out):
+        owned.setdefault(r // blk, []).append(r % blk)
     for delta in reps:
-        act_delta = weight.action_matrix(delta, cosets.n)
-        for i in range(cosets.mu):
+        delta_t = weight.action_matrix(delta, cosets.n).transpose().rows
+        for i, offsets in owned.items():
             m = imat_mul(delta, cosets.lifts[i])
             if imat_det(m) == 1:
                 segments = [(m, 1)]
             else:
                 segments = continued_fraction_path(*segment_endpoints(m))
-            base = i * blk
             for seg, sign in segments:
                 j, gamma = cosets.symbol_cocycle(seg)
-                bt = weight.action_matrix(gamma, cosets.n).mul(act_delta).transpose()
-                off = j * blk
-                for a in range(blk):
-                    dest = rows[base + a]
-                    piece = bt.rows[a]
-                    if sign == 1:
-                        dest[off : off + blk] = [
-                            add(x, y) for x, y in zip(dest[off : off + blk], piece)
-                        ]
-                    else:
-                        dest[off : off + blk] = [
-                            sub(x, y) for x, y in zip(dest[off : off + blk], piece)
-                        ]
-    return Matrix(ring, rows, rank)
+                gamma_t = weight.action_matrix(gamma, cosets.n).transpose()
+                op = add if sign == 1 else sub
+                lo, hi = j * blk, (j + 1) * blk
+                for a in offsets:
+                    dest = out[i * blk + a]
+                    piece = gamma_t.act_on_row(delta_t[a])
+                    dest[lo:hi] = [op(x, y) for x, y in zip(dest[lo:hi], piece)]
+    return out
+
+
+class LazyOperator(FPMap):
+    """A Hecke or diamond operator as a self-map of the symbol space, with
+    its ambient rows assembled on first read and kept.
+
+    Every read goes through rows_at, which builds the missing rows in one
+    batch; .ambient assembles all of them on first access. With check=True
+    the full operator is verified against the relations at construction."""
+
+    def __init__(self, space, reps, check=False):
+        self.src = self.dst = space.presentation
+        self._space = space
+        self._reps = reps
+        self._rows = {}
+        if check:
+            FPMap(self.src, self.dst, self.ambient, check=True)
+
+    def rows_at(self, indices):
+        missing = sorted({r for r in indices if r not in self._rows})
+        if missing:
+            self._rows.update(_operator_rows(self._space, self._reps, missing))
+        return [self._rows[r] for r in indices]
+
+    @cached_property
+    def ambient(self):
+        ngens = self.src.ngens
+        return Matrix(self.src.ring, self.rows_at(range(ngens)), ngens)
 
 
 def hecke_matrix(space, p, check=False):
@@ -112,12 +147,15 @@ def hecke_matrix(space, p, check=False):
     right multiplication by a subgroup element permutes the representatives
     up to subgroup factors on the left, and those factors stay in the
     normalized cocycle range. Pass check=True to re-verify that the norm
-    relations map into the relation span."""
+    relations map into the relation span.
+
+    The result is a LazyOperator: ambient rows are assembled when first
+    read (matrix_on_generators and restrict_operator read only the rows at
+    the free generators), and .ambient builds the full matrix on demand."""
     require_congruence(space.cosets, "Hecke operators")
     if not is_prime(p):
         raise ValueError("Hecke operators are indexed by primes, got %r" % (p,))
-    ambient = _operator_ambient(space, _double_coset_reps(space.cosets, p))
-    return FPMap(space.presentation, space.presentation, ambient, check=check)
+    return LazyOperator(space, _double_coset_reps(space.cosets, p), check=check)
 
 
 def diamond_operator(space, d, check=False):
@@ -125,12 +163,10 @@ def diamond_operator(space, d, check=False):
 
     On P^1-labelled cosets this is the identity; on (c, d)-pair cosets it
     permutes the classes and twists the coefficients, and in odd weight
-    d = -1 acts as minus the identity."""
+    d = -1 acts as minus the identity. Like hecke_matrix, it returns a
+    LazyOperator whose rows are assembled on first read."""
     require_congruence(space.cosets, "Hecke operators")
-    ambient = _operator_ambient(
-        space, [diamond_matrix(d, space.cosets.N)]
-    )
-    return FPMap(space.presentation, space.presentation, ambient, check=check)
+    return LazyOperator(space, [diamond_matrix(d, space.cosets.N)], check=check)
 
 
 def restrict_operator(operator, subspace):
@@ -145,12 +181,13 @@ def restrict_operator(operator, subspace):
     every operator."""
     gens = subspace.ambient_rows
     src = operator.src
+    images = operator.apply_all(gens.rows)
     if not getattr(src.ring, "is_field", False):
         basis = RowBasis(gens.stack(src.relations))
         rows = []
-        for g in gens.rows:
+        for image in images:
             try:
-                coeffs = basis.express(operator.ambient.act_on_row(g))
+                coeffs = basis.express(image)
             except NotInSpanError:
                 raise IllDefinedMapError("operator does not preserve the subspace")
             rows.append(coeffs[: gens.nrows])
@@ -158,8 +195,8 @@ def restrict_operator(operator, subspace):
     reduced = Matrix(src.ring, [list(src.reduce(g)) for g in gens.rows], src.ncoords())
     basis = RowBasis(reduced)
     rows = []
-    for g in gens.rows:
-        image = list(src.reduce(operator.ambient.act_on_row(g)))
+    for image in images:
+        image = list(src.reduce(image))
         try:
             coeffs = basis.express(image)
         except NotInSpanError:
@@ -223,10 +260,15 @@ def _factor_monic(ring, coeffs):
 
 
 def _poly_apply(ring, coeffs, mat):
-    """Evaluate a polynomial (coefficients low->high) at a square matrix."""
+    """Evaluate a polynomial (coefficients low->high) at a square matrix.
+
+    Horner's rule from c_d mat + c_(d-1), so a linear factor takes no
+    matrix product."""
     ident = Matrix.identity(ring, mat.nrows)
-    out = ident.scale(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
+    if len(coeffs) == 1:
+        return ident.scale(coeffs[0])
+    out = mat.scale(coeffs[-1]).add(ident.scale(coeffs[-2]))
+    for c in reversed(coeffs[:-2]):
         out = out.mul(mat).add(ident.scale(c))
     return out
 

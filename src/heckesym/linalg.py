@@ -900,6 +900,12 @@ class FPModule:
             vec[f] = x
         return vec
 
+    def free_generators(self):
+        """Field only: the ambient coordinates that are not pivots of the
+        relations; their unit vectors are the normalized generators."""
+        self._normalize()
+        return list(self._free)
+
     def generator_ambient_rows(self):
         """Ambient representatives of the normalized generators."""
         self._normalize()
@@ -942,10 +948,30 @@ class FPMap:
                 if not dst.is_zero_element(ambient.act_on_row(row)):
                     raise IllDefinedMapError("source relation does not map into target relations")
 
+    def rows_at(self, indices):
+        """The ambient rows at the given source coordinates (read only)."""
+        return [self.ambient.rows[r] for r in indices]
+
+    def apply_all(self, vecs):
+        """Ambient images of row vectors, reading only the rows in their
+        joint support."""
+        if any(len(v) != self.src.ngens for v in vecs):
+            raise ShapeError("apply_all: length mismatch")
+        is_zero = self.src.ring.is_zero
+        support = sorted({r for v in vecs for r, x in enumerate(v) if not is_zero(x)})
+        rows = Matrix(self.dst.ring, self.rows_at(support), self.dst.ngens)
+        return [rows.act_on_row([v[r] for r in support]) for v in vecs]
+
     def matrix_on_generators(self):
-        """Matrix in canonical coordinates (rows: src generators)."""
-        gens = self.src.generator_ambient_rows()
-        rows = [list(self.dst.reduce(self.ambient.act_on_row(g))) for g in gens.rows]
+        """Matrix in canonical coordinates (rows: src generators).
+
+        Over a field the generators are the free coordinates, whose images
+        are plain ambient rows."""
+        if isinstance(self.src.ring, IntegerRing):
+            images = self.apply_all(self.src.generator_ambient_rows().rows)
+        else:
+            images = self.rows_at(self.src.free_generators())
+        rows = [list(self.dst.reduce(v)) for v in images]
         return Matrix(self.dst.ring, rows, self.dst.ncoords())
 
     def kernel(self):

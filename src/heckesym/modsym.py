@@ -44,8 +44,9 @@ class PermCosets:
 
     Cocycles come back as exact 2x2 matrices over Z[lam], sign-canonicalized,
     together with the reduced word realizing them, so both the polynomial
-    and the generic weight actions can consume them. The signs are only
-    projective, hence the projective weight variant.
+    and the generic weight actions can consume them; the word is built only
+    when a weight module reads it. The signs are only projective, hence the
+    projective weight variant.
     """
 
     weight_variant = "projective"
@@ -62,10 +63,11 @@ class PermCosets:
         letter^e; the cocycle is exactly what multiplies the coefficient."""
         word = ((letter, e),)
         gam, j = self.group.cocycle_matrix(self.ring, self.lam, i, word)
-        wrd, _ = self.group.cocycle_word(i, word)
-        inv_word = reduce_word(self.n, word_inverse(wrd))
         inv_mat = psl_canonical(self.ring, mat2_inv_det_one(self.ring, gam))
-        return j, Cocycle(inv_mat, inv_word)
+        return j, Cocycle(
+            inv_mat,
+            lambda: reduce_word(self.n, word_inverse(self.group.cocycle_word(i, word)[0])),
+        )
 
     def stabilizer_cocycle(self, cls):
         """Generator of the stabilizer of an elliptic class, as a cocycle."""
@@ -73,8 +75,7 @@ class PermCosets:
         gam, j = self.group.cocycle_matrix(self.ring, self.lam, cls.coset, word)
         if j != cls.coset:
             raise UnsupportedRingError("elliptic class does not fix its coset")
-        wrd, _ = self.group.cocycle_word(cls.coset, word)
-        return Cocycle(gam, wrd)
+        return Cocycle(gam, lambda: self.group.cocycle_word(cls.coset, word)[0])
 
     def label(self):
         return "perm(n=%d, mu=%d)" % (self.n, self.mu)

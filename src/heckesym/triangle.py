@@ -18,7 +18,6 @@ matrices live over Z[lam].
 from __future__ import annotations
 
 import json
-from collections import namedtuple
 from dataclasses import dataclass
 
 from .rings import ZZ, QuotientExtension, ShapeError
@@ -29,10 +28,25 @@ class InvalidSubgroupError(ValueError):
     pass
 
 
-# A Schreier cocycle as a coset table hands it to a weight module: an exact
-# 2x2 matrix, and the reduced word in sigma, tau realizing it (None when the
-# table only carries matrices).
-Cocycle = namedtuple("Cocycle", ["matrix", "word"])
+class Cocycle:
+    """A Schreier cocycle as a coset table hands it to a weight module: an
+    exact 2x2 matrix, and the reduced word in sigma, tau realizing it (None
+    when the table only carries matrices).
+
+    The word may be given as a function of no arguments. It is then built
+    on first read, since only the generic weight modules read words."""
+
+    __slots__ = ("matrix", "_word")
+
+    def __init__(self, matrix, word):
+        self.matrix = matrix
+        self._word = word
+
+    @property
+    def word(self):
+        if callable(self._word):
+            self._word = self._word()
+        return self._word
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +328,7 @@ class TriangleSubgroup:
         self.perm_T = _compose(t, s)  # T = tau*sigma acts by t then s
         self._words = None
         self._rep_cache = {}
+        self._word_cache = {}  # (ring, word) -> matrix; one-letter words in the library
         if len(self._reachable()) != mu:
             raise InvalidSubgroupError("permutation action is not transitive")
 
@@ -410,7 +425,10 @@ class TriangleSubgroup:
         (permutation check)."""
         reps = self.rep_matrices(ring, lam)
         j = self.apply_word(i, word)
-        g = word_matrix(ring, lam, word)
+        key = (ring, tuple(word))
+        g = self._word_cache.get(key)
+        if g is None:
+            g = self._word_cache[key] = word_matrix(ring, lam, word)
         M = mat2_mul(ring, mat2_mul(ring, reps[i], g), mat2_inv_det_one(ring, reps[j]))
         return psl_canonical(ring, M), j
 

@@ -8,13 +8,17 @@ invariance, double-coset well-definedness, diamond relations, and the
 refusal to extend scalars when a polynomial does not split.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from heckesym.congruence import gamma0_cosets, gamma1_cosets
+from heckesym import hecke
+from heckesym.congruence import continued_fraction_path, gamma0_cosets, gamma1_cosets
 from heckesym.hecke import (
+    LazyOperator,
+    _poly_apply,
     diamond_operator,
     eigensystem,
     hecke_matrix,
@@ -22,9 +26,10 @@ from heckesym.hecke import (
     restrict_operator,
     sturm_bound,
 )
-from heckesym.linalg import Matrix, charpoly
+from heckesym.linalg import FPMap, IllDefinedMapError, Matrix, charpoly
 from heckesym.modsym import (
     PermCosets,
+    Subspace,
     cuspidal_subspace,
     manin_space,
     weight_module_for,
@@ -237,6 +242,109 @@ def test_eisenstein_eigenvalue_weight_4():
     # two cusps, both Eisenstein series have T_2 eigenvalue 1 + 2^3
     sp = space_for(gamma0_cosets(5), QQ, 4)
     assert _eisenstein_quotient(sp, 2) == [81, -18, 1]
+
+
+# ---------------------------------------------------------------------------
+# lazily assembled operators
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "maker,N,ring,k,ops",
+    [
+        (gamma0_cosets, 11, QQ, 2, [("T", 2), ("T", 11)]),
+        (gamma0_cosets, 23, QQ, 2, [("T", 3)]),
+        (gamma0_cosets, 30, QQ, 2, [("T", 2), ("T", 7)]),
+        (gamma0_cosets, 15, QQ, 4, [("T", 2), ("T", 5)]),
+        (gamma0_cosets, 22, QQ, 4, [("T", 3)]),
+        (gamma0_cosets, 7, QQ, 6, [("T", 2), ("T", 7)]),
+        (gamma0_cosets, 10, QQ, 6, [("T", 3)]),
+        (gamma1_cosets, 7, QQ, 3, [("T", 2), ("T", 7), ("D", 3)]),
+        (gamma1_cosets, 5, QQ, 3, [("T", 2), ("T", 5), ("D", 2), ("D", 3), ("D", 4)]),
+        (gamma0_cosets, 47, GF(7), 2, [("T", 2), ("T", 47)]),
+    ],
+)
+def test_lazy_operator_matches_its_full_ambient(maker, N, ring, k, ops):
+    sp = space_for(maker(N), ring, k)
+    cusp = cuspidal_subspace(sp)
+    # the same classes, written with relation rows added: their support
+    # reaches coordinates that are not free generators
+    rel = sp.presentation.relations.rows
+    shifted_rows = [
+        [ring.add(x, y) for x, y in zip(g, rel[i % len(rel)])]
+        for i, g in enumerate(cusp.ambient_rows.rows)
+    ]
+    shifted = Subspace(cusp.module, Matrix(ring, shifted_rows, sp.presentation.ngens))
+    for kind, value in ops:
+        build = hecke_matrix if kind == "T" else diamond_operator
+        lazy, lazy_shifted = build(sp, value), build(sp, value)
+        got = (
+            lazy.matrix_on_generators(),
+            restrict_operator(lazy, cusp),
+            restrict_operator(lazy_shifted, shifted),
+        )
+        full = FPMap(sp.presentation, sp.presentation, build(sp, value).ambient, check=False)
+        restricted = restrict_operator(full, cusp)
+        assert got == (full.matrix_on_generators(), restricted, restricted)
+        assert restrict_operator(full, shifted) == restricted
+
+
+def test_lazy_operator_splits_only_generator_cosets(monkeypatch):
+    sp = space_for(gamma0_cosets(37), QQ, 2)
+    free = sp.presentation.free_generators()
+    calls = []
+
+    def counted(alpha, beta):
+        calls.append((alpha, beta))
+        return continued_fraction_path(alpha, beta)
+
+    monkeypatch.setattr(hecke, "continued_fraction_path", counted)
+    op = hecke_matrix(sp, 2)
+    mat = op.matrix_on_generators()
+    # weight 2: one coordinate per coset; three representatives, none of
+    # determinant one, for each coset that owns a free generator
+    assert len(calls) == 3 * len(free) < 3 * sp.cosets.mu
+    assert "ambient" not in vars(op)
+    assert restrict_operator(op, cuspidal_subspace(sp)).nrows == 4
+    assert len(calls) == 3 * len(free)
+    assert op.ambient.nrows == sp.cosets.mu and len(calls) == 3 * sp.cosets.mu
+    full = FPMap(sp.presentation, sp.presentation, op.ambient, check=False)
+    assert full.matrix_on_generators() == mat
+
+
+@pytest.mark.parametrize(
+    "maker,N,k",
+    [(gamma0_cosets, 11, 2), (gamma0_cosets, 11, 4), (gamma1_cosets, 5, 3)],
+)
+def test_check_verifies_the_full_operator(maker, N, k):
+    sp = space_for(maker(N), QQ, k)
+    hecke_matrix(sp, 2, check=True)
+    hecke_matrix(sp, N, check=True)
+    diamond_operator(sp, 2, check=True)
+    # translation by a matrix that does not normalize the subgroup
+    with pytest.raises(IllDefinedMapError):
+        LazyOperator(sp, [(1, 0, 1, 1)], check=True)
+
+
+def test_zero_dimensional_space_charpoly():
+    sp = space_for(gamma0_cosets(1), QQ, 2)
+    assert charpoly(hecke_matrix(sp, 2).matrix_on_generators()) == [1]
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(7)], ids=["Q", "F7"])
+def test_poly_apply_matches_the_power_sum(ring):
+    rng = random.Random(5)
+    for degree in (1, 2, 3, 4):
+        for n in (1, 3, 4):
+            entries = [[ring.of_int(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
+            mat = Matrix(ring, entries)
+            coeffs = [ring.of_int(rng.randint(-5, 5)) for _ in range(degree)] + [ring.one]
+            expected = Matrix(ring, [[ring.zero] * n for _ in range(n)])
+            power = Matrix.identity(ring, n)
+            for c in coeffs:
+                expected = expected.add(power.scale(c))
+                power = power.mul(mat)
+            assert _poly_apply(ring, coeffs, mat) == expected
 
 
 # ---------------------------------------------------------------------------

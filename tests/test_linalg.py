@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckesym.rings import GF, QQ, ZZ, QuotientExtension
+from heckesym.rings import GF, QQ, ZZ, QuotientExtension, ShapeError
 from heckesym.triangle import rational_lambda_ring
 from heckesym.linalg import (
     FPModule,
@@ -309,6 +310,33 @@ def test_fpmap_kernel_image_cokernel_over_q():
     assert img.dim() == 1
     cok = f.cokernel()
     assert cok.dim() == 1
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(7), ZZ], ids=["Q", "F7", "Z"])
+def test_fpmap_pushes_rows_like_act_on_row(ring):
+    # apply_all reads only the rows in the joint support, and over a field
+    # matrix_on_generators reads the rows at the free generators; both must
+    # agree with pushing each vector through the whole matrix
+    rng = random.Random(3)
+
+    def rand_rows(n, m, density=0.5):
+        def entry():
+            return ring.of_int(rng.randint(-3, 3)) if rng.random() < density else ring.zero
+
+        return [[entry() for _ in range(m)] for _ in range(n)]
+
+    for n, m in ((5, 4), (7, 6)):
+        src = FPModule(ring, n, Matrix(ring, rand_rows(2, n), n))
+        dst = FPModule(ring, m, Matrix(ring, rand_rows(2, m), m))
+        f = FPMap(src, dst, Matrix(ring, rand_rows(n, m), m), check=False)
+        vecs = rand_rows(3, n, density=0.3) + [[ring.zero] * n]
+        assert f.apply_all(vecs) == [f.ambient.act_on_row(v) for v in vecs]
+        assert f.apply_all([]) == []
+        gens = src.generator_ambient_rows().rows
+        expected = [list(dst.reduce(f.ambient.act_on_row(g))) for g in gens]
+        assert f.matrix_on_generators() == Matrix(ring, expected, dst.ncoords())
+        with pytest.raises(ShapeError):
+            f.apply_all([[ring.zero] * (n + 1)])
 
 
 def test_fpmap_kernel_over_z_with_torsion_target():
