@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .cohomology import (
     boundary_dimensions,
@@ -199,10 +198,6 @@ def _fmt(value):
     """Ring elements and containers thereof, as exact decimal strings."""
     if isinstance(value, (list, tuple)):
         return [_fmt(v) for v in value]
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 
@@ -273,7 +268,7 @@ def cmd_dims(args):
 
 def cmd_hecke(args):
     cosets, ring, space = _build_space(args)
-    if not getattr(ring, "is_field", False):
+    if not ring.is_field:
         raise UnsupportedRingError(
             "operator matrices and characteristic polynomials need field "
             "coefficients; use q or fp:P"

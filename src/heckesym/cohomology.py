@@ -227,7 +227,7 @@ def mayer_vietoris(module):
     exactness with rank counts plus vanishing composites. Needs field
     coefficients so dimensions make sense."""
     ring = module.ring
-    if not getattr(ring, "is_field", False):
+    if not ring.is_field:
         raise UnsupportedRingError(
             "the exact sequence report needs field coefficients"
         )

@@ -14,40 +14,24 @@ from fractions import Fraction
 from math import gcd
 
 from .linalg import InternalInvariantError
-from .rings import UnsupportedRingError, xgcd
-from .triangle import Cocycle, TriangleSubgroup
-
-SIGMA = (0, -1, 1, 0)
-TAU = (1, -1, 1, 0)  # order 6 in SL_2(Z), order 3 projectively
-IDENTITY = (1, 0, 0, 1)
-
-
-def imat_mul(A, B):
-    a, b, c, d = A
-    e, f, g, h = B
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-def imat_det(A):
-    return A[0] * A[3] - A[1] * A[2]
+from .rings import ZZ, UnsupportedRingError, xgcd
+from .triangle import (
+    Cocycle,
+    TriangleSubgroup,
+    mat2_det,
+    mat2_identity,
+    mat2_inv_det_one,
+    mat2_mul,
+    mat2_neg,
+    mat2_pow,
+    sigma_matrix,
+    tau_matrix,
+)
 
 
-def imat_inv(A):
-    """Inverse of a determinant-1 integer matrix."""
-    a, b, c, d = A
-    return (d, -b, -c, a)
-
-
-def imat_pow(A, e):
-    out = IDENTITY
-    if e < 0:
-        A, e = imat_inv(A), -e
-    while e:
-        if e & 1:
-            out = imat_mul(out, A)
-        A = imat_mul(A, A)
-        e >>= 1
-    return out
+# sigma and tau of the modular group: lambda = 2cos(pi/3) = 1, so tau has
+# order 6 in SL_2(Z), order 3 projectively
+_LETTERS = {"s": sigma_matrix(ZZ), "t": tau_matrix(ZZ, 1)}
 
 
 def apply_moebius(A, x):
@@ -121,11 +105,11 @@ def lift_to_sl2(c, d, N):
     if gcd(gcd(c, d), N) != 1:
         raise ValueError("(%d, %d) is not a projective point mod %d" % (c, d, N))
     if N == 1:
-        return IDENTITY
+        return mat2_identity(ZZ)
     c %= N
     d %= N
     if (c, d) == (0, 1):
-        return IDENTITY
+        return mat2_identity(ZZ)
     if d == 1:
         return (1, 0, c, 1)
     if c == 0:
@@ -177,10 +161,10 @@ class CongruenceCosets:
             orbit = _p1_orbit(N, c, d) if kind == "gamma0" else _pm_orbit(N, c, d)
             for pair in orbit:
                 self._lookup[pair] = idx
-        s = tuple(self._act_perm(i, SIGMA) for i in range(self.mu))
-        t = tuple(self._act_perm(i, TAU) for i in range(self.mu))
+        s = tuple(self._act_perm(i, _LETTERS["s"]) for i in range(self.mu))
+        t = tuple(self._act_perm(i, _LETTERS["t"]) for i in range(self.mu))
         self.subgroup = TriangleSubgroup(3, s, t)
-        self._inv_lifts = [imat_inv(m) for m in self.lifts]
+        self._inv_lifts = [mat2_inv_det_one(ZZ, m) for m in self.lifts]
 
     def coset_of(self, c, d):
         try:
@@ -206,9 +190,9 @@ class CongruenceCosets:
         normalize into Gamma_1(N) proper (diagonal = 1 mod N, not -1). That
         choice is multiplicative, so the twisted action matrices of sigma
         and tau have honest orders 2 and 3 in every weight, odd included."""
-        lifted = imat_mul(self.lifts[i], g)
+        lifted = mat2_mul(ZZ, self.lifts[i], g)
         j = self.coset_of_matrix(lifted)
-        gamma = imat_mul(lifted, self._inv_lifts[j])
+        gamma = mat2_mul(ZZ, lifted, self._inv_lifts[j])
         return j, self._normalize_member(gamma)
 
     def _normalize_member(self, gamma):
@@ -218,25 +202,24 @@ class CongruenceCosets:
             if (gamma[0] - gamma[3]) % self.N:
                 raise InternalInvariantError("cocycle not plus-minus unipotent")
             if (gamma[0] - 1) % self.N:
-                gamma = (-gamma[0], -gamma[1], -gamma[2], -gamma[3])
+                gamma = mat2_neg(ZZ, gamma)
                 if (gamma[0] - 1) % self.N:
                     raise InternalInvariantError("cocycle diagonal is not a unit sign")
         return gamma
 
     def act_letter(self, i, letter, e=1):
-        mat = SIGMA if letter == "s" else TAU
-        return self.act(i, imat_pow(mat, e))
+        return self.act(i, mat2_pow(ZZ, _LETTERS[letter], e))
 
     def twist(self, i, letter, e=1):
         """(j, cocycle) for coset i under letter^e; the cocycle is the
         inverse of the Schreier element, which multiplies the coefficient."""
         j, gamma = self.act_letter(i, letter, e)
-        return j, Cocycle(imat_inv(gamma), None)
+        return j, Cocycle(mat2_inv_det_one(ZZ, gamma), None)
 
     def twist_by(self, i, g):
         """The same as twist for any g in SL_2(Z)."""
         j, gamma = self.act(i, g)
-        return j, Cocycle(imat_inv(gamma), None)
+        return j, Cocycle(mat2_inv_det_one(ZZ, gamma), None)
 
     def stabilizer_cocycle(self, cls):
         """Generator of the stabilizer of an elliptic class, as a cocycle."""
@@ -254,7 +237,7 @@ class CongruenceCosets:
         gamma = lift_j * g^(-1) in the subgroup. This rewrites the modular
         symbol {g.0, g.oo} as the coset-j generator twisted by gamma."""
         j = self.coset_of_matrix(g)
-        gamma = imat_mul(self.lifts[j], imat_inv(g))
+        gamma = mat2_mul(ZZ, self.lifts[j], mat2_inv_det_one(ZZ, g))
         return j, self._normalize_member(gamma)
 
     def __repr__(self):
@@ -299,9 +282,10 @@ def convergent_segments(x):
         p = a * p_prev + p_back
         q = a * q_prev + q_back
         g = (p, p_prev, q, q_prev)
-        if imat_det(g) != 1:
+        det = mat2_det(ZZ, g)
+        if det == -1:
             g = (p, -p_prev, q, -q_prev)
-        if imat_det(g) != 1:
+        elif det != 1:
             raise InternalInvariantError("convergent matrix not unimodular")
         segs.append((g, 1))
         frac = rem - a
@@ -314,10 +298,10 @@ def convergent_segments(x):
 def _path_from_zero(x):
     """Chain from 0 to x (Fraction or None for infinity)."""
     if x is None:
-        return [(IDENTITY, 1)]
+        return [(mat2_identity(ZZ), 1)]
     if x == 0:
         return []
-    return [(IDENTITY, 1)] + convergent_segments(x)
+    return [(mat2_identity(ZZ), 1)] + convergent_segments(x)
 
 
 def continued_fraction_path(alpha, beta):

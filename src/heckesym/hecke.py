@@ -32,8 +32,6 @@ from .congruence import (
     continued_fraction_path,
     diamond_matrix,
     hecke_representatives,
-    imat_det,
-    imat_mul,
     require_congruence,
     segment_endpoints,
 )
@@ -48,7 +46,8 @@ from .linalg import (
     left_kernel,
 )
 from .modsym import cuspidal_subspace
-from .rings import PrimeField, RationalField, UnsupportedRingError, is_prime
+from .rings import ZZ, PrimeField, RationalField, UnsupportedRingError, is_prime
+from .triangle import mat2_det, mat2_mul
 
 
 def sturm_bound(space):
@@ -69,7 +68,7 @@ def _double_coset_reps(cosets, p):
     weight, and it builds the diamond twist into the last summand."""
     reps = list(hecke_representatives(p, cosets.N))
     if len(reps) == p + 1:
-        reps[-1] = imat_mul(diamond_matrix(p, cosets.N), reps[-1])
+        reps[-1] = mat2_mul(ZZ, diamond_matrix(p, cosets.N), reps[-1])
     return reps
 
 
@@ -94,9 +93,11 @@ def _operator_rows(space, reps, rows):
         owned.setdefault(r // blk, []).append(r % blk)
     for delta in reps:
         delta_t = weight.action_matrix(delta, cosets.n).transpose().rows
+        # the lifts have determinant one, so m below is unimodular iff delta is
+        unimodular = mat2_det(ZZ, delta) == 1
         for i, offsets in owned.items():
-            m = imat_mul(delta, cosets.lifts[i])
-            if imat_det(m) == 1:
+            m = mat2_mul(ZZ, delta, cosets.lifts[i])
+            if unimodular:
                 segments = [(m, 1)]
             else:
                 segments = continued_fraction_path(*segment_endpoints(m))
@@ -171,38 +172,29 @@ def diamond_operator(space, d, check=False):
 
 def restrict_operator(operator, subspace):
     """Square matrix of an operator on an invariant subspace, rows indexed
-    by the subspace generators in their own coordinates.
+    by the subspace generators in their own coordinates; IllDefinedMapError
+    when the operator does not preserve the subspace.
 
-    The subspace generators are independent modulo the source relations, so
-    the generator part of any expression of the image is unique even though
-    the relation part is not. Over a field everything runs in the canonical
-    coordinates of the presentation, whose normal form is computed once and
-    cached on the module, rather than re-eliminating the relation rows for
-    every operator."""
+    Over a field it runs in the free-generator coordinates of the
+    presentation: the subspace generators are reduced once to canonical
+    coordinates C, and G = matrix_on_generators acts on them through
+    _restrict_to_block, the routine eigensystem applies to its blocks. That
+    is exact, because the operator maps relations into relations, so
+    reducing an ambient image v * A gives reduce(v) * G. Over Z each
+    ambient image is expressed in the lattice the generators span with the
+    relations; its generator part is unique when the generators are
+    independent modulo the relations."""
     gens = subspace.ambient_rows
     src = operator.src
-    images = operator.apply_all(gens.rows)
-    if not getattr(src.ring, "is_field", False):
+    try:
+        if src.ring.is_field:
+            coords = Matrix(src.ring, [list(src.reduce(g)) for g in gens.rows], src.ncoords())
+            return _restrict_to_block(src.ring, operator.matrix_on_generators(), coords)
         basis = RowBasis(gens.stack(src.relations))
-        rows = []
-        for image in images:
-            try:
-                coeffs = basis.express(image)
-            except NotInSpanError:
-                raise IllDefinedMapError("operator does not preserve the subspace")
-            rows.append(coeffs[: gens.nrows])
-        return Matrix(src.ring, rows, gens.nrows)
-    reduced = Matrix(src.ring, [list(src.reduce(g)) for g in gens.rows], src.ncoords())
-    basis = RowBasis(reduced)
-    rows = []
-    for image in images:
-        image = list(src.reduce(image))
-        try:
-            coeffs = basis.express(image)
-        except NotInSpanError:
-            raise IllDefinedMapError("operator does not preserve the subspace")
-        rows.append(coeffs)
-    return Matrix(src.ring, rows, gens.nrows)
+        images = gens.mul(operator.ambient).rows
+        return Matrix(src.ring, [basis.express(v)[: gens.nrows] for v in images], gens.nrows)
+    except NotInSpanError:
+        raise IllDefinedMapError("operator does not preserve the subspace")
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,10 @@ F_p residues; over any other field, such as Q(2cos(pi/n)), the ring
 operations. Ranks take forward elimination alone. The integer Hermite and
 Smith forms are dense.
 
+Dense products share one kernel, Matrix.act_on_row, the only place a
+matrix dispatches on the ring: a product pushes each row of the left
+factor through it, and the elementwise operations call the ring's own.
+
 Everything is sequential and deterministic, and the normal forms are
 canonical: leading-one reduced echelon form over fields, nonnegative
 divisibility chain for the Smith form.
@@ -103,64 +107,32 @@ class Matrix:
     # -- arithmetic --------------------------------------------------------
     def add(self, other):
         self._same_shape(other)
-        if isinstance(self.ring, QuotientExtension):
-            f = self.ring.add
-            return Matrix(self.ring, [[f(a, b) for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)], self.ncols)
-        if isinstance(self.ring, PrimeField):
-            p = self.ring.p
-            return Matrix(self.ring, [[(a + b) % p for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)], self.ncols)
-        return Matrix(self.ring, [[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)], self.ncols)
+        f = self.ring.add
+        return Matrix(self.ring, [[f(a, b) for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)], self.ncols)
 
     def sub(self, other):
         return self.add(other.neg())
 
     def neg(self):
-        if isinstance(self.ring, QuotientExtension):
-            f = self.ring.neg
-            return Matrix(self.ring, [[f(a) for a in r] for r in self.rows], self.ncols)
-        if isinstance(self.ring, PrimeField):
-            p = self.ring.p
-            return Matrix(self.ring, [[-a % p for a in r] for r in self.rows], self.ncols)
-        return Matrix(self.ring, [[-a for a in r] for r in self.rows], self.ncols)
+        f = self.ring.neg
+        return Matrix(self.ring, [[f(a) for a in r] for r in self.rows], self.ncols)
 
     def scale(self, c):
-        ring = self.ring
-        if isinstance(ring, QuotientExtension):
-            return Matrix(ring, [[ring.mul(c, a) for a in r] for r in self.rows], self.ncols)
-        if isinstance(ring, PrimeField):
-            p = ring.p
-            return Matrix(ring, [[c * a % p for a in r] for r in self.rows], self.ncols)
-        return Matrix(ring, [[c * a for a in r] for r in self.rows], self.ncols)
+        mul = self.ring.mul
+        return Matrix(self.ring, [[mul(c, a) for a in r] for r in self.rows], self.ncols)
 
     def mul(self, other):
         if self.ncols != other.nrows:
             raise ShapeError("mul: %dx%d by %dx%d" % (self.nrows, self.ncols, other.nrows, other.ncols))
-        ring = self.ring
-        bt = list(zip(*other.rows)) if other.rows else [()] * other.ncols
-        if isinstance(ring, QuotientExtension):
-            add, mul, zero = ring.add, ring.mul, ring.zero
-            out = []
-            for row in self.rows:
-                orow = []
-                for col in bt:
-                    acc = zero
-                    for a, b in zip(row, col):
-                        acc = add(acc, mul(a, b))
-                    orow.append(acc)
-                out.append(orow)
-            return Matrix(ring, out, other.ncols)
-        if isinstance(ring, PrimeField):
-            p = ring.p
-            out = [[sum(a * b for a, b in zip(row, col)) % p for col in bt] for row in self.rows]
-            return Matrix(ring, out, other.ncols)
-        out = [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.rows]
-        return Matrix(ring, out, other.ncols)
+        return Matrix(self.ring, [other.act_on_row(row) for row in self.rows], other.ncols)
 
     def __mul__(self, other):
         return self.mul(other)
 
     def act_on_row(self, vec):
-        """vec * self for a plain list vec."""
+        """vec * self for a plain list vec: the product kernel. It skips the
+        zero entries of vec and keeps native int, Fraction and residue
+        arithmetic, because it is the hot loop of the Hecke row builder."""
         if len(vec) != self.nrows:
             raise ShapeError("act_on_row: length mismatch")
         ring = self.ring
@@ -179,7 +151,8 @@ class Matrix:
             p = ring.p
             out = [o % p for o in out]
         elif isinstance(ring, RationalField):
-            out = [Fraction(o) for o in out]
+            # entries no Fraction reached are still ints
+            out = [Fraction(o) if type(o) is int else o for o in out]
         return out
 
     def _same_shape(self, other):
@@ -935,7 +908,9 @@ class IllDefinedMapError(ValueError):
 
 
 class FPMap:
-    """A map between presented modules, given on ambient generators."""
+    """A map between presented modules, given on ambient generators.
+
+    A map is immutable, so its matrix on generators is computed once."""
 
     def __init__(self, src, dst, ambient, check=True):
         if ambient.nrows != src.ngens or ambient.ncols != dst.ngens:
@@ -952,27 +927,21 @@ class FPMap:
         """The ambient rows at the given source coordinates (read only)."""
         return [self.ambient.rows[r] for r in indices]
 
-    def apply_all(self, vecs):
-        """Ambient images of row vectors, reading only the rows in their
-        joint support."""
-        if any(len(v) != self.src.ngens for v in vecs):
-            raise ShapeError("apply_all: length mismatch")
-        is_zero = self.src.ring.is_zero
-        support = sorted({r for v in vecs for r, x in enumerate(v) if not is_zero(x)})
-        rows = Matrix(self.dst.ring, self.rows_at(support), self.dst.ngens)
-        return [rows.act_on_row([v[r] for r in support]) for v in vecs]
-
     def matrix_on_generators(self):
-        """Matrix in canonical coordinates (rows: src generators).
+        """Matrix in canonical coordinates (rows: src generators), built on
+        the first call and kept.
 
         Over a field the generators are the free coordinates, whose images
         are plain ambient rows."""
-        if isinstance(self.src.ring, IntegerRing):
-            images = self.apply_all(self.src.generator_ambient_rows().rows)
-        else:
-            images = self.rows_at(self.src.free_generators())
-        rows = [list(self.dst.reduce(v)) for v in images]
-        return Matrix(self.dst.ring, rows, self.dst.ncoords())
+        mat = getattr(self, "_on_generators", None)
+        if mat is None:
+            if isinstance(self.src.ring, IntegerRing):
+                images = self.src.generator_ambient_rows().mul(self.ambient).rows
+            else:
+                images = self.rows_at(self.src.free_generators())
+            rows = [list(self.dst.reduce(v)) for v in images]
+            mat = self._on_generators = Matrix(self.dst.ring, rows, self.dst.ncoords())
+        return mat
 
     def kernel(self):
         """(FPModule K, ambient rows of its generators inside src)."""

@@ -274,15 +274,12 @@ class InducedModule:
         )
 
 
-class ManinSymbolSpace:
-    """Quotient of the induced module by the two norm relation families."""
+class _QuotientSpace:
+    """The induced module modulo the row span of a relation matrix."""
 
-    def __init__(self, module):
+    def __init__(self, module, relations):
         self.module = module
-        self.cosets = module.cosets
-        self.weight = module.weight
         self.ring = module.ring
-        relations = module.norm_matrix("s").stack(module.norm_matrix("t"))
         self.presentation = FPModule(self.ring, module.rank, relations)
 
     def rank(self):
@@ -295,39 +292,30 @@ class ManinSymbolSpace:
         return self.presentation.torsion()
 
     def __repr__(self):
-        return "ManinSymbolSpace(rank=%d of %d, %s)" % (
+        return "%s(rank=%d of %d, %s)" % (
+            type(self).__name__,
             self.presentation.rank(),
             self.module.rank,
             self.ring.kind,
         )
 
 
-class BoundarySpace:
+class ManinSymbolSpace(_QuotientSpace):
+    """Quotient of the induced module by the two norm relation families."""
+
+    def __init__(self, module):
+        super().__init__(module, module.norm_matrix("s").stack(module.norm_matrix("t")))
+        self.cosets = module.cosets
+        self.weight = module.weight
+
+
+class BoundarySpace(_QuotientSpace):
     """Quotient of the induced module by the translation relations; classes
     are indexed by the cusps of the subgroup, each cut down by the twisted
     action of its width translation."""
 
     def __init__(self, module):
-        self.module = module
-        self.ring = module.ring
-        relations = module.right_difference("T")
-        self.presentation = FPModule(self.ring, module.rank, relations)
-
-    def rank(self):
-        return self.presentation.rank()
-
-    def dim(self):
-        return self.presentation.dim()
-
-    def torsion(self):
-        return self.presentation.torsion()
-
-    def __repr__(self):
-        return "BoundarySpace(rank=%d of %d, %s)" % (
-            self.presentation.rank(),
-            self.module.rank,
-            self.ring.kind,
-        )
+        super().__init__(module, module.right_difference("T"))
 
 
 def manin_space(cosets, weight):

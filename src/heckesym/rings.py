@@ -7,6 +7,7 @@ immutable; nothing in this module touches floating point.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
@@ -105,18 +106,11 @@ class IntegerRing(ExactRing):
     kind = "integers"
     zero = 0
     one = 1
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+    # the builtins themselves: 2x2 integer matrices run through these
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
 
     def of_int(self, n):
         return n

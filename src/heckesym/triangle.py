@@ -144,7 +144,8 @@ def lambda_roots_mod_p(n, p):
 
 
 # ---------------------------------------------------------------------------
-# 2x2 matrices as 4-tuples (a, b, c, d) over an exact ring
+# 2x2 matrices as 4-tuples (a, b, c, d) over an exact ring; the congruence
+# cosets and the Hecke representatives use them over ZZ
 # ---------------------------------------------------------------------------
 
 
@@ -162,6 +163,11 @@ def mat2_mul(ring, A, B):
         add(mul(c, e), mul(d, g)),
         add(mul(c, f), mul(d, h)),
     )
+
+
+def mat2_det(ring, A):
+    a, b, c, d = A
+    return ring.sub(ring.mul(a, d), ring.mul(b, c))
 
 
 def mat2_inv_det_one(ring, A):
@@ -183,8 +189,9 @@ def mat2_pow(ring, A, e):
     while e:
         if e & 1:
             out = mat2_mul(ring, out, base)
-        base = mat2_mul(ring, base, base)
         e >>= 1
+        if e:
+            base = mat2_mul(ring, base, base)
     return out
 
 

@@ -419,3 +419,19 @@ def dense_left_kernel(rows, F):
             v[c] = F.sub(F.zero, row[f])
         basis.append(v)
     return dense_rref(basis, F)[0] if basis else []
+
+
+def dense_product(A, B, ncols, F):
+    """Rows of A * B by the textbook triple loop over a ring given by its
+    operations, every term summed from F.zero; B has one row per column of
+    A (possibly none) and ncols columns."""
+    out = []
+    for row in A:
+        orow = []
+        for j in range(ncols):
+            acc = F.zero
+            for k, a in enumerate(row):
+                acc = F.add(acc, F.mul(a, B[k][j]))
+            orow.append(acc)
+        out.append(orow)
+    return out

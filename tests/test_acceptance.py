@@ -25,12 +25,8 @@ from fractions import Fraction
 import sympy
 
 from heckesym.congruence import (
-    SIGMA,
-    TAU,
     apply_moebius,
     gamma0_cosets,
-    imat_mul,
-    imat_pow,
 )
 from heckesym.cohomology import (
     comparison_report,
@@ -54,9 +50,19 @@ from heckesym.modsym import (
     weight_module_for,
 )
 from heckesym.rings import GF, QQ, ZZ
-from heckesym.triangle import InvalidSubgroupError, TriangleSubgroup
+from heckesym.triangle import (
+    InvalidSubgroupError,
+    TriangleSubgroup,
+    mat2_mul,
+    mat2_pow,
+    sigma_matrix,
+    tau_matrix,
+)
 
 import oracles
+
+SIGMA = sigma_matrix(ZZ)
+TAU = tau_matrix(ZZ, 1)
 
 SWEEP = [(N, k) for N in range(1, 31) for k in (2, 4, 6)]
 
@@ -192,7 +198,7 @@ def _random_subgroup_element(cosets, rng):
     g = (1, 0, 0, 1)
     for _ in range(rng.randrange(1, 7)):
         base = SIGMA if rng.random() < 0.4 else TAU
-        g = imat_mul(g, imat_pow(base, rng.randrange(1, 4)))
+        g = mat2_mul(ZZ, g, mat2_pow(ZZ, base, rng.randrange(1, 4)))
     return cosets.act(rng.randrange(cosets.mu), g)[1]
 
 

@@ -4,9 +4,6 @@ from fractions import Fraction
 import pytest
 
 from heckesym.congruence import (
-    IDENTITY,
-    SIGMA,
-    TAU,
     CongruenceCosets,
     apply_moebius,
     cd_pair_list,
@@ -16,17 +13,27 @@ from heckesym.congruence import (
     gamma0_cosets,
     gamma1_cosets,
     hecke_representatives,
-    imat_det,
-    imat_inv,
-    imat_mul,
-    imat_pow,
     lift_to_sl2,
     p1_list,
     p1_normalize,
     segment_endpoints,
 )
+from heckesym.rings import ZZ
+from heckesym.triangle import (
+    mat2_det,
+    mat2_identity,
+    mat2_inv_det_one,
+    mat2_mul,
+    mat2_pow,
+    sigma_matrix,
+    tau_matrix,
+)
 
 import oracles
+
+IDENTITY = mat2_identity(ZZ)
+SIGMA = sigma_matrix(ZZ)
+TAU = tau_matrix(ZZ, 1)
 
 
 # -- projective line ---------------------------------------------------------
@@ -75,7 +82,7 @@ def test_lift_golden_values():
 def test_lift_properties(N):
     for c, d in p1_list(N):
         M = lift_to_sl2(c, d, N)
-        assert imat_det(M) == 1
+        assert mat2_det(ZZ, M) == 1
         assert (M[2] - c) % N == 0 and (M[3] - d) % N == 0
 
 
@@ -92,7 +99,7 @@ def test_sigma_action_on_labels():
     for i, (c, d) in enumerate(cos.labels):
         j, gamma = cos.act(i, SIGMA)
         assert j == cos.coset_of(d, -c)
-        assert imat_det(gamma) == 1
+        assert mat2_det(ZZ, gamma) == 1
 
 
 @pytest.mark.parametrize("N", [2, 3, 5, 6, 7, 11, 12])
@@ -137,15 +144,15 @@ def test_gamma1_4_has_six_cosets():
 def test_cocycle_is_multiplicative():
     rng = random.Random(3)
     cos = gamma0_cosets(9)
-    mats = [SIGMA, TAU, imat_mul(TAU, SIGMA), imat_inv(TAU)]
+    mats = [SIGMA, TAU, mat2_mul(ZZ, TAU, SIGMA), mat2_inv_det_one(ZZ, TAU)]
     for _ in range(50):
         g, h = rng.choice(mats), rng.choice(mats)
         i = rng.randrange(cos.mu)
         j, gamma_g = cos.act(i, g)
         k, gamma_h = cos.act(j, h)
-        k2, gamma_gh = cos.act(i, imat_mul(g, h))
+        k2, gamma_gh = cos.act(i, mat2_mul(ZZ, g, h))
         assert k2 == k
-        assert imat_mul(gamma_g, gamma_h) == gamma_gh
+        assert mat2_mul(ZZ, gamma_g, gamma_h) == gamma_gh
 
 
 def test_gamma1_cocycle_lands_in_gamma1():
@@ -183,7 +190,7 @@ def test_convergent_segments_telescope():
     prev_end = None  # infinity
     for g, sign in segs:
         assert sign == 1
-        assert imat_det(g) == 1
+        assert mat2_det(ZZ, g) == 1
         start, end = segment_endpoints(g)
         assert start == prev_end
         prev_end = end
@@ -230,24 +237,24 @@ def test_apply_moebius():
 def test_hecke_representatives_coprime_level():
     reps = hecke_representatives(3, 11)
     assert len(reps) == 4
-    assert all(imat_det(m) == 3 for m in reps)
+    assert all(mat2_det(ZZ, m) == 3 for m in reps)
 
 
 def test_hecke_representatives_dividing_level():
     reps = hecke_representatives(3, 12)
     assert len(reps) == 3
-    assert all(imat_det(m) == 3 for m in reps)
+    assert all(mat2_det(ZZ, m) == 3 for m in reps)
 
 
 def test_diamond_matrix_congruence():
     N = 11
     for d in (2, 3, 10):
         M = diamond_matrix(d, N)
-        assert imat_det(M) == 1
+        assert mat2_det(ZZ, M) == 1
         assert M[2] % N == 0 and M[3] % N == d % N
         # determinant 1 forces the top-left entry to be d^{-1} mod N
         assert (M[0] * d) % N == 1
 
 
 def test_imat_pow_negative():
-    assert imat_mul(imat_pow(TAU, -2), imat_pow(TAU, 2)) == IDENTITY
+    assert mat2_mul(ZZ, mat2_pow(ZZ, TAU, -2), mat2_pow(ZZ, TAU, 2)) == IDENTITY

@@ -26,7 +26,7 @@ from heckesym.hecke import (
     restrict_operator,
     sturm_bound,
 )
-from heckesym.linalg import FPMap, IllDefinedMapError, Matrix, charpoly
+from heckesym.linalg import FPMap, FPModule, IllDefinedMapError, Matrix, RowBasis, charpoly
 from heckesym.modsym import (
     PermCosets,
     Subspace,
@@ -249,6 +249,17 @@ def test_eisenstein_eigenvalue_weight_4():
 # ---------------------------------------------------------------------------
 
 
+def _restrict_by_ambient_images(ambient, presentation, subspace):
+    """The restriction formula from ambient images: reduce the full image of
+    each subspace generator, then express it in the row basis of the reduced
+    generators."""
+    src, gens = presentation, subspace.ambient_rows
+    reduced = Matrix(src.ring, [list(src.reduce(g)) for g in gens.rows], src.ncoords())
+    basis = RowBasis(reduced)
+    images = [list(src.reduce(ambient.act_on_row(g))) for g in gens.rows]
+    return Matrix(src.ring, [basis.express(v) for v in images], gens.nrows)
+
+
 @pytest.mark.parametrize(
     "maker,N,ring,k,ops",
     [
@@ -283,10 +294,61 @@ def test_lazy_operator_matches_its_full_ambient(maker, N, ring, k, ops):
             restrict_operator(lazy, cusp),
             restrict_operator(lazy_shifted, shifted),
         )
-        full = FPMap(sp.presentation, sp.presentation, build(sp, value).ambient, check=False)
-        restricted = restrict_operator(full, cusp)
+        ambient = build(sp, value).ambient
+        full = FPMap(sp.presentation, sp.presentation, ambient, check=False)
+        restricted = _restrict_by_ambient_images(ambient, sp.presentation, cusp)
+        assert restricted == _restrict_by_ambient_images(ambient, sp.presentation, shifted)
         assert got == (full.matrix_on_generators(), restricted, restricted)
-        assert restrict_operator(full, shifted) == restricted
+        assert restrict_operator(full, cusp) == restrict_operator(full, shifted) == restricted
+
+
+def _integral_cuspidal_generators(N):
+    """The rational cuspidal generators of gamma0:N in weight 2 (integral
+    rows), as a subspace of the integral symbol space, with both spaces."""
+    sp_q, sp_z = space_for(gamma0_cosets(N), QQ, 2), space_for(gamma0_cosets(N), ZZ, 2)
+    cusp = cuspidal_subspace(sp_q)
+    rows = [[int(x) for x in row] for row in cusp.ambient_rows.rows]
+    assert [[Fraction(x) for x in row] for row in rows] == cusp.ambient_rows.rows
+    return sp_q, cusp, sp_z, Subspace(None, Matrix(ZZ, rows, sp_z.presentation.ngens))
+
+
+@pytest.mark.parametrize("N", [11, 23])
+def test_integral_restriction_equals_the_rational_one(N):
+    sp_q, cusp_q, sp_z, cusp_z = _integral_cuspidal_generators(N)
+    for p in (2, 3):
+        rational = restrict_operator(hecke_matrix(sp_q, p), cusp_q)
+        assert restrict_operator(hecke_matrix(sp_z, p), cusp_z) == rational
+
+
+def test_restriction_to_a_non_invariant_subspace_is_refused():
+    # T_2 on S_2(Gamma_0(23)) has eigenvalues (-1 +- sqrt 5)/2, so no line
+    # of cuspidal symbols is invariant, over Q or over Z
+    sp_q, cusp_q, sp_z, cusp_z = _integral_cuspidal_generators(23)
+    for sp, cusp in ((sp_q, cusp_q), (sp_z, cusp_z)):
+        gens = cusp.ambient_rows
+        line = Subspace(None, Matrix(gens.ring, gens.rows[:1], gens.ncols))
+        with pytest.raises(IllDefinedMapError):
+            restrict_operator(hecke_matrix(sp, 2), line)
+
+
+def test_generator_matrix_is_reduced_once(monkeypatch):
+    sp = space_for(gamma0_cosets(11), QQ, 4)
+    cusp = cuspidal_subspace(sp)
+    op = hecke_matrix(sp, 2)
+    calls = []
+    reduce = FPModule.reduce
+
+    def counted(self, vec):
+        calls.append(len(vec))
+        return reduce(self, vec)
+
+    monkeypatch.setattr(FPModule, "reduce", counted)
+    mat = op.matrix_on_generators()
+    assert len(calls) == mat.nrows > 0
+    assert op.matrix_on_generators() is mat and len(calls) == mat.nrows
+    # the restriction reduces the subspace generators and no operator row
+    restrict_operator(op, cusp)
+    assert len(calls) == mat.nrows + cusp.ambient_rows.nrows
 
 
 def test_lazy_operator_splits_only_generator_cosets(monkeypatch):

@@ -11,13 +11,9 @@ from fractions import Fraction
 import pytest
 
 from heckesym.congruence import (
-    SIGMA,
-    TAU,
     apply_moebius,
     gamma0_cosets,
     gamma1_cosets,
-    imat_mul,
-    imat_pow,
 )
 from heckesym.linalg import Matrix, matrix_rank
 from heckesym.modsym import (
@@ -35,12 +31,19 @@ from heckesym.modsym import (
 from heckesym.rings import GF, QQ, ZZ, UnsupportedRingError
 from heckesym.triangle import (
     TriangleSubgroup,
+    mat2_mul,
+    mat2_pow,
     rational_lambda_ring,
     reduce_word,
+    sigma_matrix,
+    tau_matrix,
     word_inverse,
 )
 
 import oracles
+
+SIGMA = sigma_matrix(ZZ)
+TAU = tau_matrix(ZZ, 1)
 
 
 def level_one(n):
@@ -199,7 +202,7 @@ def _random_subgroup_element(cosets, rng):
     g = (1, 0, 0, 1)
     for _ in range(rng.randrange(1, 7)):
         base = SIGMA if rng.random() < 0.4 else TAU
-        g = imat_mul(g, imat_pow(base, rng.randrange(1, 4)))
+        g = mat2_mul(ZZ, g, mat2_pow(ZZ, base, rng.randrange(1, 4)))
     return cosets.act(rng.randrange(cosets.mu), g)[1]
 
 
@@ -270,10 +273,10 @@ def test_right_action_multiplicative():
     for cosets, k in ((gamma1_cosets(5), 3), (gamma0_cosets(4), 4)):
         module = InducedModule(cosets, weight_module_for(cosets, QQ, k))
         for _ in range(6):
-            g = imat_pow(imat_mul(TAU, SIGMA), rng.randrange(1, 4))
-            h = imat_mul(imat_pow(SIGMA, rng.randrange(1, 3)), imat_pow(TAU, rng.randrange(1, 4)))
+            g = mat2_pow(ZZ, mat2_mul(ZZ, TAU, SIGMA), rng.randrange(1, 4))
+            h = mat2_mul(ZZ, mat2_pow(ZZ, SIGMA, rng.randrange(1, 3)), mat2_pow(ZZ, TAU, rng.randrange(1, 4)))
             lhs = module.right_operator(g).mul(module.right_operator(h))
-            assert lhs == module.right_operator(imat_mul(g, h))
+            assert lhs == module.right_operator(mat2_mul(ZZ, g, h))
 
 
 # ---------------------------------------------------------------------------
