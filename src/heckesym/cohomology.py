@@ -334,7 +334,7 @@ def comparison_report(symbols, surface=None):
     for cls in module.cosets.subgroup.elliptic_classes():
         act = module.stabilizer_action(cls)
         local_terms.append(local_term(ring, act, cls.order))
-        invariants = left_kernel(act.sub(ident).transpose())
+        invariants = left_kernel(act.sub(ident))
         letter = "s" if cls.kind == "sigma" else "t"
         for v in invariants.rows:
             cur = [ring.zero] * module.rank

@@ -16,7 +16,6 @@ from math import gcd
 from .linalg import InternalInvariantError
 from .rings import ZZ, UnsupportedRingError, xgcd
 from .triangle import (
-    Cocycle,
     TriangleSubgroup,
     mat2_det,
     mat2_identity,
@@ -49,53 +48,35 @@ def apply_moebius(A, x):
 # ---------------------------------------------------------------------------
 
 
-def p1_normalize(N, c, d):
-    """Lexicographically least unit multiple of (c, d) mod N."""
-    if N == 1:
-        return (0, 0)
-    c %= N
-    d %= N
-    best = None
-    for u in range(1, N):
-        if gcd(u, N) != 1:
-            continue
-        cand = (u * c % N, u * d % N)
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
 def p1_list(N):
     """Canonical representatives of P^1(Z/N), sorted."""
-    return _label_list(N, _p1_orbit)
+    return _coset_labels(N, _units(N))[0]
 
 
 def cd_pair_list(N):
     """Canonical (c, d) pairs mod simultaneous negation, sorted."""
-    return _label_list(N, _pm_orbit)
+    return _coset_labels(N, (1, -1))[0]
 
 
-def _p1_orbit(N, c, d):
-    units = [u for u in range(1, N) if gcd(u, N) == 1] or [0]
-    return {(u * c % N, u * d % N) for u in units} if N > 1 else {(0, 0)}
-
-def _pm_orbit(N, c, d):
-    return {(c % N, d % N), (-c % N, -d % N)}
+def _units(N):
+    return [u for u in range(1, N + 1) if gcd(u, N) == 1]
 
 
-def _label_list(N, orbit):
-    labels = []
-    seen = set()
-    for c in range(N) if N > 1 else [0]:
-        for d in range(N) if N > 1 else [0]:
-            if N > 1 and gcd(gcd(c, d), N) != 1:
+def _coset_labels(N, units):
+    """(labels, lookup) for the pairs (c, d) mod N with gcd(c, d, N) = 1
+    up to scaling by `units`: each orbit is labelled by its least pair, and
+    lookup sends every pair to the index of its label. The pairs are walked
+    in lexicographic order, so the first pair met in an orbit is its label
+    and the labels come out sorted."""
+    labels, lookup = [], {}
+    for c in range(N):
+        for d in range(N):
+            if (c, d) in lookup or gcd(c, d, N) != 1:
                 continue
-            if (c, d) in seen:
-                continue
-            orb = orbit(N, c, d)
-            seen.update(orb)
-            labels.append(min(orb))
-    return sorted(labels)
+            for u in units:
+                lookup[u * c % N, u * d % N] = len(labels)
+            labels.append((c, d))
+    return labels, lookup
 
 
 def lift_to_sl2(c, d, N):
@@ -153,14 +134,10 @@ class CongruenceCosets:
         self.N = N
         self.kind = kind
         self.n = 3
-        self.labels = p1_list(N) if kind == "gamma0" else cd_pair_list(N)
+        units = _units(N) if kind == "gamma0" else (1, -1)
+        self.labels, self._lookup = _coset_labels(N, units)
         self.mu = len(self.labels)
         self.lifts = [lift_to_sl2(c, d, N) for c, d in self.labels]
-        self._lookup = {}
-        for idx, (c, d) in enumerate(self.labels):
-            orbit = _p1_orbit(N, c, d) if kind == "gamma0" else _pm_orbit(N, c, d)
-            for pair in orbit:
-                self._lookup[pair] = idx
         s = tuple(self._act_perm(i, _LETTERS["s"]) for i in range(self.mu))
         t = tuple(self._act_perm(i, _LETTERS["t"]) for i in range(self.mu))
         self.subgroup = TriangleSubgroup(3, s, t)
@@ -214,20 +191,20 @@ class CongruenceCosets:
         """(j, cocycle) for coset i under letter^e; the cocycle is the
         inverse of the Schreier element, which multiplies the coefficient."""
         j, gamma = self.act_letter(i, letter, e)
-        return j, Cocycle(mat2_inv_det_one(ZZ, gamma), None)
+        return j, mat2_inv_det_one(ZZ, gamma)
 
     def twist_by(self, i, g):
         """The same as twist for any g in SL_2(Z)."""
         j, gamma = self.act(i, g)
-        return j, Cocycle(mat2_inv_det_one(ZZ, gamma), None)
+        return j, mat2_inv_det_one(ZZ, gamma)
 
     def stabilizer_cocycle(self, cls):
-        """Generator of the stabilizer of an elliptic class, as a cocycle."""
+        """Generator of the stabilizer of an elliptic class, as a matrix."""
         letter = "s" if cls.kind == "sigma" else "t"
         j, gamma = self.act_letter(cls.coset, letter, cls.power)
         if j != cls.coset:
             raise UnsupportedRingError("elliptic class does not fix its coset")
-        return Cocycle(gamma, None)
+        return gamma
 
     def label(self):
         return "%s:%d" % (self.kind, self.N)

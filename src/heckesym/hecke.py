@@ -80,8 +80,8 @@ def _operator_rows(space, reps, rows):
 
     Only the cosets that own a requested row are cut into unimodular
     segments, once per representative. A segment contributes the requested
-    rows a of its block (A_gamma A_delta)^T alone, each as row a of
-    A_delta^T times A_gamma^T, so no full block product is formed."""
+    rows a of its block A_delta A_gamma alone, each as row a of A_delta
+    times A_gamma, so no full block product is formed."""
     cosets = space.cosets
     ring = space.ring
     weight = space.weight
@@ -92,7 +92,7 @@ def _operator_rows(space, reps, rows):
     for r in sorted(out):
         owned.setdefault(r // blk, []).append(r % blk)
     for delta in reps:
-        delta_t = weight.action_matrix(delta, cosets.n).transpose().rows
+        delta_rows = weight.action_matrix(delta).rows
         # the lifts have determinant one, so m below is unimodular iff delta is
         unimodular = mat2_det(ZZ, delta) == 1
         for i, offsets in owned.items():
@@ -103,12 +103,12 @@ def _operator_rows(space, reps, rows):
                 segments = continued_fraction_path(*segment_endpoints(m))
             for seg, sign in segments:
                 j, gamma = cosets.symbol_cocycle(seg)
-                gamma_t = weight.action_matrix(gamma, cosets.n).transpose()
+                act = weight.action_matrix(gamma).act_on_row
                 op = add if sign == 1 else sub
                 lo, hi = j * blk, (j + 1) * blk
                 for a in offsets:
                     dest = out[i * blk + a]
-                    piece = gamma_t.act_on_row(delta_t[a])
+                    piece = act(delta_rows[a])
                     dest[lo:hi] = [op(x, y) for x, y in zip(dest[lo:hi], piece)]
     return out
 

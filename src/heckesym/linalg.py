@@ -74,9 +74,6 @@ class Matrix:
         return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
 
     # -- basics ----------------------------------------------------------
-    def transpose(self):
-        return Matrix(self.ring, [list(col) for col in zip(*self.rows)] if self.rows else [], self.nrows)
-
     def stack(self, other):
         if other.ncols != self.ncols:
             raise ShapeError("stack: column counts differ")
@@ -431,22 +428,6 @@ def matrix_rank(mat):
     return len(_echelon(ar, _load(ar, mat.rows)[0])[0])
 
 
-def right_kernel(mat):
-    """Rows of the result form a basis of {v : mat * v^T = 0} over the field."""
-    field = _field_for(mat.ring)
-    R, pivots = rref(mat)
-    pivset = set(pivots)
-    free = [c for c in range(mat.ncols) if c not in pivset]
-    rows = []
-    for f in free:
-        v = [field.zero] * mat.ncols
-        v[f] = field.one
-        for r, c in zip(range(len(pivots)), pivots):
-            v[c] = field.neg(R.rows[r][f])
-        rows.append(v)
-    return Matrix(field, rows, mat.ncols)
-
-
 def left_kernel(mat):
     """Basis of {x : x * mat = 0}.
 
@@ -469,15 +450,6 @@ def left_kernel(mat):
     krows = [ar.load(dict(ar.entries(t, 1, scales)))[0] for t in kernel]
     piv, _ = _reduced(ar, krows)
     return Matrix(ar.ring, [_dense(ar, ar.entries(row, row[c]), n) for c, row, _t in piv], n)
-
-
-def echelon_and_kernel(mat):
-    """Public pair: (reduced echelon form, basis of the right kernel)."""
-    R, pivots = rref(mat)
-    K = right_kernel(mat)
-    if len(pivots) + K.nrows != mat.ncols:
-        raise InternalInvariantError("rank-nullity violated")
-    return R, K
 
 
 # ---------------------------------------------------------------------------
@@ -963,11 +935,8 @@ class FPMap:
             else:
                 rel = Matrix(ZZ, [], 0)
             return FPModule(ZZ, gens.nrows, rel), gens
-        G = self.matrix_on_generators()
-        K = left_kernel(G)
-        src_gens = self.src.generator_ambient_rows()
-        rows = [src_gens.act_on_row(k) for k in K.rows]
-        gens = Matrix(ring, rows, self.src.ngens)
+        K = left_kernel(self.matrix_on_generators())
+        gens = Matrix(ring, [self.src.coords_to_ambient(k) for k in K.rows], self.src.ngens)
         return FPModule(ring, gens.nrows), gens
 
     def image(self):
@@ -976,9 +945,6 @@ class FPMap:
         rel = self.src.relations.stack(kgens)
         mod = FPModule(self.src.ring, self.src.ngens, rel)
         return mod, self.ambient
-
-    def cokernel(self):
-        return FPModule(self.dst.ring, self.dst.ngens, self.dst.relations.stack(self.ambient))
 
     def rank(self):
         """Rank of the induced map (field: dimension of the image)."""

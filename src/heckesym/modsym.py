@@ -15,7 +15,9 @@ one interface, and everything in this module reads a table through it alone:
 n and mu; twist(i, letter, e), the coset reached from i by letter^e with the
 cocycle that multiplies the coefficient; stabilizer_cocycle(cls), the
 stabilizer generator of an elliptic class; the weight_variant class
-attribute naming the matching weight action; and label(). Only path
+attribute naming the matching weight action; and label(). Cocycles are
+plain 2x2 matrices (4-tuples over Z or Z[lam]), which the weight module of
+signature n turns into row-convention action matrices. Only path
 conversion and matrix right actions need more (congruence cusp arithmetic),
 and they ask for it through congruence.require_congruence.
 """
@@ -25,14 +27,7 @@ from collections import namedtuple
 from .congruence import continued_fraction_path, require_congruence
 from .linalg import FPMap, FPModule, Matrix, left_kernel, matrix_rank
 from .rings import UnsupportedRingError
-from .triangle import (
-    Cocycle,
-    integral_lambda_ring,
-    mat2_inv_det_one,
-    psl_canonical,
-    reduce_word,
-    word_inverse,
-)
+from .triangle import integral_lambda_ring, mat2_inv_det_one, psl_canonical
 from .weights import WeightModule
 
 
@@ -42,11 +37,8 @@ Subspace = namedtuple("Subspace", ["module", "ambient_rows"])
 class PermCosets:
     """Coset-table view of a permutation-presented triangle subgroup.
 
-    Cocycles come back as exact 2x2 matrices over Z[lam], sign-canonicalized,
-    together with the reduced word realizing them, so both the polynomial
-    and the generic weight actions can consume them; the word is built only
-    when a weight module reads it. The signs are only projective, hence the
-    projective weight variant.
+    Cocycles come back as exact 2x2 matrices over Z[lam], sign-canonicalized.
+    The signs are only projective, hence the projective weight variant.
     """
 
     weight_variant = "projective"
@@ -61,21 +53,16 @@ class PermCosets:
     def twist(self, i, letter, e=1):
         """(j, cocycle of the inverse Schreier element) for coset i under
         letter^e; the cocycle is exactly what multiplies the coefficient."""
-        word = ((letter, e),)
-        gam, j = self.group.cocycle_matrix(self.ring, self.lam, i, word)
-        inv_mat = psl_canonical(self.ring, mat2_inv_det_one(self.ring, gam))
-        return j, Cocycle(
-            inv_mat,
-            lambda: reduce_word(self.n, word_inverse(self.group.cocycle_word(i, word)[0])),
-        )
+        gam, j = self.group.cocycle_matrix(self.ring, self.lam, i, ((letter, e),))
+        return j, psl_canonical(self.ring, mat2_inv_det_one(self.ring, gam))
 
     def stabilizer_cocycle(self, cls):
-        """Generator of the stabilizer of an elliptic class, as a cocycle."""
+        """Generator of the stabilizer of an elliptic class, as a matrix."""
         word = (("s" if cls.kind == "sigma" else "t", cls.power),)
         gam, j = self.group.cocycle_matrix(self.ring, self.lam, cls.coset, word)
         if j != cls.coset:
             raise UnsupportedRingError("elliptic class does not fix its coset")
-        return Cocycle(gam, lambda: self.group.cocycle_word(cls.coset, word)[0])
+        return gam
 
     def label(self):
         return "perm(n=%d, mu=%d)" % (self.n, self.mu)
@@ -87,8 +74,9 @@ class PermCosets:
 def weight_module_for(cosets, ring, k):
     """The weight action flavor matching the coset table: sign-normalized
     SL2 matrices for congruence tables (so odd weights make sense when the
-    subgroup misses -1), plain projective matrices for permutation tables."""
-    return WeightModule(ring, k, variant=cosets.weight_variant)
+    subgroup misses -1), plain projective matrices for permutation tables,
+    each over the table's signature."""
+    return WeightModule(ring, k, variant=cosets.weight_variant, n=cosets.n)
 
 
 class InducedModule:
@@ -130,8 +118,8 @@ class InducedModule:
 
     def _from_twists(self, twists):
         """Block map of (j, cocycle) twists listed by source coset."""
-        act = self.weight.action_for
-        return [(j, act(coc, self.n).transpose()) for j, coc in twists]
+        act = self.weight.action_matrix
+        return [(j, act(coc)) for j, coc in twists]
 
     def _letter(self, letter, e=1):
         key = (letter, e)
@@ -263,8 +251,8 @@ class InducedModule:
 
     def stabilizer_action(self, cls):
         """Action matrix on the weight module of the stabilizer generator of
-        an elliptic class (columns = images of basis monomials)."""
-        return self.weight.action_for(self.cosets.stabilizer_cocycle(cls), self.n)
+        an elliptic class (rows = images of basis monomials)."""
+        return self.weight.action_matrix(self.cosets.stabilizer_cocycle(cls))
 
     def __repr__(self):
         return "InducedModule(mu=%d, block=%d, %s)" % (
@@ -382,7 +370,7 @@ def convert_symbol(space, alpha, beta, coeffs=None):
     out = [ring.zero] * module.rank
     for seg, sign in continued_fraction_path(alpha, beta):
         j, gamma = cosets.symbol_cocycle(seg)
-        acted = space.weight.action_matrix(gamma, cosets.n).transpose().act_on_row(v)
+        acted = space.weight.action_matrix(gamma).act_on_row(v)
         base = j * blk
         if sign == 1:
             add = acted

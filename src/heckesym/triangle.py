@@ -28,27 +28,6 @@ class InvalidSubgroupError(ValueError):
     pass
 
 
-class Cocycle:
-    """A Schreier cocycle as a coset table hands it to a weight module: an
-    exact 2x2 matrix, and the reduced word in sigma, tau realizing it (None
-    when the table only carries matrices).
-
-    The word may be given as a function of no arguments. It is then built
-    on first read, since only the generic weight modules read words."""
-
-    __slots__ = ("matrix", "_word")
-
-    def __init__(self, matrix, word):
-        self.matrix = matrix
-        self._word = word
-
-    @property
-    def word(self):
-        if callable(self._word):
-            self._word = self._word()
-        return self._word
-
-
 # ---------------------------------------------------------------------------
 # the field generated by lam = 2 cos(pi/n)
 # ---------------------------------------------------------------------------
@@ -244,18 +223,6 @@ def reduce_word(n, word):
             if e == 0:
                 continue
         out.append((letter, e))
-    # merges can cascade: t^a s s t^b collapses once the s block dies
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(out) - 1):
-            if out[idx][0] == out[idx + 1][0]:
-                letter = out[idx][0]
-                e = (out[idx][1] + out[idx + 1][1]) % (2 if letter == "s" else n)
-                repl = [(letter, e)] if e else []
-                out[idx : idx + 2] = repl
-                changed = True
-                break
     return tuple(out)
 
 

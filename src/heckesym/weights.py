@@ -8,9 +8,13 @@ g = [[a, b], [c, d]] acts on the left by
 
 which is substitution of the adjugate; for determinant one this is
 P(g^{-1}(X, Y)), and the rule stays multiplicative for any determinant,
-which is exactly what Hecke operators need. Action matrices use the
-column convention: column a holds the coefficients of g applied to the
-a-th basis monomial.
+which is exactly what Hecke operators need. Action matrices follow the
+row convention of linalg: row a holds the coefficients of g applied to
+the a-th basis monomial, so the matrix of gh is M_h * M_g.
+
+A module serves the cocycles of one signature n, whose entries are ints
+or coefficient tuples over Z[lambda] with lambda = 2cos(pi/n); the image
+of lambda in the coefficient ring is found on first use.
 
 Two variants control how much of the matrix sign matters. "projective"
 requires even weight, where -identity acts trivially and cocycles only
@@ -82,9 +86,10 @@ def lambda_splitting_field_mod_p(n, p):
 
 
 class WeightModule:
-    """Homogeneous polynomials of degree k-2 with the adjugate action."""
+    """Homogeneous polynomials of degree k-2 with the adjugate action, for
+    cocycles over Z[lambda] of one signature n."""
 
-    def __init__(self, ring, k, variant="projective"):
+    def __init__(self, ring, k, variant="projective", n=3):
         if k < 2:
             raise UnsupportedRingError("weight must be >= 2")
         if variant == "projective":
@@ -98,44 +103,41 @@ class WeightModule:
         self.ring = ring
         self.k = k
         self.variant = variant
+        self.n = n
         self.dim = k - 1
-        self._lam_cache = {}
+        self._lam = None
         self._matrix_cache = {}
 
-    def convert_scalar(self, x, n=3):
+    def convert_scalar(self, x):
         """Map an entry of a cocycle matrix (an int, or a coefficient tuple
-        over Z[lambda] for signature n) into the coefficient ring."""
+        over Z[lambda]) into the coefficient ring."""
         if isinstance(x, int):
             return self.ring.of_int(x)
-        lam = self._lam_for(n)
+        if self._lam is None:
+            self._lam = lambda_image_in(self.ring, self.n)
         acc = self.ring.zero
         power = self.ring.one
         for c in x:
             acc = self.ring.add(acc, self.ring.mul(self.ring.of_int(c), power))
-            power = self.ring.mul(power, lam)
+            power = self.ring.mul(power, self._lam)
         return acc
 
-    def _lam_for(self, n):
-        if n not in self._lam_cache:
-            self._lam_cache[n] = lambda_image_in(self.ring, n)
-        return self._lam_cache[n]
-
-    def action_matrix(self, mat, n=3):
+    def action_matrix(self, mat):
         """Matrix of the left action of a 2x2 matrix (4-tuple, entries ints
-        or Z[lambda] tuples), columns = images of basis monomials."""
-        key = (mat, n)
-        out = self._matrix_cache.get(key)
+        or Z[lambda] tuples); row a holds the image of the a-th basis
+        monomial."""
+        out = self._matrix_cache.get(mat)
         if out is None:
-            out = self._action_matrix(mat, n)
+            out = self._action_matrix(mat)
             if len(self._matrix_cache) < 4096:
-                self._matrix_cache[key] = out
+                self._matrix_cache[mat] = out
         return out
 
-    def _action_matrix(self, mat, n):
+    def _action_matrix(self, mat):
         R = self.ring
         if self.dim == 1:
             return Matrix.identity(R, 1)
-        a, b, c, d = (self.convert_scalar(x, n) for x in mat)
+        a, b, c, d = (self.convert_scalar(x) for x in mat)
         k2 = self.k - 2
         # (dX - bY)^i and (-cX + aY)^i as X-degree coefficient lists
         u = [R.neg(b), d]
@@ -145,21 +147,13 @@ class WeightModule:
         for _ in range(k2):
             pu.append(_lin_mul(R, pu[-1], u))
             pv.append(_lin_mul(R, pv[-1], v))
-        rows = [[R.zero] * self.dim for _ in range(self.dim)]
-        for alpha in range(self.dim):
-            col = _poly_mul(R, pu[alpha], pv[k2 - alpha])
-            for beta in range(self.dim):
-                rows[beta][alpha] = col[beta]
-        return Matrix(R, rows)
+        return Matrix(R, [_poly_mul(R, pu[i], pv[k2 - i]) for i in range(self.dim)])
 
-    def action_for(self, cocycle, n=3):
-        return self.action_matrix(cocycle.matrix, n)
-
-    def norm_matrix(self, mat, order, n=3):
+    def norm_matrix(self, mat, order):
         """Sum of the action of mat^j for j = 0..order-1, where `order` is
         the projective order of mat. Raises if mat^order does not act as
         plus or minus the identity."""
-        A = self.action_matrix(mat, n)
+        A = self.action_matrix(mat)
         out = Matrix.identity(self.ring, self.dim)
         power = A
         for _ in range(order - 1):
@@ -195,64 +189,18 @@ def _poly_mul(R, f, g):
     return out
 
 
-class GenericWeightModule:
-    """A coefficient module given by explicit generator matrices.
-
-    The action is evaluated through words in sigma and tau, so modules
-    with no polynomial structure can ride the same induced-module
-    machinery. Only the projective free-product relations are checked."""
-
-    def __init__(self, ring, n, mat_sigma, mat_tau):
-        if mat_sigma.nrows != mat_sigma.ncols or mat_tau.nrows != mat_tau.ncols:
-            raise ValueError("generator matrices must be square")
-        if mat_sigma.nrows != mat_tau.nrows:
-            raise ValueError("generator matrices must have equal size")
-        self.ring = ring
-        self.n = n
-        self.dim = mat_sigma.nrows
-        ident = Matrix.identity(ring, self.dim)
-        if mat_sigma.mul(mat_sigma) != ident:
-            raise ValueError("sigma matrix must square to the identity")
-        power = ident
-        self._tau_powers = [ident]
-        for _ in range(n):
-            power = power.mul(mat_tau)
-            self._tau_powers.append(power)
-        if power != ident:
-            raise ValueError("tau matrix must have order dividing n")
-        self._sigma = mat_sigma
-
-    def action_word(self, word):
-        out = Matrix.identity(self.ring, self.dim)
-        for letter, e in word:
-            if letter == "s":
-                if e % 2:
-                    out = out.mul(self._sigma)
-            else:
-                out = out.mul(self._tau_powers[e % self.n])
-        return out
-
-    def action_for(self, cocycle, n=None):
-        if cocycle.word is None:
-            raise UnsupportedRingError(
-                "generic modules need word cocycles; congruence cosets only "
-                "carry matrices"
-            )
-        return self.action_word(cocycle.word)
-
-
 def local_term(ring, action, order):
     """The quotient (invariants of h) / (norm of h applied to V), presented
-    on a basis of the invariants; `action` is the matrix of h on V and
-    `order` the order of h. This measures the local obstruction at an
-    elliptic point with stabilizer generated by h."""
+    on a basis of the invariants; `action` is the matrix of h on V (row
+    convention) and `order` the order of h. This measures the local
+    obstruction at an elliptic point with stabilizer generated by h."""
     ident = Matrix.identity(ring, action.nrows)
     norm = ident
     power = action
     for _ in range(order - 1):
         norm = norm.add(power)
         power = power.mul(action)
-    inv_rows = left_kernel(action.sub(ident).transpose())
+    inv_rows = left_kernel(action.sub(ident))
     basis = RowBasis(inv_rows)
-    relations = [basis.express(col) for col in norm.transpose().rows]
+    relations = [basis.express(row) for row in norm.rows]
     return FPModule(ring, inv_rows.nrows, Matrix(ring, relations, inv_rows.nrows))

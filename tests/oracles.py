@@ -435,3 +435,20 @@ def dense_product(A, B, ncols, F):
             orow.append(acc)
         out.append(orow)
     return out
+
+
+def weight_action_rows(k, mat):
+    """Rows of the adjugate action of mat = (a, b, c, d) on homogeneous
+    polynomials of degree k - 2, by sympy substitution: row i holds the
+    coefficients of X^j Y^(k-2-j), j = 0..k-2, in P(dX - bY, -cX + aY) for
+    P = X^i Y^(k-2-i). Entries of mat are sympy expressions (integers, or
+    polynomials in a symbol); the coefficients come back expanded."""
+    a, b, c, d = (sympy.sympify(x) for x in mat)
+    X, Y = sympy.symbols("X Y")
+    m = k - 2
+    rows = []
+    for i in range(m + 1):
+        image = sympy.expand((d * X - b * Y) ** i * (-c * X + a * Y) ** (m - i))
+        poly = sympy.Poly(image, X, Y)
+        rows.append([sympy.expand(poly.coeff_monomial(X**j * Y ** (m - j))) for j in range(m + 1)])
+    return rows

@@ -15,7 +15,6 @@ from heckesym.congruence import (
     hecke_representatives,
     lift_to_sl2,
     p1_list,
-    p1_normalize,
     segment_endpoints,
 )
 from heckesym.rings import ZZ
@@ -50,12 +49,13 @@ def test_p1_reps_are_orbit_minima(N):
     assert sorted(orbits.values()) == p1_list(N)
 
 
-def test_p1_normalize_is_constant_on_orbits():
+def test_coset_of_is_constant_on_orbits():
     N = 12
+    cosets = gamma0_cosets(N)
     for orbit in oracles.brute_p1_classes(N):
-        reps = {p1_normalize(N, c, d) for c, d in orbit}
-        assert len(reps) == 1
-        assert reps.pop() in orbit
+        idx = {cosets.coset_of(c, d) for c, d in orbit}
+        assert len(idx) == 1
+        assert cosets.labels[idx.pop()] in orbit
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 7, 8, 12, 16])

@@ -16,12 +16,10 @@ from heckesym.linalg import (
     NotInSpanError,
     RowBasis,
     charpoly,
-    echelon_and_kernel,
     hermite_normal_form,
     left_kernel,
     matrix_rank,
     rref,
-    right_kernel,
     smith_normal_form,
 )
 
@@ -78,13 +76,13 @@ def test_rank_matches_sympy(rows):
 @settings(max_examples=60)
 @given(int_matrix())
 def test_right_kernel_annihilates_and_has_full_nullity(rows):
-    A = as_zz(rows)
-    R, K = echelon_and_kernel(A)
-    At = Matrix(QQ, [[Fraction(x) for x in r] for r in rows])
+    # the right kernel of A is the left kernel of its transpose
+    cols = [[Fraction(x) for x in col] for col in zip(*rows)]
+    K = left_kernel(Matrix(QQ, cols, len(rows)))
+    assert K.rows == oracles.dense_left_kernel(cols, oracles.RationalOps)
     for v in K.rows:
-        prod = At.mul(Matrix(QQ, [[x] for x in v], 1))
-        assert all(e == 0 for r in prod.rows for e in r)
-    assert K.nrows == A.ncols - matrix_rank(A)
+        assert all(sum(a * x for a, x in zip(r, v)) == 0 for r in rows)
+    assert K.nrows == len(cols) - oracles.dense_rank(rows, oracles.RationalOps)
 
 
 @settings(max_examples=60)
@@ -353,7 +351,7 @@ def test_fpmap_kernel_image_cokernel_over_q():
     assert ker.dim() == 1
     img, _ = f.image()
     assert img.dim() == 1
-    cok = f.cokernel()
+    cok = FPModule(QQ, 2, dst.relations.stack(f.ambient))
     assert cok.dim() == 1
 
 
@@ -387,7 +385,7 @@ def test_fpmap_kernel_over_z_with_torsion_target():
     ker, kgens = f.kernel()
     assert kgens.rows == [[4]]
     assert ker.rank() == 1 and ker.torsion() == ()
-    cok = f.cokernel()
+    cok = FPModule(ZZ, 1, dst.relations.stack(f.ambient))
     assert cok.rank() == 0 and cok.torsion() == ()
 
 

@@ -34,10 +34,8 @@ from heckesym.triangle import (
     mat2_mul,
     mat2_pow,
     rational_lambda_ring,
-    reduce_word,
     sigma_matrix,
     tau_matrix,
-    word_inverse,
 )
 
 import oracles
@@ -254,7 +252,7 @@ def test_symbol_invariance_under_subgroup(cosets, k):
         a, b = _random_cusp(rng), _random_cusp(rng)
         gamma = _random_subgroup_element(cosets, rng)
         v = [Fraction(rng.randrange(-3, 4)) for _ in range(blk)]
-        acted = space.weight.action_matrix(gamma, 3).transpose().act_on_row(v)
+        acted = space.weight.action_matrix(gamma).act_on_row(v)
         moved = convert_symbol(
             space, apply_moebius(gamma, a), apply_moebius(gamma, b), acted
         )
@@ -333,36 +331,9 @@ def test_coset_tables_share_one_interface():
         assert cosets.label() == label
         assert weight_module_for(cosets, QQ, 2).variant == variant
         j, cocycle = cosets.twist(0, "t", 1)
-        assert j == cosets.subgroup.t[0] and len(cocycle.matrix) == 4
+        assert j == cosets.subgroup.t[0] and len(cocycle) == 4
         for cls in cosets.subgroup.elliptic_classes():
-            assert len(cosets.stabilizer_cocycle(cls).matrix) == 4
-
-
-def test_perm_cocycle_words_are_built_on_read(monkeypatch):
-    # the module reads only matrices, so no word is built; a word read later
-    # is the reduced inverse of the Schreier word (twist) or the Schreier
-    # word itself (stabilizer)
-    calls = []
-    original = TriangleSubgroup.cocycle_word
-
-    def counted(self, i, word):
-        calls.append(i)
-        return original(self, i, word)
-
-    monkeypatch.setattr(TriangleSubgroup, "cocycle_word", counted)
-    group = TriangleSubgroup(5, (3, 2, 1, 0, 5, 4, 7, 6), (3, 1, 6, 2, 0, 5, 4, 7))
-    cosets = PermCosets(group)
-    module = InducedModule(cosets, weight_module_for(cosets, rational_lambda_ring(5)[0], 4))
-    module.norm_matrix("t")
-    assert calls == []
-    for i in range(group.mu):
-        for letter, e in (("s", 1), ("t", 1), ("t", 3)):
-            expected = reduce_word(5, word_inverse(original(group, i, ((letter, e),))[0]))
-            assert cosets.twist(i, letter, e)[1].word == expected
-    for cls in group.elliptic_classes():
-        word = (("s" if cls.kind == "sigma" else "t", cls.power),)
-        cocycle = cosets.stabilizer_cocycle(cls)
-        assert cocycle.word == original(group, cls.coset, word)[0]
+            assert len(cosets.stabilizer_cocycle(cls)) == 4
 
 
 # ---------------------------------------------------------------------------

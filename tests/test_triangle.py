@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckesym.rings import ZZ, QQ, GF
 from heckesym.triangle import (
@@ -100,6 +102,23 @@ def test_reduce_word():
     assert reduce_word(4, (("t", 3), ("s", 2), ("t", 2))) == (("t", 1),)
     w = (("s", 1), ("t", 2), ("s", 1))
     assert reduce_word(4, w) == w
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(3, 7),
+    st.lists(st.tuples(st.sampled_from("st"), st.integers(-9, 9)), max_size=12),
+)
+def test_reduce_word_is_a_normal_form(n, word):
+    word = tuple(word)
+    out = reduce_word(n, word)
+    assert all(a[0] != b[0] for a, b in zip(out, out[1:]))
+    assert all(0 < e < (2 if letter == "s" else n) for letter, e in out)
+    # sigma^2 and tau^n are -1 in SL_2, so the matrices agree up to sign
+    R, lam = integral_lambda_ring(n)
+    assert psl_canonical(R, word_matrix(R, lam, out)) == psl_canonical(
+        R, word_matrix(R, lam, word)
+    )
 
 
 # -- subgroup validation ---------------------------------------------------

@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
 
 from heckesym.linalg import Matrix, charpoly
 from heckesym.rings import GF, QQ, ZZ, QuotientExtension, UnsupportedRingError
@@ -8,21 +10,23 @@ from heckesym.triangle import (
     integral_lambda_ring,
     lambda_minimal_polynomial,
     mat2_mul,
-    mat2_pow,
-    sigma_matrix,
+    rational_lambda_ring,
     tau_matrix,
     word_matrix,
 )
 from heckesym.weights import (
-    GenericWeightModule,
     WeightModule,
     lambda_image_in,
     lambda_splitting_field_mod_p,
     local_term,
 )
 
+import oracles
+
 SIGMA = (0, -1, 1, 0)
 TAU = (1, -1, 1, 0)
+# integer matrices of determinant 1 and of other determinants
+POOL = [SIGMA, TAU, (1, 1, 0, 1), (2, 1, 1, 1), (1, 0, 0, 3), (5, 2, 2, 1), (3, -2, 7, 4)]
 
 
 def test_sigma_action_weight_four():
@@ -59,16 +63,72 @@ def test_weight_below_two_rejected():
 def test_action_is_multiplicative(ring, k, variant):
     rng = random.Random(5)
     V = WeightModule(ring, k, variant=variant)
-    pool = [SIGMA, TAU, (1, 1, 0, 1), (2, 1, 1, 1), (1, 0, 0, 3), (5, 2, 2, 1)]
     for _ in range(100):
-        g, h = rng.choice(pool), rng.choice(pool)
-        gh = (
-            g[0] * h[0] + g[1] * h[2],
-            g[0] * h[1] + g[1] * h[3],
-            g[2] * h[0] + g[3] * h[2],
-            g[2] * h[1] + g[3] * h[3],
+        g, h = rng.choice(POOL), rng.choice(POOL)
+        # a left action in the row convention: M_g M_h = M_(hg)
+        hg = (
+            h[0] * g[0] + h[1] * g[2],
+            h[0] * g[1] + h[1] * g[3],
+            h[2] * g[0] + h[3] * g[2],
+            h[2] * g[1] + h[3] * g[3],
         )
-        assert V.action_matrix(g).mul(V.action_matrix(h)) == V.action_matrix(gh)
+        assert V.action_matrix(g).mul(V.action_matrix(h)) == V.action_matrix(hg)
+
+
+LAM = sympy.Symbol("lam")
+
+
+def _to_sympy(x):
+    """A cocycle entry (int, or Z[lam] tuple low -> high) as a sympy expression."""
+    if isinstance(x, int):
+        return sympy.Integer(x)
+    return sum(c * LAM**i for i, c in enumerate(x))
+
+
+def _lambda5_pool():
+    R5, lam = integral_lambda_ring(5)
+    rng = random.Random(11)
+    words = [
+        tuple((rng.choice("st"), rng.randrange(1, 5)) for _ in range(rng.randrange(1, 5)))
+        for _ in range(6)
+    ]
+    return [word_matrix(R5, lam, w) for w in words]
+
+
+@pytest.mark.parametrize(
+    "ring,k,variant,n",
+    [
+        (QQ, 6, "projective", 3),
+        (QQ, 5, "plus-minus-one", 3),
+        (GF(7), 5, "plus-minus-one", 3),
+        (rational_lambda_ring(5)[0], 4, "projective", 5),
+        (rational_lambda_ring(5)[0], 6, "projective", 5),
+    ],
+    ids=["Q-k6", "Q-k5", "F7-k5", "lambda5-k4", "lambda5-k6"],
+)
+def test_action_rows_match_substitution_oracle(ring, k, variant, n):
+    V = WeightModule(ring, k, variant=variant, n=n)
+    if n == 3:
+        pool = POOL
+
+        def into(e):
+            return ring.of_int(int(e))
+
+    else:
+        pool = _lambda5_pool()
+        minpoly = sum(c * LAM**i for i, c in enumerate(lambda_minimal_polynomial(n)))
+
+        def into(e):
+            rem = sympy.Poly(sympy.rem(e, minpoly, LAM), LAM)
+            coeffs = [Fraction(int(c)) for c in reversed(rem.all_coeffs())]
+            return ring.from_coeffs(coeffs)
+
+    for mat in pool:
+        expected = oracles.weight_action_rows(k, [_to_sympy(x) for x in mat])
+        got = V.action_matrix(mat)
+        assert got.nrows == k - 1
+        for row, exp in zip(got.rows, expected):
+            assert row == [into(e) for e in exp]
 
 
 def test_action_determinant_is_unit():
@@ -85,11 +145,11 @@ def test_action_over_lambda_extension():
     # n = 5: tau has entries in Z[lam]; check the multiplicative rule there
     R5, lam = integral_lambda_ring(5)
     ring, gen = lambda_splitting_field_mod_p(5, 19)  # x^2 - x - 1 has roots mod 19
-    V = WeightModule(ring, 4)
+    V = WeightModule(ring, 4, n=5)
     tau5 = tau_matrix(R5, lam)
     tau5_sq = mat2_mul(R5, tau5, tau5)
-    A = V.action_matrix(tau5, n=5)
-    assert A.mul(A) == V.action_matrix(tau5_sq, n=5)
+    A = V.action_matrix(tau5)
+    assert A.mul(A) == V.action_matrix(tau5_sq)
 
 
 def test_norm_matrix_annihilates_coboundary():
@@ -168,44 +228,3 @@ def test_lambda_splitting_field():
     ring, lam = lambda_splitting_field_mod_p(4, 5)
     assert ring.degree == 2
     assert ring.mul(lam, lam) == ring.of_int(2)
-
-
-# -- generic modules --------------------------------------------------------------
-
-
-def _word_pool(rng, n, count):
-    out = []
-    for _ in range(count):
-        out.append(
-            tuple((rng.choice("st"), rng.randrange(1, max(n, 2))) for _ in range(rng.randrange(1, 5)))
-        )
-    return out
-
-
-def test_generic_module_matches_polynomial_route():
-    V = WeightModule(QQ, 4)
-    gen = GenericWeightModule(QQ, 3, V.action_matrix(SIGMA), V.action_matrix(TAU))
-    rng = random.Random(2)
-    for w in _word_pool(rng, 3, 30):
-        assert gen.action_word(w) == V.action_matrix(word_matrix(ZZ, 1, w))
-
-
-def test_generic_module_rejects_wrong_orders():
-    V = WeightModule(QQ, 4)
-    with pytest.raises(ValueError, match="square"):
-        GenericWeightModule(QQ, 3, V.action_matrix(TAU), V.action_matrix(TAU))
-    with pytest.raises(ValueError, match="order dividing"):
-        GenericWeightModule(QQ, 4, V.action_matrix(SIGMA), V.action_matrix(TAU))
-
-
-def test_generic_module_word_homomorphism():
-    R4, lam = integral_lambda_ring(4)
-    ring, image = lambda_splitting_field_mod_p(4, 7)
-    V = WeightModule(ring, 4)
-    sig = V.action_matrix(sigma_matrix(R4), n=4)
-    tau = V.action_matrix(tau_matrix(R4, lam), n=4)
-    gen = GenericWeightModule(ring, 4, sig, tau)
-    rng = random.Random(9)
-    for w1 in _word_pool(rng, 4, 8):
-        for w2 in _word_pool(rng, 4, 3):
-            assert gen.action_word(w1).mul(gen.action_word(w2)) == gen.action_word(w1 + w2)
