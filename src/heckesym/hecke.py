@@ -81,18 +81,23 @@ def _operator_rows(space, reps, rows):
     Only the cosets that own a requested row are cut into unimodular
     segments, once per representative. A segment contributes the requested
     rows a of its block A_delta A_gamma alone, each as row a of A_delta
-    times A_gamma, so no full block product is formed."""
+    times A_gamma, so no full block product is formed. Over Q the rows are
+    summed on ints and become Fractions once, when finished."""
     cosets = space.cosets
     ring = space.ring
     weight = space.weight
     blk = space.module.block
-    add, sub = ring.add, ring.sub
-    out = {r: [ring.zero] * space.module.rank for r in rows}
+    work, action = ring, weight.action_matrix
+    if isinstance(ring, RationalField):
+        # integer matrices act integrally: their integer forms have d = 1
+        work, action = ZZ, lambda g: weight.action_matrix(g).integer_form()[0]
+    add, sub = work.add, work.sub
+    out = {r: [work.zero] * space.module.rank for r in rows}
     owned = {}
     for r in sorted(out):
         owned.setdefault(r // blk, []).append(r % blk)
     for delta in reps:
-        delta_rows = weight.action_matrix(delta).rows
+        delta_rows = action(delta).rows
         # the lifts have determinant one, so m below is unimodular iff delta is
         unimodular = mat2_det(ZZ, delta) == 1
         for i, offsets in owned.items():
@@ -103,13 +108,15 @@ def _operator_rows(space, reps, rows):
                 segments = continued_fraction_path(*segment_endpoints(m))
             for seg, sign in segments:
                 j, gamma = cosets.symbol_cocycle(seg)
-                act = weight.action_matrix(gamma).act_on_row
+                act = action(gamma).act_on_row
                 op = add if sign == 1 else sub
                 lo, hi = j * blk, (j + 1) * blk
                 for a in offsets:
                     dest = out[i * blk + a]
                     piece = act(delta_rows[a])
                     dest[lo:hi] = [op(x, y) for x, y in zip(dest[lo:hi], piece)]
+    if work is not ring:
+        out = {r: ring.from_numerators(row) for r, row in out.items()}
     return out
 
 

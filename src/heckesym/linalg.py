@@ -14,6 +14,11 @@ Smith forms are dense.
 Dense products share one kernel, Matrix.act_on_row, the only place a
 matrix dispatches on the ring: a product pushes each row of the left
 factor through it, and the elementwise operations call the ring's own.
+Over Q it runs on integers: a matrix keeps its integer form (numerators
+over one common denominator), built on its first product or given by
+Matrix.from_integers, a vector has its denominators cleared, and each
+output entry becomes a Fraction once; the rows stay Fractions. The pivot
+rows of FPModule.reduce and RowBasis.express over Q take the same form.
 
 Everything is sequential and deterministic, and the normal forms are
 canonical: leading-one reduced echelon form over fields, nonnegative
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 from .rings import (
     QQ,
@@ -51,7 +56,11 @@ class NotInSpanError(ValueError):
 
 
 class Matrix:
-    __slots__ = ("ring", "nrows", "ncols", "rows")
+    """A dense matrix: a list of rows of ring elements. The rows must not
+    be mutated after construction, since over Q the matrix keeps their
+    integer form (integer_form) for products; build a new matrix instead."""
+
+    __slots__ = ("ring", "nrows", "ncols", "rows", "_integer_form")
 
     def __init__(self, ring, rows, ncols=None):
         rows = [list(r) for r in rows]
@@ -66,12 +75,32 @@ class Matrix:
         self.rows = rows
         self.nrows = len(rows)
         self.ncols = ncols
+        self._integer_form = None
 
     # -- constructors ----------------------------------------------------
     @classmethod
     def identity(cls, ring, n):
         one, zero = ring.one, ring.zero
         return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
+
+    @classmethod
+    def from_integers(cls, rows):
+        """The matrix over Q of nonempty integer rows, with its integer form
+        (the rows themselves, denominator one) already in place."""
+        ints = Matrix(ZZ, rows)
+        mat = cls(QQ, [QQ.from_numerators(r) for r in ints.rows], ints.ncols)
+        mat._integer_form = (ints, 1)
+        return mat
+
+    def integer_form(self):
+        """(Z matrix of numerators, d) with self == numerators / d, d the
+        least common denominator; over Q only, built once and kept."""
+        form = self._integer_form
+        if form is None:
+            d = lcm(*{x.denominator for r in self.rows for x in r})
+            nums = [[x.numerator * (d // x.denominator) for x in r] for r in self.rows]
+            form = self._integer_form = (Matrix(ZZ, nums, self.ncols), d)
+        return form
 
     # -- basics ----------------------------------------------------------
     def stack(self, other):
@@ -127,12 +156,16 @@ class Matrix:
         return self.mul(other)
 
     def act_on_row(self, vec):
-        """vec * self for a plain list vec: the product kernel. It skips the
-        zero entries of vec and keeps native int, Fraction and residue
-        arithmetic, because it is the hot loop of the Hecke row builder."""
+        """vec * self for a plain list vec: the product kernel and the hot
+        loop of the Hecke row builder. It skips the zero entries of vec and
+        runs on native ints and residues, over Q on integer forms."""
         if len(vec) != self.nrows:
             raise ShapeError("act_on_row: length mismatch")
         ring = self.ring
+        if isinstance(ring, RationalField):
+            nums, d = self.integer_form()
+            ivec, dv = _numerators(vec)
+            return ring.from_numerators(nums.act_on_row(ivec), d * dv)
         if isinstance(ring, QuotientExtension):
             add, mul = ring.add, ring.mul
             out = [ring.zero] * self.ncols
@@ -147,14 +180,27 @@ class Matrix:
         if isinstance(ring, PrimeField):
             p = ring.p
             out = [o % p for o in out]
-        elif isinstance(ring, RationalField):
-            # entries no Fraction reached are still ints
-            out = [Fraction(o) if type(o) is int else o for o in out]
         return out
 
     def _same_shape(self, other):
         if other.nrows != self.nrows or other.ncols != self.ncols:
             raise ShapeError("shape mismatch")
+
+
+def _numerators(vec):
+    """(integer numerators, d) with vec == numerators / d, d the least
+    common denominator of the rational (int or Fraction) entries."""
+    d = lcm(*{x.denominator for x in vec})
+    if d == 1:
+        return [x.numerator for x in vec], 1
+    return [x.numerator * (d // x.denominator) for x in vec], d
+
+
+def _integral(rows):
+    """(integer dicts, d) with rows == dicts / d for rational {index: value}
+    dicts, d the least common denominator."""
+    d = lcm(*{x.denominator for r in rows for x in r.values()})
+    return [{j: x.numerator * (d // x.denominator) for j, x in r.items()} for r in rows], d
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +310,11 @@ class _Rationals(_Field):
 
     @staticmethod
     def load(row):
-        d = 1
-        for x in row.values():
-            if x.denominator != 1:
-                d = d * x.denominator // gcd(d, x.denominator)
-        row = {j: x.numerator * (d // x.denominator) for j, x in row.items()}
-        g = gcd(*row.values())
+        nums, d = _numerators(row.values())
+        g = gcd(*nums)
         if g > 1:
-            row = {j: x // g for j, x in row.items()}
-        return row, Fraction(d, g or 1)
+            nums = [x // g for x in nums]
+        return dict(zip(row, nums)), Fraction(d, g or 1)
 
     @staticmethod
     def eliminate(row, t, prow, pt, c):
@@ -655,10 +697,13 @@ class RowBasis:
             ar = _arithmetic(mat.ring)
             rows, scales = _load(ar, mat.rows)
             piv, _ = _reduced(ar, rows, [{i: ar.one} for i in range(mat.nrows)])
-            self._pivots = [
-                (c, dict(ar.entries(row, row[c])), dict(ar.entries(t, row[c], scales)))
-                for c, row, t in piv
-            ]
+            rrows = [dict(ar.entries(row, row[c])) for c, row, _t in piv]
+            trows = [dict(ar.entries(t, row[c], scales)) for c, row, t in piv]
+            if isinstance(mat.ring, RationalField):
+                # integer reduced rows over d, integer transforms over e
+                (rrows, d), (trows, e) = _integral(rrows), _integral(trows)
+                self._den = d, e
+            self._pivots = [(c, r, t) for (c, _r, _t), r, t in zip(piv, rrows, trows)]
         self.rank = len(self._pivots)
 
     def contains(self, vec):
@@ -687,12 +732,27 @@ class RowBasis:
                 raise NotInSpanError("not in the lattice")
             return coeffs
         field = self.ring
+        # pivot rows are zero at the other pivots: each coefficient is vec[c]
+        if isinstance(field, RationalField):
+            # vec = iv / dv; the residual is kept times dv * d
+            iv, dv = _numerators(vec)
+            d, e = self._den
+            res = [x * d for x in iv]
+            coeffs = [0] * self.mat.nrows
+            for c, rrow, trow in self._pivots:
+                coef = iv[c]
+                if coef:
+                    for j, x in rrow.items():
+                        res[j] -= coef * x
+                    for i, x in trow.items():
+                        coeffs[i] += coef * x
+            if any(res):
+                raise NotInSpanError("not in the row space")
+            return field.from_numerators(coeffs, dv * e)
         add, sub, mul, is_zero = field.add, field.sub, field.mul, field.is_zero
-        if not isinstance(field, RationalField):
-            vec = [field.of_int(x) if isinstance(x, int) else x for x in vec]
+        vec = [field.of_int(x) if isinstance(x, int) else x for x in vec]
         v = {j: x for j, x in enumerate(vec) if not is_zero(x)}
         coeffs = [field.zero] * self.mat.nrows
-        # pivot rows are zero at the other pivots: each coefficient is v[c]
         for c, rrow, trow in self._pivots:
             coef = v.get(c)
             if coef is None:
@@ -770,11 +830,15 @@ class FPModule:
             pivcols = {c for c, _r, _t in piv}
             self._free = [c for c in range(self.ngens) if c not in pivcols]
             where = {f: i for i, f in enumerate(self._free)}
-            # (pivot column, {free coordinate: entry}) of each reduced row
-            self._pivot_tails = [
-                (c, {where[j]: x for j, x in ar.entries(row, row[c]) if j != c})
-                for c, row, _t in piv
-            ]
+            # (pivot column, {free coordinate: entry}) of each reduced row;
+            # over Q integers over d, the lcm of the (positive) pivots
+            if isinstance(self.ring, RationalField):
+                d = self._den = lcm(*(row[c] for c, row, _t in piv))
+                rows = [(c, {j: x * (d // row[c]) for j, x in row.items()}) for c, row, _t in piv]
+            else:
+                rows = [(c, dict(ar.entries(row, row[c]))) for c, row, _t in piv]
+            self._pivot_tails = [(c, {where[j]: x for j, x in r.items() if j != c})
+                                 for c, r in rows]
         self._normalized = True
 
     # -- structure -------------------------------------------------------
@@ -813,14 +877,18 @@ class FPModule:
             y = self._W.act_on_row(list(vec))
             return tuple(v % d if d else v for v, d in zip(y, self._diag))
         field = self.ring
-        coords = [vec[f] for f in self._free]
         if isinstance(field, RationalField):
+            # vec = iv / dv; the coordinates are kept times dv * d
+            iv, dv = _numerators(vec)
+            d = self._den
+            coords = [iv[f] * d for f in self._free]
             for c, tail in self._pivot_tails:
-                v = vec[c]
+                v = iv[c]
                 if v:
                     for i, t in tail.items():
                         coords[i] -= v * t
-            return tuple(Fraction(x) for x in coords)
+            return tuple(field.from_numerators(coords, dv * d))
+        coords = [vec[f] for f in self._free]
         sub, mul, is_zero = field.sub, field.mul, field.is_zero
         for c, tail in self._pivot_tails:
             v = vec[c]
@@ -830,8 +898,6 @@ class FPModule:
         return tuple(coords)
 
     def is_zero_element(self, vec):
-        if isinstance(self.ring, IntegerRing):
-            return all(x == 0 for x in self.reduce(vec))
         rz = self.ring.is_zero
         return all(rz(x) for x in self.reduce(vec))
 

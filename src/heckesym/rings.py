@@ -143,6 +143,13 @@ class RationalField(ExactRing):
     def of_int(self, n):
         return Fraction(n)
 
+    def from_numerators(self, nums, d=1):
+        """The Fractions n / d for integers n, all zeros one shared zero."""
+        zero = self.zero
+        if d == 1:
+            return [Fraction(n) if n else zero for n in nums]
+        return [Fraction(n, d) if n else zero for n in nums]
+
     def is_zero(self, a):
         return a == 0
 

@@ -25,8 +25,8 @@ whose cocycles are exact integer matrices.
 
 from __future__ import annotations
 
-from .linalg import FPModule, InternalInvariantError, Matrix, RowBasis, left_kernel
-from .rings import GF, PrimeField, QuotientExtension, UnsupportedRingError
+from .linalg import FPModule, Matrix, RowBasis, left_kernel
+from .rings import GF, ZZ, PrimeField, QuotientExtension, RationalField, UnsupportedRingError
 from .triangle import lambda_minimal_polynomial, lambda_roots_mod_p
 
 
@@ -137,47 +137,26 @@ class WeightModule:
         R = self.ring
         if self.dim == 1:
             return Matrix.identity(R, 1)
-        a, b, c, d = (self.convert_scalar(x) for x in mat)
-        k2 = self.k - 2
-        # (dX - bY)^i and (-cX + aY)^i as X-degree coefficient lists
-        u = [R.neg(b), d]
-        v = [a, R.neg(c)]
-        pu = [[R.one]]
-        pv = [[R.one]]
-        for _ in range(k2):
-            pu.append(_lin_mul(R, pu[-1], u))
-            pv.append(_lin_mul(R, pv[-1], v))
-        return Matrix(R, [_poly_mul(R, pu[i], pv[k2 - i]) for i in range(self.dim)])
-
-    def norm_matrix(self, mat, order):
-        """Sum of the action of mat^j for j = 0..order-1, where `order` is
-        the projective order of mat. Raises if mat^order does not act as
-        plus or minus the identity."""
-        A = self.action_matrix(mat)
-        out = Matrix.identity(self.ring, self.dim)
-        power = A
-        for _ in range(order - 1):
-            out = out.add(power)
-            power = power.mul(A)
-        ident = Matrix.identity(self.ring, self.dim)
-        if power != ident and power != ident.scale(self.ring.of_int(-1)):
-            raise ValueError("matrix does not have projective order %d" % order)
-        if self.variant == "projective" and power != ident:
-            raise InternalInvariantError(
-                "even-weight action of a full twist must be trivial"
-            )
-        return out
+        entries = [self.convert_scalar(x) for x in mat]
+        if isinstance(R, RationalField):
+            # Q holds lambda only for n = 3, where it is 1: the matrix is
+            # integral, so is its action, built on ints and kept as such
+            return Matrix.from_integers(_action_rows(ZZ, *(x.numerator for x in entries), self.k))
+        return Matrix(R, _action_rows(R, *entries, self.k))
 
 
-def _lin_mul(R, poly, lin):
-    """Multiply an X-degree coefficient list by the linear form
-    lin[0]*Y + lin[1]*X (both homogeneous)."""
-    out = [R.zero] * (len(poly) + 1)
-    for i, c in enumerate(poly):
-        if not R.is_zero(c):
-            out[i] = R.add(out[i], R.mul(c, lin[0]))
-            out[i + 1] = R.add(out[i + 1], R.mul(c, lin[1]))
-    return out
+def _action_rows(R, a, b, c, d, k):
+    """Rows of the action of [[a, b], [c, d]] (entries of R) in weight k."""
+    k2 = k - 2
+    # (dX - bY)^i and (-cX + aY)^i as X-degree coefficient lists
+    u = [R.neg(b), d]
+    v = [a, R.neg(c)]
+    pu = [[R.one]]
+    pv = [[R.one]]
+    for _ in range(k2):
+        pu.append(_poly_mul(R, pu[-1], u))
+        pv.append(_poly_mul(R, pv[-1], v))
+    return [_poly_mul(R, pu[i], pv[k2 - i]) for i in range(k - 1)]
 
 
 def _poly_mul(R, f, g):

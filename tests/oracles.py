@@ -421,6 +421,31 @@ def dense_left_kernel(rows, F):
     return dense_rref(basis, F)[0] if basis else []
 
 
+def dense_quotient_coords(relations, vec, F):
+    """Coordinates of vec in the quotient by the row span of `relations`:
+    subtract vec[c] times the reduced echelon row at each pivot column c,
+    then read the free (non-pivot) columns."""
+    R, pivots = dense_rref(relations, F)
+    v = list(vec)
+    for row, c in zip(R, pivots):
+        f = v[c]
+        v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, row)]
+    return [x for j, x in enumerate(v) if j not in pivots]
+
+
+def dense_solve(rows, vec, F):
+    """Coefficients c with c * rows == vec for independent rows, or None
+    when vec is outside their span: Gauss-Jordan on rows^T c = vec."""
+    n = len(rows)
+    R, pivots = dense_rref([[r[j] for r in rows] + [x] for j, x in enumerate(vec)], F)
+    if n in pivots:
+        return None
+    coeffs = [F.zero] * n
+    for row, c in zip(R, pivots):
+        coeffs[c] = row[n]
+    return coeffs
+
+
 def dense_product(A, B, ncols, F):
     """Rows of A * B by the textbook triple loop over a ring given by its
     operations, every term summed from F.zero; B has one row per column of

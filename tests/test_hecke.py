@@ -295,6 +295,9 @@ def test_lazy_operator_matches_its_full_ambient(maker, N, ring, k, ops):
             restrict_operator(lazy_shifted, shifted),
         )
         ambient = build(sp, value).ambient
+        # over Q the rows summed on ints come back as Fractions, like the
+        # rest of the library's rational matrices
+        assert all(type(x) is type(ring.zero) for row in ambient.rows for x in row)
         full = FPMap(sp.presentation, sp.presentation, ambient, check=False)
         restricted = _restrict_by_ambient_images(ambient, sp.presentation, cusp)
         assert restricted == _restrict_by_ambient_images(ambient, sp.presentation, shifted)
@@ -510,3 +513,26 @@ def test_qexpansion_rejects_silly_bound():
     sp = space_for(gamma0_cosets(11), QQ, 2)
     with pytest.raises(ValueError):
         qexpansions(sp, 0)
+
+
+# -- identity guard --------------------------------------------------------------
+
+
+def test_hecke_data_matches_the_recorded_digests():
+    # scripts/hecke_digests.py hashes the reprs (entry types included) of
+    # T_p on generators and on the cuspidal subspace, the gamma1 diamonds
+    # and the eigenblocks; the data file holds a run before the Q matrices
+    # moved to integer numerators, and every later run must reproduce it
+    import importlib.util
+    import json
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    path = root / "scripts" / "hecke_digests.py"
+    spec = importlib.util.spec_from_file_location("hecke_digests", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    recorded = json.loads((root / "tests" / "data" / "hecke_digests.json").read_text())
+    assert sorted(recorded) == sorted(script.SPACES)
+    for name, digests in recorded.items():
+        assert script.space_digests(name) == digests, name

@@ -249,6 +249,99 @@ def test_matrix_arithmetic_matches_the_textbook_ops(name, data):
     assert MA.scale(c).rows == each(lambda x: ops.mul(c, x), A)
 
 
+# -- the Q numerator kernel ----------------------------------------------------
+
+# rationals with denominators 1..9, given as ints or Fractions
+mixed_rational = st.one_of(
+    small_int, st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9))
+)
+
+
+def _mixed(data, n, m):
+    cell = st.one_of(st.just(0), st.just(Fraction(0)), mixed_rational)
+    return [[data.draw(cell) for _ in range(m)] for _ in range(n)]
+
+
+def _all_fractions(rows):
+    return all(type(x) is Fraction for r in rows for x in r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_rational_products_run_on_numerators_like_the_textbook(data):
+    # vectors and matrices mix ints and Fractions, with non-unit common
+    # denominators; shapes 0-4 on every side
+    n, m, l = (data.draw(st.integers(0, 4)) for _ in range(3))
+    A, B = _mixed(data, n, m), _mixed(data, m, l)
+    MB = Matrix(QQ, B, l)
+    want = oracles.dense_product(A, B, l, oracles.RationalOps)
+    rows = [MB.act_on_row(r) for r in A]
+    assert rows == want and _all_fractions(rows)
+    prod = Matrix(QQ, A, m).mul(MB)
+    assert (prod.nrows, prod.ncols) == (n, l)
+    assert prod.rows == want and _all_fractions(prod.rows)
+    nums, d = MB.integer_form()
+    assert nums.ring is ZZ and d >= 1
+    assert [[Fraction(x, d) for x in r] for r in nums.rows] == B
+
+
+def test_a_second_product_reads_the_kept_integer_form():
+    A = Matrix(QQ, [[Fraction(1, 2), 3], [0, Fraction(-2, 3)]])
+    B = Matrix(QQ, [[Fraction(5, 4), 1], [2, Fraction(1, 6)]])
+    first = A.mul(B)
+    form = B.integer_form()
+    assert form[1] == 12
+    assert A.mul(B) == first and B.integer_form() is form
+    # a rebuilt form would hide this substitution
+    B._integer_form = (Matrix(ZZ, [[0, 0], [0, 0]]), 1)
+    assert A.mul(B).is_zero()
+
+
+def test_from_integers_keeps_its_rows_as_integer_form():
+    M = Matrix.from_integers([[1, -2], [0, 3]])
+    assert M.ring is QQ and _all_fractions(M.rows)
+    assert M.rows == [[1, -2], [0, 3]]
+    nums, d = M.integer_form()
+    assert nums.rows == [[1, -2], [0, 3]] and d == 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_rational_reduce_matches_the_textbook_quotient(data):
+    ngens = data.draw(st.integers(1, 6))
+    relations = _mixed(data, data.draw(st.integers(0, 5)), ngens)
+    vec = _mixed(data, 1, ngens)[0]
+    mod = FPModule(QQ, ngens, Matrix(QQ, relations, ngens))
+    got = mod.reduce(vec)
+    assert list(got) == oracles.dense_quotient_coords(relations, vec, oracles.RationalOps)
+    assert all(type(x) is Fraction for x in got)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_rational_express_matches_the_textbook_solve(data):
+    ops = oracles.RationalOps
+    m = data.draw(st.integers(1, 6))
+    # keep the rows that raise the rank, so the coefficients are unique
+    rows = []
+    for row in _mixed(data, data.draw(st.integers(0, 6)), m):
+        if oracles.dense_rank(rows + [row], ops) > len(rows):
+            rows.append(row)
+    basis = RowBasis(Matrix(QQ, rows, m))
+    coeffs = _mixed(data, 1, len(rows))[0]
+    inside = oracles.dense_product([coeffs], rows, m, ops)[0] if rows else [0] * m
+    got = basis.express(inside)
+    assert got == oracles.dense_solve(rows, inside, ops) == coeffs
+    assert all(type(x) is Fraction for x in got)
+    other = _mixed(data, 1, m)[0]
+    want = oracles.dense_solve(rows, other, ops)
+    if want is None:
+        with pytest.raises(NotInSpanError):
+            basis.express(other)
+    else:
+        assert basis.express(other) == want
+
+
 # -- integer normal forms ----------------------------------------------------
 
 

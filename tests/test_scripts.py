@@ -1,5 +1,6 @@
 """The survey scripts in scripts/ run end to end against the package."""
 
+import json
 import os
 import subprocess
 import sys
@@ -26,3 +27,12 @@ def test_torsion_survey_shows_the_n4_anomaly():
     assert proc.returncode == 0, proc.stderr
     row = next(line for line in proc.stdout.splitlines() if "n=4" in line)
     assert row.split("manin")[1].split()[0] == "2"
+
+
+def test_hecke_digests_reproduce_the_recorded_run():
+    proc = run_script("hecke_digests.py", "gamma0-11-k2")
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(ROOT, "tests", "data", "hecke_digests.json")) as fh:
+        recorded = json.load(fh)
+    assert json.loads(proc.stdout) == {"gamma0-11-k2": recorded["gamma0-11-k2"]}
+    assert run_script("hecke_digests.py", "gamma0-0-k2").returncode == 2
