@@ -1,14 +1,23 @@
 #!/usr/bin/env python3
 """Print sha256 digests of the Hecke data of a few modular symbol spaces.
 
-For each space this hashes the repr (entry types included, so 1 and
-Fraction(1, 1) differ) of:
+For each space over a field this hashes the repr (entry types included,
+so 1 and Fraction(1, 1) differ) of:
   - the matrix of T_p on the free generators, p = 2..7;
   - T_p restricted to the cuspidal subspace, p = 2..7;
   - on gamma1 tables, every diamond operator restricted to the cuspidal
     subspace;
   - the eigenblocks of T_2..T_7 on the cuspidal subspace (bases,
     eigenvalues, factors).
+For each space over the integers it hashes the integral normal forms
+behind the answers instead:
+  - the Hermite form of the Manin relations with its transform;
+  - their Smith form D = U*A*W;
+  - the presentation: invariant factors, the coordinates of the unit
+    vectors and the ambient rows of the generators;
+  - the integer kernels of the two norm matrices;
+  - the kernel of the boundary map (generators and relations);
+  - the kernel of the map onto surface cohomology (comparison_report).
 Arithmetic changes that must not change any answer are checked against
 these digests (tests/data/hecke_digests.json holds a recorded run).
 
@@ -24,12 +33,28 @@ from math import gcd
 
 from heckesym.congruence import gamma0_cosets, gamma1_cosets
 from heckesym.hecke import diamond_operator, eigensystem, hecke_matrix, restrict_operator
-from heckesym.modsym import cuspidal_subspace, manin_space, weight_module_for
-from heckesym.rings import GF, QQ
+from heckesym.cohomology import comparison_report
+from heckesym.linalg import Matrix, hermite_normal_form, smith_normal_form
+from heckesym.modsym import (
+    PermCosets,
+    boundary_map,
+    cuspidal_subspace,
+    manin_space,
+    weight_module_for,
+)
+from heckesym.rings import GF, QQ, ZZ
+from heckesym.triangle import TriangleSubgroup
 
 PRIMES = (2, 3, 5, 7)
 
-# name -> (coset builder, level, weight, ring)
+
+def one_coset(n):
+    """The coset table of the whole n-triangle group: one coset."""
+    return PermCosets(TriangleSubgroup.level_one(n))
+
+
+# name -> (coset builder, level, weight, ring); a one-coset group is
+# built from its n
 SPACES = {
     "gamma0-11-k2": (gamma0_cosets, 11, 2, QQ),
     "gamma0-30-k2": (gamma0_cosets, 30, 2, QQ),
@@ -37,6 +62,11 @@ SPACES = {
     "gamma0-10-k6": (gamma0_cosets, 10, 6, QQ),
     "gamma1-7-k3": (gamma1_cosets, 7, 3, QQ),
     "gamma0-47-k2-fp7": (gamma0_cosets, 47, 2, GF(7)),
+    "gamma0-11-k2-z": (gamma0_cosets, 11, 2, ZZ),
+    "gamma0-23-k2-z": (gamma0_cosets, 23, 2, ZZ),
+    "gamma0-60-k2-z": (gamma0_cosets, 60, 2, ZZ),
+    "gamma0-11-k4-z": (gamma0_cosets, 11, 4, ZZ),
+    "delta4-k2-z": (one_coset, 4, 2, ZZ),
 }
 
 
@@ -48,10 +78,32 @@ def matrix_key(mat):
     return (mat.nrows, mat.ncols, mat.rows)
 
 
+def integral_digests(space):
+    pres = space.presentation
+    rel = pres.relations
+    units = Matrix.identity(ZZ, pres.ngens).rows
+    D, U, W = smith_normal_form(rel)
+    kernel, gens = boundary_map(space).kernel()
+    report = comparison_report(space)
+    return {
+        "relation HNF": digest([matrix_key(m) for m in hermite_normal_form(rel, with_transform=True)]),
+        "relation Smith": digest([matrix_key(D), matrix_key(U), matrix_key(W)]),
+        "presentation": digest((pres.invariants(), [pres.reduce(e) for e in units],
+                                matrix_key(pres.generator_ambient_rows()))),
+        "norm kernels": digest([matrix_key(space.module.norm_kernel(x)) for x in "st"]),
+        "boundary kernel": digest((matrix_key(gens), matrix_key(kernel.relations))),
+        "comparison kernel": digest((matrix_key(report.kernel_gens),
+                                     matrix_key(report.kernel.relations),
+                                     report.kernel.invariants(), report.verdict)),
+    }
+
+
 def space_digests(name):
     build, N, k, ring = SPACES[name]
     cosets = build(N)
     space = manin_space(cosets, weight_module_for(cosets, ring, k))
+    if ring is ZZ:
+        return integral_digests(space)
     cusp = cuspidal_subspace(space)
     out = {}
     for p in PRIMES:

@@ -48,16 +48,6 @@ def apply_moebius(A, x):
 # ---------------------------------------------------------------------------
 
 
-def p1_list(N):
-    """Canonical representatives of P^1(Z/N), sorted."""
-    return _coset_labels(N, _units(N))[0]
-
-
-def cd_pair_list(N):
-    """Canonical (c, d) pairs mod simultaneous negation, sorted."""
-    return _coset_labels(N, (1, -1))[0]
-
-
 def _units(N):
     return [u for u in range(1, N + 1) if gcd(u, N) == 1]
 

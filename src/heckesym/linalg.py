@@ -9,7 +9,8 @@ flavours: over Q (and Z read over Q) primitive integer rows with gcd
 normalization, which is exact and faster than Fraction arithmetic; over
 F_p residues; over any other field, such as Q(2cos(pi/n)), the ring
 operations. Ranks take forward elimination alone. The integer Hermite and
-Smith forms are dense.
+Smith forms run on the same {column: value} rows with integer entries, and
+the Z branch of FPModule keeps its Smith transform in that form.
 
 Dense products share one kernel, Matrix.act_on_row, the only place a
 matrix dispatches on the ring: a product pushes each row of the left
@@ -478,11 +479,11 @@ def left_kernel(mat):
     """
     if isinstance(mat.ring, IntegerRing):
         H, U = hermite_normal_form(mat, with_transform=True)
-        ker = [U.rows[r] for r in range(mat.nrows) if all(x == 0 for x in H.rows[r])]
+        ker = [u for h, u in zip(H.rows, U.rows) if not any(h)]
         if not ker:
             return Matrix(ZZ, [], mat.nrows)
         K = hermite_normal_form(Matrix(ZZ, ker, mat.nrows))
-        rows = [r for r in K.rows if any(x != 0 for x in r)]
+        rows = [r for r in K.rows if any(r)]
         return Matrix(ZZ, rows, mat.nrows)
     ar = _arithmetic(mat.ring)
     n = mat.nrows
@@ -504,17 +505,46 @@ def _require_zz(mat, what):
         raise UnsupportedRingError("%s requires the integers, got %s" % (what, mat.ring.kind))
 
 
+def _int_rows(mat):
+    """The nonzero entries of each row of an integer matrix, as dicts."""
+    return [{j: x for j, x in enumerate(r) if x} for r in mat.rows]
+
+
+def _int_matrix(rows, size):
+    return Matrix(ZZ, [_dense(ZZ, r.items(), size) for r in rows], size)
+
+
+def _addmul(dst, q, src):
+    """dst += q * src on integer dict rows, in place; q is nonzero."""
+    for k, w in src.items():
+        s = dst.get(k, 0) + q * w
+        if s:
+            dst[k] = s
+        else:
+            del dst[k]
+
+
+def _combine(x, u, y, v):
+    """x * u + y * v as a new integer dict row."""
+    out = {k: x * w for k, w in u.items()} if x else {}
+    if y:
+        _addmul(out, y, v)
+    return out
+
+
 def hermite_normal_form(mat, with_transform=False):
     """Row Hermite normal form H with positive pivots, entries above
-    reduced into [0, pivot). Optionally also U (unimodular) with U*A = H."""
+    reduced into [0, pivot). Optionally also U (unimodular) with U*A = H.
+
+    Column by column, xgcd combinations clear the column below the first
+    row that has it, then the pivot reduces the entries above it."""
     _require_zz(mat, "hermite_normal_form")
     n, m = mat.nrows, mat.ncols
-    rows = [list(r) for r in mat.rows]
-    urows = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+    rows = _int_rows(mat)
+    tabs = (rows, [{i: 1} for i in range(n)]) if with_transform else (rows,)
     rank = 0
     for c in range(m):
-        # make all entries below `rank` in column c zero using xgcd combos
-        nz = [r for r in range(rank, n) if rows[r][c]]
+        nz = [r for r in range(rank, n) if c in rows[r]]
         if not nz:
             continue
         r0 = nz[0]
@@ -522,149 +552,155 @@ def hermite_normal_form(mat, with_transform=False):
             a, b = rows[r0][c], rows[r][c]
             g, x, y = xgcd(a, b)
             aa, bb = a // g, b // g
-            new0 = [x * u + y * v for u, v in zip(rows[r0], rows[r])]
-            newr = [bb * u - aa * v for u, v in zip(rows[r0], rows[r])]
-            rows[r0], rows[r] = new0, newr
-            nu0 = [x * u + y * v for u, v in zip(urows[r0], urows[r])]
-            nur = [bb * u - aa * v for u, v in zip(urows[r0], urows[r])]
-            urows[r0], urows[r] = nu0, nur
-        rows[rank], rows[r0] = rows[r0], rows[rank]
-        urows[rank], urows[r0] = urows[r0], urows[rank]
+            for tab in tabs:
+                u, v = tab[r0], tab[r]
+                if x != 1 or y:  # else the pivot divides b and row r0 stays
+                    tab[r0] = _combine(x, u, y, v)
+                tab[r] = _combine(bb, u, -aa, v)
+        for tab in tabs:
+            tab[rank], tab[r0] = tab[r0], tab[rank]
         if rows[rank][c] < 0:
-            rows[rank] = [-x for x in rows[rank]]
-            urows[rank] = [-x for x in urows[rank]]
+            for tab in tabs:
+                row = tab[rank]
+                for k in row:
+                    row[k] = -row[k]
         p = rows[rank][c]
         for r in range(rank):
-            q = rows[r][c] // p
+            q = rows[r].get(c, 0) // p
             if q:
-                rows[r] = [u - q * v for u, v in zip(rows[r], rows[rank])]
-                urows[r] = [u - q * v for u, v in zip(urows[r], urows[rank])]
+                for tab in tabs:
+                    _addmul(tab[r], -q, tab[rank])
         rank += 1
-    H = Matrix(ZZ, rows, m)
+    H = _int_matrix(rows, m)
     if with_transform:
-        return H, Matrix(ZZ, urows, n)
+        return H, _int_matrix(tabs[1], n)
     return H
 
 
-def _snf_core(mat, want_w_inv=False):
-    """Smith form D = U*A*W with diag divisibility chain, d_i >= 0."""
-    n, m = mat.nrows, mat.ncols
-    a = [list(r) for r in mat.rows]
-    U = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    W = [[1 if j == i else 0 for j in range(m)] for i in range(m)]
-    Winv = [[1 if j == i else 0 for j in range(m)] for i in range(m)] if want_w_inv else None
+def _snf_core(a, m):
+    """Smith form of the integer dict rows a (m columns), consumed in
+    place: (D, U, W, Winv) as dict rows, with D = U*A*W diagonal, a
+    divisibility chain with d_i >= 0.
+
+    Step t moves an entry of least magnitude of the trailing block to
+    (t, t), clears row and column t by division with remainder, swapping a
+    remainder in as the new pivot until both are clear, and adds a row
+    that the pivot does not divide into row t. The rows above t then hold
+    only their diagonal entry, so column operations need only visit the
+    rows from t on."""
+    n = len(a)
+    U = [{i: 1} for i in range(n)]
+    Wcols = [{i: 1} for i in range(m)]
+    Winv = [{i: 1} for i in range(m)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         U[i], U[j] = U[j], U[i]
 
     def addmul_row(i, j, q):  # row_i += q * row_j
-        a[i] = [u + q * v for u, v in zip(a[i], a[j])]
-        U[i] = [u + q * v for u, v in zip(U[i], U[j])]
-
-    def neg_row(i):
-        a[i] = [-u for u in a[i]]
-        U[i] = [-u for u in U[i]]
+        _addmul(a[i], q, a[j])
+        _addmul(U[i], q, U[j])
 
     def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in W:
-            row[i], row[j] = row[j], row[i]
-        if Winv is not None:
-            Winv[i], Winv[j] = Winv[j], Winv[i]
+        for r in range(t, n):
+            row = a[r]
+            x, y = row.pop(i, 0), row.pop(j, 0)
+            if x:
+                row[j] = x
+            if y:
+                row[i] = y
+        Wcols[i], Wcols[j] = Wcols[j], Wcols[i]
+        Winv[i], Winv[j] = Winv[j], Winv[i]
 
     def addmul_col(i, j, q):  # col_i += q * col_j ; Winv row_j -= q * row_i
-        for row in a:
-            row[i] += q * row[j]
-        for row in W:
-            row[i] += q * row[j]
-        if Winv is not None:
-            Winv[j] = [u - q * v for u, v in zip(Winv[j], Winv[i])]
+        for r in range(t, n):
+            row = a[r]
+            y = row.get(j)
+            if y:
+                s = row.get(i, 0) + q * y
+                if s:
+                    row[i] = s
+                else:
+                    del row[i]
+        _addmul(Wcols[i], q, Wcols[j])
+        _addmul(Winv[j], -q, Winv[i])
 
     t = 0
-    bound = min(n, m)
-    while t < bound:
-        # locate the nonzero entry of least magnitude in the trailing block
+    while t < min(n, m):
+        # the nonzero entry of least magnitude in the trailing block, the
+        # first in row-major order among equals
         piv = None
-        pivabs = 0
         for i in range(t, n):
-            row = a[i]
-            for j in range(t, m):
-                v = row[j]
-                if v:
-                    av = -v if v < 0 else v
-                    if piv is None or av < pivabs:
-                        piv, pivabs = (i, j), av
-                        if av == 1:
-                            break
-            if piv is not None and pivabs == 1:
-                break
+            if a[i]:
+                av, j = min((abs(v), j) for j, v in a[i].items())
+                if piv is None or av < piv[0]:
+                    piv = (av, i, j)
+                    if av == 1:
+                        break
         if piv is None:
             break
-        if piv[0] != t:
-            swap_rows(t, piv[0])
         if piv[1] != t:
-            swap_cols(t, piv[1])
-        while True:
-            # clear column t
+            swap_rows(t, piv[1])
+        if piv[2] != t:
+            swap_cols(t, piv[2])
+        dirty = True
+        while dirty:
             dirty = False
+            # clear column t
             for i in range(t + 1, n):
-                v = a[i][t]
+                v = a[i].get(t)
                 if v:
                     q = v // a[t][t]
-                    addmul_row(i, t, -q)
-                    if a[i][t]:
+                    if q:
+                        addmul_row(i, t, -q)
+                    if t in a[i]:
                         swap_rows(t, i)
                         dirty = True
             if dirty:
                 continue
-            # clear row t
-            for j in range(t + 1, m):
-                v = a[t][j]
-                if v:
-                    q = v // a[t][t]
+            # clear row t; each step changes only columns t and j
+            for j in sorted(k for k in a[t] if k > t):
+                q = a[t][j] // a[t][t]
+                if q:
                     addmul_col(j, t, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            break
+                if j in a[t]:
+                    swap_cols(t, j)
+                    dirty = True
         if a[t][t] < 0:
-            neg_row(t)
+            for row in (a[t], U[t]):
+                for k in row:
+                    row[k] = -row[k]
         # enforce the divisibility chain
         d = a[t][t]
         culprit = None
-        for i in range(t + 1, n):
-            for j in range(t + 1, m):
-                if a[i][j] % d:
-                    culprit = i
-                    break
-            if culprit is not None:
-                break
+        if d > 1:
+            culprit = next((i for i in range(t + 1, n) if any(v % d for v in a[i].values())), None)
         if culprit is not None:
             addmul_row(t, culprit, 1)
             continue
         t += 1
-    D = Matrix(ZZ, a, m)
-    if want_w_inv:
-        return D, Matrix(ZZ, U, n), Matrix(ZZ, W, m), Matrix(ZZ, Winv, m)
-    return D, Matrix(ZZ, U, n), Matrix(ZZ, W, m)
+    W = [{} for _ in range(m)]
+    for i, col in enumerate(Wcols):
+        for r, x in col.items():
+            W[r][i] = x
+    return a, U, W, Winv
 
 
 def smith_normal_form(mat):
-    """Return (D, U, W) with U*A*W = D, verified by multiplication.
+    """Return dense (D, U, W) with U*A*W = D, verified by multiplication.
 
-    Diagonal entries are nonnegative and form a divisibility chain. The
-    input is Hermite-reduced first: the HNF's modular reduction keeps the
-    entries small, where diagonalizing raw relation matrices directly can
-    blow up the intermediate integers by many orders of magnitude.
+    Diagonal entries are nonnegative and form a divisibility chain, which
+    is checked too. The input is Hermite-reduced first: the HNF's modular
+    reduction keeps the entries small, where diagonalizing raw relation
+    matrices directly can blow up the intermediate integers by many orders
+    of magnitude. Both forms work on sparse rows inside.
     """
     _require_zz(mat, "smith_normal_form")
     H, U1 = hermite_normal_form(mat, with_transform=True)
-    D, U2, W = _snf_core(H)
-    U = U2.mul(U1)
+    m = mat.ncols
+    a, U2, W, _Winv = _snf_core(_int_rows(H), m)
+    D, W = _int_matrix(a, m), _int_matrix(W, m)
+    U = _int_matrix(U2, mat.nrows).mul(U1)
     if U.mul(mat).mul(W) != D:
         raise InternalInvariantError("Smith form transform check failed")
     diag = [D.rows[i][i] for i in range(min(D.nrows, D.ncols))]
@@ -817,13 +853,14 @@ class FPModule:
             # Hermite-reduce first: same row lattice, so the same quotient,
             # but with entries the diagonalization can digest
             hnf = hermite_normal_form(self.relations)
-            reduced = Matrix(ZZ, [list(r) for r in hnf.rows if any(r)], self.ngens)
-            D, _U, W, Winv = _snf_core(reduced, want_w_inv=True)
-            diag = [D.rows[i][i] for i in range(min(D.nrows, D.ncols))]
+            a, _U, W, Winv = _snf_core([r for r in _int_rows(hnf) if r], self.ngens)
+            diag = [a[i].get(i, 0) for i in range(min(len(a), self.ngens))]
             diag += [0] * (self.ngens - len(diag))
             self._diag = diag
-            self._W = W
-            self._Winv = Winv
+            # the rows of W without the columns of unit invariant factors,
+            # where every coordinate is zero
+            self._W = [{i: x for i, x in r.items() if diag[i] != 1} for r in W]
+            self._Winv = _int_matrix(Winv, self.ngens)
         else:
             ar = _arithmetic(self.ring)
             piv, _ = _reduced(ar, _load(ar, self.relations.rows)[0])
@@ -874,7 +911,11 @@ class FPModule:
             raise ShapeError("reduce: length mismatch")
         self._normalize()
         if isinstance(self.ring, IntegerRing):
-            y = self._W.act_on_row(list(vec))
+            y = [0] * self.ngens
+            for v, row in zip(vec, self._W):
+                if v:
+                    for i, x in row.items():
+                        y[i] += v * x
             return tuple(v % d if d else v for v, d in zip(y, self._diag))
         field = self.ring
         if isinstance(field, RationalField):
@@ -988,16 +1029,16 @@ class FPMap:
             stacked = self.ambient.stack(self.dst.relations)
             K = left_kernel(stacked)
             pre = [row[: self.src.ngens] for row in K.rows]
-            pre = [r for r in pre if any(x != 0 for x in r)]
+            pre = [r for r in pre if any(r)]
             if pre:
                 Hpre = hermite_normal_form(Matrix(ZZ, pre, self.src.ngens))
-                pre = [r for r in Hpre.rows if any(x != 0 for x in r)]
+                pre = [r for r in Hpre.rows if any(r)]
             gens = Matrix(ZZ, pre, self.src.ngens)
             if gens.nrows:
                 stacked2 = gens.stack(self.src.relations)
                 K2 = left_kernel(stacked2)
                 relrows = [row[: gens.nrows] for row in K2.rows]
-                rel = Matrix(ZZ, [r for r in relrows if any(x != 0 for x in r)], gens.nrows)
+                rel = Matrix(ZZ, [r for r in relrows if any(r)], gens.nrows)
             else:
                 rel = Matrix(ZZ, [], 0)
             return FPModule(ZZ, gens.nrows, rel), gens

@@ -446,6 +446,50 @@ def dense_solve(rows, vec, F):
     return coeffs
 
 
+def dense_hnf(rows, ncols):
+    """Row Hermite normal form of an integer matrix, zero rows last, by
+    Euclid on whole rows: down each column, reduce every other entry below
+    the current row modulo the one of least magnitude until one is left,
+    make it positive, then bring the entries above it into [0, pivot)."""
+    A = [list(r) for r in rows]
+    top = 0
+    for c in range(ncols):
+        while True:
+            nz = [i for i in range(top, len(A)) if A[i][c]]
+            if len(nz) <= 1:
+                break
+            k = min(nz, key=lambda i: abs(A[i][c]))
+            for i in nz:
+                if i != k:
+                    q = A[i][c] // A[k][c]
+                    A[i] = [x - q * y for x, y in zip(A[i], A[k])]
+        if not nz:
+            continue
+        A[top], A[nz[0]] = A[nz[0]], A[top]
+        if A[top][c] < 0:
+            A[top] = [-x for x in A[top]]
+        for i in range(top):
+            q = A[i][c] // A[top][c]
+            A[i] = [x - q * y for x, y in zip(A[i], A[top])]
+        top += 1
+    return A
+
+
+def in_row_lattice(rows, ncols, vec):
+    """Whether vec is an integer combination of rows: reduce it down the
+    pivots of their Hermite form (dense_hnf) and see if nothing is left."""
+    v = list(vec)
+    for row in dense_hnf(rows, ncols):
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None:
+            break
+        q, rem = divmod(v[c], row[c])
+        if rem:
+            return False
+        v = [x - q * y for x, y in zip(v, row)]
+    return not any(v)
+
+
 def dense_product(A, B, ncols, F):
     """Rows of A * B by the textbook triple loop over a ring given by its
     operations, every term summed from F.zero; B has one row per column of

@@ -166,6 +166,46 @@ def test_integral_presentations_share_rank_and_small_torsion(N, k):
         assert _torsion_primes(pres.invariants()) <= {2, 3}
 
 
+# group, level or n, weight: the criterion-2 sweep of gamma0 at k = 2 and
+# 4, and the one-coset groups, where n = 4 carries Z/2 torsion
+UNIVERSAL_COEFFICIENT_CASES = (
+    [("gamma0", N, 2) for N in range(1, 31)]
+    + [("gamma0", N, 4) for N in range(1, 12)]
+    + [("level_one", 4, 2), ("level_one", 5, 2)]
+)
+
+
+@pytest.mark.parametrize("group,N,k", UNIVERSAL_COEFFICIENT_CASES)
+def test_universal_coefficients_link_z_and_fp(group, N, k):
+    # (Z^n / R) (x) F_p = F_p^n / (R mod p) has dimension r + #{d : p | d}
+    # for free rank r and invariant factors d: the Smith form over Z against
+    # the sparse core over F_p. Built over F_p from scratch, the Manin
+    # relations are the reduced integral ones. H^1 mod p also gains the
+    # p-torsion of H^2, and the surface quotient divides by the vectors
+    # fixed mod p, which can be more than the reduced fixed lattice.
+    cosets = gamma0_cosets(N) if group == "gamma0" else level_one(N)
+    presentations = {
+        "manin": lambda module: ManinSymbolSpace(module).presentation,
+        "h1": h1,
+        "surface": surface_h1,
+    }
+    integral = induced(cosets, ZZ, k)
+    for name, present in presentations.items():
+        pres = present(integral)
+        for p in (2, 3, 5, 7):
+            want = pres.rank() + sum(1 for d in pres.torsion() if d % p == 0)
+            F = GF(p)
+            rel = Matrix(F, [[x % p for x in r] for r in pres.relations.rows], pres.ngens)
+            assert FPModule(F, pres.ngens, rel).dim() == want, (name, p)
+            got = present(induced(cosets, F, k)).dim()
+            if name == "manin":
+                assert got == want, p
+            elif name == "h1":
+                assert got >= want, p
+            else:
+                assert got <= want, p
+
+
 @pytest.mark.parametrize(
     "group,ring,k",
     [

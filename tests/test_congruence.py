@@ -6,7 +6,6 @@ import pytest
 from heckesym.congruence import (
     CongruenceCosets,
     apply_moebius,
-    cd_pair_list,
     continued_fraction_path,
     convergent_segments,
     diamond_matrix,
@@ -14,7 +13,6 @@ from heckesym.congruence import (
     gamma1_cosets,
     hecke_representatives,
     lift_to_sl2,
-    p1_list,
     segment_endpoints,
 )
 from heckesym.rings import ZZ
@@ -40,13 +38,13 @@ TAU = tau_matrix(ZZ, 1)
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 6, 8, 11, 12, 15, 20, 24, 25])
 def test_p1_size_matches_brute_force(N):
-    assert len(p1_list(N)) == oracles.projective_line_size(N)
+    assert len(gamma0_cosets(N).labels) == oracles.projective_line_size(N)
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 6, 9, 10, 12])
 def test_p1_reps_are_orbit_minima(N):
     orbits = {frozenset(o): min(o) for o in oracles.brute_p1_classes(N)}
-    assert sorted(orbits.values()) == p1_list(N)
+    assert sorted(orbits.values()) == gamma0_cosets(N).labels
 
 
 def test_coset_of_is_constant_on_orbits():
@@ -60,12 +58,12 @@ def test_coset_of_is_constant_on_orbits():
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 7, 8, 12, 16])
 def test_cd_pairs_match_their_definition(N):
-    assert len(cd_pair_list(N)) == oracles.gamma1_pair_count(N)
+    assert len(gamma1_cosets(N).labels) == oracles.gamma1_pair_count(N)
 
 
 def test_cd_pairs_equal_p1_for_small_levels():
     for N in (1, 2):
-        assert cd_pair_list(N) == p1_list(N)
+        assert gamma1_cosets(N).labels == gamma0_cosets(N).labels
 
 
 # -- lifts -------------------------------------------------------------------
@@ -80,7 +78,7 @@ def test_lift_golden_values():
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 8, 11, 12, 18, 24, 30])
 def test_lift_properties(N):
-    for c, d in p1_list(N):
+    for c, d in gamma0_cosets(N).labels:
         M = lift_to_sl2(c, d, N)
         assert mat2_det(ZZ, M) == 1
         assert (M[2] - c) % N == 0 and (M[3] - d) % N == 0
@@ -137,7 +135,7 @@ def test_gamma0_11_shape():
 
 def test_gamma1_4_has_six_cosets():
     # six (c,d) pairs mod +-1 at level 4; the classical index formula agrees
-    assert len(cd_pair_list(4)) == 6
+    assert len(gamma1_cosets(4).labels) == 6
     assert oracles.gamma_invariants(4, "gamma1")[0] == 6
 
 

@@ -521,8 +521,10 @@ def test_qexpansion_rejects_silly_bound():
 def test_hecke_data_matches_the_recorded_digests():
     # scripts/hecke_digests.py hashes the reprs (entry types included) of
     # T_p on generators and on the cuspidal subspace, the gamma1 diamonds
-    # and the eigenblocks; the data file holds a run before the Q matrices
-    # moved to integer numerators, and every later run must reproduce it
+    # and the eigenblocks, and over Z the normal forms and kernels behind
+    # the presentations; the data file holds runs from before the Q
+    # matrices moved to integer numerators and before the integer forms
+    # moved to sparse rows, and every later run must reproduce them
     import importlib.util
     import json
     from pathlib import Path

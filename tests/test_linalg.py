@@ -21,6 +21,8 @@ from heckesym.linalg import (
     matrix_rank,
     rref,
     smith_normal_form,
+    _int_rows,
+    _snf_core,
 )
 
 import oracles
@@ -38,8 +40,36 @@ def int_matrix(max_n=5, max_m=5):
     )
 
 
+@st.composite
+def sparse_int_matrix(draw, max_n=8, max_m=8):
+    """(rows, ncols): integer matrices of 0..8 rows and columns with 70-90%
+    zero entries, the shape of the relation matrices, so zero rows and
+    zero columns are common; nonzero entries lie in [-7, 7]."""
+    n, m = draw(st.integers(0, max_n)), draw(st.integers(0, max_m))
+    zero_tenths = draw(st.integers(7, 9))
+    cell = st.tuples(st.integers(0, 9), st.integers(-7, 7).filter(bool))
+    cells = draw(st.lists(st.lists(cell, min_size=m, max_size=m), min_size=n, max_size=n))
+    return [[x if u >= zero_tenths else 0 for u, x in row] for row in cells], m
+
+
 def as_zz(rows):
     return Matrix(ZZ, rows)
+
+
+def assert_hermite_shape(H):
+    """Staircase with positive pivots, entries above each pivot in
+    [0, pivot), zero rows last."""
+    lastcol = -1
+    for r, row in enumerate(H.rows):
+        nz = [j for j, x in enumerate(row) if x]
+        if not nz:
+            assert not any(x for later in H.rows[r:] for x in later)
+            break
+        c = nz[0]
+        assert c > lastcol
+        assert row[c] > 0
+        assert all(0 <= above[c] < row[c] for above in H.rows[:r])
+        lastcol = c
 
 
 # -- echelon / kernels -------------------------------------------------------
@@ -352,16 +382,51 @@ def test_hermite_form_properties(rows):
     H, U = hermite_normal_form(A, with_transform=True)
     assert U.mul(A) == H
     assert abs(sympy.Matrix([r for r in U.rows]).det()) == 1
-    # staircase with positive pivots, entries above reduced
-    lastcol = -1
-    for r in H.rows:
-        nz = [j for j, x in enumerate(r) if x]
-        if not nz:
-            continue
-        c = nz[0]
-        assert c > lastcol
-        assert r[c] > 0
-        lastcol = c
+    assert_hermite_shape(H)
+
+
+@settings(max_examples=150)
+@given(sparse_int_matrix())
+def test_sparse_hermite_form_matches_the_textbook_oracle(case):
+    rows, m = case
+    A = Matrix(ZZ, rows, m)
+    H, U = hermite_normal_form(A, with_transform=True)
+    assert H.rows == oracles.dense_hnf(rows, m)
+    assert hermite_normal_form(A) == H
+    assert U.mul(A) == H
+    assert abs(sympy.Matrix(len(rows), len(rows), [x for r in U.rows for x in r]).det()) == 1
+    assert_hermite_shape(H)
+
+
+@settings(max_examples=150)
+@given(sparse_int_matrix())
+def test_sparse_smith_core_transforms(case):
+    rows, m = case
+    n = len(rows)
+    D, U, W, Winv = (
+        Matrix(ZZ, [[r.get(j, 0) for j in range(size)] for r in part], size)
+        for part, size in zip(_snf_core(_int_rows(Matrix(ZZ, rows, m)), m), (m, n, m, m))
+    )
+    assert W.mul(Winv) == Matrix.identity(ZZ, m)
+    assert U.mul(Matrix(ZZ, rows, m)).mul(W) == D
+    diag = [D.rows[i][i] for i in range(min(n, m))]
+    assert all(x == 0 for i, r in enumerate(D.rows) for j, x in enumerate(r) if i != j)
+    assert all(d >= 0 for d in diag)
+    assert all(y == 0 or (x and y % x == 0) for x, y in zip(diag, diag[1:]))
+
+
+@settings(max_examples=100)
+@given(sparse_int_matrix(), st.lists(st.integers(-9, 9), min_size=8, max_size=8))
+def test_integral_reduce_kills_relations_and_lifts_within_the_lattice(case, data):
+    rows, m = case
+    mod = FPModule(ZZ, m, Matrix(ZZ, rows, m))
+    for r in rows:
+        assert not any(mod.reduce(r))
+    v = data[:m]
+    coords = mod.reduce(v)
+    back = mod.coords_to_ambient(coords)
+    assert mod.reduce(back) == coords
+    assert oracles.in_row_lattice(rows, m, [x - y for x, y in zip(back, v)])
 
 
 @settings(max_examples=60)
