@@ -18,6 +18,12 @@ behind the answers instead:
   - the integer kernels of the two norm matrices;
   - the kernel of the boundary map (generators and relations);
   - the kernel of the map onto surface cohomology (comparison_report).
+For each space over Q(2cos(pi/n)) it hashes the extension arithmetic:
+  - the right action, difference and norm matrices of the generators;
+  - the presentation: free generators and the coordinates of the unit
+    vectors;
+  - comparison_report: kernel generators, local span and verdict;
+  - the six-term exact sequence (mayer_vietoris).
 Arithmetic changes that must not change any answer are checked against
 these digests (tests/data/hecke_digests.json holds a recorded run).
 
@@ -29,11 +35,12 @@ Usage:
 import argparse
 import hashlib
 import json
+import os
 from math import gcd
 
 from heckesym.congruence import gamma0_cosets, gamma1_cosets
 from heckesym.hecke import diamond_operator, eigensystem, hecke_matrix, restrict_operator
-from heckesym.cohomology import comparison_report
+from heckesym.cohomology import comparison_report, mayer_vietoris
 from heckesym.linalg import Matrix, hermite_normal_form, smith_normal_form
 from heckesym.modsym import (
     PermCosets,
@@ -43,9 +50,13 @@ from heckesym.modsym import (
     weight_module_for,
 )
 from heckesym.rings import GF, QQ, ZZ
-from heckesym.triangle import TriangleSubgroup
+from heckesym.triangle import TriangleSubgroup, rational_lambda_ring
 
 PRIMES = (2, 3, 5, 7)
+SUBGROUPS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench", "data", "subgroups.json")
+# the ring Q(2cos(pi/n)) of the group's signature n
+LAMBDA = "lambda"
 
 
 def one_coset(n):
@@ -53,8 +64,15 @@ def one_coset(n):
     return PermCosets(TriangleSubgroup.level_one(n))
 
 
-# name -> (coset builder, level, weight, ring); a one-coset group is
-# built from its n
+def listed_subgroup(name):
+    """The coset table of a subgroup listed in the benchmark's data."""
+    with open(SUBGROUPS) as fh:
+        g = json.load(fh)[name]
+    return PermCosets(TriangleSubgroup(g["n"], g["s"], g["t"]))
+
+
+# name -> (coset builder, its argument, weight, ring); a one-coset group is
+# built from its n, a listed subgroup from its name
 SPACES = {
     "gamma0-11-k2": (gamma0_cosets, 11, 2, QQ),
     "gamma0-30-k2": (gamma0_cosets, 30, 2, QQ),
@@ -68,6 +86,10 @@ SPACES = {
     "gamma0-11-k4-z": (gamma0_cosets, 11, 4, ZZ),
     "delta4-k2-z": (one_coset, 4, 2, ZZ),
 }
+SPACES.update({"delta%d-k%d-lambda" % (n, k): (one_coset, n, k, LAMBDA)
+               for n in (4, 5, 6, 7) for k in (4, 6)})
+SPACES.update({"%s-k%d-lambda" % (g, k): (listed_subgroup, g, k, LAMBDA)
+               for g in ("n5-mu08-a", "n6-mu08-a") for k in (4, 6)})
 
 
 def digest(obj):
@@ -98,9 +120,26 @@ def integral_digests(space):
     }
 
 
+def lambda_digests(space):
+    module, pres = space.module, space.presentation
+    units = Matrix.identity(module.ring, pres.ngens).rows
+    report = comparison_report(space)
+    return {
+        "right matrices": digest([matrix_key(module.right_matrix(x)) for x in "stT"]),
+        "difference matrices": digest([matrix_key(module.right_difference(x)) for x in "stT"]),
+        "norm matrices": digest([matrix_key(module.norm_matrix(x)) for x in "st"]),
+        "presentation": digest((pres.free_generators(), [pres.reduce(e) for e in units])),
+        "comparison": digest((matrix_key(report.kernel_gens), report.local_span, report.verdict)),
+        "mayer_vietoris": digest(mayer_vietoris(module)),
+    }
+
+
 def space_digests(name):
     build, N, k, ring = SPACES[name]
     cosets = build(N)
+    if ring is LAMBDA:
+        lam_ring = rational_lambda_ring(cosets.n)[0]
+        return lambda_digests(manin_space(cosets, weight_module_for(cosets, lam_ring, k)))
     space = manin_space(cosets, weight_module_for(cosets, ring, k))
     if ring is ZZ:
         return integral_digests(space)

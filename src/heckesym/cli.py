@@ -13,7 +13,8 @@ file (perm-file:PATH). Rings are the rationals (q), the integers (z), a
 prime field (fp:P), or the rational extension by 2cos(pi/n) (lambda).
 
 Exit codes: 0 success, 2 usage errors, 3 for mathematically unsupported
-combinations, 4 when an internal consistency check fails. JSON output
+combinations, 4 when an internal consistency check fails (the message
+names the check, the group, the weight and the ring). JSON output
 renders ring elements as decimal strings so exact values survive parsing.
 """
 
@@ -342,7 +343,8 @@ def main(argv=None):
         print("unsupported: %s" % exc, file=sys.stderr)
         return 3
     except (InternalInvariantError, IllDefinedMapError) as exc:
-        print("internal invariant violated: %s" % exc, file=sys.stderr)
+        print("internal invariant violated: %s (group %s, weight %d, ring %s)"
+              % (exc, args.group.label(), args.weight, _ring_label(args.ring)), file=sys.stderr)
         return 4
     full = {
         "schema_version": "1",

@@ -4,10 +4,13 @@ Matrices are dense lists of rows at every interface. Inside, echelon
 forms, ranks and kernels over a field run on one sparse elimination core
 that keeps only the nonzero entries of each row, because the relation
 matrices here (norms, differences and translations of block-permutation
-actions) are a few percent nonzero. The core has three arithmetic
+actions) are a few percent nonzero. The core has four arithmetic
 flavours: over Q (and Z read over Q) primitive integer rows with gcd
 normalization, which is exact and faster than Fraction arithmetic; over
-F_p residues; over any other field, such as Q(2cos(pi/n)), the ring
+an extension of Q by a root of an integral monic polynomial, such as
+Q(2cos(pi/n)), the same on rows of integer coefficient tuples whose
+pivots are made rational integers; over F_p residues; over any other
+field (extensions of F_p, or of Q by a non-integral polynomial) the ring
 operations. Ranks take forward elimination alone. The integer Hermite and
 Smith forms run on the same {column: value} rows with integer entries, and
 the Z branch of FPModule keeps its Smith transform in that form.
@@ -15,11 +18,13 @@ the Z branch of FPModule keeps its Smith transform in that form.
 Dense products share one kernel, Matrix.act_on_row, the only place a
 matrix dispatches on the ring: a product pushes each row of the left
 factor through it, and the elementwise operations call the ring's own.
-Over Q it runs on integers: a matrix keeps its integer form (numerators
-over one common denominator), built on its first product or given by
-Matrix.from_integers, a vector has its denominators cleared, and each
-output entry becomes a Fraction once; the rows stay Fractions. The pivot
-rows of FPModule.reduce and RowBasis.express over Q take the same form.
+Over Q and over every quotient extension it runs on integers: a matrix
+keeps its integer form (numerators over one common denominator; over an
+extension of degree k, its k coefficient slices side by side), built on
+its first product or given by Matrix.from_integers, a vector has its
+denominators cleared, and each output coefficient becomes a ring element
+once; the rows stay ring elements. The pivot rows of FPModule.reduce and
+RowBasis.express over Q and Q(2cos(pi/n)) take the same form.
 
 Everything is sequential and deterministic, and the normal forms are
 canonical: leading-one reduced echelon form over fields, nonnegative
@@ -32,6 +37,7 @@ right multiplication, so the matrix of "f then g" is M_f * M_g.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add as _add, mul as _mul, sub as _sub
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
@@ -58,8 +64,9 @@ class NotInSpanError(ValueError):
 
 class Matrix:
     """A dense matrix: a list of rows of ring elements. The rows must not
-    be mutated after construction, since over Q the matrix keeps their
-    integer form (integer_form) for products; build a new matrix instead."""
+    be mutated after construction, since over Q and the quotient extensions
+    the matrix keeps their integer form (integer_form) for products; build
+    a new matrix instead."""
 
     __slots__ = ("ring", "nrows", "ncols", "rows", "_integer_form")
 
@@ -85,22 +92,35 @@ class Matrix:
         return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
 
     @classmethod
-    def from_integers(cls, rows):
-        """The matrix over Q of nonempty integer rows, with its integer form
-        (the rows themselves, denominator one) already in place."""
-        ints = Matrix(ZZ, rows)
-        mat = cls(QQ, [QQ.from_numerators(r) for r in ints.rows], ints.ncols)
-        mat._integer_form = (ints, 1)
+    def from_integers(cls, rows, ring=QQ):
+        """The matrix over Q, or over an extension of Q, of nonempty rows of
+        integers (integer coefficient tuples over an extension), with its
+        integer form (denominator one) already in place."""
+        if isinstance(ring, QuotientExtension):
+            entries = [[tuple(QQ.from_numerators(x)) for x in r] for r in rows]
+            rows = _slices(rows, ring.degree)
+        else:
+            entries = [QQ.from_numerators(r) for r in rows]
+        mat = cls(ring, entries)
+        mat._integer_form = (Matrix(ZZ, rows), 1)
         return mat
 
     def integer_form(self):
         """(Z matrix of numerators, d) with self == numerators / d, d the
-        least common denominator; over Q only, built once and kept."""
+        least common denominator; built once and kept. Over Q the numerators
+        have the shape of self. Over an extension of degree k they are its
+        coefficient slices side by side: column j * ncols + c holds the
+        coefficient of x^j in column c, so the matrix is k * ncols wide; over
+        Z and F_p bases d is 1."""
         form = self._integer_form
         if form is None:
-            d = lcm(*{x.denominator for r in self.rows for x in r})
-            nums = [[x.numerator * (d // x.denominator) for x in r] for r in self.rows]
-            form = self._integer_form = (Matrix(ZZ, nums, self.ncols), d)
+            rows = self.rows
+            if isinstance(self.ring, QuotientExtension):
+                rows = _slices(rows, self.ring.degree)
+            d = lcm(*{x.denominator for r in rows for x in r})
+            nums = [[x.numerator * (d // x.denominator) for x in r] for r in rows]
+            width = self.ncols * getattr(self.ring, "degree", 1)
+            form = self._integer_form = (Matrix(ZZ, nums, width), d)
         return form
 
     # -- basics ----------------------------------------------------------
@@ -159,7 +179,15 @@ class Matrix:
     def act_on_row(self, vec):
         """vec * self for a plain list vec: the product kernel and the hot
         loop of the Hecke row builder. It skips the zero entries of vec and
-        runs on native ints and residues, over Q on integer forms."""
+        runs on native ints and residues; over Q and over the extensions it
+        runs on the integer form.
+
+        Over an extension of degree k, the integer slice i of vec (the
+        coefficients of x^i, denominators cleared) goes through the integer
+        form, whose slice j lands in the accumulator of x^(i+j); the
+        accumulators are reduced by the minimal polynomial once per output
+        entry (its denominator cleared as it goes), then turned into ring
+        elements."""
         if len(vec) != self.nrows:
             raise ShapeError("act_on_row: length mismatch")
         ring = self.ring
@@ -168,12 +196,35 @@ class Matrix:
             ivec, dv = _numerators(vec)
             return ring.from_numerators(nums.act_on_row(ivec), d * dv)
         if isinstance(ring, QuotientExtension):
-            add, mul = ring.add, ring.mul
-            out = [ring.zero] * self.ncols
-            for v, row in zip(vec, self.rows):
-                if not ring.is_zero(v):
-                    out = [add(o, mul(v, a)) for o, a in zip(out, row)]
-            return out
+            nums, d = self.integer_form()
+            k, n = ring.degree, self.ncols
+            ivec, dv = _numerators([x for v in vec for x in v])
+            acc = [None] * (2 * k - 1)
+            for i in range(k):
+                s = ivec[i::k]
+                if any(s):
+                    out = nums.act_on_row(s)
+                    for j in range(k):
+                        part, cur = out[j * n:(j + 1) * n], acc[i + j]
+                        acc[i + j] = part if cur is None else [a + b for a, b in zip(cur, part)]
+            zero = [0] * n
+            acc = [zero if a is None else a for a in acc]
+            m, D = ring.integer_minpoly
+            for top in range(2 * k - 2, k - 1, -1):
+                c = acc[top]
+                if D != 1:
+                    acc[:top] = [[D * a for a in low] for low in acc[:top]]
+                for j in range(k):
+                    if m[j]:
+                        acc[top - k + j] = [a - m[j] * x for a, x in zip(acc[top - k + j], c)]
+            base = ring.base
+            if isinstance(base, RationalField):
+                den = d * dv * D ** (k - 1)
+                return list(zip(*(base.from_numerators(a, den) for a in acc[:k])))
+            if isinstance(base, PrimeField):
+                p = base.p
+                return list(zip(*([a % p for a in low] for low in acc[:k])))
+            return list(zip(*acc[:k]))
         out = [0] * self.ncols
         for v, row in zip(vec, self.rows):
             if v:
@@ -186,6 +237,12 @@ class Matrix:
     def _same_shape(self, other):
         if other.nrows != self.nrows or other.ncols != self.ncols:
             raise ShapeError("shape mismatch")
+
+
+def _slices(rows, k):
+    """Rows of degree-k extension elements as their coefficient slices side
+    by side: the coefficients of x^0 of the row, then those of x^1, ..."""
+    return [[x[j] for j in range(k) for x in r] for r in rows]
 
 
 def _numerators(vec):
@@ -204,6 +261,20 @@ def _integral(rows):
     return [{j: x.numerator * (d // x.denominator) for j, x in r.items()} for r in rows], d
 
 
+def _tuple_numerators(vec, k):
+    """(integer tuples, d) with vec == tuples / d for a list of degree-k
+    extension elements over Q, d the least common denominator."""
+    nums, d = _numerators([x for v in vec for x in v])
+    return list(zip(*(nums[i::k] for i in range(k)))), d
+
+
+def _tuple_integral(rows):
+    """_integral for {index: extension element} dicts: integer tuples."""
+    d = lcm(*{x.denominator for r in rows for v in r.values() for x in v})
+    return [{j: tuple([x.numerator * (d // x.denominator) for x in v]) for j, v in r.items()}
+            for r in rows], d
+
+
 # ---------------------------------------------------------------------------
 # sparse elimination core
 # ---------------------------------------------------------------------------
@@ -215,13 +286,14 @@ def _integral(rows):
 # at the leftmost entry of its row, so subtracting a pivot row only adds
 # columns to the right of the one it clears. The reduced echelon form then
 # takes one back-substitution pass over the pivots, right to left. The
-# three arithmetic flavours below supply loading, the row operation, pivot
+# four arithmetic flavours below supply loading, the row operation, pivot
 # normalization and dense output.
 
 
 class _Field:
     """Any field, through its ring operations: pivots scaled to one. This
-    flavour serves the quotient extensions; the two below are faster."""
+    flavour serves the extensions of F_p and those of Q by a non-integral
+    minimal polynomial; the three below are faster."""
 
     def __init__(self, ring):
         self.ring = ring
@@ -261,7 +333,8 @@ class _Field:
     @staticmethod
     def entries(row, p=1, scales=None):
         """(index, value) pairs of a reduced row or a transform row, as
-        field elements; p and scales only matter over Q."""
+        field elements; the pivot entry p and the load scales matter only
+        to the integer flavours."""
         return list(row.items())
 
 
@@ -359,6 +432,136 @@ class _Rationals(_Field):
         ]
 
 
+class _IntegralExtension(_Field):
+    """Q[x]/(m) for an integral m, such as Q(2cos(pi/n)): rows of primitive
+    integer coefficient tuples, held up to a rational scale like the rows
+    of _Rationals, with every pivot a positive rational integer.
+
+    A pivot p becomes one when its row is multiplied by the adjugate
+    N(p)/p, which has integer coefficients because m is integral (it is
+    row 0 of the adjugate of the integer matrix of p, and p times it is the
+    norm N(p)); elimination against a pivot P cross-multiplies by P/g and
+    v/g, g = gcd(P, v), and both then remove their integer content."""
+
+    def __init__(self, ring):
+        super().__init__(ring)
+        self.degree = k = ring.degree
+        self.one = (1,) + (0,) * (k - 1)
+        self.minpoly = ring.integer_minpoly[0]
+
+    @staticmethod
+    def sparse(row):
+        return {j: x for j, x in enumerate(row) if any(x)}
+
+    def load(self, row):
+        nums, d = _tuple_numerators(row.values(), self.degree)
+        g = gcd(*(x for v in nums for x in v))
+        if g > 1:
+            nums = [tuple([x // g for x in v]) for v in nums]
+        return dict(zip(row, nums)), Fraction(d, g or 1)
+
+    def _mul_rows(self, b):
+        """The integer matrix of multiplication by b: row i is b * x^i."""
+        m = self.minpoly
+        rows = [b]
+        for _ in range(self.degree - 1):
+            # the last row times x, with x^k reduced by the minimal polynomial
+            r = rows[-1]
+            top = r[-1]
+            rows.append(tuple([-top * m[0]] + [r[i - 1] - top * m[i] for i in range(1, len(r))]))
+        return rows
+
+    def times(self, b):
+        """The function y -> b * y on integer coefficient tuples."""
+        cols = list(zip(*self._mul_rows(b)))
+        return lambda y: tuple([sum(map(_mul, y, col)) for col in cols])
+
+    def eliminate(self, row, t, prow, pt, c):
+        p, v = prow[c][0], row[c]
+        g = gcd(p, *v)
+        a = p // g
+        bx = self.times(tuple(x // g for x in v))
+        pairs = ((row, prow),) if t is None else ((row, prow), (t, pt))
+        for dst, src in pairs:
+            if a != 1:
+                for j, x in dst.items():
+                    dst[j] = tuple([a * u for u in x])
+            for j, x in src.items():
+                w = bx(x)
+                cur = dst.get(j)
+                y = _neg(w) if cur is None else tuple([u - z for u, z in zip(cur, w)])
+                if any(y):
+                    dst[j] = y
+                else:
+                    dst.pop(j, None)
+        _remove_content(row, t)
+
+    def make_pivot(self, row, t, c):
+        p = row[c]
+        if any(p[1:]):
+            # the adjugate N(p)/p: row 0 of the adjugate of the matrix of p
+            rows = self._mul_rows(p)
+            adj = tuple([(-1) ** j * _det([r[1:] for i, r in enumerate(rows) if i != j])
+                         for j in range(len(rows))])
+            if self.times(adj)(p)[0] < 0:  # p * adj = N(p); keep the pivot positive
+                adj = _neg(adj)
+            q = self.times(adj)
+        elif p[0] < 0:
+            q = _neg
+        else:
+            return
+        for dst in (row,) if t is None else (row, t):
+            for j, x in dst.items():
+                dst[j] = q(x)
+        _remove_content(row, t)
+
+    @staticmethod
+    def entries(row, p=None, scales=None):
+        d = p[0]
+        if scales is None:
+            return [(j, tuple([Fraction(u, d) for u in x])) for j, x in row.items()]
+        return [
+            (i, tuple([Fraction(u * scales[i].numerator, d * scales[i].denominator) for u in x]))
+            for i, x in row.items()
+        ]
+
+
+def _neg(x):
+    return tuple([-u for u in x])
+
+
+def _remove_content(row, t):
+    """Divide an integer tuple row (and its transform) by their content."""
+    g = 0
+    for dst in (row,) if t is None else (row, t):
+        for x in dst.values():
+            g = gcd(g, *x)
+            if g == 1:
+                return
+    if g > 1:
+        for dst in (row,) if t is None else (row, t):
+            for j, x in dst.items():
+                dst[j] = tuple([u // g for u in x])
+
+
+def _det(rows):
+    """Determinant of a square integer matrix, fraction-free (Bareiss)."""
+    a = [list(r) for r in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            s = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if s is None:
+                return 0
+            a[k], a[s] = a[s], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
 def _field_for(ring):
     if isinstance(ring, IntegerRing):
         return QQ
@@ -373,6 +576,8 @@ def _arithmetic(ring):
         return _Rationals()
     if isinstance(field, PrimeField):
         return _PrimeField(field)
+    if isinstance(field, QuotientExtension) and field.integers is not None:
+        return _IntegralExtension(field)
     return _Field(field)
 
 
@@ -461,7 +666,7 @@ def rref(mat, with_transform=False):
     if not with_transform:
         return R, pivcols
     trows = [_dense(ar, ar.entries(t, row[c], scales), n) for c, row, t in piv]
-    trows += [_dense(ar, ar.entries(t, 1, scales), n) for t in kernel]
+    trows += [_dense(ar, ar.entries(t, ar.one, scales), n) for t in kernel]
     return R, pivcols, Matrix(field, trows, n)
 
 
@@ -490,7 +695,7 @@ def left_kernel(mat):
     rows, scales = _load(ar, mat.rows)
     _piv, kernel = _echelon(ar, rows, [{i: ar.one} for i in range(n)])
     # the kernel rows are independent; re-reduce them to the canonical basis
-    krows = [ar.load(dict(ar.entries(t, 1, scales)))[0] for t in kernel]
+    krows = [ar.load(dict(ar.entries(t, ar.one, scales)))[0] for t in kernel]
     piv, _ = _reduced(ar, krows)
     return Matrix(ar.ring, [_dense(ar, ar.entries(row, row[c]), n) for c, row, _t in piv], n)
 
@@ -735,10 +940,12 @@ class RowBasis:
             piv, _ = _reduced(ar, rows, [{i: ar.one} for i in range(mat.nrows)])
             rrows = [dict(ar.entries(row, row[c])) for c, row, _t in piv]
             trows = [dict(ar.entries(t, row[c], scales)) for c, row, t in piv]
-            if isinstance(mat.ring, RationalField):
+            if isinstance(ar, (_Rationals, _IntegralExtension)):
                 # integer reduced rows over d, integer transforms over e
-                (rrows, d), (trows, e) = _integral(rrows), _integral(trows)
+                integral = _integral if isinstance(ar, _Rationals) else _tuple_integral
+                (rrows, d), (trows, e) = integral(rrows), integral(trows)
                 self._den = d, e
+            self._ar = ar
             self._pivots = [(c, r, t) for (c, _r, _t), r, t in zip(piv, rrows, trows)]
         self.rank = len(self._pivots)
 
@@ -785,6 +992,24 @@ class RowBasis:
             if any(res):
                 raise NotInSpanError("not in the row space")
             return field.from_numerators(coeffs, dv * e)
+        if isinstance(self._ar, _IntegralExtension):
+            # the same on integer coefficient tuples
+            ar = self._ar
+            iv, dv = _tuple_numerators(vec, ar.degree)
+            d, e = self._den
+            res = [tuple([x * d for x in v]) for v in iv]
+            coeffs = [(0,) * ar.degree] * self.mat.nrows
+            for c, rrow, trow in self._pivots:
+                coef = iv[c]
+                if any(coef):
+                    times = ar.times(coef)
+                    for j, x in rrow.items():
+                        res[j] = tuple(map(_sub, res[j], times(x)))
+                    for i, x in trow.items():
+                        coeffs[i] = tuple(map(_add, coeffs[i], times(x)))
+            if any(map(any, res)):
+                raise NotInSpanError("not in the row space")
+            return [tuple(QQ.from_numerators(x, dv * e)) for x in coeffs]
         add, sub, mul, is_zero = field.add, field.sub, field.mul, field.is_zero
         vec = [field.of_int(x) if isinstance(x, int) else x for x in vec]
         v = {j: x for j, x in enumerate(vec) if not is_zero(x)}
@@ -872,10 +1097,16 @@ class FPModule:
             if isinstance(self.ring, RationalField):
                 d = self._den = lcm(*(row[c] for c, row, _t in piv))
                 rows = [(c, {j: x * (d // row[c]) for j, x in row.items()}) for c, row, _t in piv]
+            elif isinstance(ar, _IntegralExtension):
+                # integer coefficient tuples over d, the lcm of the pivots
+                d = self._den = lcm(*(row[c][0] for c, row, _t in piv))
+                rows = [(c, {j: tuple([u * (d // row[c][0]) for u in x]) for j, x in row.items()})
+                        for c, row, _t in piv]
             else:
                 rows = [(c, dict(ar.entries(row, row[c]))) for c, row, _t in piv]
             self._pivot_tails = [(c, {where[j]: x for j, x in r.items() if j != c})
                                  for c, r in rows]
+            self._ar = ar
         self._normalized = True
 
     # -- structure -------------------------------------------------------
@@ -929,6 +1160,19 @@ class FPModule:
                     for i, t in tail.items():
                         coords[i] -= v * t
             return tuple(field.from_numerators(coords, dv * d))
+        if isinstance(self._ar, _IntegralExtension):
+            # the same on integer coefficient tuples
+            ar = self._ar
+            iv, dv = _tuple_numerators(vec, ar.degree)
+            d = self._den
+            coords = [tuple([x * d for x in iv[f]]) for f in self._free]
+            for c, tail in self._pivot_tails:
+                v = iv[c]
+                if any(v):
+                    times = ar.times(v)
+                    for i, t in tail.items():
+                        coords[i] = tuple(map(_sub, coords[i], times(t)))
+            return tuple(tuple(QQ.from_numerators(x, dv * d)) for x in coords)
         coords = [vec[f] for f in self._free]
         sub, mul, is_zero = field.sub, field.mul, field.is_zero
         for c, tail in self._pivot_tails:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import lcm
 
 
 class UnsupportedRingError(ValueError):
@@ -216,7 +217,10 @@ class QuotientExtension(ExactRing):
 
     The base ring is Z, Q, or a prime field. Division is available when the
     base is a field and the denominator is coprime to m (always, when m is
-    irreducible)."""
+    irreducible). The methods here are the element arithmetic. linalg runs
+    the matrix products of every extension on integer coefficients instead
+    (integer_minpoly), and over Q with an integral m, such as
+    Q(2cos(pi/n)), its eliminations and presentations too (integers)."""
 
     def __init__(self, base, minpoly, var="x"):
         if not isinstance(base, (IntegerRing, RationalField, PrimeField)):
@@ -229,6 +233,17 @@ class QuotientExtension(ExactRing):
             raise UnsupportedRingError("minimal polynomial must be monic")
         self.minpoly = tuple(minpoly)
         self.degree = len(minpoly) - 1
+        # m = M / D for integers M (low -> high, M[-1] == D), D the least
+        # common denominator: 1 over Z and F_p, and over Q when m is integral
+        D = lcm(*(c.denominator for c in minpoly))
+        self.integer_minpoly = (tuple(c.numerator * (D // c.denominator) for c in minpoly), D)
+        # Z[x]/(m) for Q[x]/(m) with m integral, else None: the elements with
+        # integer coefficients, which linalg and the weight actions compute on
+        self.integers = (
+            QuotientExtension(ZZ, self.integer_minpoly[0], var)
+            if isinstance(base, RationalField) and D == 1
+            else None
+        )
         self.var = var
         self.kind = "extension(%s, deg %d)" % (base.kind, self.degree)
         self.is_field = base.is_field

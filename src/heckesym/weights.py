@@ -138,10 +138,15 @@ class WeightModule:
         if self.dim == 1:
             return Matrix.identity(R, 1)
         entries = [self.convert_scalar(x) for x in mat]
+        # the cocycle entries are integral (Q holds lambda only for n = 3,
+        # where it is 1, and in Q(lambda) lambda is the generator), so the
+        # action is built on integers, ints over Q and integer coefficient
+        # tuples over Q(lambda), and kept as the matrix's integer form
         if isinstance(R, RationalField):
-            # Q holds lambda only for n = 3, where it is 1: the matrix is
-            # integral, so is its action, built on ints and kept as such
             return Matrix.from_integers(_action_rows(ZZ, *(x.numerator for x in entries), self.k))
+        if isinstance(R, QuotientExtension) and R.integers is not None:
+            ints = [tuple([c.numerator for c in x]) for x in entries]
+            return Matrix.from_integers(_action_rows(R.integers, *ints, self.k), R)
         return Matrix(R, _action_rows(R, *entries, self.k))
 
 

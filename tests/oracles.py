@@ -337,39 +337,45 @@ class PrimeFieldOps:
 
 
 class SimpleExtensionOps:
-    """Q[x]/(m) for a monic irreducible m (integer coefficients, low ->
-    high) on tuples of Fractions. The inverse of a solves b * a = 1 as a
-    linear system over Q with dense_rref below."""
+    """base[x]/(m) for a monic m (coefficients low -> high) on coefficient
+    tuples; the base is Q on Fractions, or F_p on residues when p is given,
+    and m may have rational coefficients over Q. Products reduce x^i for
+    i >= deg m one power at a time with m. The inverse of a solves b * a = 1
+    as a linear system over the base with dense_rref below (m irreducible)."""
 
-    def __init__(self, minpoly):
-        self.m = [Fraction(c) for c in minpoly]
+    def __init__(self, minpoly, p=None):
+        self.base = B = RationalOps if p is None else PrimeFieldOps(p)
+        self.m = [Fraction(c) if p is None else c % p for c in minpoly]
         self.d = len(minpoly) - 1
-        self.zero = (Fraction(0),) * self.d
-        self.one = (Fraction(1),) + (Fraction(0),) * (self.d - 1)
+        self.zero = (B.zero,) * self.d
+        self.one = (B.one,) + (B.zero,) * (self.d - 1)
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(self.base.add(x, y) for x, y in zip(a, b))
 
     def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        return tuple(self.base.sub(x, y) for x, y in zip(a, b))
 
     def mul(self, a, b):
-        prod = [Fraction(0)] * (2 * self.d - 1)
+        B = self.base
+        prod = [B.zero] * (2 * self.d - 1)
         for i, x in enumerate(a):
             for j, y in enumerate(b):
-                prod[i + j] += x * y
+                prod[i + j] = B.add(prod[i + j], B.mul(x, y))
         for i in range(len(prod) - 1, self.d - 1, -1):
             c = prod[i]
             for j in range(self.d + 1):
-                prod[i - self.d + j] -= c * self.m[j]
+                prod[i - self.d + j] = B.sub(prod[i - self.d + j], B.mul(c, self.m[j]))
         return tuple(prod[: self.d])
 
     def inv(self, a):
         # row i of M is a * x^i; b * M = 1 means M^T b = e_0
-        basis = [tuple(Fraction(int(i == j)) for j in range(self.d)) for i in range(self.d)]
+        B = self.base
+        basis = [tuple(B.one if i == j else B.zero for j in range(self.d)) for i in range(self.d)]
         M = [self.mul(a, e) for e in basis]
-        aug = [[M[i][r] for i in range(self.d)] + [Fraction(int(r == 0))] for r in range(self.d)]
-        R, pivots = dense_rref(aug, RationalOps)
+        aug = [[M[i][r] for i in range(self.d)] + [B.one if r == 0 else B.zero]
+               for r in range(self.d)]
+        R, pivots = dense_rref(aug, B)
         assert pivots == list(range(self.d)), "not invertible"
         return tuple(row[-1] for row in R)
 

@@ -239,4 +239,10 @@ def test_internal_invariant_exit_4(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "comparison_report", boom)
     assert cli.main(["compare", "--group", "gamma0:11"]) == 4
-    assert "internal invariant" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "internal invariant" in err and "synthetic failure" in err
+    # the message names the input that broke the check
+    assert "gamma0:11" in err and "weight 2" in err and "ring q" in err
+    assert cli.main(["compare", "--group", "gamma0:11", "--weight", "4", "--ring", "fp:7"]) == 4
+    err = capsys.readouterr().err
+    assert "gamma0:11" in err and "weight 4" in err and "ring fp:7" in err

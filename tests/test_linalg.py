@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckesym.rings import GF, QQ, ZZ, QuotientExtension
-from heckesym.triangle import rational_lambda_ring
+from heckesym.triangle import integral_lambda_ring, rational_lambda_ring
 from heckesym.linalg import (
     FPModule,
     FPMap,
@@ -21,7 +22,11 @@ from heckesym.linalg import (
     matrix_rank,
     rref,
     smith_normal_form,
+    _arithmetic,
+    _echelon,
     _int_rows,
+    _load,
+    _reduced,
     _snf_core,
 )
 
@@ -370,6 +375,138 @@ def test_rational_express_matches_the_textbook_solve(data):
             basis.express(other)
     else:
         assert basis.express(other) == want
+
+
+# -- extensions on integer forms ---------------------------------------------
+
+EXTENSIONS = ["Z[lambda5]", "Q(lambda5)", "Q(lambda7)", "F4", "Q[x]/(x^2-1/2)"]
+EXTENSION_FIELDS = EXTENSIONS[1:]
+
+
+def _extension_case(name):
+    """(ring, oracle ops, coefficient strategy, coefficient type)."""
+    fraction = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 4))
+    if name == "Z[lambda5]":
+        ops = oracles.SimpleExtensionOps(oracles.minpoly_2cos_pi_over(5))
+        return integral_lambda_ring(5)[0], ops, st.integers(-7, 7), int
+    if name.startswith("Q(lambda"):
+        n = int(name[len("Q(lambda"):-1])
+        ops = oracles.SimpleExtensionOps(oracles.minpoly_2cos_pi_over(n))
+        return rational_lambda_ring(n)[0], ops, fraction, Fraction
+    if name == "F4":
+        # F_2[w]/(w^2 + w + 1)
+        return QuotientExtension(GF(2), [1, 1, 1]), oracles.SimpleExtensionOps([1, 1, 1], p=2), \
+            st.integers(0, 1), int
+    m = [Fraction(-1, 2), 0, 1]
+    return QuotientExtension(QQ, m), oracles.SimpleExtensionOps(m), fraction, Fraction
+
+
+def _sparse_elements(data, ring, coeff, n, m):
+    """n x m elements of ring, 70-90% of them zero, as relation matrices are."""
+    zero_tenths = data.draw(st.integers(7, 9))
+    element = st.tuples(*[coeff] * ring.degree)
+    cell = st.tuples(st.integers(0, 9), element)
+    return [[x if u >= zero_tenths else ring.zero for u, x in (data.draw(cell) for _ in range(m))]
+            for _ in range(n)]
+
+
+def _coefficients_of(rows, kind):
+    return all(type(x) is kind for r in rows for e in r for x in e)
+
+
+@pytest.mark.parametrize("name", EXTENSIONS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_extension_products_match_the_textbook(name, data):
+    # shapes 0-8 on every side of the product
+    ring, ops, coeff, kind = _extension_case(name)
+    n, m, l = (data.draw(st.integers(0, 8)) for _ in range(3))
+    A, B = _sparse_elements(data, ring, coeff, n, m), _sparse_elements(data, ring, coeff, m, l)
+    MB = Matrix(ring, B, l)
+    want = oracles.dense_product(A, B, l, ops)
+    rows = [MB.act_on_row(r) for r in A]
+    assert rows == want and _coefficients_of(rows, kind)
+    prod = Matrix(ring, A, m).mul(MB)
+    assert (prod.nrows, prod.ncols) == (n, l)
+    assert prod.rows == want and _coefficients_of(prod.rows, kind)
+    # the kept form: coefficient slices side by side over one denominator
+    nums, d = MB.integer_form()
+    assert nums.ring is ZZ and (nums.nrows, nums.ncols) == (m, ring.degree * l)
+    assert [[tuple(Fraction(r[j * l + c], d) for j in range(ring.degree)) for c in range(l)]
+            for r in nums.rows] == B
+
+
+def test_a_second_extension_product_reads_the_kept_integer_form():
+    R = rational_lambda_ring(5)[0]
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    A = Matrix(R, [[(half, 1), (0, third)], [R.zero, (2, -1)]])
+    B = Matrix(R, [[(1, half), (third, 0)], [(0, 1), (Fraction(1, 4), 2)]])
+    first = A.mul(B)
+    form = B.integer_form()
+    assert form[1] == 12 and form[0].rows == [[12, 4, 6, 0], [0, 3, 12, 24]]
+    assert A.mul(B) == first and B.integer_form() is form
+    # a rebuilt form would hide this substitution
+    B._integer_form = (Matrix(ZZ, [[0] * 4] * 2), 1)
+    assert A.mul(B).is_zero()
+
+
+@pytest.mark.parametrize("name", EXTENSION_FIELDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_extension_rref_and_left_kernel_match_the_textbook(name, data):
+    ring, ops, coeff, _kind = _extension_case(name)
+    n, m = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8))
+    rows = _sparse_elements(data, ring, coeff, n, m)
+    A = Matrix(ring, rows, m)
+    want, pivots = oracles.dense_rref(rows, ops)
+    _check_rref_against(A, want, pivots)
+    assert left_kernel(A).rows == oracles.dense_left_kernel(rows, ops)
+
+
+@pytest.mark.parametrize("name", EXTENSION_FIELDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_extension_reduce_and_express_match_the_textbook(name, data):
+    ring, ops, coeff, _kind = _extension_case(name)
+    m = data.draw(st.integers(1, 8))
+    relations = _sparse_elements(data, ring, coeff, data.draw(st.integers(0, 8)), m)
+    mod = FPModule(ring, m, Matrix(ring, relations, m))
+    vec = _sparse_elements(data, ring, coeff, 1, m)[0]
+    assert list(mod.reduce(vec)) == oracles.dense_quotient_coords(relations, vec, ops)
+    # keep the rows that raise the rank, so the coefficients are unique
+    rows = []
+    for row in relations:
+        if oracles.dense_rank(rows + [row], ops) > len(rows):
+            rows.append(row)
+    basis = RowBasis(Matrix(ring, rows, m))
+    coeffs = _sparse_elements(data, ring, coeff, 1, len(rows))[0]
+    inside = oracles.dense_product([coeffs], rows, m, ops)[0] if rows else [ring.zero] * m
+    assert basis.express(inside) == oracles.dense_solve(rows, inside, ops) == coeffs
+    want = oracles.dense_solve(rows, vec, ops)
+    if want is None:
+        with pytest.raises(NotInSpanError):
+            basis.express(vec)
+    else:
+        assert basis.express(vec) == want
+
+
+@pytest.mark.parametrize("n", [5, 7])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_lambda_elimination_keeps_primitive_rows_and_integer_pivots(n, data):
+    # over Q(lambda) every pivot is a positive rational integer, and each
+    # row is primitive together with its transform
+    ring, _ops, coeff, _kind = _extension_case("Q(lambda%d)" % n)
+    rows = _sparse_elements(data, ring, coeff, data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8)))
+    ar = _arithmetic(ring)
+    for reduce in (_echelon, _reduced):
+        loaded, _scales = _load(ar, rows)
+        out = reduce(ar, loaded, [{i: ar.one} for i in range(len(rows))])[0]
+        pivots = [(c,) + out[c] for c in out] if isinstance(out, dict) else out
+        for c, row, t in pivots:
+            p = row[c]
+            assert p[0] > 0 and not any(p[1:])
+            assert gcd(*(x for e in list(row.values()) + list(t.values()) for x in e)) == 1
 
 
 # -- integer normal forms ----------------------------------------------------

@@ -127,13 +127,20 @@ def test_action_rows_match_substitution_oracle(ring, k, variant, n):
         expected = oracles.weight_action_rows(k, [_to_sympy(x) for x in mat])
         got = V.action_matrix(mat)
         assert got.nrows == k - 1
-        for row, exp in zip(got.rows, expected):
-            assert row == [into(e) for e in exp]
+        want = [[into(e) for e in exp] for exp in expected]
+        assert got.rows == want
         if ring is QQ:
             # built on ints: the integer form is in place before any product
             nums, d = got._integer_form
             assert d == 1 and nums.rows == [[int(e) for e in exp] for exp in expected]
             assert all(type(x) is Fraction for row in got.rows for x in row)
+        elif n != 3:
+            # built on Z[lambda]: the integer form, the coefficient slices
+            # side by side, is in place before any product
+            nums, d = got._integer_form
+            assert d == 1 and nums.rows == [[int(x[j]) for j in range(ring.degree) for x in r]
+                                            for r in want]
+            assert all(type(c) is Fraction for row in got.rows for x in row for c in x)
 
 
 def test_action_determinant_is_unit():
