@@ -189,14 +189,17 @@ def restrict_operator(operator, subspace):
     is exact, because the operator maps relations into relations, so
     reducing an ambient image v * A gives reduce(v) * G. Over Z each
     ambient image is expressed in the lattice the generators span with the
-    relations; its generator part is unique when the generators are
-    independent modulo the relations."""
+    relations, so its generator part is unique only when the subspace
+    module has no nonzero relation row; else UnsupportedRingError."""
     gens = subspace.ambient_rows
     src = operator.src
     try:
         if src.ring.is_field:
             coords = Matrix(src.ring, [list(src.reduce(g)) for g in gens.rows], src.ncoords())
             return _restrict_to_block(src.ring, operator.matrix_on_generators(), coords)
+        if subspace.module is not None and not subspace.module.relations.is_zero():
+            raise UnsupportedRingError("restriction over Z needs subspace generators "
+                                       "without relations, for a unique matrix on them")
         basis = RowBasis(gens.stack(src.relations))
         images = gens.mul(operator.ambient).rows
         return Matrix(src.ring, [basis.express(v)[: gens.nrows] for v in images], gens.nrows)

@@ -11,8 +11,12 @@ an extension of Q by a root of an integral monic polynomial, such as
 Q(2cos(pi/n)), the same on rows of integer coefficient tuples whose
 pivots are made rational integers; over F_p residues; over any other
 field (extensions of F_p, or of Q by a non-integral polynomial) the ring
-operations. Ranks take forward elimination alone. The integer Hermite and
-Smith forms run on the same {column: value} rows with integer entries, and
+operations. Ranks take forward elimination alone. Over a field FPModule
+and RowBasis hold one pivot form of the reduced rows (free columns, pivot
+tails, transforms), as numerators over one denominator in the integer
+flavours, and each entry representation (ints for Q and F_p, integer
+tuples, ring elements) has one loop that reduces a vector against it. The
+integer Hermite and Smith forms run on {column: value} rows of ints, and
 the Z branch of FPModule keeps its Smith transform in that form.
 
 Dense products share one kernel, Matrix.act_on_row, the only place a
@@ -23,8 +27,9 @@ keeps its integer form (numerators over one common denominator; over an
 extension of degree k, its k coefficient slices side by side), built on
 its first product or given by Matrix.from_integers, a vector has its
 denominators cleared, and each output coefficient becomes a ring element
-once; the rows stay ring elements. The pivot rows of FPModule.reduce and
-RowBasis.express over Q and Q(2cos(pi/n)) take the same form.
+once; the rows stay ring elements. Integers leave through one exit per
+ring, its from_numerators (over an extension, its base's, coefficientwise):
+the products, the reduce loops and the rows of rref and left_kernel.
 
 Everything is sequential and deterministic, and the normal forms are
 canonical: leading-one reduced echelon form over fields, nonnegative
@@ -217,22 +222,13 @@ class Matrix:
                 for j in range(k):
                     if m[j]:
                         acc[top - k + j] = [a - m[j] * x for a, x in zip(acc[top - k + j], c)]
-            base = ring.base
-            if isinstance(base, RationalField):
-                den = d * dv * D ** (k - 1)
-                return list(zip(*(base.from_numerators(a, den) for a in acc[:k])))
-            if isinstance(base, PrimeField):
-                p = base.p
-                return list(zip(*([a % p for a in low] for low in acc[:k])))
-            return list(zip(*acc[:k]))
+            den = d * dv * D ** (k - 1)
+            return list(zip(*(ring.base.from_numerators(a, den) for a in acc[:k])))
         out = [0] * self.ncols
         for v, row in zip(vec, self.rows):
             if v:
                 out = [o + v * a for o, a in zip(out, row)]
-        if isinstance(ring, PrimeField):
-            p = ring.p
-            out = [o % p for o in out]
-        return out
+        return ring.from_numerators(out)
 
     def _same_shape(self, other):
         if other.nrows != self.nrows or other.ncols != self.ncols:
@@ -254,25 +250,19 @@ def _numerators(vec):
     return [x.numerator * (d // x.denominator) for x in vec], d
 
 
-def _integral(rows):
-    """(integer dicts, d) with rows == dicts / d for rational {index: value}
-    dicts, d the least common denominator."""
-    d = lcm(*{x.denominator for r in rows for x in r.values()})
-    return [{j: x.numerator * (d // x.denominator) for j, x in r.items()} for r in rows], d
-
-
-def _tuple_numerators(vec, k):
-    """(integer tuples, d) with vec == tuples / d for a list of degree-k
-    extension elements over Q, d the least common denominator."""
-    nums, d = _numerators([x for v in vec for x in v])
-    return list(zip(*(nums[i::k] for i in range(k)))), d
-
-
-def _tuple_integral(rows):
-    """_integral for {index: extension element} dicts: integer tuples."""
-    d = lcm(*{x.denominator for r in rows for v in r.values() for x in v})
-    return [{j: tuple([x.numerator * (d // x.denominator) for x in v]) for j, v in r.items()}
-            for r in rows], d
+def _over_one_denominator(ar, rows, pivots, scales=None):
+    """(numerator rows, e): {index: x} rows of an integer flavour, entry i
+    of row k standing for x * scales[i] / pivots[k] (scales None: one), as
+    numerators over e, the least common denominator of those values."""
+    parts = []
+    for r, p in zip(rows, pivots):
+        if scales is not None:
+            L = lcm(*(scales[i].denominator for i in r))
+            r, p = {i: ar.scaled(x, scales[i].numerator * L // scales[i].denominator, 1)
+                    for i, x in r.items()}, p * L
+        parts.append((r, p, p // gcd(p, ar.content(r.values()))))
+    e = lcm(*(den for _r, _p, den in parts))
+    return [r if p == e else {i: ar.scaled(x, e, p) for i, x in r.items()} for r, p, _ in parts], e
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +277,9 @@ def _tuple_integral(rows):
 # columns to the right of the one it clears. The reduced echelon form then
 # takes one back-substitution pass over the pivots, right to left. The
 # four arithmetic flavours below supply loading, the row operation, pivot
-# normalization and dense output.
+# normalization and dense output, and each representation of entries (ring
+# elements, ints, integer tuples) has one reduce loop that runs a vector
+# against a _PivotForm.
 
 
 class _Field:
@@ -330,16 +322,57 @@ class _Field:
                 for j in dst:
                     dst[j] = mul(inv, dst[j])
 
-    @staticmethod
-    def entries(row, p=1, scales=None):
-        """(index, value) pairs of a reduced row or a transform row, as
-        field elements; the pivot entry p and the load scales matter only
-        to the integer flavours."""
-        return list(row.items())
+    # field elements are their own numerators over one (_over_one_denominator)
+    numerators = staticmethod(lambda rows, pivots, scales=None: (rows, 1))
+    elements = staticmethod(lambda nums, d: nums)
+
+    def reduce(self, form, vec):
+        """(coordinates, coefficients) of vec against a _PivotForm: its free
+        coordinates modulo the pivot rows, zero exactly on their span, and
+        the sum of vec[c] times the transform row at each pivot column c."""
+        ring = self.ring
+        add, sub, mul, is_zero = ring.add, ring.sub, ring.mul, ring.is_zero
+        coords = [vec[f] for f in form.free]
+        coeffs = [ring.zero] * form.nrows
+        for c, tail, trow in form.pivots:
+            v = vec[c]
+            if not is_zero(v):
+                for i, t in tail.items():
+                    coords[i] = sub(coords[i], mul(v, t))
+                for i, t in trow.items():
+                    coeffs[i] = add(coeffs[i], mul(v, t))
+        return coords, coeffs
 
 
-class _PrimeField(_Field):
+class _Ints(_Field):
+    """The flavours on int entries, F_p and Q: one reduce loop on ints, run
+    on the vector's numerators as the flavour's vector method gives them."""
+
+    def elements(self, nums, d):
+        return self.ring.from_numerators(nums, d)
+
+    def reduce(self, form, vec):
+        """_Field.reduce on numerators, vec == iv / dv: the coordinates are
+        kept times dv * den, the coefficients times dv * tden."""
+        iv, dv = self.vector(vec)
+        d = form.den
+        coords = [iv[f] * d for f in form.free]
+        coeffs = [0] * form.nrows
+        for c, tail, trow in form.pivots:
+            v = iv[c]
+            if v:
+                for i, t in tail.items():
+                    coords[i] -= v * t
+                for i, t in trow.items():
+                    coeffs[i] += v * t
+        return self.elements(coords, dv * d), self.elements(coeffs, dv * form.tden)
+
+
+class _PrimeField(_Ints):
     """F_p on residues 0..p-1."""
+
+    # residues are their own numerators (and pivots and scales are one)
+    vector = staticmethod(lambda vec: (vec, 1))
 
     def __init__(self, ring):
         super().__init__(ring)
@@ -368,11 +401,16 @@ class _PrimeField(_Field):
                     dst[j] = dst[j] * inv % p
 
 
-class _Rationals(_Field):
+class _Rationals(_Ints):
     """Q, and Z read over Q: primitive integer rows with positive pivots.
 
     Loading clears denominators and divides out the content; its scale
     carries transforms back to the original rows."""
+
+    scaled = staticmethod(lambda x, a, b: x * a // b)
+    content = staticmethod(lambda values: gcd(*values))
+    numerators = _over_one_denominator
+    vector = staticmethod(_numerators)
 
     def __init__(self):
         super().__init__(QQ)
@@ -422,15 +460,6 @@ class _Rationals(_Field):
                 for j in dst:
                     dst[j] = -dst[j]
 
-    @staticmethod
-    def entries(row, p=1, scales=None):
-        if scales is None:
-            return [(j, Fraction(x, p)) for j, x in row.items()]
-        return [
-            (i, Fraction(x * scales[i].numerator, p * scales[i].denominator))
-            for i, x in row.items()
-        ]
-
 
 class _IntegralExtension(_Field):
     """Q[x]/(m) for an integral m, such as Q(2cos(pi/n)): rows of primitive
@@ -454,10 +483,10 @@ class _IntegralExtension(_Field):
         return {j: x for j, x in enumerate(row) if any(x)}
 
     def load(self, row):
-        nums, d = _tuple_numerators(row.values(), self.degree)
-        g = gcd(*(x for v in nums for x in v))
+        nums, d = self.vector(row.values())
+        g = self.content(nums)
         if g > 1:
-            nums = [tuple([x // g for x in v]) for v in nums]
+            nums = [self.scaled(v, 1, g) for v in nums]
         return dict(zip(row, nums)), Fraction(d, g or 1)
 
     def _mul_rows(self, b):
@@ -515,15 +544,38 @@ class _IntegralExtension(_Field):
                 dst[j] = q(x)
         _remove_content(row, t)
 
-    @staticmethod
-    def entries(row, p=None, scales=None):
-        d = p[0]
-        if scales is None:
-            return [(j, tuple([Fraction(u, d) for u in x])) for j, x in row.items()]
-        return [
-            (i, tuple([Fraction(u * scales[i].numerator, d * scales[i].denominator) for u in x]))
-            for i, x in row.items()
-        ]
+    scaled = staticmethod(lambda x, a, b: tuple([u * a // b for u in x]))
+    content = staticmethod(lambda values: gcd(*(u for x in values for u in x)))
+
+    def numerators(self, rows, pivots, scales=None):
+        return _over_one_denominator(self, rows, [p[0] for p in pivots], scales)
+
+    def vector(self, vec):
+        """_numerators of a list of extension elements, as integer tuples."""
+        nums, d = _numerators([x for v in vec for x in v])
+        k = self.degree
+        return list(zip(*(nums[i::k] for i in range(k)))), d
+
+    def elements(self, nums, d):
+        out = self.ring.base.from_numerators
+        return [tuple(out(x, d)) for x in nums]
+
+    def reduce(self, form, vec):
+        """_Ints.reduce on integer coefficient tuples."""
+        k = self.degree
+        iv, dv = self.vector(vec)
+        d = form.den
+        coords = [tuple([x * d for x in iv[f]]) for f in form.free]
+        coeffs = [(0,) * k] * form.nrows
+        for c, tail, trow in form.pivots:
+            v = iv[c]
+            if any(v):
+                times = self.times(v)
+                for i, t in tail.items():
+                    coords[i] = tuple(map(_sub, coords[i], times(t)))
+                for i, t in trow.items():
+                    coeffs[i] = tuple(map(_add, coeffs[i], times(t)))
+        return self.elements(coords, dv * d), self.elements(coeffs, dv * form.tden)
 
 
 def _neg(x):
@@ -646,6 +698,16 @@ def _dense(ar, pairs, size):
     return out
 
 
+def _dense_rows(ar, pairs, size, scales=None):
+    """Dense rows of field elements of (reduced or transform row, pivot
+    entry) pairs, each row over its own denominator."""
+    out = []
+    for row, p in pairs:
+        (nums,), e = ar.numerators([row], [p], scales)
+        out.append(_dense(ar, zip(nums, ar.elements(list(nums.values()), e)), size))
+    return out
+
+
 def rref(mat, with_transform=False):
     """Reduced row echelon form over the fraction field.
 
@@ -654,20 +716,19 @@ def rref(mat, with_transform=False):
     past the rank span the left kernel.
     """
     ar = _arithmetic(mat.ring)
-    field = ar.ring
     n, m = mat.nrows, mat.ncols
     rows, scales = _load(ar, mat.rows)
     ts = [{i: ar.one} for i in range(n)] if with_transform else None
     piv, kernel = _reduced(ar, rows, ts)
-    rrows = [_dense(ar, ar.entries(row, row[c]), m) for c, row, _t in piv]
+    rrows = _dense_rows(ar, [(row, row[c]) for c, row, _t in piv], m)
     rrows += [[ar.zero] * m for _ in range(n - len(piv))]
-    R = Matrix(field, rrows, m)
+    R = Matrix(ar.ring, rrows, m)
     pivcols = tuple(c for c, _r, _t in piv)
     if not with_transform:
         return R, pivcols
-    trows = [_dense(ar, ar.entries(t, row[c], scales), n) for c, row, t in piv]
-    trows += [_dense(ar, ar.entries(t, ar.one, scales), n) for t in kernel]
-    return R, pivcols, Matrix(field, trows, n)
+    trows = _dense_rows(ar, [(t, row[c]) for c, row, t in piv] + [(t, ar.one) for t in kernel],
+                        n, scales)
+    return R, pivcols, Matrix(ar.ring, trows, n)
 
 
 def matrix_rank(mat):
@@ -695,9 +756,9 @@ def left_kernel(mat):
     rows, scales = _load(ar, mat.rows)
     _piv, kernel = _echelon(ar, rows, [{i: ar.one} for i in range(n)])
     # the kernel rows are independent; re-reduce them to the canonical basis
-    krows = [ar.load(dict(ar.entries(t, ar.one, scales)))[0] for t in kernel]
-    piv, _ = _reduced(ar, krows)
-    return Matrix(ar.ring, [_dense(ar, ar.entries(row, row[c]), n) for c, row, _t in piv], n)
+    krows, _e = ar.numerators(kernel, [ar.one] * len(kernel), scales)
+    piv, _ = _reduced(ar, [ar.load(r)[0] for r in krows])
+    return Matrix(ar.ring, _dense_rows(ar, [(row, row[c]) for c, row, _t in piv], n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -920,6 +981,31 @@ def smith_normal_form(mat):
 # ---------------------------------------------------------------------------
 
 
+class _PivotForm:
+    """The reduced echelon basis of a row space over a field, as FPModule
+    and RowBasis use it: the free (non-pivot) columns, and per pivot column
+    c the tail of its row on the free coordinates and its transform row
+    over the nrows input rows (empty unless kept); the integer flavours
+    keep tails and transforms as numerators over den and tden."""
+
+    __slots__ = ("ar", "free", "pivots", "den", "tden", "nrows")
+
+    def __init__(self, ar, mat, with_transform=False):
+        self.ar, self.nrows = ar, mat.nrows if with_transform else 0
+        rows, scales = _load(ar, mat.rows)
+        ts = [{i: ar.one} for i in range(self.nrows)] if with_transform else None
+        piv, _ = _reduced(ar, rows, ts)
+        pivcols = {c for c, _r, _t in piv}
+        self.free = [c for c in range(mat.ncols) if c not in pivcols]
+        where = {f: i for i, f in enumerate(self.free)}
+        ps = [row[c] for c, row, _t in piv]
+        tails, self.den = ar.numerators(
+            [{where[j]: x for j, x in row.items() if j != c} for c, row, _t in piv], ps)
+        trows, self.tden = (ar.numerators([t for _c, _r, t in piv], ps, scales) if with_transform
+                            else ([{}] * len(piv), 1))
+        self.pivots = [(c, tail, t) for (c, _r, _t), tail, t in zip(piv, tails, trows)]
+
+
 class RowBasis:
     """Row space of a matrix, prepared for membership and expression.
 
@@ -933,21 +1019,10 @@ class RowBasis:
         if isinstance(mat.ring, IntegerRing):
             self._H, self._U = hermite_normal_form(mat, with_transform=True)
             self._pivots = _hnf_pivots(self._H)
+            self.rank = len(self._pivots)
         else:
-            # reduced rows with their transforms, as {index: value} dicts
-            ar = _arithmetic(mat.ring)
-            rows, scales = _load(ar, mat.rows)
-            piv, _ = _reduced(ar, rows, [{i: ar.one} for i in range(mat.nrows)])
-            rrows = [dict(ar.entries(row, row[c])) for c, row, _t in piv]
-            trows = [dict(ar.entries(t, row[c], scales)) for c, row, t in piv]
-            if isinstance(ar, (_Rationals, _IntegralExtension)):
-                # integer reduced rows over d, integer transforms over e
-                integral = _integral if isinstance(ar, _Rationals) else _tuple_integral
-                (rrows, d), (trows, e) = integral(rrows), integral(trows)
-                self._den = d, e
-            self._ar = ar
-            self._pivots = [(c, r, t) for (c, _r, _t), r, t in zip(piv, rrows, trows)]
-        self.rank = len(self._pivots)
+            self._form = _PivotForm(_arithmetic(mat.ring), mat, with_transform=True)
+            self.rank = len(self._form.pivots)
 
     def contains(self, vec):
         try:
@@ -974,59 +1049,8 @@ class RowBasis:
             if any(v):
                 raise NotInSpanError("not in the lattice")
             return coeffs
-        field = self.ring
-        # pivot rows are zero at the other pivots: each coefficient is vec[c]
-        if isinstance(field, RationalField):
-            # vec = iv / dv; the residual is kept times dv * d
-            iv, dv = _numerators(vec)
-            d, e = self._den
-            res = [x * d for x in iv]
-            coeffs = [0] * self.mat.nrows
-            for c, rrow, trow in self._pivots:
-                coef = iv[c]
-                if coef:
-                    for j, x in rrow.items():
-                        res[j] -= coef * x
-                    for i, x in trow.items():
-                        coeffs[i] += coef * x
-            if any(res):
-                raise NotInSpanError("not in the row space")
-            return field.from_numerators(coeffs, dv * e)
-        if isinstance(self._ar, _IntegralExtension):
-            # the same on integer coefficient tuples
-            ar = self._ar
-            iv, dv = _tuple_numerators(vec, ar.degree)
-            d, e = self._den
-            res = [tuple([x * d for x in v]) for v in iv]
-            coeffs = [(0,) * ar.degree] * self.mat.nrows
-            for c, rrow, trow in self._pivots:
-                coef = iv[c]
-                if any(coef):
-                    times = ar.times(coef)
-                    for j, x in rrow.items():
-                        res[j] = tuple(map(_sub, res[j], times(x)))
-                    for i, x in trow.items():
-                        coeffs[i] = tuple(map(_add, coeffs[i], times(x)))
-            if any(map(any, res)):
-                raise NotInSpanError("not in the row space")
-            return [tuple(QQ.from_numerators(x, dv * e)) for x in coeffs]
-        add, sub, mul, is_zero = field.add, field.sub, field.mul, field.is_zero
-        vec = [field.of_int(x) if isinstance(x, int) else x for x in vec]
-        v = {j: x for j, x in enumerate(vec) if not is_zero(x)}
-        coeffs = [field.zero] * self.mat.nrows
-        for c, rrow, trow in self._pivots:
-            coef = v.get(c)
-            if coef is None:
-                continue
-            for j, x in rrow.items():
-                y = sub(v.get(j, field.zero), mul(coef, x))
-                if is_zero(y):
-                    v.pop(j, None)
-                else:
-                    v[j] = y
-            for i, x in trow.items():
-                coeffs[i] = add(coeffs[i], mul(coef, x))
-        if v:
+        coords, coeffs = self._form.ar.reduce(self._form, vec)
+        if coords.count(self.ring.zero) != len(coords):
             raise NotInSpanError("not in the row space")
         return coeffs
 
@@ -1087,26 +1111,7 @@ class FPModule:
             self._W = [{i: x for i, x in r.items() if diag[i] != 1} for r in W]
             self._Winv = _int_matrix(Winv, self.ngens)
         else:
-            ar = _arithmetic(self.ring)
-            piv, _ = _reduced(ar, _load(ar, self.relations.rows)[0])
-            pivcols = {c for c, _r, _t in piv}
-            self._free = [c for c in range(self.ngens) if c not in pivcols]
-            where = {f: i for i, f in enumerate(self._free)}
-            # (pivot column, {free coordinate: entry}) of each reduced row;
-            # over Q integers over d, the lcm of the (positive) pivots
-            if isinstance(self.ring, RationalField):
-                d = self._den = lcm(*(row[c] for c, row, _t in piv))
-                rows = [(c, {j: x * (d // row[c]) for j, x in row.items()}) for c, row, _t in piv]
-            elif isinstance(ar, _IntegralExtension):
-                # integer coefficient tuples over d, the lcm of the pivots
-                d = self._den = lcm(*(row[c][0] for c, row, _t in piv))
-                rows = [(c, {j: tuple([u * (d // row[c][0]) for u in x]) for j, x in row.items()})
-                        for c, row, _t in piv]
-            else:
-                rows = [(c, dict(ar.entries(row, row[c]))) for c, row, _t in piv]
-            self._pivot_tails = [(c, {where[j]: x for j, x in r.items() if j != c})
-                                 for c, r in rows]
-            self._ar = ar
+            self._form = _PivotForm(_arithmetic(self.ring), self.relations)
         self._normalized = True
 
     # -- structure -------------------------------------------------------
@@ -1114,7 +1119,7 @@ class FPModule:
         self._normalize()
         if isinstance(self.ring, IntegerRing):
             return sum(1 for d in self._diag if d == 0)
-        return len(self._free)
+        return len(self._form.free)
 
     def dim(self):
         if isinstance(self.ring, IntegerRing):
@@ -1148,39 +1153,7 @@ class FPModule:
                     for i, x in row.items():
                         y[i] += v * x
             return tuple(v % d if d else v for v, d in zip(y, self._diag))
-        field = self.ring
-        if isinstance(field, RationalField):
-            # vec = iv / dv; the coordinates are kept times dv * d
-            iv, dv = _numerators(vec)
-            d = self._den
-            coords = [iv[f] * d for f in self._free]
-            for c, tail in self._pivot_tails:
-                v = iv[c]
-                if v:
-                    for i, t in tail.items():
-                        coords[i] -= v * t
-            return tuple(field.from_numerators(coords, dv * d))
-        if isinstance(self._ar, _IntegralExtension):
-            # the same on integer coefficient tuples
-            ar = self._ar
-            iv, dv = _tuple_numerators(vec, ar.degree)
-            d = self._den
-            coords = [tuple([x * d for x in iv[f]]) for f in self._free]
-            for c, tail in self._pivot_tails:
-                v = iv[c]
-                if any(v):
-                    times = ar.times(v)
-                    for i, t in tail.items():
-                        coords[i] = tuple(map(_sub, coords[i], times(t)))
-            return tuple(tuple(QQ.from_numerators(x, dv * d)) for x in coords)
-        coords = [vec[f] for f in self._free]
-        sub, mul, is_zero = field.sub, field.mul, field.is_zero
-        for c, tail in self._pivot_tails:
-            v = vec[c]
-            if not is_zero(v):
-                for i, t in tail.items():
-                    coords[i] = sub(coords[i], mul(v, t))
-        return tuple(coords)
+        return tuple(self._form.ar.reduce(self._form, vec)[0])
 
     def is_zero_element(self, vec):
         rz = self.ring.is_zero
@@ -1192,7 +1165,7 @@ class FPModule:
         if isinstance(self.ring, IntegerRing):
             return self._Winv.act_on_row(list(coords))
         vec = [self.ring.zero] * self.ngens
-        for f, x in zip(self._free, coords):
+        for f, x in zip(self._form.free, coords):
             vec[f] = x
         return vec
 
@@ -1200,7 +1173,7 @@ class FPModule:
         """Field only: the ambient coordinates that are not pivots of the
         relations; their unit vectors are the normalized generators."""
         self._normalize()
-        return list(self._free)
+        return list(self._form.free)
 
     def generator_ambient_rows(self):
         """Ambient representatives of the normalized generators."""
@@ -1208,7 +1181,7 @@ class FPModule:
         if isinstance(self.ring, IntegerRing):
             return Matrix(ZZ, [list(r) for r in self._Winv.rows], self.ngens)
         rows = []
-        for f in self._free:
+        for f in self._form.free:
             v = [self.ring.zero] * self.ngens
             v[f] = self.ring.one
             rows.append(v)
@@ -1218,7 +1191,7 @@ class FPModule:
         self._normalize()
         if isinstance(self.ring, IntegerRing):
             return self.ngens
-        return len(self._free)
+        return len(self._form.free)
 
     def __repr__(self):
         if isinstance(self.ring, IntegerRing):

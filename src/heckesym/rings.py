@@ -112,6 +112,8 @@ class IntegerRing(ExactRing):
     sub = staticmethod(operator.sub)
     mul = staticmethod(operator.mul)
     neg = staticmethod(operator.neg)
+    # integer numerators are the integers themselves, over denominator one
+    from_numerators = staticmethod(lambda nums, d=1: nums)
 
     def of_int(self, n):
         return n
@@ -197,6 +199,11 @@ class PrimeField(ExactRing):
     def of_int(self, n):
         return n % self.p
 
+    def from_numerators(self, nums, d=1):
+        """The residues of n / d for integers n, d prime to p."""
+        p, s = self.p, pow(d, -1, self.p)
+        return [n * s % p for n in nums]
+
     def is_zero(self, a):
         return a == 0
 
@@ -220,7 +227,8 @@ class QuotientExtension(ExactRing):
     irreducible). The methods here are the element arithmetic. linalg runs
     the matrix products of every extension on integer coefficients instead
     (integer_minpoly), and over Q with an integral m, such as
-    Q(2cos(pi/n)), its eliminations and presentations too (integers)."""
+    Q(2cos(pi/n)), its eliminations and presentations too (integers), and
+    the integers leave through the base ring's from_numerators."""
 
     def __init__(self, base, minpoly, var="x"):
         if not isinstance(base, (IntegerRing, RationalField, PrimeField)):

@@ -323,6 +323,16 @@ def test_integral_restriction_equals_the_rational_one(N):
         assert restrict_operator(hecke_matrix(sp_z, p), cusp_z) == rational
 
 
+def test_integral_restriction_refuses_generators_with_relations():
+    # over Z the cuspidal kernel of gamma0:23 comes as 23 generators with
+    # relations for a rank-4 lattice: no unique matrix on those generators
+    sp = space_for(gamma0_cosets(23), ZZ, 2)
+    cusp = cuspidal_subspace(sp)
+    assert cusp.module.rank() == 4 and not cusp.module.relations.is_zero()
+    with pytest.raises(UnsupportedRingError, match="relations"):
+        restrict_operator(hecke_matrix(sp, 2), cusp)
+
+
 def test_restriction_to_a_non_invariant_subspace_is_refused():
     # T_2 on S_2(Gamma_0(23)) has eigenvalues (-1 +- sqrt 5)/2, so no line
     # of cuspidal symbols is invariant, over Q or over Z

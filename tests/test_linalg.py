@@ -340,36 +340,66 @@ def test_from_integers_keeps_its_rows_as_integer_form():
     assert nums.rows == [[1, -2], [0, 3]] and d == 1
 
 
+FIELDS = ["Q", "F2", "F7"]
+
+
+def _field_case(name):
+    """(ring, oracle ops, entry type, rows drawer) for Q and F_p: over Q
+    the entries mix ints and Fractions, over F_p they are residues."""
+    if name == "Q":
+        return QQ, oracles.RationalOps, Fraction, _mixed
+    p = int(name[1:])
+
+    def residues(data, n, m):
+        cell = st.one_of(st.just(0), st.integers(0, p - 1))
+        return [[data.draw(cell) for _ in range(m)] for _ in range(n)]
+
+    return GF(p), oracles.PrimeFieldOps(p), int, residues
+
+
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_rational_reduce_matches_the_textbook_quotient(data):
-    ngens = data.draw(st.integers(1, 6))
-    relations = _mixed(data, data.draw(st.integers(0, 5)), ngens)
-    vec = _mixed(data, 1, ngens)[0]
-    mod = FPModule(QQ, ngens, Matrix(QQ, relations, ngens))
-    got = mod.reduce(vec)
-    assert list(got) == oracles.dense_quotient_coords(relations, vec, oracles.RationalOps)
-    assert all(type(x) is Fraction for x in got)
+    for name in FIELDS:
+        _check_reduce_against_the_textbook(data, *_field_case(name))
 
 
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_rational_express_matches_the_textbook_solve(data):
-    ops = oracles.RationalOps
+    for name in FIELDS:
+        _check_express_against_the_textbook(data, *_field_case(name))
+
+
+def _check_reduce_against_the_textbook(data, ring, ops, kind, draw):
+    ngens = data.draw(st.integers(1, 6))
+    relations = draw(data, data.draw(st.integers(0, 5)), ngens)
+    vec = draw(data, 1, ngens)[0]
+    mod = FPModule(ring, ngens, Matrix(ring, relations, ngens))
+    got = mod.reduce(vec)
+    assert list(got) == oracles.dense_quotient_coords(relations, vec, ops)
+    assert all(type(x) is kind for x in got)
+    assert RowBasis(Matrix(ring, relations, ngens)).contains(vec) == mod.is_zero_element(vec)
+
+
+def _check_express_against_the_textbook(data, ring, ops, kind, draw):
     m = data.draw(st.integers(1, 6))
     # keep the rows that raise the rank, so the coefficients are unique
     rows = []
-    for row in _mixed(data, data.draw(st.integers(0, 6)), m):
+    for row in draw(data, data.draw(st.integers(0, 6)), m):
         if oracles.dense_rank(rows + [row], ops) > len(rows):
             rows.append(row)
-    basis = RowBasis(Matrix(QQ, rows, m))
-    coeffs = _mixed(data, 1, len(rows))[0]
+    basis = RowBasis(Matrix(ring, rows, m))
+    mod = FPModule(ring, m, Matrix(ring, rows, m))
+    coeffs = draw(data, 1, len(rows))[0]
     inside = oracles.dense_product([coeffs], rows, m, ops)[0] if rows else [0] * m
     got = basis.express(inside)
     assert got == oracles.dense_solve(rows, inside, ops) == coeffs
-    assert all(type(x) is Fraction for x in got)
-    other = _mixed(data, 1, m)[0]
+    assert all(type(x) is kind for x in got)
+    assert basis.contains(inside) and mod.is_zero_element(inside)
+    other = draw(data, 1, m)[0]
     want = oracles.dense_solve(rows, other, ops)
+    assert basis.contains(other) == mod.is_zero_element(other) == (want is not None)
     if want is None:
         with pytest.raises(NotInSpanError):
             basis.express(other)
@@ -473,6 +503,7 @@ def test_extension_reduce_and_express_match_the_textbook(name, data):
     mod = FPModule(ring, m, Matrix(ring, relations, m))
     vec = _sparse_elements(data, ring, coeff, 1, m)[0]
     assert list(mod.reduce(vec)) == oracles.dense_quotient_coords(relations, vec, ops)
+    assert RowBasis(Matrix(ring, relations, m)).contains(vec) == mod.is_zero_element(vec)
     # keep the rows that raise the rank, so the coefficients are unique
     rows = []
     for row in relations:
@@ -625,6 +656,17 @@ def test_fpmodule_field_dim_and_reduce():
     r1 = M.reduce([Fraction(1), Fraction(0), Fraction(0)])
     r2 = M.reduce([Fraction(0), Fraction(-1), Fraction(0)])
     assert r1 == r2
+
+
+def test_prime_field_reduce_returns_residues():
+    # vectors of ints that are not residues 0..p-1 still reduce to residues,
+    # as RowBasis and Matrix.act_on_row take them
+    F = GF(5)
+    assert FPModule(F, 1).is_zero_element([5])
+    assert FPModule(F, 1).reduce([-3]) == (2,)
+    assert FPModule(F, 2, Matrix(F, [[1, 2]])).reduce([0, 7]) == (2,)
+    assert FPModule(F, 2, Matrix(F, [[1, 2]])).is_zero_element([6, 12])
+    assert RowBasis(Matrix(F, [[1, 2]])).contains([5, 10])
 
 
 def test_fpmap_welldefined_check():
