@@ -1,27 +1,34 @@
 """Exact linear algebra over the rings in heckesym.rings.
 
-Matrices are dense lists of rows at every interface. Inside, echelon
-forms, ranks and kernels over a field run on one sparse elimination core
-that keeps only the nonzero entries of each row, because the relation
-matrices here (norms, differences and translations of block-permutation
-actions) are a few percent nonzero. The core has four arithmetic
-flavours: over Q (and Z read over Q) primitive integer rows with gcd
-normalization, which is exact and faster than Fraction arithmetic; over
-an extension of Q by a root of an integral monic polynomial, such as
-Q(2cos(pi/n)), the same on rows of integer coefficient tuples whose
-pivots are made rational integers; over F_p residues; over any other
-field (extensions of F_p, or of Q by a non-integral polynomial) the ring
-operations. Ranks take forward elimination alone. Over a field FPModule
-and RowBasis hold one pivot form of the reduced rows (free columns, pivot
-tails, transforms), as numerators over one denominator in the integer
-flavours, and each entry representation (ints for Q and F_p, integer
-tuples, ring elements) has one loop that reduces a vector against it. The
-integer Hermite and Smith forms run on {column: value} rows of ints, and
-the Z branch of FPModule keeps its Smith transform in that form.
+A Matrix is a list of dense rows at the interface (.rows). A sparse-born
+one (Matrix.from_sparse: the operators of modsym.InducedModule, a few
+percent nonzero, identities, and the outputs of rref, left_kernel and
+the integer normal forms) holds {column: value} rows of its nonzero
+entries and builds its dense rows on the first read of .rows. Stacking,
+the elimination core, the integer normal forms, rows_at (FPMap.rows_at)
+and the product kernel read that form directly (Matrix.sparse_rows). F_p
+entries are reduced to residues whenever a matrix is built.
 
-Dense products share one kernel, Matrix.act_on_row, the only place a
-matrix dispatches on the ring: a product pushes each row of the left
-factor through it, and the elementwise operations call the ring's own.
+Echelon forms, ranks and kernels over a field run on one sparse
+elimination core that keeps only the nonzero entries of each row. The
+core has four arithmetic flavours: over Q (and Z read over Q) primitive
+integer rows with gcd normalization, which is exact and faster than
+Fraction arithmetic; over an extension of Q by a root of an integral
+monic polynomial, such as Q(2cos(pi/n)), the same on rows of integer
+coefficient tuples whose pivots are made rational integers; over F_p
+residues; over any other field (extensions of F_p, or of Q by a
+non-integral polynomial) the ring operations. Ranks take forward
+elimination alone. Over a field FPModule and RowBasis hold one pivot
+form of the reduced rows (free columns, pivot tails, transforms), as
+numerators over one denominator in the integer flavours, and each entry
+representation (ints for Q and F_p, integer tuples, ring elements) has
+one loop that reduces a vector against it. The integer Hermite and Smith
+forms run on {column: value} rows of ints, and the Z branch of FPModule
+keeps its Smith transform in that form.
+
+Products share one kernel, Matrix.act_on_row, the only product that
+dispatches on the ring: a product pushes each row of the left factor
+through it, and the elementwise operations call the ring's own.
 Over Q and over every quotient extension it runs on integers: a matrix
 keeps its integer form (numerators over one common denominator; over an
 extension of degree k, its k coefficient slices side by side), built on
@@ -68,15 +75,17 @@ class NotInSpanError(ValueError):
 
 
 class Matrix:
-    """A dense matrix: a list of rows of ring elements. The rows must not
-    be mutated after construction, since over Q and the quotient extensions
-    the matrix keeps their integer form (integer_form) for products; build
-    a new matrix instead."""
+    """A matrix of ring elements: dense rows (.rows) or, sparse-born, the
+    {column: value} rows of its nonzero entries (sparse_rows), the dense
+    rows then built with ring.zero on their first read. Rows must not be
+    mutated after construction, since over Q and the quotient extensions
+    the matrix keeps their integer form (integer_form) for products."""
 
-    __slots__ = ("ring", "nrows", "ncols", "rows", "_integer_form")
+    __slots__ = ("ring", "nrows", "ncols", "_rows", "_sparse", "_integer_form")
 
     def __init__(self, ring, rows, ncols=None):
-        rows = [list(r) for r in rows]
+        p = ring.p if isinstance(ring, PrimeField) else None
+        rows = [list(r) if p is None else [x % p for x in r] for r in rows]
         if rows:
             ncols = len(rows[0]) if ncols is None else ncols
             for r in rows:
@@ -85,16 +94,27 @@ class Matrix:
         elif ncols is None:
             raise ShapeError("empty matrix needs an explicit column count")
         self.ring = ring
-        self.rows = rows
+        self._rows, self._sparse = rows, None
         self.nrows = len(rows)
         self.ncols = ncols
         self._integer_form = None
 
     # -- constructors ----------------------------------------------------
     @classmethod
+    def from_sparse(cls, ring, rows, ncols):
+        """The sparse-born matrix of {column: value} rows of its nonzero
+        entries, kept as they are (F_p values reduced, zeros dropped)."""
+        if isinstance(ring, PrimeField):
+            p = ring.p
+            rows = [{j: x % p for j, x in r.items() if x % p} for r in rows]
+        mat = cls.__new__(cls)
+        mat.ring, mat.nrows, mat.ncols = ring, len(rows), ncols
+        mat._rows, mat._sparse, mat._integer_form = None, rows, None
+        return mat
+
+    @classmethod
     def identity(cls, ring, n):
-        one, zero = ring.one, ring.zero
-        return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
+        return cls.from_sparse(ring, [{i: ring.one} for i in range(n)], n)
 
     @classmethod
     def from_integers(cls, rows, ring=QQ):
@@ -119,29 +139,56 @@ class Matrix:
         Z and F_p bases d is 1."""
         form = self._integer_form
         if form is None:
-            rows = self.rows
-            if isinstance(self.ring, QuotientExtension):
-                rows = _slices(rows, self.ring.degree)
-            d = lcm(*{x.denominator for r in rows for x in r})
-            nums = [[x.numerator * (d // x.denominator) for x in r] for r in rows]
-            width = self.ncols * getattr(self.ring, "degree", 1)
-            form = self._integer_form = (Matrix(ZZ, nums, width), d)
+            ring, n, rows = self.ring, self.ncols, self.sparse_rows()
+            if isinstance(ring, QuotientExtension):
+                rows = [{i * n + c: y for c, x in r.items() for i, y in enumerate(x) if y} for r in rows]
+            d = lcm(*{x.denominator for r in rows for x in r.values()})
+            form = Matrix.from_sparse(ZZ, [{c: x.numerator * (d // x.denominator) for c, x in r.items()}
+                                           for r in rows], n * getattr(ring, "degree", 1))
+            if self._sparse is None:  # dense numerators, for the dense product loop
+                form = Matrix(ZZ, form.rows, form.ncols)
+            form = self._integer_form = (form, d)
         return form
+
+    # -- the two forms -----------------------------------------------------
+    @property
+    def rows(self):
+        """The dense rows (read only)."""
+        if self._rows is None:
+            self._rows = self.rows_at(range(self.nrows))
+        return self._rows
+
+    def rows_at(self, indices):
+        """The dense rows at the given indices (read only), built alone."""
+        if self._rows is not None:
+            return [self._rows[r] for r in indices]
+        return [_dense(self.ring, self._sparse[r].items(), self.ncols) for r in indices]
+
+    def sparse_rows(self):
+        """The nonzero entries of each row as {column: value} dicts: the
+        kept rows of a sparse-born matrix (read only), else a fresh scan."""
+        if self._sparse is not None:
+            return self._sparse
+        if isinstance(self.ring, QuotientExtension):
+            return [{j: x for j, x in enumerate(r) if any(x)} for r in self._rows]
+        return [{j: x for j, x in enumerate(r) if x} for r in self._rows]
 
     # -- basics ----------------------------------------------------------
     def stack(self, other):
         if other.ncols != self.ncols:
             raise ShapeError("stack: column counts differ")
-        return Matrix(self.ring, self.rows + other.rows, self.ncols)
+        return Matrix.from_sparse(self.ring, self.sparse_rows() + other.sparse_rows(), self.ncols)
 
     def hstack(self, other):
         if other.nrows != self.nrows:
             raise ShapeError("hstack: row counts differ")
-        return Matrix(self.ring, [a + b for a, b in zip(self.rows, other.rows)], self.ncols + other.ncols)
+        n = self.ncols
+        return Matrix.from_sparse(
+            self.ring, [{**a, **{j + n: x for j, x in b.items()}}
+                        for a, b in zip(self.sparse_rows(), other.sparse_rows())], n + other.ncols)
 
     def is_zero(self):
-        rz = self.ring.is_zero
-        return all(rz(x) for row in self.rows for x in row)
+        return not any(self.sparse_rows())
 
     def tuples(self):
         return tuple(tuple(r) for r in self.rows)
@@ -184,8 +231,9 @@ class Matrix:
     def act_on_row(self, vec):
         """vec * self for a plain list vec: the product kernel and the hot
         loop of the Hecke row builder. It skips the zero entries of vec and
-        runs on native ints and residues; over Q and over the extensions it
-        runs on the integer form.
+        runs on native ints and residues, on the sparse rows when the matrix
+        is sparse-born; over Q and over the extensions it runs on the integer
+        form.
 
         Over an extension of degree k, the integer slice i of vec (the
         coefficients of x^i, denominators cleared) goes through the integer
@@ -225,7 +273,13 @@ class Matrix:
             den = d * dv * D ** (k - 1)
             return list(zip(*(ring.base.from_numerators(a, den) for a in acc[:k])))
         out = [0] * self.ncols
-        for v, row in zip(vec, self.rows):
+        if self._sparse is not None:
+            for v, row in zip(vec, self._sparse):
+                if v:
+                    for j, a in row.items():
+                        out[j] += v * a
+            return ring.from_numerators(out)
+        for v, row in zip(vec, self._rows):
             if v:
                 out = [o + v * a for o, a in zip(out, row)]
         return ring.from_numerators(out)
@@ -291,14 +345,11 @@ class _Field:
         self.ring = ring
         self.zero, self.one = ring.zero, ring.one
 
-    def sparse(self, row):
-        is_zero = self.ring.is_zero
-        return {j: x for j, x in enumerate(row) if not is_zero(x)}
-
     @staticmethod
     def load(row):
-        """(loaded row, scale s) with loaded row == s * row."""
-        return row, 1
+        """(loaded row, scale s) with loaded row == s * row, a new dict,
+        since elimination consumes its rows in place."""
+        return dict(row), 1
 
     def eliminate(self, row, t, prow, pt, c):
         """Clear column c of row (and carry t) with the pivot row at c."""
@@ -378,10 +429,6 @@ class _PrimeField(_Ints):
         super().__init__(ring)
         self.p = ring.p
 
-    def sparse(self, row):
-        p = self.p
-        return {j: x % p for j, x in enumerate(row) if x % p}
-
     def eliminate(self, row, t, prow, pt, c):
         p, v = self.p, row[c]
         for dst, src in ((row, prow),) if t is None else ((row, prow), (t, pt)):
@@ -415,10 +462,6 @@ class _Rationals(_Ints):
     def __init__(self):
         super().__init__(QQ)
         self.one = 1
-
-    @staticmethod
-    def sparse(row):
-        return {j: x for j, x in enumerate(row) if x}
 
     @staticmethod
     def load(row):
@@ -477,10 +520,6 @@ class _IntegralExtension(_Field):
         self.degree = k = ring.degree
         self.one = (1,) + (0,) * (k - 1)
         self.minpoly = ring.integer_minpoly[0]
-
-    @staticmethod
-    def sparse(row):
-        return {j: x for j, x in enumerate(row) if any(x)}
 
     def load(self, row):
         nums, d = self.vector(row.values())
@@ -633,9 +672,9 @@ def _arithmetic(ring):
     return _Field(field)
 
 
-def _load(ar, dense_rows):
-    """Loaded sparse rows of a dense matrix, and their scales."""
-    loaded = [ar.load(ar.sparse(row)) for row in dense_rows]
+def _load(ar, mat):
+    """Loaded copies of the sparse rows of a matrix, and their scales."""
+    loaded = [ar.load(row) for row in mat.sparse_rows()]
     return [r for r, _ in loaded], [s for _, s in loaded]
 
 
@@ -698,13 +737,13 @@ def _dense(ar, pairs, size):
     return out
 
 
-def _dense_rows(ar, pairs, size, scales=None):
-    """Dense rows of field elements of (reduced or transform row, pivot
+def _element_rows(ar, pairs, scales=None):
+    """{column: field element} rows of (reduced or transform row, pivot
     entry) pairs, each row over its own denominator."""
     out = []
     for row, p in pairs:
         (nums,), e = ar.numerators([row], [p], scales)
-        out.append(_dense(ar, zip(nums, ar.elements(list(nums.values()), e)), size))
+        out.append(dict(zip(nums, ar.elements(list(nums.values()), e))))
     return out
 
 
@@ -717,24 +756,23 @@ def rref(mat, with_transform=False):
     """
     ar = _arithmetic(mat.ring)
     n, m = mat.nrows, mat.ncols
-    rows, scales = _load(ar, mat.rows)
+    rows, scales = _load(ar, mat)
     ts = [{i: ar.one} for i in range(n)] if with_transform else None
     piv, kernel = _reduced(ar, rows, ts)
-    rrows = _dense_rows(ar, [(row, row[c]) for c, row, _t in piv], m)
-    rrows += [[ar.zero] * m for _ in range(n - len(piv))]
-    R = Matrix(ar.ring, rrows, m)
+    rrows = _element_rows(ar, [(row, row[c]) for c, row, _t in piv])
+    R = Matrix.from_sparse(ar.ring, rrows + [{} for _ in range(n - len(piv))], m)
     pivcols = tuple(c for c, _r, _t in piv)
     if not with_transform:
         return R, pivcols
-    trows = _dense_rows(ar, [(t, row[c]) for c, row, t in piv] + [(t, ar.one) for t in kernel],
-                        n, scales)
-    return R, pivcols, Matrix(ar.ring, trows, n)
+    trows = _element_rows(ar, [(t, row[c]) for c, row, t in piv] + [(t, ar.one) for t in kernel],
+                          scales)
+    return R, pivcols, Matrix.from_sparse(ar.ring, trows, n)
 
 
 def matrix_rank(mat):
     """Rank over the fraction field, by forward elimination alone."""
     ar = _arithmetic(mat.ring)
-    return len(_echelon(ar, _load(ar, mat.rows)[0])[0])
+    return len(_echelon(ar, _load(ar, mat)[0])[0])
 
 
 def left_kernel(mat):
@@ -745,20 +783,16 @@ def left_kernel(mat):
     """
     if isinstance(mat.ring, IntegerRing):
         H, U = hermite_normal_form(mat, with_transform=True)
-        ker = [u for h, u in zip(H.rows, U.rows) if not any(h)]
-        if not ker:
-            return Matrix(ZZ, [], mat.nrows)
-        K = hermite_normal_form(Matrix(ZZ, ker, mat.nrows))
-        rows = [r for r in K.rows if any(r)]
-        return Matrix(ZZ, rows, mat.nrows)
+        ker = [u for h, u in zip(H.sparse_rows(), U.sparse_rows()) if not h]
+        return _leading(hermite_normal_form(Matrix.from_sparse(ZZ, ker, mat.nrows)), mat.nrows)
     ar = _arithmetic(mat.ring)
     n = mat.nrows
-    rows, scales = _load(ar, mat.rows)
+    rows, scales = _load(ar, mat)
     _piv, kernel = _echelon(ar, rows, [{i: ar.one} for i in range(n)])
     # the kernel rows are independent; re-reduce them to the canonical basis
     krows, _e = ar.numerators(kernel, [ar.one] * len(kernel), scales)
     piv, _ = _reduced(ar, [ar.load(r)[0] for r in krows])
-    return Matrix(ar.ring, _dense_rows(ar, [(row, row[c]) for c, row, _t in piv], n), n)
+    return Matrix.from_sparse(ar.ring, _element_rows(ar, [(row, row[c]) for c, row, _t in piv]), n)
 
 
 # ---------------------------------------------------------------------------
@@ -772,12 +806,15 @@ def _require_zz(mat, what):
 
 
 def _int_rows(mat):
-    """The nonzero entries of each row of an integer matrix, as dicts."""
-    return [{j: x for j, x in enumerate(r) if x} for r in mat.rows]
+    """Copies of the sparse rows of an integer matrix, which the normal
+    forms consume in place."""
+    return [dict(r) for r in mat.sparse_rows()]
 
 
-def _int_matrix(rows, size):
-    return Matrix(ZZ, [_dense(ZZ, r.items(), size) for r in rows], size)
+def _leading(mat, n):
+    """The nonzero rows of an integer matrix cut to its first n columns."""
+    rows = ({j: x for j, x in r.items() if j < n} for r in mat.sparse_rows())
+    return Matrix.from_sparse(ZZ, [r for r in rows if r], n)
 
 
 def _addmul(dst, q, src):
@@ -837,9 +874,9 @@ def hermite_normal_form(mat, with_transform=False):
                 for tab in tabs:
                     _addmul(tab[r], -q, tab[rank])
         rank += 1
-    H = _int_matrix(rows, m)
+    H = Matrix.from_sparse(ZZ, rows, m)
     if with_transform:
-        return H, _int_matrix(tabs[1], n)
+        return H, Matrix.from_sparse(ZZ, tabs[1], n)
     return H
 
 
@@ -965,8 +1002,8 @@ def smith_normal_form(mat):
     H, U1 = hermite_normal_form(mat, with_transform=True)
     m = mat.ncols
     a, U2, W, _Winv = _snf_core(_int_rows(H), m)
-    D, W = _int_matrix(a, m), _int_matrix(W, m)
-    U = _int_matrix(U2, mat.nrows).mul(U1)
+    D, W = Matrix.from_sparse(ZZ, a, m), Matrix.from_sparse(ZZ, W, m)
+    U = Matrix.from_sparse(ZZ, U2, mat.nrows).mul(U1)
     if U.mul(mat).mul(W) != D:
         raise InternalInvariantError("Smith form transform check failed")
     diag = [D.rows[i][i] for i in range(min(D.nrows, D.ncols))]
@@ -992,7 +1029,7 @@ class _PivotForm:
 
     def __init__(self, ar, mat, with_transform=False):
         self.ar, self.nrows = ar, mat.nrows if with_transform else 0
-        rows, scales = _load(ar, mat.rows)
+        rows, scales = _load(ar, mat)
         ts = [{i: ar.one} for i in range(self.nrows)] if with_transform else None
         piv, _ = _reduced(ar, rows, ts)
         pivcols = {c for c, _r, _t in piv}
@@ -1018,7 +1055,8 @@ class RowBasis:
         self.ring = mat.ring
         if isinstance(mat.ring, IntegerRing):
             self._H, self._U = hermite_normal_form(mat, with_transform=True)
-            self._pivots = _hnf_pivots(self._H)
+            # the nonzero rows of the HNF come first, each led by its pivot
+            self._pivots = [(r, min(row)) for r, row in enumerate(self._H.sparse_rows()) if row]
             self.rank = len(self._pivots)
         else:
             self._form = _PivotForm(_arithmetic(mat.ring), mat, with_transform=True)
@@ -1053,20 +1091,6 @@ class RowBasis:
         if coords.count(self.ring.zero) != len(coords):
             raise NotInSpanError("not in the row space")
         return coeffs
-
-
-def _hnf_pivots(H):
-    pivots = []
-    col = -1
-    for r, row in enumerate(H.rows):
-        for c in range(col + 1, len(row)):
-            if row[c]:
-                pivots.append((r, c))
-                col = c
-                break
-        else:
-            break
-    return pivots
 
 
 # ---------------------------------------------------------------------------
@@ -1109,7 +1133,7 @@ class FPModule:
             # the rows of W without the columns of unit invariant factors,
             # where every coordinate is zero
             self._W = [{i: x for i, x in r.items() if diag[i] != 1} for r in W]
-            self._Winv = _int_matrix(Winv, self.ngens)
+            self._Winv = Matrix.from_sparse(ZZ, Winv, self.ngens)
         else:
             self._form = _PivotForm(_arithmetic(self.ring), self.relations)
         self._normalized = True
@@ -1179,13 +1203,8 @@ class FPModule:
         """Ambient representatives of the normalized generators."""
         self._normalize()
         if isinstance(self.ring, IntegerRing):
-            return Matrix(ZZ, [list(r) for r in self._Winv.rows], self.ngens)
-        rows = []
-        for f in self._form.free:
-            v = [self.ring.zero] * self.ngens
-            v[f] = self.ring.one
-            rows.append(v)
-        return Matrix(self.ring, rows, self.ngens)
+            return Matrix.from_sparse(ZZ, self._Winv.sparse_rows(), self.ngens)
+        return Matrix.from_sparse(self.ring, [{f: self.ring.one} for f in self._form.free], self.ngens)
 
     def ncoords(self):
         self._normalize()
@@ -1221,7 +1240,7 @@ class FPMap:
 
     def rows_at(self, indices):
         """The ambient rows at the given source coordinates (read only)."""
-        return [self.ambient.rows[r] for r in indices]
+        return self.ambient.rows_at(indices)
 
     def matrix_on_generators(self):
         """Matrix in canonical coordinates (rows: src generators), built on
@@ -1243,19 +1262,10 @@ class FPMap:
         """(FPModule K, ambient rows of its generators inside src)."""
         ring = self.src.ring
         if isinstance(ring, IntegerRing):
-            stacked = self.ambient.stack(self.dst.relations)
-            K = left_kernel(stacked)
-            pre = [row[: self.src.ngens] for row in K.rows]
-            pre = [r for r in pre if any(r)]
-            if pre:
-                Hpre = hermite_normal_form(Matrix(ZZ, pre, self.src.ngens))
-                pre = [r for r in Hpre.rows if any(r)]
-            gens = Matrix(ZZ, pre, self.src.ngens)
+            pre = _leading(left_kernel(self.ambient.stack(self.dst.relations)), self.src.ngens)
+            gens = _leading(hermite_normal_form(pre), pre.ncols)
             if gens.nrows:
-                stacked2 = gens.stack(self.src.relations)
-                K2 = left_kernel(stacked2)
-                relrows = [row[: gens.nrows] for row in K2.rows]
-                rel = Matrix(ZZ, [r for r in relrows if any(r)], gens.nrows)
+                rel = _leading(left_kernel(gens.stack(self.src.relations)), gens.nrows)
             else:
                 rel = Matrix(ZZ, [], 0)
             return FPModule(ZZ, gens.nrows, rel), gens

@@ -148,26 +148,30 @@ class InducedModule:
         return [(then[j][0], B.mul(then[j][1])) for j, B in first]
 
     def _assemble(self, terms):
-        """Dense matrix of a signed sum of block maps, terms [(+1 or -1, bm)].
-
-        A block goes in by plain assignment (negated for a -1 term) where no
-        earlier term wrote; only blocks that several terms hit are added, so
-        the common case does no ring additions onto zeros."""
-        blocks = {}
+        """Sparse-born matrix of a signed sum of block maps, terms
+        [(+1 or -1, bm)]: each row is the {column: value} dict of the nonzero
+        entries of its block rows, where an entry that several terms hit is
+        their sum, so no rank x rank list is allocated."""
+        ring, blk = self.ring, self.block
+        neg, add, is_zero = ring.neg, ring.add, ring.is_zero
+        rows = [{} for _ in range(self.rank)]
         for sign, bm in terms:
             for i, (j, B) in enumerate(bm):
-                if sign < 0:
-                    B = B.neg()
-                cur = blocks.get((i, j))
-                blocks[i, j] = B if cur is None else cur.add(B)
-        blk = self.block
-        rows = [[self.ring.zero] * self.rank for _ in range(self.rank)]
-        for (i, j), B in blocks.items():
-            for a in range(blk):
-                rows[i * blk + a][j * blk : (j + 1) * blk] = B.rows[a]
-        return Matrix(self.ring, rows, self.rank)
+                base = j * blk
+                for row, brow in zip(rows[i * blk : (i + 1) * blk], B.sparse_rows()):
+                    for b, x in brow.items():
+                        c = base + b
+                        if sign < 0:
+                            x = neg(x)
+                        if c in row:
+                            x = add(row[c], x)
+                            if is_zero(x):
+                                del row[c]
+                                continue
+                        row[c] = x
+        return Matrix.from_sparse(ring, rows, self.rank)
 
-    # -- dense operators ----------------------------------------------------
+    # -- operators ---------------------------------------------------------
 
     def _blockmap(self, name):
         if name == "s" or name == "t":
@@ -188,12 +192,12 @@ class InducedModule:
         return out
 
     def right_matrix(self, name):
-        """Dense matrix of the right action of sigma ("s"), tau ("t") or the
+        """Matrix of the right action of sigma ("s"), tau ("t") or the
         translation T = tau sigma ("T")."""
         return self._cached(name, lambda: self._assemble([(1, self._blockmap(name))]))
 
     def right_difference(self, name):
-        """Dense matrix of (identity - right action)."""
+        """Matrix of (identity - right action)."""
         return self._cached(
             "D" + name,
             lambda: self._assemble([(1, self._identity), (-1, self._blockmap(name))]),
@@ -240,7 +244,7 @@ class InducedModule:
         return out
 
     def right_operator(self, g):
-        """Dense right action of an arbitrary determinant-1 integer matrix.
+        """Right action of an arbitrary determinant-1 integer matrix.
 
         Only congruence tables carry enough structure for this; it backs the
         diamond operators and the symbol-invariance checks."""

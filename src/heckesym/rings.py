@@ -205,7 +205,7 @@ class PrimeField(ExactRing):
         return [n * s % p for n in nums]
 
     def is_zero(self, a):
-        return a == 0
+        return a % self.p == 0
 
     def inv(self, a):
         if a % self.p == 0:

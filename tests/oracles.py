@@ -527,3 +527,41 @@ def weight_action_rows(k, mat):
         poly = sympy.Poly(image, X, Y)
         rows.append([sympy.expand(poly.coeff_monomial(X**j * Y ** (m - j))) for j in range(m + 1)])
     return rows
+
+
+def induced_operators(cosets, weight):
+    """The dense textbook matrices of s, t, T, Ds, Dt, DT, Ns and Nt on the
+    module induced along a coset table, keyed by those names, assembled
+    cell by cell with the ring's own operations: row i*b + a of a letter's
+    action holds, in the block of the coset j that i goes to, row a of the
+    weight action of the twist cocycle (b = weight.dim); T is t then s, the
+    D's are the identity minus an action, and the N's sum the powers of a
+    generator from the identity up to its order less one."""
+    F = weight.ring
+    mu, b = cosets.mu, weight.dim
+    size = mu * b
+    ident = [[F.one if r == c else F.zero for c in range(size)] for r in range(size)]
+
+    def letter(name):
+        out = [[F.zero] * size for _ in range(size)]
+        for i in range(mu):
+            j, cocycle = cosets.twist(i, name)
+            block = weight.action_matrix(cocycle).rows
+            for a in range(b):
+                out[i * b + a][j * b:(j + 1) * b] = list(block[a])
+        return out
+
+    def combine(op, A, B):
+        return [[op(x, y) for x, y in zip(r, s)] for r, s in zip(A, B)]
+
+    ops = {"s": letter("s"), "t": letter("t")}
+    ops["T"] = dense_product(ops["t"], ops["s"], size, F)
+    for name in "stT":
+        ops["D" + name] = combine(F.sub, ident, ops[name])
+    for name, order in (("s", 2), ("t", cosets.n)):
+        total, power = ident, ident
+        for _ in range(order - 1):
+            power = dense_product(power, ops[name], size, F)
+            total = combine(F.add, total, power)
+        ops["N" + name] = total
+    return ops

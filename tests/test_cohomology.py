@@ -28,7 +28,7 @@ from heckesym.cohomology import (
     surface_h1_parabolic,
     surface_h1_parabolic_dimension,
 )
-from heckesym.linalg import FPMap, FPModule, Matrix, left_kernel
+from heckesym.linalg import FPMap, FPModule, IllDefinedMapError, Matrix, left_kernel
 from heckesym.modsym import (
     InducedModule,
     ManinSymbolSpace,
@@ -381,6 +381,19 @@ def test_comparison_congruence_rational_isomorphism():
     rep = comparison_report(ManinSymbolSpace(induced(gamma0_cosets(11), QQ, 2)))
     assert rep.verdict == "isomorphic"
     assert rep.kernel.dim() == 0
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(7), ZZ], ids=lambda ring: ring.kind)
+def test_comparison_rejects_a_corrupted_relation_row(ring):
+    # a symbol relation moved off the norms (here by one unit vector) no
+    # longer lies in the surface relations
+    space = ManinSymbolSpace(induced(gamma0_cosets(11), ring, 2))
+    rel = space.presentation.relations
+    rows = [dict(r) for r in rel.sparse_rows()]
+    rows[0][0] = ring.add(rows[0].get(0, ring.zero), ring.one)
+    space.presentation = FPModule(ring, rel.ncols, Matrix.from_sparse(ring, rows, rel.ncols))
+    with pytest.raises(IllDefinedMapError, match="does not map into target relations"):
+        comparison_report(space)
 
 
 # ---------------------------------------------------------------------------

@@ -528,10 +528,11 @@ def test_lambda_elimination_keeps_primitive_rows_and_integer_pivots(n, data):
     # over Q(lambda) every pivot is a positive rational integer, and each
     # row is primitive together with its transform
     ring, _ops, coeff, _kind = _extension_case("Q(lambda%d)" % n)
-    rows = _sparse_elements(data, ring, coeff, data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8)))
+    ncols = data.draw(st.integers(0, 8))
+    rows = _sparse_elements(data, ring, coeff, data.draw(st.integers(0, 8)), ncols)
     ar = _arithmetic(ring)
     for reduce in (_echelon, _reduced):
-        loaded, _scales = _load(ar, rows)
+        loaded, _scales = _load(ar, Matrix(ring, rows, ncols))
         out = reduce(ar, loaded, [{i: ar.one} for i in range(len(rows))])[0]
         pivots = [(c,) + out[c] for c in out] if isinstance(out, dict) else out
         for c, row, t in pivots:
@@ -776,3 +777,14 @@ def test_charpoly_over_extension_field():
     p = charpoly(A)
     # (x - lam)^2 = x^2 - 2 lam x + lam^2, and lam^2 = lam + 1
     assert p == [R.add(lam, R.one), R.mul(R.of_int(-2), lam), R.one]
+
+
+def test_prime_field_entries_outside_the_residues_are_reduced():
+    # 5 is zero in F_5 wherever it enters: the zero test, matrix equality
+    # and a Hessenberg pivot search
+    F = GF(5)
+    assert F.is_zero(5)
+    assert Matrix(F, [[5]]) == Matrix(F, [[0]])
+    assert charpoly(Matrix(F, [[0, 0, 0], [5, 0, 0], [1, 0, 0]])) == [0, 0, 0, 1]
+    # sparse-born rows keep nonzero residues only
+    assert Matrix.from_sparse(F, [{0: 5, 1: 7}], 2).sparse_rows() == [{1: 2}]

@@ -5,6 +5,8 @@ formulas (recomputed from scratch in oracles.py), so the presentation, the
 boundary map and its kernel/image are pinned by an independent route.
 """
 
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -15,7 +17,7 @@ from heckesym.congruence import (
     gamma0_cosets,
     gamma1_cosets,
 )
-from heckesym.linalg import Matrix, matrix_rank
+from heckesym.linalg import Matrix, left_kernel, matrix_rank
 from heckesym.modsym import (
     BoundarySpace,
     InducedModule,
@@ -31,6 +33,7 @@ from heckesym.modsym import (
 from heckesym.rings import GF, QQ, ZZ, UnsupportedRingError
 from heckesym.triangle import (
     TriangleSubgroup,
+    load_subgroup,
     mat2_mul,
     mat2_pow,
     rational_lambda_ring,
@@ -377,3 +380,50 @@ def test_lambda_weight_smoke():
     assert space.dim() == cuspidal_subspace(space, bmap).module.dim() + eisenstein_subspace(
         space, bmap
     ).dim()
+
+
+# ---------------------------------------------------------------------------
+# sparse-born operators against the textbook matrices
+# ---------------------------------------------------------------------------
+
+LAMBDA5 = rational_lambda_ring(5)[0]
+OPERATOR_RINGS = [QQ, GF(7), ZZ, LAMBDA5]
+SUBGROUPS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench", "data", "subgroups.json")
+
+
+def _perm_file(tmp_path, n, s, t):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"n": n, "s": list(s), "t": list(t)}))
+    return PermCosets(load_subgroup(str(path)))
+
+
+def _listed_perm_file(tmp_path, name):
+    with open(SUBGROUPS) as fh:
+        g = json.load(fh)[name]
+    return _perm_file(tmp_path, g["n"], g["s"], g["t"])
+
+
+@pytest.mark.parametrize("table, k, rings", [
+    (lambda tmp: gamma0_cosets(11), 4, OPERATOR_RINGS),
+    (lambda tmp: gamma1_cosets(5), 3, OPERATOR_RINGS),
+    # an index-6 n=3 subgroup, where lambda = 1 lies in every ring
+    (lambda tmp: _perm_file(tmp, 3, (1, 0, 3, 2, 5, 4), (1, 2, 0, 4, 5, 3)), 4, OPERATOR_RINGS),
+    (lambda tmp: _listed_perm_file(tmp, "n5-mu08-a"), 4, [LAMBDA5]),
+], ids=["gamma0-11", "gamma1-5", "perm-file-n3", "perm-file-n5"])
+def test_sparse_born_operators_match_the_textbook(tmp_path, table, k, rings):
+    cosets = table(tmp_path)
+    for ring in rings:
+        module = InducedModule(cosets, weight_module_for(cosets, ring, k))
+        want = oracles.induced_operators(cosets, module.weight)
+        got = {name: module.right_matrix(name) for name in "stT"}
+        got.update({"D" + x: module.right_difference(x) for x in "stT"})
+        got.update({"N" + x: module.norm_matrix(x) for x in "st"})
+        for name, mat in got.items():
+            rows = want[name]
+            assert mat.rows == rows, (ring.kind, name)
+            assert mat.sparse_rows() == [{j: x for j, x in enumerate(r) if not ring.is_zero(x)}
+                                         for r in rows], (ring.kind, name)
+            dense = Matrix(ring, rows, mat.ncols)
+            assert matrix_rank(mat) == matrix_rank(dense), (ring.kind, name)
+            assert left_kernel(mat) == left_kernel(dense), (ring.kind, name)
