@@ -730,8 +730,8 @@ def _reduced(ar, rows, ts=None):
     return [(c,) + pivots[c] for c in sorted(pivots)], kernel
 
 
-def _dense(ar, pairs, size):
-    out = [ar.zero] * size
+def _dense(ring, pairs, size):
+    out = [ring.zero] * size
     for j, x in pairs:
         out[j] = x
     return out
