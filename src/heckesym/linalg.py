@@ -11,20 +11,18 @@ entries are reduced to residues whenever a matrix is built.
 
 Echelon forms, ranks and kernels over a field run on one sparse
 elimination core that keeps only the nonzero entries of each row. The
-core has four arithmetic flavours: over Q (and Z read over Q) primitive
-integer rows with gcd normalization, which is exact and faster than
-Fraction arithmetic; over an extension of Q by a root of an integral
-monic polynomial, such as Q(2cos(pi/n)), the same on rows of integer
-coefficient tuples whose pivots are made rational integers; over F_p
-residues; over any other field (extensions of F_p, or of Q by a
-non-integral polynomial) the ring operations. Ranks take forward
-elimination alone. Over a field FPModule and RowBasis hold one pivot
-form of the reduced rows (free columns, pivot tails, transforms), as
-numerators over one denominator in the integer flavours, and each entry
-representation (ints for Q and F_p, integer tuples, ring elements) has
-one loop that reduces a vector against it. The integer Hermite and Smith
-forms run on {column: value} rows of ints, and the Z branch of FPModule
-keeps its Smith transform in that form.
+core has three arithmetic flavours, all on integers: over Q (and Z read
+over Q) primitive integer rows with gcd normalization, which is exact and
+faster than Fraction arithmetic; over an extension of Q by a root of an
+integral monic polynomial, such as Q(2cos(pi/n)), the same on rows of
+integer coefficient tuples whose pivots are made rational integers; over
+F_p residues. Any other ring is refused. Ranks take forward elimination
+alone. Over a field FPModule and RowBasis hold one pivot form of the
+reduced rows (free columns, pivot tails, transforms), as numerators over
+one denominator, and each entry representation (ints for Q and F_p,
+integer tuples) has one loop that reduces a vector against it. The
+integer Hermite and Smith forms run on {column: value} rows of ints, and
+the Z branch of FPModule keeps its Smith transform in that form.
 
 Products share one kernel, Matrix.act_on_row, the only product that
 dispatches on the ring: a product pushes each row of the left factor
@@ -118,11 +116,11 @@ class Matrix:
 
     @classmethod
     def from_integers(cls, rows, ring=QQ):
-        """The matrix over Q, or over an extension of Q, of nonempty rows of
-        integers (integer coefficient tuples over an extension), with its
-        integer form (denominator one) already in place."""
+        """The matrix over Q, or over an extension of Z or Q, of nonempty
+        rows of integers (integer coefficient tuples over an extension),
+        with its integer form (denominator one) already in place."""
         if isinstance(ring, QuotientExtension):
-            entries = [[tuple(QQ.from_numerators(x)) for x in r] for r in rows]
+            entries = [[tuple(ring.base.from_numerators(x)) for x in r] for r in rows]
             rows = _slices(rows, ring.degree)
         else:
             entries = [QQ.from_numerators(r) for r in rows]
@@ -136,7 +134,7 @@ class Matrix:
         have the shape of self. Over an extension of degree k they are its
         coefficient slices side by side: column j * ncols + c holds the
         coefficient of x^j in column c, so the matrix is k * ncols wide; over
-        Z and F_p bases d is 1."""
+        a Z base d is 1."""
         form = self._integer_form
         if form is None:
             ring, n, rows = self.ring, self.ncols, self.sparse_rows()
@@ -238,9 +236,8 @@ class Matrix:
         Over an extension of degree k, the integer slice i of vec (the
         coefficients of x^i, denominators cleared) goes through the integer
         form, whose slice j lands in the accumulator of x^(i+j); the
-        accumulators are reduced by the minimal polynomial once per output
-        entry (its denominator cleared as it goes), then turned into ring
-        elements."""
+        accumulators are reduced by the integral minimal polynomial once per
+        output entry, then turned into ring elements."""
         if len(vec) != self.nrows:
             raise ShapeError("act_on_row: length mismatch")
         ring = self.ring
@@ -262,16 +259,13 @@ class Matrix:
                         acc[i + j] = part if cur is None else [a + b for a, b in zip(cur, part)]
             zero = [0] * n
             acc = [zero if a is None else a for a in acc]
-            m, D = ring.integer_minpoly
+            m = ring.integer_minpoly
             for top in range(2 * k - 2, k - 1, -1):
                 c = acc[top]
-                if D != 1:
-                    acc[:top] = [[D * a for a in low] for low in acc[:top]]
                 for j in range(k):
                     if m[j]:
                         acc[top - k + j] = [a - m[j] * x for a, x in zip(acc[top - k + j], c)]
-            den = d * dv * D ** (k - 1)
-            return list(zip(*(ring.base.from_numerators(a, den) for a in acc[:k])))
+            return list(zip(*(ring.base.from_numerators(a, d * dv) for a in acc[:k])))
         out = [0] * self.ncols
         if self._sparse is not None:
             for v, row in zip(vec, self._sparse):
@@ -330,81 +324,28 @@ def _over_one_denominator(ar, rows, pivots, scales=None):
 # at the leftmost entry of its row, so subtracting a pivot row only adds
 # columns to the right of the one it clears. The reduced echelon form then
 # takes one back-substitution pass over the pivots, right to left. The
-# four arithmetic flavours below supply loading, the row operation, pivot
-# normalization and dense output, and each representation of entries (ring
-# elements, ints, integer tuples) has one reduce loop that runs a vector
+# three arithmetic flavours below supply loading, the row operation, pivot
+# normalization and the exit to ring elements, and each representation of
+# entries (ints, integer tuples) has one reduce loop that runs a vector
 # against a _PivotForm.
 
 
-class _Field:
-    """Any field, through its ring operations: pivots scaled to one. This
-    flavour serves the extensions of F_p and those of Q by a non-integral
-    minimal polynomial; the three below are faster."""
-
-    def __init__(self, ring):
-        self.ring = ring
-        self.zero, self.one = ring.zero, ring.one
-
-    @staticmethod
-    def load(row):
-        """(loaded row, scale s) with loaded row == s * row, a new dict,
-        since elimination consumes its rows in place."""
-        return dict(row), 1
-
-    def eliminate(self, row, t, prow, pt, c):
-        """Clear column c of row (and carry t) with the pivot row at c."""
-        ring = self.ring
-        sub, mul, neg, is_zero = ring.sub, ring.mul, ring.neg, ring.is_zero
-        v = row[c]
-        for dst, src in ((row, prow),) if t is None else ((row, prow), (t, pt)):
-            for j, x in src.items():
-                cur = dst.get(j)
-                y = neg(mul(v, x)) if cur is None else sub(cur, mul(v, x))
-                if is_zero(y):
-                    dst.pop(j, None)
-                else:
-                    dst[j] = y
-
-    def make_pivot(self, row, t, c):
-        if row[c] != self.one:
-            mul = self.ring.mul
-            inv = self.ring.inv(row[c])
-            for dst in (row,) if t is None else (row, t):
-                for j in dst:
-                    dst[j] = mul(inv, dst[j])
-
-    # field elements are their own numerators over one (_over_one_denominator)
-    numerators = staticmethod(lambda rows, pivots, scales=None: (rows, 1))
-    elements = staticmethod(lambda nums, d: nums)
-
-    def reduce(self, form, vec):
-        """(coordinates, coefficients) of vec against a _PivotForm: its free
-        coordinates modulo the pivot rows, zero exactly on their span, and
-        the sum of vec[c] times the transform row at each pivot column c."""
-        ring = self.ring
-        add, sub, mul, is_zero = ring.add, ring.sub, ring.mul, ring.is_zero
-        coords = [vec[f] for f in form.free]
-        coeffs = [ring.zero] * form.nrows
-        for c, tail, trow in form.pivots:
-            v = vec[c]
-            if not is_zero(v):
-                for i, t in tail.items():
-                    coords[i] = sub(coords[i], mul(v, t))
-                for i, t in trow.items():
-                    coeffs[i] = add(coeffs[i], mul(v, t))
-        return coords, coeffs
-
-
-class _Ints(_Field):
+class _Ints:
     """The flavours on int entries, F_p and Q: one reduce loop on ints, run
     on the vector's numerators as the flavour's vector method gives them."""
+
+    def __init__(self, ring):
+        self.ring, self.one = ring, 1
 
     def elements(self, nums, d):
         return self.ring.from_numerators(nums, d)
 
     def reduce(self, form, vec):
-        """_Field.reduce on numerators, vec == iv / dv: the coordinates are
-        kept times dv * den, the coefficients times dv * tden."""
+        """(coordinates, coefficients) of vec against a _PivotForm: its free
+        coordinates modulo the pivot rows, zero exactly on their span, and
+        the sum of vec[c] times the transform row at each pivot column c.
+        They run on numerators, vec == iv / dv: the coordinates kept times
+        dv * den, the coefficients times dv * tden."""
         iv, dv = self.vector(vec)
         d = form.den
         coords = [iv[f] * d for f in form.free]
@@ -422,8 +363,11 @@ class _Ints(_Field):
 class _PrimeField(_Ints):
     """F_p on residues 0..p-1."""
 
-    # residues are their own numerators (and pivots and scales are one)
+    # residues are their own numerators (and pivots and scales are one);
+    # load copies, since elimination consumes its rows in place
     vector = staticmethod(lambda vec: (vec, 1))
+    load = staticmethod(lambda row: (dict(row), 1))
+    numerators = staticmethod(lambda rows, pivots, scales=None: (rows, 1))
 
     def __init__(self, ring):
         super().__init__(ring)
@@ -461,7 +405,6 @@ class _Rationals(_Ints):
 
     def __init__(self):
         super().__init__(QQ)
-        self.one = 1
 
     @staticmethod
     def load(row):
@@ -504,7 +447,7 @@ class _Rationals(_Ints):
                     dst[j] = -dst[j]
 
 
-class _IntegralExtension(_Field):
+class _IntegralExtension:
     """Q[x]/(m) for an integral m, such as Q(2cos(pi/n)): rows of primitive
     integer coefficient tuples, held up to a rational scale like the rows
     of _Rationals, with every pivot a positive rational integer.
@@ -516,10 +459,9 @@ class _IntegralExtension(_Field):
     v/g, g = gcd(P, v), and both then remove their integer content."""
 
     def __init__(self, ring):
-        super().__init__(ring)
-        self.degree = k = ring.degree
-        self.one = (1,) + (0,) * (k - 1)
-        self.minpoly = ring.integer_minpoly[0]
+        self.ring, self.degree = ring, ring.degree
+        self.one = (1,) + (0,) * (ring.degree - 1)
+        self.minpoly = ring.integer_minpoly
 
     def load(self, row):
         nums, d = self.vector(row.values())
@@ -653,23 +595,15 @@ def _det(rows):
     return sign * a[-1][-1] if n else 1
 
 
-def _field_for(ring):
-    if isinstance(ring, IntegerRing):
-        return QQ
-    if ring.is_field:
-        return ring
-    raise UnsupportedRingError("field elimination over %s" % ring.kind)
-
-
 def _arithmetic(ring):
-    field = _field_for(ring)
-    if isinstance(field, RationalField):
+    """The elimination flavour of a ring; Z is read over Q."""
+    if isinstance(ring, (IntegerRing, RationalField)):
         return _Rationals()
-    if isinstance(field, PrimeField):
-        return _PrimeField(field)
-    if isinstance(field, QuotientExtension) and field.integers is not None:
-        return _IntegralExtension(field)
-    return _Field(field)
+    if isinstance(ring, PrimeField):
+        return _PrimeField(ring)
+    if isinstance(ring, QuotientExtension) and ring.is_field:
+        return _IntegralExtension(ring)
+    raise UnsupportedRingError("field elimination over %s" % ring.kind)
 
 
 def _load(ar, mat):
@@ -1294,14 +1228,18 @@ class FPMap:
 
 
 def charpoly(mat):
-    """Monic characteristic polynomial, coefficients low -> high."""
+    """Monic characteristic polynomial, coefficients low -> high, over Q,
+    Z (read over Q) or F_p."""
+    ar = _arithmetic(mat.ring)
+    if isinstance(ar, _IntegralExtension):
+        raise UnsupportedRingError("charpoly runs over Q, Z or F_p, not %s" % mat.ring.kind)
+    field = ar.ring
     if mat.nrows != mat.ncols:
         raise ShapeError("charpoly needs a square matrix")
-    field = _field_for(mat.ring)
     n = mat.nrows
     if n == 0:
         return [field.one]
-    conv = (lambda x: Fraction(x)) if isinstance(field, RationalField) else (lambda x: x)
+    conv = Fraction if field is QQ else (lambda x: x)
     a = [[conv(x) for x in row] for row in mat.rows]
     sub, mul, div, is_zero = field.sub, field.mul, field.div, field.is_zero
     add = field.add

@@ -14,7 +14,9 @@ the a-th basis monomial, so the matrix of gh is M_h * M_g.
 
 A module serves the cocycles of one signature n, whose entries are ints
 or coefficient tuples over Z[lambda] with lambda = 2cos(pi/n); the image
-of lambda in the coefficient ring is found on first use.
+of lambda in the coefficient ring is found on first use: 1 for n = 3, the
+generator of Z[lambda] or Q(lambda), or a root of its minimal polynomial
+in F_p.
 
 Two variants control how much of the matrix sign matters. "projective"
 requires even weight, where -identity acts trivially and cocycles only
@@ -26,7 +28,7 @@ whose cocycles are exact integer matrices.
 from __future__ import annotations
 
 from .linalg import FPModule, Matrix, RowBasis, left_kernel
-from .rings import GF, ZZ, PrimeField, QuotientExtension, RationalField, UnsupportedRingError
+from .rings import ZZ, PrimeField, QuotientExtension, RationalField, UnsupportedRingError
 from .triangle import lambda_minimal_polynomial, lambda_roots_mod_p
 
 
@@ -35,8 +37,8 @@ def lambda_image_in(ring, n):
 
     For n = 3 this is 1 in any ring. Otherwise the ring must contain a
     root of the minimal polynomial of lambda: a quotient extension whose
-    generator is such a root, or a prime field where the polynomial has a
-    linear factor."""
+    generator is such a root (Z[lambda], or Q(lambda) from --ring lambda),
+    or a prime field where the polynomial has a root."""
     if n == 3:
         return ring.one
     poly = lambda_minimal_polynomial(n)
@@ -57,32 +59,10 @@ def lambda_image_in(ring, n):
         if roots:
             return roots[0]
         raise UnsupportedRingError(
-            "lambda for n=%d has no image in F_%d; use the quotient extension"
-            % (n, ring.p)
+            "the minimal polynomial of lambda for n=%d has no root mod %d; "
+            "use --ring lambda or a prime where it splits" % (n, ring.p)
         )
     raise UnsupportedRingError("ring %s does not contain lambda for n=%d" % (ring.kind, n))
-
-
-def lambda_splitting_field_mod_p(n, p):
-    """(ring, lam) in characteristic p: F_p itself when the minimal
-    polynomial of lambda has a root, else F_p[x]/(least irreducible factor)."""
-    F = GF(p)
-    if n == 3:
-        return F, F.one
-    roots = lambda_roots_mod_p(n, p)
-    if roots:
-        return F, roots[0]
-    import sympy
-
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(list(reversed(lambda_minimal_polynomial(n))), x, modulus=p)
-    factors = sorted(
-        (f.degree(), [int(c) % p for c in reversed(f.all_coeffs())])
-        for f, _ in poly.factor_list()[1]
-    )
-    modulus = factors[0][1]
-    R = QuotientExtension(F, modulus, var="lam")
-    return R, R.generator()
 
 
 class WeightModule:
@@ -139,12 +119,12 @@ class WeightModule:
             return Matrix.identity(R, 1)
         entries = [self.convert_scalar(x) for x in mat]
         # the cocycle entries are integral (Q holds lambda only for n = 3,
-        # where it is 1, and in Q(lambda) lambda is the generator), so the
+        # where it is 1, and in an extension lambda is the generator), so the
         # action is built on integers, ints over Q and integer coefficient
-        # tuples over Q(lambda), and kept as the matrix's integer form
+        # tuples over the extensions, and kept as the matrix's integer form
         if isinstance(R, RationalField):
             return Matrix.from_integers(_action_rows(ZZ, *(x.numerator for x in entries), self.k))
-        if isinstance(R, QuotientExtension) and R.integers is not None:
+        if isinstance(R, QuotientExtension):
             ints = [tuple([c.numerator for c in x]) for x in entries]
             return Matrix.from_integers(_action_rows(R.integers, *ints, self.k), R)
         return Matrix(R, _action_rows(R, *entries, self.k))

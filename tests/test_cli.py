@@ -219,7 +219,11 @@ def test_usage_errors_exit_2(argv, capsys):
 )
 def test_unsupported_exit_3(argv, capsys):
     assert cli.main(argv) == 3
-    assert "unsupported" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unsupported" in err
+    if "fp:2" in argv:
+        # the message names the rings the CLI can build
+        assert "no root mod 2" in err and "--ring lambda" in err and "where it splits" in err
 
 
 def test_perm_file_with_a_bad_pair_exits_2(tmp_path, capsys):

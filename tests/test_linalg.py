@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckesym.rings import GF, QQ, ZZ, QuotientExtension
+from heckesym import cli
+from heckesym.rings import GF, QQ, ZZ, UnsupportedRingError
 from heckesym.triangle import integral_lambda_ring, rational_lambda_ring
 from heckesym.linalg import (
     FPModule,
@@ -22,6 +24,9 @@ from heckesym.linalg import (
     matrix_rank,
     rref,
     smith_normal_form,
+    _IntegralExtension,
+    _PrimeField,
+    _Rationals,
     _arithmetic,
     _echelon,
     _int_rows,
@@ -409,7 +414,7 @@ def _check_express_against_the_textbook(data, ring, ops, kind, draw):
 
 # -- extensions on integer forms ---------------------------------------------
 
-EXTENSIONS = ["Z[lambda5]", "Q(lambda5)", "Q(lambda7)", "F4", "Q[x]/(x^2-1/2)"]
+EXTENSIONS = ["Z[lambda5]", "Q(lambda5)", "Q(lambda7)"]
 EXTENSION_FIELDS = EXTENSIONS[1:]
 
 
@@ -419,16 +424,9 @@ def _extension_case(name):
     if name == "Z[lambda5]":
         ops = oracles.SimpleExtensionOps(oracles.minpoly_2cos_pi_over(5))
         return integral_lambda_ring(5)[0], ops, st.integers(-7, 7), int
-    if name.startswith("Q(lambda"):
-        n = int(name[len("Q(lambda"):-1])
-        ops = oracles.SimpleExtensionOps(oracles.minpoly_2cos_pi_over(n))
-        return rational_lambda_ring(n)[0], ops, fraction, Fraction
-    if name == "F4":
-        # F_2[w]/(w^2 + w + 1)
-        return QuotientExtension(GF(2), [1, 1, 1]), oracles.SimpleExtensionOps([1, 1, 1], p=2), \
-            st.integers(0, 1), int
-    m = [Fraction(-1, 2), 0, 1]
-    return QuotientExtension(QQ, m), oracles.SimpleExtensionOps(m), fraction, Fraction
+    n = int(name[len("Q(lambda"):-1])
+    ops = oracles.SimpleExtensionOps(oracles.minpoly_2cos_pi_over(n))
+    return rational_lambda_ring(n)[0], ops, fraction, Fraction
 
 
 def _sparse_elements(data, ring, coeff, n, m):
@@ -539,6 +537,22 @@ def test_lambda_elimination_keeps_primitive_rows_and_integer_pivots(n, data):
             p = row[c]
             assert p[0] > 0 and not any(p[1:])
             assert gcd(*(x for e in list(row.values()) + list(t.values()) for x in e)) == 1
+
+
+@pytest.mark.parametrize(
+    "spec,n", [("q", 3), ("z", 3), ("fp:71", 3)] + [("lambda", n) for n in range(3, 8)]
+)
+def test_every_cli_ring_eliminates_on_integers(spec, n):
+    # _build_ring reads only the signature n of the cosets
+    ring = cli._build_ring(cli._ring_spec(spec), SimpleNamespace(n=n))
+    assert type(_arithmetic(ring)) in (_Rationals, _PrimeField, _IntegralExtension)
+
+
+def test_elimination_refuses_rings_without_an_integer_flavour():
+    with pytest.raises(UnsupportedRingError):
+        _arithmetic(integral_lambda_ring(5)[0])  # Z[lambda] is no field
+    with pytest.raises(UnsupportedRingError):
+        rref(Matrix(integral_lambda_ring(5)[0], [[(1, 0)]]))
 
 
 # -- integer normal forms ----------------------------------------------------
@@ -771,12 +785,13 @@ def test_charpoly_over_gf():
 
 
 def test_charpoly_over_extension_field():
-    R = QuotientExtension(QQ, (-1, -1, 1))
-    lam = R.generator()
-    A = Matrix(R, [[lam, R.one], [R.zero, lam]])
-    p = charpoly(A)
-    # (x - lam)^2 = x^2 - 2 lam x + lam^2, and lam^2 = lam + 1
-    assert p == [R.add(lam, R.one), R.mul(R.of_int(-2), lam), R.one]
+    # the Hessenberg recursion divides; over Q(lambda) it is refused up front
+    R, lam = rational_lambda_ring(5)
+    with pytest.raises(UnsupportedRingError, match="charpoly runs over Q, Z or F_p"):
+        charpoly(Matrix(R, [[lam, R.one], [R.zero, lam]]))
+    Z5, mu = integral_lambda_ring(5)
+    with pytest.raises(UnsupportedRingError):
+        charpoly(Matrix(Z5, [[mu]]))
 
 
 def test_prime_field_entries_outside_the_residues_are_reduced():

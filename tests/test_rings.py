@@ -65,18 +65,14 @@ def test_quotient_extension_golden_ratio():
     lam = R.generator()
     # lam^2 = lam + 1
     assert R.mul(lam, lam) == R.add(lam, R.one)
-    inv = R.inv(lam)
-    assert R.mul(lam, inv) == R.one
-    # 1/lam = lam - 1 for the golden ratio
-    assert inv == R.sub(lam, R.one)
+    # lam * (lam - 1) = 1 for the golden ratio
+    assert R.mul(lam, R.sub(lam, R.one)) == R.one
 
 
 def test_quotient_extension_over_z_zero_divisor():
     R = QuotientExtension(ZZ, (-2, 0, 1), var="x")  # Z[x]/(x^2-2)
     lam = R.generator()
     assert R.mul(lam, lam) == R.of_int(2)
-    with pytest.raises(UnsupportedRingError):
-        R.inv(lam)  # 1/sqrt(2) is not integral
 
 
 def test_quotient_extension_element_str():
@@ -88,12 +84,26 @@ def test_quotient_extension_element_str():
     assert R.element_str(R.mul(R.of_int(-2), lam)) == "-2*x"
 
 
-def test_quotient_extension_nonfield_detection():
-    # x^2 - 1 is reducible: (x-1)(x+1); inverting x-1 must fail cleanly
-    R = QuotientExtension(QQ, (-1, 0, 1), var="x")
-    v = R.sub(R.generator(), R.one)
-    with pytest.raises(ZeroDivisionError):
-        R.inv(v)
+@pytest.mark.parametrize(
+    "base,minpoly",
+    [
+        (GF(2), [1, 1, 1]),  # F_4: no extension of F_p
+        (QQ, [Fraction(-1, 2), 0, 1]),  # sqrt(1/2): no non-integral minimal polynomial
+        (ZZ, [1, 2]),  # not monic
+    ],
+    ids=["F4", "sqrt-half", "not-monic"],
+)
+def test_quotient_extension_refuses_other_bases_and_polynomials(base, minpoly):
+    with pytest.raises(UnsupportedRingError):
+        QuotientExtension(base, minpoly)
+
+
+def test_quotient_extension_has_no_division():
+    R = QuotientExtension(QQ, (-1, -1, 1))
+    with pytest.raises(UnsupportedRingError):
+        R.inv(R.generator())
+    with pytest.raises(UnsupportedRingError):
+        R.div(R.one, R.generator())
 
 
 @settings(max_examples=60)

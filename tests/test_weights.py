@@ -17,7 +17,6 @@ from heckesym.triangle import (
 from heckesym.weights import (
     WeightModule,
     lambda_image_in,
-    lambda_splitting_field_mod_p,
     local_term,
 )
 
@@ -156,8 +155,7 @@ def test_action_determinant_is_unit():
 def test_action_over_lambda_extension():
     # n = 5: tau has entries in Z[lam]; check the multiplicative rule there
     R5, lam = integral_lambda_ring(5)
-    ring, gen = lambda_splitting_field_mod_p(5, 19)  # x^2 - x - 1 has roots mod 19
-    V = WeightModule(ring, 4, n=5)
+    V = WeightModule(GF(19), 4, n=5)  # x^2 - x - 1 has roots mod 19
     tau5 = tau_matrix(R5, lam)
     tau5_sq = mat2_mul(R5, tau5, tau5)
     A = V.action_matrix(tau5)
@@ -216,9 +214,3 @@ def test_lambda_image_in_prime_field():
         lambda_image_in(GF(5), 4)
 
 
-def test_lambda_splitting_field():
-    ring, lam = lambda_splitting_field_mod_p(4, 7)
-    assert ring == GF(7) and lam == 3
-    ring, lam = lambda_splitting_field_mod_p(4, 5)
-    assert ring.degree == 2
-    assert ring.mul(lam, lam) == ring.of_int(2)
