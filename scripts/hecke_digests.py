@@ -50,7 +50,7 @@ from heckesym.modsym import (
     weight_module_for,
 )
 from heckesym.rings import GF, QQ, ZZ
-from heckesym.triangle import TriangleSubgroup, rational_lambda_ring
+from heckesym.triangle import TriangleSubgroup, rational_lambda_ring, subgroup_from_dict
 
 PRIMES = (2, 3, 5, 7)
 SUBGROUPS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -67,8 +67,7 @@ def one_coset(n):
 def listed_subgroup(name):
     """The coset table of a subgroup listed in the benchmark's data."""
     with open(SUBGROUPS) as fh:
-        g = json.load(fh)[name]
-    return PermCosets(TriangleSubgroup(g["n"], g["s"], g["t"]))
+        return PermCosets(subgroup_from_dict(json.load(fh)[name]))
 
 
 # name -> (coset builder, its argument, weight, ring); a one-coset group is

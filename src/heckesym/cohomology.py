@@ -138,17 +138,15 @@ def surface_h1_dimension(module):
     return rs + rt - _coboundary_rank(module)
 
 
-def surface_h1_parabolic(module, surface=None):
+def surface_h1_parabolic(module):
     """Kernel of the map from surface cohomology to the translation
     coinvariants induced by 1 - sigma.
 
     The map is well defined without further checks: a sigma-fixed vector
     maps to zero outright, and a tau-fixed m has m(1 - sigma) =
     m(1 - tau sigma), a translation relation."""
-    if surface is None:
-        surface = surface_h1(module)
     target = boundary_space(module).presentation
-    fmap = FPMap(surface, target, module.right_difference("s"), check=False)
+    fmap = FPMap(surface_h1(module), target, module.right_difference("s"), check=False)
     mod, gens = fmap.kernel()
     return Subspace(mod, gens)
 
@@ -318,7 +316,7 @@ def _kills(row, mat):
     return all(map(ring.is_zero, acc.values()))
 
 
-def comparison_report(symbols, surface=None):
+def comparison_report(symbols):
     """Compare the modular symbol quotient with the surface cohomology.
 
     Both are quotients of the same induced module (by norm relations and by
@@ -331,8 +329,6 @@ def comparison_report(symbols, surface=None):
     the contribution of each class."""
     module = symbols.module
     ring = module.ring
-    if surface is None:
-        surface = surface_h1(module)
     # a symbol relation lies in the surface relations, the saturated kernels
     # of D_sigma and D_tau, when one of them kills it
     ds, dt = module.right_difference("s"), module.right_difference("t")
@@ -340,7 +336,7 @@ def comparison_report(symbols, surface=None):
         if not (_kills(row, ds) or _kills(row, dt)):
             raise IllDefinedMapError("source relation does not map into target relations")
     to_surface = FPMap(
-        symbols.presentation, surface, Matrix.identity(ring, module.rank), check=False
+        symbols.presentation, surface_h1(module), Matrix.identity(ring, module.rank), check=False
     )
     kernel, kernel_gens = to_surface.kernel()
 

@@ -177,10 +177,10 @@ class CongruenceCosets:
     def act_letter(self, i, letter, e=1):
         return self.act(i, mat2_pow(ZZ, _LETTERS[letter], e))
 
-    def twist(self, i, letter, e=1):
-        """(j, cocycle) for coset i under letter^e; the cocycle is the
+    def twist(self, i, letter):
+        """(j, cocycle) for coset i under the letter; the cocycle is the
         inverse of the Schreier element, which multiplies the coefficient."""
-        j, gamma = self.act_letter(i, letter, e)
+        j, gamma = self.act_letter(i, letter)
         return j, mat2_inv_det_one(ZZ, gamma)
 
     def twist_by(self, i, g):

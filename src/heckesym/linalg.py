@@ -1196,8 +1196,9 @@ class FPMap:
         """(FPModule K, ambient rows of its generators inside src)."""
         ring = self.src.ring
         if isinstance(ring, IntegerRing):
-            pre = _leading(left_kernel(self.ambient.stack(self.dst.relations)), self.src.ngens)
-            gens = _leading(hermite_normal_form(pre), pre.ncols)
+            # the kernel's Hermite rows cut to the source columns are the
+            # Hermite form of the preimage lattice already
+            gens = _leading(left_kernel(self.ambient.stack(self.dst.relations)), self.src.ngens)
             if gens.nrows:
                 rel = _leading(left_kernel(gens.stack(self.src.relations)), gens.nrows)
             else:

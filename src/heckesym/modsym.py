@@ -12,12 +12,13 @@ Cuspidal and Eisenstein parts are its kernel and image.
 
 Both kinds of table, congruence.CongruenceCosets and PermCosets here, share
 one interface, and everything in this module reads a table through it alone:
-n and mu; twist(i, letter, e), the coset reached from i by letter^e with the
-cocycle that multiplies the coefficient; stabilizer_cocycle(cls), the
+n and mu; twist(i, letter), the coset reached from i by the letter with
+the cocycle that multiplies the coefficient; stabilizer_cocycle(cls), the
 stabilizer generator of an elliptic class; the weight_variant class
 attribute naming the matching weight action; and label(). Cocycles are
-plain 2x2 matrices (4-tuples over Z or Z[lam]), which the weight module of
-signature n turns into row-convention action matrices. Only path
+plain 2x2 matrices, 4-tuples over Z for congruence tables and over the
+group's own Z[2cos(pi/n)] for permutation tables, which the weight module
+of signature n turns into row-convention action matrices. Only path
 conversion and matrix right actions need more (congruence cusp arithmetic),
 and they ask for it through congruence.require_congruence.
 """
@@ -27,7 +28,7 @@ from collections import namedtuple
 from .congruence import continued_fraction_path, require_congruence
 from .linalg import FPMap, FPModule, Matrix, left_kernel, matrix_rank
 from .rings import UnsupportedRingError
-from .triangle import integral_lambda_ring, mat2_inv_det_one, psl_canonical
+from .triangle import mat2_inv_det_one, psl_canonical
 from .weights import WeightModule
 
 
@@ -37,29 +38,29 @@ Subspace = namedtuple("Subspace", ["module", "ambient_rows"])
 class PermCosets:
     """Coset-table view of a permutation-presented triangle subgroup.
 
-    Cocycles come back as exact 2x2 matrices over Z[lam], sign-canonicalized.
+    Cocycles come back as exact 2x2 matrices over the group's Z[lam],
+    sign-canonicalized.
     The signs are only projective, hence the projective weight variant.
     """
 
     weight_variant = "projective"
 
     def __init__(self, group):
-        self.group = group
         self.subgroup = group
         self.n = group.n
         self.mu = group.mu
-        self.ring, self.lam = integral_lambda_ring(group.n)
 
-    def twist(self, i, letter, e=1):
+    def twist(self, i, letter):
         """(j, cocycle of the inverse Schreier element) for coset i under
-        letter^e; the cocycle is exactly what multiplies the coefficient."""
-        gam, j = self.group.cocycle_matrix(self.ring, self.lam, i, ((letter, e),))
-        return j, psl_canonical(self.ring, mat2_inv_det_one(self.ring, gam))
+        the letter; the cocycle is exactly what multiplies the coefficient."""
+        gam, j = self.subgroup.cocycle_matrix(i, ((letter, 1),))
+        ring = self.subgroup.ring
+        return j, psl_canonical(ring, mat2_inv_det_one(ring, gam))
 
     def stabilizer_cocycle(self, cls):
         """Generator of the stabilizer of an elliptic class, as a matrix."""
         word = (("s" if cls.kind == "sigma" else "t", cls.power),)
-        gam, j = self.group.cocycle_matrix(self.ring, self.lam, cls.coset, word)
+        gam, j = self.subgroup.cocycle_matrix(cls.coset, word)
         if j != cls.coset:
             raise UnsupportedRingError("elliptic class does not fix its coset")
         return gam
@@ -121,13 +122,12 @@ class InducedModule:
         act = self.weight.action_matrix
         return [(j, act(coc)) for j, coc in twists]
 
-    def _letter(self, letter, e=1):
-        key = (letter, e)
-        bm = self._letter_cache.get(key)
+    def _letter(self, letter):
+        bm = self._letter_cache.get(letter)
         if bm is None:
             twist = self.cosets.twist
-            bm = self._from_twists(twist(i, letter, e) for i in range(self.mu))
-            self._letter_cache[key] = bm
+            bm = self._from_twists(twist(i, letter) for i in range(self.mu))
+            self._letter_cache[letter] = bm
         return bm
 
     def _powers(self, letter):
@@ -177,10 +177,10 @@ class InducedModule:
         if name == "s" or name == "t":
             return self._letter(name)
         if name == "T":
-            bm = self._letter_cache.get(("T", 1))
+            bm = self._letter_cache.get("T")
             if bm is None:
                 bm = self._compose(self._letter("t"), self._letter("s"))
-                self._letter_cache[("T", 1)] = bm
+                self._letter_cache["T"] = bm
             return bm
         raise ValueError(name)
 
@@ -234,9 +234,9 @@ class InducedModule:
         on a cache miss."""
         return self._cached("rank:" + key, lambda: matrix_rank(build()))
 
-    def apply_letter_to_row(self, vec, letter, e=1):
-        """Row vector (plain list) times the right action of letter^e."""
-        bm = self._letter(letter, e)
+    def apply_letter_to_row(self, vec, letter):
+        """Row vector (plain list) times the right action of the letter."""
+        bm = self._letter(letter)
         blk = self.block
         out = [self.ring.zero] * self.rank
         for i, (j, B) in enumerate(bm):
@@ -320,7 +320,7 @@ def boundary_space(source):
     return BoundarySpace(module)
 
 
-def boundary_map(space, boundary=None, check=False):
+def boundary_map(space, check=False):
     """Difference-of-endpoints map from symbols to the boundary space.
 
     Well-definedness needs both norm relation families to land in the
@@ -330,26 +330,19 @@ def boundary_map(space, boundary=None, check=False):
     N_tau (1 - sigma) = N_tau (1 - tau sigma), whose rows are visibly
     combinations of the rows of 1 - T. Pass check=True to re-verify
     row by row anyway."""
-    if boundary is None:
-        boundary = boundary_space(space)
-    module = space.module
-    ambient = module.right_difference("s")
-    return FPMap(space.presentation, boundary.presentation, ambient, check=check)
+    ambient = space.module.right_difference("s")
+    return FPMap(space.presentation, boundary_space(space).presentation, ambient, check=check)
 
 
-def cuspidal_subspace(space, bmap=None):
+def cuspidal_subspace(space):
     """Kernel of the boundary map, with ambient generator rows."""
-    if bmap is None:
-        bmap = boundary_map(space)
-    module, rows = bmap.kernel()
+    module, rows = boundary_map(space).kernel()
     return Subspace(module, rows)
 
 
-def eisenstein_subspace(space, bmap=None):
+def eisenstein_subspace(space):
     """Image of the boundary map, presented on the symbol generators."""
-    if bmap is None:
-        bmap = boundary_map(space)
-    module, _ = bmap.image()
+    module, _ = boundary_map(space).image()
     return module
 
 

@@ -300,9 +300,10 @@ class TriangleSubgroup:
         self.t = t
         self.mu = mu
         self.perm_T = _compose(t, s)  # T = tau*sigma acts by t then s
+        self.ring, self.lam = integral_lambda_ring(n)  # the cocycles' Z[lam]
         self._words = None
-        self._rep_cache = {}
-        self._word_cache = {}  # (ring, word) -> matrix; one-letter words in the library
+        self._rep_cache = []
+        self._word_cache = {}  # word -> matrix; one-letter words in the library
         if len(self._reachable()) != mu:
             raise InvalidSubgroupError("permutation action is not transitive")
 
@@ -386,23 +387,23 @@ class TriangleSubgroup:
             self._words = words
         return self._words
 
-    def rep_matrices(self, ring, lam):
-        """Exact coset representative matrices over the given lam ring."""
-        if ring not in self._rep_cache:
-            words = self.coset_words()
-            self._rep_cache[ring] = [word_matrix(ring, lam, w) for w in words]
-        return self._rep_cache[ring]
+    def rep_matrices(self):
+        """Exact coset representative matrices over Z[lam], built on the
+        first call."""
+        if not self._rep_cache:
+            self._rep_cache.extend(word_matrix(self.ring, self.lam, w) for w in self.coset_words())
+        return self._rep_cache
 
-    def cocycle_matrix(self, ring, lam, i, word):
-        """The subgroup element r_i * g * r_{i.g}^-1 for g given as a word,
-        PSL-sign-canonicalized. Raises if it does not land in the subgroup
-        (permutation check)."""
-        reps = self.rep_matrices(ring, lam)
+    def cocycle_matrix(self, i, word):
+        """The subgroup element r_i * g * r_{i.g}^-1 over Z[lam] for g given
+        as a word, PSL-sign-canonicalized, with the coset i.g."""
+        ring = self.ring
+        reps = self.rep_matrices()
         j = self.apply_word(i, word)
-        key = (ring, tuple(word))
-        g = self._word_cache.get(key)
+        word = tuple(word)
+        g = self._word_cache.get(word)
         if g is None:
-            g = self._word_cache[key] = word_matrix(ring, lam, word)
+            g = self._word_cache[word] = word_matrix(ring, self.lam, word)
         M = mat2_mul(ring, mat2_mul(ring, reps[i], g), mat2_inv_det_one(ring, reps[j]))
         return psl_canonical(ring, M), j
 

@@ -13,10 +13,12 @@ row convention of linalg: row a holds the coefficients of g applied to
 the a-th basis monomial, so the matrix of gh is M_h * M_g.
 
 A module serves the cocycles of one signature n, whose entries are ints
-or coefficient tuples over Z[lambda] with lambda = 2cos(pi/n); the image
-of lambda in the coefficient ring is found on first use: 1 for n = 3, the
-generator of Z[lambda] or Q(lambda), or a root of its minimal polynomial
-in F_p.
+or coefficient tuples over Z[lambda] with lambda = 2cos(pi/n). They are
+read as the integers they are: over Q and the extensions Z[lambda] and
+Q(lambda) the action is built on them directly, and over Z and F_p each
+entry becomes one ring element first. The image of lambda in the
+coefficient ring is checked on first use: 1 for n = 3, the generator of
+the extension, or a root of its minimal polynomial in F_p.
 
 Two variants control how much of the matrix sign matters. "projective"
 requires even weight, where -identity acts trivially and cocycles only
@@ -41,16 +43,11 @@ def lambda_image_in(ring, n):
     or a prime field where the polynomial has a root."""
     if n == 3:
         return ring.one
-    poly = lambda_minimal_polynomial(n)
     if isinstance(ring, QuotientExtension):
-        g = ring.generator()
-        acc = ring.zero
-        power = ring.one
-        for c in poly:
-            acc = ring.add(acc, ring.mul(ring.of_int(c), power))
-            power = ring.mul(power, g)
-        if ring.is_zero(acc):
-            return g
+        # both polynomials are monic and lambda's is irreducible, so the
+        # generator is a root exactly when they are equal
+        if ring.integer_minpoly == lambda_minimal_polynomial(n):
+            return ring.generator()
         raise UnsupportedRingError(
             "extension generator is not a root of the lambda minimal polynomial"
         )
@@ -88,20 +85,6 @@ class WeightModule:
         self._lam = None
         self._matrix_cache = {}
 
-    def convert_scalar(self, x):
-        """Map an entry of a cocycle matrix (an int, or a coefficient tuple
-        over Z[lambda]) into the coefficient ring."""
-        if isinstance(x, int):
-            return self.ring.of_int(x)
-        if self._lam is None:
-            self._lam = lambda_image_in(self.ring, self.n)
-        acc = self.ring.zero
-        power = self.ring.one
-        for c in x:
-            acc = self.ring.add(acc, self.ring.mul(self.ring.of_int(c), power))
-            power = self.ring.mul(power, self._lam)
-        return acc
-
     def action_matrix(self, mat):
         """Matrix of the left action of a 2x2 matrix (4-tuple, entries ints
         or Z[lambda] tuples); row a holds the image of the a-th basis
@@ -117,16 +100,21 @@ class WeightModule:
         R = self.ring
         if self.dim == 1:
             return Matrix.identity(R, 1)
-        entries = [self.convert_scalar(x) for x in mat]
-        # the cocycle entries are integral (Q holds lambda only for n = 3,
-        # where it is 1, and in an extension lambda is the generator), so the
-        # action is built on integers, ints over Q and integer coefficient
-        # tuples over the extensions, and kept as the matrix's integer form
-        if isinstance(R, RationalField):
-            return Matrix.from_integers(_action_rows(ZZ, *(x.numerator for x in entries), self.k))
+        if self._lam is None:
+            self._lam = lambda_image_in(R, self.n)
+        # the entries are integral: the Z[lambda] tuples of an extension
+        # (whose generator is lambda) and the ints of Q (which holds lambda
+        # only for n = 3) build the action on integers, kept as the matrix's
+        # integer form; over Z and F_p lambda is an int
         if isinstance(R, QuotientExtension):
-            ints = [tuple([c.numerator for c in x]) for x in entries]
-            return Matrix.from_integers(_action_rows(R.integers, *ints, self.k), R)
+            Z = R.integers
+            ints = [Z.of_int(x) if isinstance(x, int) else x for x in mat]
+            return Matrix.from_integers(_action_rows(Z, *ints, self.k), R)
+        if isinstance(R, RationalField):
+            return Matrix.from_integers(_action_rows(ZZ, *mat, self.k))
+        lam = self._lam
+        entries = [R.of_int(x if isinstance(x, int) else sum(c * lam**i for i, c in enumerate(x)))
+                   for x in mat]
         return Matrix(R, _action_rows(R, *entries, self.k))
 
 

@@ -111,12 +111,11 @@ def test_level_one_mod_two_exceeds_rational():
 def test_gamma0_dimensions_match_classical_formulas(N, k):
     cosets = gamma0_cosets(N)
     space = space_for(cosets, QQ, k)
-    bmap = boundary_map(space)
     twice_s = 2 * oracles.classical_cusp_form_dimension(N, k)
     eis = oracles.eisenstein_dimension_gamma0(N, k)
     assert space.dim() == twice_s + eis
-    assert cuspidal_subspace(space, bmap).module.dim() == twice_s
-    assert eisenstein_subspace(space, bmap).dim() == eis
+    assert cuspidal_subspace(space).module.dim() == twice_s
+    assert eisenstein_subspace(space).dim() == eis
 
 
 def test_gamma1_even_weight_dimensions():
@@ -130,11 +129,10 @@ def test_gamma1_even_weight_dimensions():
 def test_gamma1_odd_weight_dimensions(N, k):
     cosets = gamma1_cosets(N)
     space = space_for(cosets, QQ, k)
-    bmap = boundary_map(space)
     twice_s, eis = oracles.odd_weight_dims_gamma1(N, k)
     assert space.dim() == twice_s + eis
-    assert cuspidal_subspace(space, bmap).module.dim() == twice_s
-    assert eisenstein_subspace(space, bmap).dim() == eis
+    assert cuspidal_subspace(space).module.dim() == twice_s
+    assert eisenstein_subspace(space).dim() == eis
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +331,7 @@ def test_coset_tables_share_one_interface():
         assert cosets.weight_variant == variant
         assert cosets.label() == label
         assert weight_module_for(cosets, QQ, 2).variant == variant
-        j, cocycle = cosets.twist(0, "t", 1)
+        j, cocycle = cosets.twist(0, "t")
         assert j == cosets.subgroup.t[0] and len(cocycle) == 4
         for cls in cosets.subgroup.elliptic_classes():
             assert len(cosets.stabilizer_cocycle(cls)) == 4
@@ -376,10 +374,7 @@ def test_lambda_weight_smoke():
 
     ring, _ = rational_lambda_ring(5)
     space = space_for(level_one(5), ring, 4)
-    bmap = boundary_map(space)
-    assert space.dim() == cuspidal_subspace(space, bmap).module.dim() + eisenstein_subspace(
-        space, bmap
-    ).dim()
+    assert space.dim() == cuspidal_subspace(space).module.dim() + eisenstein_subspace(space).dim()
 
 
 # ---------------------------------------------------------------------------

@@ -243,28 +243,24 @@ def test_schreier_order_is_bfs_sigma_then_tau_powers():
     assert words[3] == (("t", 2),)
 
 
-def test_rep_matrices_are_cached_per_ring_value():
+def test_rep_matrices_are_built_once_per_group():
     G = TriangleSubgroup(4, (1, 0, 3, 2), (2, 0, 3, 1))
-    R1, lam1 = integral_lambda_ring(4)
-    R2, lam2 = integral_lambda_ring(4)
-    assert R1 is not R2
-    assert G.rep_matrices(R1, lam1) is G.rep_matrices(R2, lam2)
-    # a different ring gets its own matrices, whatever object ids recur
-    Q, lamq = rational_lambda_ring(4)
-    assert G.rep_matrices(Q, lamq) is not G.rep_matrices(R1, lam1)
-    assert len(G._rep_cache) == 2
+    assert G.ring == integral_lambda_ring(4)[0]
+    reps = G.rep_matrices()
+    assert reps is G.rep_matrices()
+    assert reps == [word_matrix(G.ring, G.lam, w) for w in G.coset_words()]
 
 
 def test_rep_matrices_land_in_expected_coset():
     # multiplying rep by a generator must reach the permuted coset's rep
     # up to an element whose permutation action fixes coset 0
     for G in _sample_groups():
-        R, lam = integral_lambda_ring(G.n)
-        reps = G.rep_matrices(R, lam)
+        R, lam = G.ring, G.lam
+        reps = G.rep_matrices()
         assert reps[0] == mat2_identity(R)
         for i in range(G.mu):
             for letter in ("s", "t"):
-                M, j = G.cocycle_matrix(R, lam, i, ((letter, 1),))
+                M, j = G.cocycle_matrix(i, ((letter, 1),))
                 # M = r_i g r_j^{-1} must fix coset 0 under the action
                 word_m, j2 = G.cocycle_word(i, ((letter, 1),))
                 assert j2 == j
@@ -276,7 +272,7 @@ def test_rep_matrices_land_in_expected_coset():
 def test_cocycle_multiplicative_up_to_sign():
     rng = random.Random(11)
     for G in _sample_groups():
-        R, lam = integral_lambda_ring(G.n)
+        R = G.ring
         for _ in range(20):
             w1 = tuple(
                 (rng.choice("st"), rng.randrange(1, G.n)) for _ in range(rng.randrange(1, 4))
@@ -285,17 +281,17 @@ def test_cocycle_multiplicative_up_to_sign():
                 (rng.choice("st"), rng.randrange(1, G.n)) for _ in range(rng.randrange(1, 4))
             )
             i = rng.randrange(G.mu)
-            g1, j1 = G.cocycle_matrix(R, lam, i, w1)
-            g2, j2 = G.cocycle_matrix(R, lam, j1, w2)
-            g12, j12 = G.cocycle_matrix(R, lam, i, w1 + w2)
+            g1, j1 = G.cocycle_matrix(i, w1)
+            g2, j2 = G.cocycle_matrix(j1, w2)
+            g12, j12 = G.cocycle_matrix(i, w1 + w2)
             assert j12 == j2
             assert psl_canonical(R, mat2_mul(R, g1, g2)) == g12
 
 
 def test_cocycle_at_identity_word():
     G = TriangleSubgroup.level_one(5)
-    R, lam = integral_lambda_ring(5)
-    M, j = G.cocycle_matrix(R, lam, 0, (("s", 1),))
+    R = integral_lambda_ring(5)[0]
+    M, j = G.cocycle_matrix(0, (("s", 1),))
     assert j == 0
     assert M == psl_canonical(R, sigma_matrix(R))
 
