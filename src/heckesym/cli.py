@@ -96,24 +96,19 @@ def _ring_spec(text):
     )
 
 
-def _weight_spec(text):
-    try:
-        k = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("weight must be an integer")
-    if k < 2:
-        raise argparse.ArgumentTypeError("weight must be at least 2")
-    return k
+def _at_least(name, least):
+    """Parser of an integer option `name` that is at least `least`."""
 
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("%s must be an integer" % name)
+        if value < least:
+            raise argparse.ArgumentTypeError("%s must be at least %d" % (name, least))
+        return value
 
-def _bound_spec(text):
-    try:
-        b = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("bound must be an integer")
-    if b < 1:
-        raise argparse.ArgumentTypeError("bound must be at least 1")
-    return b
+    return parse
 
 
 def _op_spec(text):
@@ -139,7 +134,7 @@ def _build_parser():
     def common(p):
         p.add_argument("--group", type=_group_spec, required=True,
                        help="gamma0:N, gamma1:N, or perm-file:PATH")
-        p.add_argument("--weight", type=_weight_spec, default=2)
+        p.add_argument("--weight", type=_at_least("weight", 2), default=2)
         p.add_argument("--ring", type=_ring_spec, default="q",
                        help="q, z, fp:P, or lambda")
         p.add_argument("--format", choices=("human", "json"), default="human")
@@ -156,7 +151,7 @@ def _build_parser():
 
     p_qexp = sub.add_parser("qexp", help="eigenblocks and q-expansions")
     common(p_qexp)
-    p_qexp.add_argument("--bound", type=_bound_spec, default=None,
+    p_qexp.add_argument("--bound", type=_at_least("bound", 1), default=None,
                         help="number of coefficients (default: the Sturm bound)")
     p_qexp.set_defaults(handler=cmd_qexp)
 
@@ -294,8 +289,7 @@ def cmd_hecke(args):
 def cmd_qexp(args):
     cosets, ring, space = _build_space(args)
     bound = args.bound if args.bound is not None else sturm_bound(space)
-    cusp = cuspidal_subspace(space)
-    records = qexpansions(space, bound, cusp)
+    records = qexpansions(space, bound)
     blocks = []
     for rec in records:
         blk = rec.block
@@ -312,7 +306,8 @@ def cmd_qexp(args):
     return {
         "bound": bound,
         "sturm_bound": sturm_bound(space),
-        "cuspidal_dim": cusp.module.rank(),
+        # over a field the blocks fill the cuspidal subspace
+        "cuspidal_dim": sum(rec.block.dim for rec in records),
         "blocks": blocks,
     }
 

@@ -292,10 +292,9 @@ def mayer_vietoris(module):
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Identity-on-ambient map from the symbol presentation onto surface
-    cohomology, with its kernel and the elliptic data explaining it."""
+    """Kernel of the identity-on-ambient map from the symbol presentation
+    onto surface cohomology, with the elliptic data explaining it."""
 
-    to_surface: FPMap
     kernel: FPModule
     kernel_gens: Matrix
     local_terms: tuple
@@ -381,6 +380,4 @@ def comparison_report(symbols):
             verdict = "kernel spanned by elliptic orbit sums"
         else:
             verdict = "kernel not spanned by elliptic orbit sums"
-    return ComparisonReport(
-        to_surface, kernel, kernel_gens, tuple(local_terms), local_span, verdict
-    )
+    return ComparisonReport(kernel, kernel_gens, tuple(local_terms), local_span, verdict)

@@ -180,8 +180,7 @@ class CongruenceCosets:
     def twist(self, i, letter):
         """(j, cocycle) for coset i under the letter; the cocycle is the
         inverse of the Schreier element, which multiplies the coefficient."""
-        j, gamma = self.act_letter(i, letter)
-        return j, mat2_inv_det_one(ZZ, gamma)
+        return self.twist_by(i, _LETTERS[letter])
 
     def twist_by(self, i, g):
         """The same as twist for any g in SL_2(Z)."""

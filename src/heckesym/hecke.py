@@ -125,16 +125,13 @@ class LazyOperator(FPMap):
     its ambient rows assembled on first read and kept.
 
     Every read goes through rows_at, which builds the missing rows in one
-    batch; .ambient assembles all of them on first access. With check=True
-    the full operator is verified against the relations at construction."""
+    batch; .ambient assembles all of them on first access."""
 
-    def __init__(self, space, reps, check=False):
+    def __init__(self, space, reps):
         self.src = self.dst = space.presentation
         self._space = space
         self._reps = reps
         self._rows = {}
-        if check:
-            FPMap(self.src, self.dst, self.ambient, check=True)
 
     def rows_at(self, indices):
         missing = sorted({r for r in indices if r not in self._rows})
@@ -148,14 +145,13 @@ class LazyOperator(FPMap):
         return Matrix(self.src.ring, self.rows_at(range(ngens)), ngens)
 
 
-def hecke_matrix(space, p, check=False):
+def hecke_matrix(space, p):
     """The Hecke operator at a prime p as a self-map of the symbol space.
 
     Well-definedness on the quotient is the usual double-coset argument:
     right multiplication by a subgroup element permutes the representatives
     up to subgroup factors on the left, and those factors stay in the
-    normalized cocycle range. Pass check=True to re-verify that the norm
-    relations map into the relation span.
+    normalized cocycle range.
 
     The result is a LazyOperator: ambient rows are assembled when first
     read (matrix_on_generators and restrict_operator read only the rows at
@@ -163,10 +159,10 @@ def hecke_matrix(space, p, check=False):
     require_congruence(space.cosets, "Hecke operators")
     if not is_prime(p):
         raise ValueError("Hecke operators are indexed by primes, got %r" % (p,))
-    return LazyOperator(space, _double_coset_reps(space.cosets, p), check=check)
+    return LazyOperator(space, _double_coset_reps(space.cosets, p))
 
 
-def diamond_operator(space, d, check=False):
+def diamond_operator(space, d):
     """Left translation by a determinant-one lift of diag(1/d, d) mod N.
 
     On P^1-labelled cosets this is the identity; on (c, d)-pair cosets it
@@ -174,7 +170,7 @@ def diamond_operator(space, d, check=False):
     d = -1 acts as minus the identity. Like hecke_matrix, it returns a
     LazyOperator whose rows are assembled on first read."""
     require_congruence(space.cosets, "Hecke operators")
-    return LazyOperator(space, [diamond_matrix(d, space.cosets.N)], check=check)
+    return LazyOperator(space, [diamond_matrix(d, space.cosets.N)])
 
 
 def restrict_operator(operator, subspace):
@@ -282,6 +278,16 @@ def _restrict_to_block(ring, mat, basis):
     return Matrix(ring, rows, basis.nrows)
 
 
+def _require_eigen_space(space):
+    """Refuse eigensystems unless the coset table is congruence and the
+    ring is Q or F_p; callers run it before building any subspace."""
+    require_congruence(space.cosets, "Hecke operators")
+    if not isinstance(space.ring, (RationalField, PrimeField)):
+        raise UnsupportedRingError(
+            "eigensystems need rational or prime-field coefficients"
+        )
+
+
 def eigensystem(space, primes, subspace=None):
     """Joint primary decomposition of the Hecke operators at the given
     primes, on the cuspidal subspace by default.
@@ -289,12 +295,8 @@ def eigensystem(space, primes, subspace=None):
     Returns EigenBlocks sorted by their eigenvalue data. Every block is
     invariant under all the operators; a one-eigenvalue-per-prime block of
     dimension 2d corresponds to d copies of the plus/minus pair of a form."""
-    require_congruence(space.cosets, "Hecke operators")
+    _require_eigen_space(space)
     ring = space.ring
-    if not isinstance(ring, (RationalField, PrimeField)):
-        raise UnsupportedRingError(
-            "eigensystems need rational or prime-field coefficients"
-        )
     if subspace is None:
         subspace = cuspidal_subspace(space)
     total = subspace.ambient_rows.nrows
@@ -375,7 +377,7 @@ def qexpansions(space, bound, subspace=None):
     are separated as finely as rational eigenvalues allow; coefficients at
     prime powers follow the weight-k recurrence with the diamond character,
     and multiplicativity fills in the rest."""
-    require_congruence(space.cosets, "Hecke operators")
+    _require_eigen_space(space)
     if bound < 1:
         raise ValueError("coefficient bound must be at least 1")
     ring = space.ring

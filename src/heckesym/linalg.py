@@ -223,9 +223,6 @@ class Matrix:
             raise ShapeError("mul: %dx%d by %dx%d" % (self.nrows, self.ncols, other.nrows, other.ncols))
         return Matrix(self.ring, [other.act_on_row(row) for row in self.rows], other.ncols)
 
-    def __mul__(self, other):
-        return self.mul(other)
-
     def act_on_row(self, vec):
         """vec * self for a plain list vec: the product kernel and the hot
         loop of the Hecke row builder. It skips the zero entries of vec and

@@ -101,9 +101,7 @@ class InducedModule:
         self.mu = cosets.mu
         self.block = weight.dim
         self.rank = self.mu * self.block
-        self._letter_cache = {}
-        self._power_cache = {}
-        self._dense_cache = {}
+        self._cache = {}
         ident = Matrix.identity(self.ring, self.block)
         self._identity = [(i, ident) for i in range(self.mu)]
         for letter, name in (("s", "sigma"), ("t", "tau")):
@@ -122,25 +120,31 @@ class InducedModule:
         act = self.weight.action_matrix
         return [(j, act(coc)) for j, coc in twists]
 
+    def _cached(self, key, build):
+        """The cached value under key; `build` runs only on a miss."""
+        out = self._cache.get(key)
+        if out is None:
+            out = self._cache[key] = build()
+        return out
+
     def _letter(self, letter):
-        bm = self._letter_cache.get(letter)
-        if bm is None:
-            twist = self.cosets.twist
-            bm = self._from_twists(twist(i, letter) for i in range(self.mu))
-            self._letter_cache[letter] = bm
-        return bm
+        twist = self.cosets.twist
+        return self._cached(
+            "B" + letter, lambda: self._from_twists(twist(i, letter) for i in range(self.mu))
+        )
 
     def _powers(self, letter):
         """Block maps of letter^0 .. letter^order (order 2 for sigma, n for
         tau), composed once for both the order check and the norm."""
-        out = self._power_cache.get(letter)
-        if out is None:
+
+        def build():
             step = self._letter(letter)
             out = [self._identity, step]
             for _ in range((2 if letter == "s" else self.n) - 1):
                 out.append(self._compose(out[-1], step))
-            self._power_cache[letter] = out
-        return out
+            return out
+
+        return self._cached("P" + letter, build)
 
     @staticmethod
     def _compose(first, then):
@@ -177,24 +181,13 @@ class InducedModule:
         if name == "s" or name == "t":
             return self._letter(name)
         if name == "T":
-            bm = self._letter_cache.get("T")
-            if bm is None:
-                bm = self._compose(self._letter("t"), self._letter("s"))
-                self._letter_cache["T"] = bm
-            return bm
+            return self._cached("BT", lambda: self._compose(self._letter("t"), self._letter("s")))
         raise ValueError(name)
-
-    def _cached(self, key, build):
-        """The cached value under key; `build` runs only on a miss."""
-        out = self._dense_cache.get(key)
-        if out is None:
-            out = self._dense_cache[key] = build()
-        return out
 
     def right_matrix(self, name):
         """Matrix of the right action of sigma ("s"), tau ("t") or the
         translation T = tau sigma ("T")."""
-        return self._cached(name, lambda: self._assemble([(1, self._blockmap(name))]))
+        return self._cached("R" + name, lambda: self._assemble([(1, self._blockmap(name))]))
 
     def right_difference(self, name):
         """Matrix of (identity - right action)."""
@@ -320,7 +313,7 @@ def boundary_space(source):
     return BoundarySpace(module)
 
 
-def boundary_map(space, check=False):
+def boundary_map(space):
     """Difference-of-endpoints map from symbols to the boundary space.
 
     Well-definedness needs both norm relation families to land in the
@@ -328,10 +321,9 @@ def boundary_map(space, check=False):
     identities validated when the induced module was built give exactly
     N_sigma (1 - sigma) = 1 - sigma^2 = 0 and
     N_tau (1 - sigma) = N_tau (1 - tau sigma), whose rows are visibly
-    combinations of the rows of 1 - T. Pass check=True to re-verify
-    row by row anyway."""
+    combinations of the rows of 1 - T."""
     ambient = space.module.right_difference("s")
-    return FPMap(space.presentation, boundary_space(space).presentation, ambient, check=check)
+    return FPMap(space.presentation, boundary_space(space).presentation, ambient, check=False)
 
 
 def cuspidal_subspace(space):

@@ -60,43 +60,17 @@ def is_prime(n):
 
 
 class ExactRing:
-    """Base class; subclasses fix the element representation."""
+    """Base class; subclasses fix the element representation and supply
+    zero, one, add, sub, mul, neg, of_int and is_zero."""
 
     kind = "abstract"
     is_field = False
-    char = 0
-
-    # -- arithmetic on plain element values ------------------------------
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def of_int(self, n):
-        raise NotImplementedError
-
-    def is_zero(self, a):
-        return a == self.zero
 
     def inv(self, a):
         raise UnsupportedRingError("%s has no division" % self.kind)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def is_negative(self, a):
-        """Used only to pick a canonical sign for projective classes."""
-        return False
-
-    def element_str(self, a):
-        return str(a)
 
     def __repr__(self):
         return "<ring %s>" % self.kind
@@ -164,10 +138,6 @@ class RationalField(ExactRing):
     def is_negative(self, a):
         return a < 0
 
-    def element_str(self, a):
-        a = Fraction(a)
-        return str(a.numerator) if a.denominator == 1 else "%d/%d" % (a.numerator, a.denominator)
-
 
 class PrimeField(ExactRing):
     """F_p with elements the canonical representatives 0..p-1."""
@@ -179,7 +149,6 @@ class PrimeField(ExactRing):
             raise UnsupportedRingError("modulus %r is not prime" % (p,))
         self.p = p
         self.kind = "fp:%d" % p
-        self.char = p
         self.zero = 0
         self.one = 1 % p
 
@@ -229,7 +198,7 @@ class QuotientExtension(ExactRing):
     presentations too (integers), and the integers leave through the base
     ring's from_numerators."""
 
-    def __init__(self, base, minpoly, var="x"):
+    def __init__(self, base, minpoly):
         if not isinstance(base, (IntegerRing, RationalField)):
             raise UnsupportedRingError("extension base must be Z or Q")
         self.base = base
@@ -246,8 +215,7 @@ class QuotientExtension(ExactRing):
         # coefficients, which linalg and the weight actions compute on
         self.integer_minpoly = tuple(c.numerator for c in minpoly)
         self.integers = (self if isinstance(base, IntegerRing)
-                         else QuotientExtension(ZZ, self.integer_minpoly, var))
-        self.var = var
+                         else QuotientExtension(ZZ, self.integer_minpoly))
         self.kind = "extension(%s, deg %d)" % (base.kind, self.degree)
         self.is_field = base.is_field
         self.zero = (base.zero,) * self.degree
@@ -308,24 +276,6 @@ class QuotientExtension(ExactRing):
             if c:
                 return c < 0
         return False
-
-    def element_str(self, a):
-        parts = []
-        for i, c in enumerate(a):
-            if not c:
-                continue
-            cs = self.base.element_str(c)
-            if i == 0:
-                parts.append(cs)
-            else:
-                mono = self.var if i == 1 else "%s^%d" % (self.var, i)
-                if cs == "1":
-                    parts.append(mono)
-                elif cs == "-1":
-                    parts.append("-" + mono)
-                else:
-                    parts.append("%s*%s" % (cs, mono))
-        return " + ".join(parts) if parts else "0"
 
     def __eq__(self, other):
         return (

@@ -100,7 +100,7 @@ def integral_lambda_ring(n):
     """(ring, lam) with lam = 2*cos(pi/n) living in Z or Z[x]/(minpoly)."""
     if n == 3:
         return ZZ, 1
-    R = QuotientExtension(ZZ, lambda_minimal_polynomial(n), var="lam")
+    R = QuotientExtension(ZZ, lambda_minimal_polynomial(n))
     return R, R.generator()
 
 
@@ -110,7 +110,7 @@ def rational_lambda_ring(n):
 
     if n == 3:
         return QQ, Fraction(1)
-    R = QuotientExtension(QQ, lambda_minimal_polynomial(n), var="lam")
+    R = QuotientExtension(QQ, lambda_minimal_polynomial(n))
     return R, R.generator()
 
 

@@ -226,6 +226,26 @@ def test_unsupported_exit_3(argv, capsys):
         assert "no root mod 2" in err and "--ring lambda" in err and "where it splits" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # over Z the cuspidal kernel at this level and weight does not finish
+        ["qexp", "--group", "gamma0:15", "--weight", "4", "--ring", "z"],
+        ["qexp", "--group", "perm-file:" + DELTA5, "--ring", "lambda"],
+    ],
+)
+def test_qexp_refuses_before_building_the_cuspidal_subspace(argv, monkeypatch, capsys):
+    from heckesym import hecke
+
+    def boom(space):
+        raise AssertionError("cuspidal subspace built before the refusal")
+
+    monkeypatch.setattr(cli, "cuspidal_subspace", boom)
+    monkeypatch.setattr(hecke, "cuspidal_subspace", boom)
+    assert cli.main(argv) == 3
+    assert "unsupported" in capsys.readouterr().err
+
+
 def test_perm_file_with_a_bad_pair_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 3, "s": [1, 2, 0], "t": [0, 1, 2]}))

@@ -17,7 +17,7 @@ from heckesym.congruence import (
     gamma0_cosets,
     gamma1_cosets,
 )
-from heckesym.linalg import Matrix, left_kernel, matrix_rank
+from heckesym.linalg import FPMap, Matrix, left_kernel, matrix_rank
 from heckesym.modsym import (
     BoundarySpace,
     InducedModule,
@@ -179,11 +179,11 @@ def test_boundary_space_from_manin_space():
 
 
 def test_boundary_map_explicit_check_passes():
-    # the default skips the row-by-row well-definedness check because the
+    # boundary_map skips the row-by-row well-definedness check because the
     # generator order identities imply it; verify that claim explicitly
     for cosets, k in ((gamma0_cosets(11), 4), (gamma1_cosets(5), 3)):
-        space = space_for(cosets, QQ, k)
-        boundary_map(space, check=True)
+        bmap = boundary_map(space_for(cosets, QQ, k))
+        FPMap(bmap.src, bmap.dst, bmap.ambient, check=True)
 
 
 # ---------------------------------------------------------------------------

@@ -198,19 +198,19 @@ def test_lambda_image_trivial_for_modular_group():
 
 
 def test_lambda_image_in_matching_extension():
-    R = QuotientExtension(QQ, lambda_minimal_polynomial(5), var="lam")
+    R = QuotientExtension(QQ, lambda_minimal_polynomial(5))
     assert lambda_image_in(R, 5) == R.generator()
     Z, lam = integral_lambda_ring(5)
     assert lambda_image_in(Z, 5) == lam
 
 
 def test_lambda_image_in_wrong_extension_rejected():
-    R = QuotientExtension(QQ, (-2, 0, 1), var="r")  # sqrt(2), not the n=5 lambda
+    R = QuotientExtension(QQ, (-2, 0, 1))  # sqrt(2), not the n=5 lambda
     with pytest.raises(UnsupportedRingError):
         lambda_image_in(R, 5)
     # f divides the modulus f * (x - 1), yet the generator is not a root of f
     f = lambda_minimal_polynomial(5)
-    R = QuotientExtension(QQ, [-f[0]] + [a - b for a, b in zip(f, f[1:])] + [f[-1]], var="r")
+    R = QuotientExtension(QQ, [-f[0]] + [a - b for a, b in zip(f, f[1:])] + [f[-1]])
     assert R.degree == len(f)
     with pytest.raises(UnsupportedRingError):
         lambda_image_in(R, 5)
