@@ -25,12 +25,14 @@ from .linalg import (
     FPModule,
     IllDefinedMapError,
     Matrix,
+    NotInSpanError,
     RowBasis,
+    hermite_normal_form,
     left_kernel,
     matrix_rank,
 )
 from .modsym import Subspace, boundary_space
-from .rings import IntegerRing, UnsupportedRingError
+from .rings import ZZ, IntegerRing, UnsupportedRingError
 from .weights import local_term
 
 
@@ -306,13 +308,17 @@ class ComparisonReport:
 
 
 def _kills(row, mat):
-    """Whether a {column: value} row vector times mat is zero, read off the
-    sparse rows of mat."""
-    ring, rows, acc = mat.ring, mat.sparse_rows(), {}
+    """Whether a {column: value} row vector times mat is zero."""
+    vec = [mat.ring.zero] * mat.nrows
     for i, v in row.items():
-        for j, x in rows[i].items():
-            acc[j] = ring.add(acc[j], ring.mul(v, x)) if j in acc else ring.mul(v, x)
-    return all(map(ring.is_zero, acc.values()))
+        vec[i] = v
+    return all(map(mat.ring.is_zero, mat.act_on_row(vec)))
+
+
+def _hermite_rows(mat):
+    """The nonzero rows of the Hermite form of an integer matrix."""
+    H = hermite_normal_form(mat)
+    return Matrix.from_sparse(ZZ, [r for r in H.sparse_rows() if r], H.ncols)
 
 
 def comparison_report(symbols):
@@ -325,9 +331,31 @@ def comparison_report(symbols):
     an elliptic class yields an orbit sum over the class cycle, which is a
     generator-fixed vector, hence dies on the surface; the span of these
     classes sits inside the kernel and local terms of size V^h / N_h V bound
-    the contribution of each class."""
+    the contribution of each class.
+
+    Over the integers the kernel is the lattice quotient L_surf / L_sym,
+    generated by the Hermite rows of the surface relations, with relations
+    the Hermite form of the symbol relations solved exactly in that basis;
+    the solve checks that each is a surface relation. Hermite forms are
+    unique, so these are the rows the identity map's FPMap.kernel gives."""
     module = symbols.module
     ring = module.ring
+    classes = module.cosets.subgroup.elliptic_classes()
+    actions = [module.stabilizer_action(cls) for cls in classes]
+    local_terms = tuple(local_term(ring, act, cls.order) for cls, act in zip(classes, actions))
+
+    if isinstance(ring, IntegerRing):
+        gens = _hermite_rows(surface_h1(module).relations)
+        basis = RowBasis(gens)
+        try:
+            coords = [basis.express(row) for row in symbols.presentation.relations.rows]
+        except NotInSpanError:
+            raise IllDefinedMapError("source relation does not map into target relations") from None
+        kernel = FPModule(ZZ, gens.nrows, _hermite_rows(Matrix(ZZ, coords, gens.nrows)))
+        verdict = ("kernel has free part" if kernel.rank() else
+                   "torsion kernel" if kernel.torsion() else "isomorphic")
+        return ComparisonReport(kernel, gens, local_terms, None, verdict)
+
     # a symbol relation lies in the surface relations, the saturated kernels
     # of D_sigma and D_tau, when one of them kills it
     ds, dt = module.right_difference("s"), module.right_difference("t")
@@ -341,11 +369,8 @@ def comparison_report(symbols):
 
     blk = module.block
     ident = Matrix.identity(ring, blk)
-    local_terms = []
     orbit_rows = []
-    for cls in module.cosets.subgroup.elliptic_classes():
-        act = module.stabilizer_action(cls)
-        local_terms.append(local_term(ring, act, cls.order))
+    for cls, act in zip(classes, actions):
         invariants = left_kernel(act.sub(ident))
         letter = "s" if cls.kind == "sigma" else "t"
         for v in invariants.rows:
@@ -356,28 +381,13 @@ def comparison_report(symbols):
                 cur = module.apply_letter_to_row(cur, letter)
                 total = [ring.add(a, b) for a, b in zip(total, cur)]
             orbit_rows.append(total)
-
-    if isinstance(ring, IntegerRing):
-        local_span = None
-        if kernel.rank() == 0 and not kernel.torsion():
-            verdict = "isomorphic"
-        elif kernel.rank() == 0:
-            verdict = "torsion kernel"
-        else:
-            verdict = "kernel has free part"
+    coords = [list(symbols.presentation.reduce(row)) for row in orbit_rows]
+    local_span = matrix_rank(Matrix(ring, coords, symbols.presentation.ncoords())) if coords else 0
+    kdim = kernel.dim()
+    if kdim == 0:
+        verdict = "isomorphic"
+    elif kdim == local_span:
+        verdict = "kernel spanned by elliptic orbit sums"
     else:
-        coords = [list(symbols.presentation.reduce(row)) for row in orbit_rows]
-        if coords:
-            local_span = matrix_rank(
-                Matrix(ring, coords, symbols.presentation.ncoords())
-            )
-        else:
-            local_span = 0
-        kdim = kernel.dim()
-        if kdim == 0:
-            verdict = "isomorphic"
-        elif kdim == local_span:
-            verdict = "kernel spanned by elliptic orbit sums"
-        else:
-            verdict = "kernel not spanned by elliptic orbit sums"
-    return ComparisonReport(kernel, kernel_gens, tuple(local_terms), local_span, verdict)
+        verdict = "kernel not spanned by elliptic orbit sums"
+    return ComparisonReport(kernel, kernel_gens, local_terms, local_span, verdict)

@@ -985,9 +985,10 @@ class RowBasis:
         self.mat = mat
         self.ring = mat.ring
         if isinstance(mat.ring, IntegerRing):
-            self._H, self._U = hermite_normal_form(mat, with_transform=True)
-            # the nonzero rows of the HNF come first, each led by its pivot
-            self._pivots = [(r, min(row)) for r, row in enumerate(self._H.sparse_rows()) if row]
+            H, U = hermite_normal_form(mat, with_transform=True)
+            # (pivot column, Hermite row, transform row) of each nonzero
+            # Hermite row, in increasing pivot order
+            self._pivots = [(min(h), h, u) for h, u in zip(H.sparse_rows(), U.sparse_rows()) if h]
             self.rank = len(self._pivots)
         else:
             self._form = _PivotForm(_arithmetic(mat.ring), mat, with_transform=True)
@@ -1005,19 +1006,21 @@ class RowBasis:
         if len(vec) != self.mat.ncols:
             raise ShapeError("express: length mismatch")
         if isinstance(self.ring, IntegerRing):
-            v = list(vec)
-            coeffs = [0] * self.mat.nrows
-            for r, c in self._pivots:
-                p = self._H.rows[r][c]
-                q, rem = divmod(v[c], p)
-                if rem:
-                    raise NotInSpanError("not in the lattice")
-                if q:
-                    v = [x - q * y for x, y in zip(v, self._H.rows[r])]
-                    coeffs = [x + q * y for x, y in zip(coeffs, self._U.rows[r])]
-            if any(v):
+            # the triangular solve on dict rows: a Hermite row clears its
+            # pivot column and changes only the columns right of it
+            v = {j: x for j, x in enumerate(vec) if x}
+            coeffs = {}
+            for c, h, u in self._pivots:
+                x = v.get(c)
+                if x:
+                    q, rem = divmod(x, h[c])
+                    if rem:
+                        raise NotInSpanError("not in the lattice")
+                    _addmul(v, -q, h)
+                    _addmul(coeffs, q, u)
+            if v:
                 raise NotInSpanError("not in the lattice")
-            return coeffs
+            return _dense(ZZ, coeffs.items(), self.mat.nrows)
         coords, coeffs = self._form.ar.reduce(self._form, vec)
         if coords.count(self.ring.zero) != len(coords):
             raise NotInSpanError("not in the row space")

@@ -7,6 +7,8 @@ the genus / cusp-count formulas in oracles.py; everything else by exactness
 certificates and cross-agreement between independently built presentations.
 """
 
+import json
+import os
 import random
 
 import pytest
@@ -39,7 +41,12 @@ from heckesym.modsym import (
     weight_module_for,
 )
 from heckesym.rings import GF, QQ, ZZ, UnsupportedRingError
-from heckesym.triangle import InvalidSubgroupError, TriangleSubgroup, rational_lambda_ring
+from heckesym.triangle import (
+    InvalidSubgroupError,
+    TriangleSubgroup,
+    rational_lambda_ring,
+    subgroup_from_dict,
+)
 
 import oracles
 
@@ -406,6 +413,35 @@ def test_comparison_rejects_a_corrupted_relation_row(cosets, ring, k):
     space.presentation = FPModule(ring, rel.ncols, Matrix.from_sparse(ring, rows, rel.ncols))
     with pytest.raises(IllDefinedMapError, match="does not map into target relations"):
         comparison_report(space)
+
+
+def _data_cosets(name):
+    with open(os.path.join(os.path.dirname(__file__), "data", name)) as fh:
+        return PermCosets(subgroup_from_dict(json.load(fh)))
+
+
+INTEGRAL_COMPARISONS = (
+    [pytest.param("gamma0:%d" % N, 2, id="gamma0-%d-k2" % N) for N in range(11, 41)]
+    + [pytest.param("gamma0:%d" % N, 4, id="gamma0-%d-k4" % N) for N in (11, 13)]
+    # weights above 2 need lambda in the ring, which Z lacks for n = 4, 5
+    + [pytest.param(name, 2, id=name[:-5] + "-k2") for name in ("delta4-self.json", "delta5.json")]
+)
+
+
+@pytest.mark.parametrize("group,k", INTEGRAL_COMPARISONS)
+def test_integral_comparison_kernel_is_the_identity_maps_kernel(group, k):
+    # over Z the report takes the kernel as the lattice quotient L_surf /
+    # L_sym; the general kernel of the identity map must give the same
+    # Hermite generators and relations
+    cosets = gamma0_cosets(int(group[7:])) if group.startswith("gamma0:") else _data_cosets(group)
+    space = ManinSymbolSpace(induced(cosets, ZZ, k))
+    report = comparison_report(space)
+    module = space.module
+    identity = FPMap(space.presentation, surface_h1(module), Matrix.identity(ZZ, module.rank),
+                     check=False)
+    kernel, gens = identity.kernel()
+    assert report.kernel_gens == gens
+    assert report.kernel.relations == kernel.relations
 
 
 # ---------------------------------------------------------------------------

@@ -654,6 +654,38 @@ def test_rowbasis_integer_lattice():
     assert c == [1, 1]
 
 
+@settings(max_examples=150)
+@given(sparse_int_matrix(), st.data())
+def test_integral_express_solves_in_the_lattice_like_the_textbook(case, data):
+    rows, m = case
+    if len(rows) >= 2:  # one row certainly dependent on the others
+        rows = rows + [[x - 2 * y for x, y in zip(rows[0], rows[1])]]
+    basis = RowBasis(Matrix(ZZ, rows, m))
+    ops = oracles.RationalOps
+    coeffs = data.draw(st.lists(small_int, min_size=len(rows), max_size=len(rows)))
+    inside = [int(x) for x in oracles.dense_product([coeffs], rows, m, ops)[0]]
+    got = basis.express(inside)
+    assert len(got) == len(rows) and all(type(x) is int for x in got)
+    assert oracles.dense_product([got], rows, m, ops)[0] == inside
+    # one unit off the lattice vector in each column: outside the lattice
+    # when the column's Hermite pivot does not divide one, or it has none
+    pivots = {}
+    for row in oracles.dense_hnf(rows, m):
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is not None:
+            pivots[c] = row[c]
+    for c in range(m):
+        vec = [x + (j == c) for j, x in enumerate(inside)]
+        if oracles.in_row_lattice(rows, m, vec):
+            assert oracles.dense_product([basis.express(vec)], rows, m, ops)[0] == vec
+        else:
+            with pytest.raises(NotInSpanError):
+                basis.express(vec)
+            assert not basis.contains(vec)
+        if pivots.get(c) != 1:
+            assert not oracles.in_row_lattice(rows, m, vec)
+
+
 # -- presented modules -------------------------------------------------------
 
 

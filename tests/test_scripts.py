@@ -30,11 +30,12 @@ def test_torsion_survey_shows_the_n4_anomaly():
 
 
 def test_hecke_digests_reproduce_the_recorded_run():
-    # every recorded space: over Q, F_p, Z and Q(2cos(pi/n))
-    proc = run_script("hecke_digests.py")
+    # the entry point on one space of each ring, Q, F_p, Z and
+    # Q(2cos(pi/n)); tests/test_hecke.py checks all of them in-process
+    names = ["gamma0-11-k2", "gamma0-47-k2-fp7", "gamma0-11-k2-z", "delta4-k4-lambda"]
+    proc = run_script("hecke_digests.py", *names)
     assert proc.returncode == 0, proc.stderr
     with open(os.path.join(ROOT, "tests", "data", "hecke_digests.json")) as fh:
         recorded = json.load(fh)
-    assert len(recorded) == 23
-    assert json.loads(proc.stdout) == recorded
+    assert json.loads(proc.stdout) == {name: recorded[name] for name in names}
     assert run_script("hecke_digests.py", "gamma0-0-k2").returncode == 2
