@@ -12,6 +12,10 @@ six-term exact sequence tying the pieces together, and the comparison map
 from modular symbols to the surface, whose kernel is spanned by orbit sums
 of stabilizer-invariant coefficients at the elliptic classes.
 
+Every piece is presented by linalg.subquotient (H^1 sets the relation
+matrices of its two cyclic pieces side by side), and the integral
+comparison kernel by linalg.lattice_quotient.
+
 All presentations work over the integers (Smith normal form exposes the
 torsion) and over the supported fields. The *_dimension helpers avoid the
 transform-carrying eliminations and only count ranks; over the integers they
@@ -27,12 +31,14 @@ from .linalg import (
     Matrix,
     NotInSpanError,
     RowBasis,
-    hermite_normal_form,
+    hermite_basis,
+    lattice_quotient,
     left_kernel,
     matrix_rank,
+    subquotient,
 )
 from .modsym import Subspace, boundary_space
-from .rings import ZZ, IntegerRing, UnsupportedRingError
+from .rings import IntegerRing, UnsupportedRingError
 from .weights import local_term
 
 
@@ -44,30 +50,16 @@ from .weights import local_term
 def cyclic_h1(module, letter):
     """First cohomology of the cyclic subgroup generated by one elliptic
     generator: vectors killed by its norm, modulo differences m (1 - g)."""
-    kernel = module.norm_kernel(letter)
-    basis = RowBasis(kernel)
-    diff = module.right_difference(letter)
-    rel = Matrix(module.ring, [basis.express(row) for row in diff.rows], kernel.nrows)
-    return FPModule(module.ring, kernel.nrows, rel)
+    return subquotient(module.norm_kernel(letter), module.right_difference(letter))
 
 
 def _cocycle_presentation(module):
-    """(sigma-value basis, tau-value basis, presentation of H^1).
-
-    Generators are coordinates on ker(N_sigma) + ker(N_tau); each module
-    vector m contributes the relation (m(1 - sigma), m(1 - tau)), the
-    coboundary it generates."""
-    ks = module.norm_kernel("s")
-    kt = module.norm_kernel("t")
-    bs, bt = RowBasis(ks), RowBasis(kt)
-    ds = module.right_difference("s")
-    dt = module.right_difference("t")
-    rows = [
-        bs.express(ds.rows[r]) + bt.express(dt.rows[r]) for r in range(module.rank)
-    ]
-    ngens = ks.nrows + kt.nrows
-    pres = FPModule(module.ring, ngens, Matrix(module.ring, rows, ngens))
-    return bs, bt, pres
+    """(H^1 of <sigma>, H^1 of <tau>, H^1 of the group). H^1 has the
+    generators of both cyclic pieces, and each module vector m contributes
+    the coboundary (m(1 - sigma), m(1 - tau)): its two cyclic relations."""
+    cs, ct = cyclic_h1(module, "s"), cyclic_h1(module, "t")
+    rel = cs.relations.hstack(ct.relations)
+    return cs, ct, FPModule(module.ring, rel.ncols, rel)
 
 
 def h1(module):
@@ -100,11 +92,7 @@ def h1_parabolic(module):
     w = m(1 - tau). Two such cocycles congruent in H^1 are congruent here,
     so this presents an honest subobject of H^1."""
     P = left_kernel(module.norm_matrix("s").hstack(module.norm_matrix("t")))
-    basis = RowBasis(P)
-    dt = module.right_difference("t")
-    fixed = module.fixed_vectors("T")
-    rows = [basis.express(dt.act_on_row(list(m))) for m in fixed.rows]
-    return FPModule(module.ring, P.nrows, Matrix(module.ring, rows, P.nrows))
+    return subquotient(P, module.fixed_vectors("T").mul(module.right_difference("t")))
 
 
 def h1_parabolic_dimension(module):
@@ -235,18 +223,14 @@ def mayer_vietoris(module):
     fs = module.fixed_vectors("s")
     ft = module.fixed_vectors("t")
     fg = module.group_fixed_vectors()
-    bs, bt, h = _cocycle_presentation(module)
-    ks, kt = bs.mat.nrows, bt.mat.nrows
-    ds = module.right_difference("s")
-    dt = module.right_difference("t")
-    zero = ring.zero
-
+    cs, ct, h = _cocycle_presentation(module)
+    zs, zt = (Matrix.from_sparse(ring, [{} for _ in range(module.rank)], k) for k in (cs.ngens, ct.ngens))
+    # the connecting map sends m to its sigma relation row
+    to_sigma = cs.relations.hstack(zt)
     free_fixed = FPModule(ring, fg.nrows)
     split = FPModule(ring, fs.nrows + ft.nrows)
     whole = FPModule(ring, module.rank)
-    cyc_rows = [bs.express(row) + [zero] * kt for row in ds.rows]
-    cyc_rows += [[zero] * ks + bt.express(row) for row in dt.rows]
-    cyclic = FPModule(ring, ks + kt, Matrix(ring, cyc_rows, ks + kt))
+    cyclic = FPModule(ring, h.ngens, to_sigma.stack(zs.hstack(ct.relations)))
 
     bfs, bft = RowBasis(fs), RowBasis(ft)
     include = FPMap(
@@ -256,16 +240,7 @@ def mayer_vietoris(module):
         check=True,
     )
     difference = FPMap(split, whole, fs.stack(ft.neg()), check=True)
-    connect = FPMap(
-        whole,
-        h,
-        Matrix(
-            ring,
-            [bs.express(ds.rows[r]) + [zero] * kt for r in range(module.rank)],
-            h.ngens,
-        ),
-        check=True,
-    )
+    connect = FPMap(whole, h, to_sigma, check=True)
     restrict = FPMap(h, cyclic, Matrix.identity(ring, h.ngens), check=True)
 
     t1, t2, t3 = fg.nrows, fs.nrows + ft.nrows, module.rank
@@ -315,12 +290,6 @@ def _kills(row, mat):
     return all(map(mat.ring.is_zero, mat.act_on_row(vec)))
 
 
-def _hermite_rows(mat):
-    """The nonzero rows of the Hermite form of an integer matrix."""
-    H = hermite_normal_form(mat)
-    return Matrix.from_sparse(ZZ, [r for r in H.sparse_rows() if r], H.ncols)
-
-
 def comparison_report(symbols):
     """Compare the modular symbol quotient with the surface cohomology.
 
@@ -334,10 +303,8 @@ def comparison_report(symbols):
     the contribution of each class.
 
     Over the integers the kernel is the lattice quotient L_surf / L_sym,
-    generated by the Hermite rows of the surface relations, with relations
-    the Hermite form of the symbol relations solved exactly in that basis;
-    the solve checks that each is a surface relation. Hermite forms are
-    unique, so these are the rows the identity map's FPMap.kernel gives."""
+    the rows the identity map's FPMap.kernel gives; its solve checks that
+    each symbol relation is a surface relation."""
     module = symbols.module
     ring = module.ring
     classes = module.cosets.subgroup.elliptic_classes()
@@ -345,13 +312,11 @@ def comparison_report(symbols):
     local_terms = tuple(local_term(ring, act, cls.order) for cls, act in zip(classes, actions))
 
     if isinstance(ring, IntegerRing):
-        gens = _hermite_rows(surface_h1(module).relations)
-        basis = RowBasis(gens)
+        gens = hermite_basis(surface_h1(module).relations)
         try:
-            coords = [basis.express(row) for row in symbols.presentation.relations.rows]
+            kernel = lattice_quotient(gens, symbols.presentation.relations)
         except NotInSpanError:
             raise IllDefinedMapError("source relation does not map into target relations") from None
-        kernel = FPModule(ZZ, gens.nrows, _hermite_rows(Matrix(ZZ, coords, gens.nrows)))
         verdict = ("kernel has free part" if kernel.rank() else
                    "torsion kernel" if kernel.torsion() else "isomorphic")
         return ComparisonReport(kernel, gens, local_terms, None, verdict)

@@ -370,8 +370,8 @@ class QExpansion:
     coefficients: tuple | None
 
 
-def qexpansions(space, bound, subspace=None):
-    """Eigenform coefficient lists on the cuspidal subspace (by default).
+def qexpansions(space, bound):
+    """Eigenform coefficient lists on the cuspidal subspace.
 
     Primes up to max(bound, sturm_bound) drive the eigensystem, so blocks
     are separated as finely as rational eigenvalues allow; coefficients at
@@ -383,8 +383,7 @@ def qexpansions(space, bound, subspace=None):
     ring = space.ring
     k = space.weight.k
     N = space.cosets.N
-    if subspace is None:
-        subspace = cuspidal_subspace(space)
+    subspace = cuspidal_subspace(space)
     top = max(bound, sturm_bound(space))
     primes = [p for p in range(2, top + 1) if is_prime(p)]
     coeff_primes = [p for p in primes if p <= bound]

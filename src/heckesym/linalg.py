@@ -24,6 +24,12 @@ integer tuples) has one loop that reduces a vector against it. The
 integer Hermite and Smith forms run on {column: value} rows of ints, and
 the Z branch of FPModule keeps its Smith transform in that form.
 
+A subquotient span(K) / span(R) has one presentation, subquotient(K, R):
+each row of R, written in the independent rows of K by RowBasis.express,
+is one relation. Over Z, lattice_quotient replaces those relations by
+their hermite_basis, the canonical basis of a row lattice; FPMap.kernel
+over Z is one such quotient.
+
 Products share one kernel, Matrix.act_on_row, the only product that
 dispatches on the ring: a product pushes each row of the left factor
 through it, and the elementwise operations call the ring's own.
@@ -715,7 +721,7 @@ def left_kernel(mat):
     if isinstance(mat.ring, IntegerRing):
         H, U = hermite_normal_form(mat, with_transform=True)
         ker = [u for h, u in zip(H.sparse_rows(), U.sparse_rows()) if not h]
-        return _leading(hermite_normal_form(Matrix.from_sparse(ZZ, ker, mat.nrows)), mat.nrows)
+        return hermite_basis(Matrix.from_sparse(ZZ, ker, mat.nrows))
     ar = _arithmetic(mat.ring)
     n = mat.nrows
     rows, scales = _load(ar, mat)
@@ -809,6 +815,12 @@ def hermite_normal_form(mat, with_transform=False):
     if with_transform:
         return H, Matrix.from_sparse(ZZ, tabs[1], n)
     return H
+
+
+def hermite_basis(mat):
+    """The nonzero rows of the Hermite form of an integer matrix: the
+    canonical basis of its row lattice."""
+    return _leading(hermite_normal_form(mat), mat.ncols)
 
 
 def _snf_core(a, m):
@@ -1152,6 +1164,20 @@ class FPModule:
         return "FPModule(%s, dim %d)" % (self.ring.kind, self.rank())
 
 
+def subquotient(sub, rows):
+    """span(sub) / span(rows), presented on the rows of sub, which must be
+    independent: each row of the matrix `rows`, written in them, is one
+    relation. A row outside span(sub) raises NotInSpanError."""
+    basis = RowBasis(sub)
+    return FPModule(sub.ring, sub.nrows, Matrix(sub.ring, [basis.express(r) for r in rows.rows], sub.nrows))
+
+
+def lattice_quotient(gens, rows):
+    """The subquotient of two integer lattices with its relations replaced
+    by their Hermite basis, so equal lattices give equal relation rows."""
+    return FPModule(ZZ, gens.nrows, hermite_basis(subquotient(gens, rows).relations))
+
+
 class IllDefinedMapError(ValueError):
     pass
 
@@ -1196,14 +1222,10 @@ class FPMap:
         """(FPModule K, ambient rows of its generators inside src)."""
         ring = self.src.ring
         if isinstance(ring, IntegerRing):
-            # the kernel's Hermite rows cut to the source columns are the
-            # Hermite form of the preimage lattice already
+            # the kernel's Hermite rows cut to the source columns are the Hermite
+            # basis of the preimage lattice, which holds the source relations
             gens = _leading(left_kernel(self.ambient.stack(self.dst.relations)), self.src.ngens)
-            if gens.nrows:
-                rel = _leading(left_kernel(gens.stack(self.src.relations)), gens.nrows)
-            else:
-                rel = Matrix(ZZ, [], 0)
-            return FPModule(ZZ, gens.nrows, rel), gens
+            return lattice_quotient(gens, self.src.relations), gens
         K = left_kernel(self.matrix_on_generators())
         gens = Matrix(ring, [self.src.coords_to_ambient(k) for k in K.rows], self.src.ngens)
         return FPModule(ring, gens.nrows), gens

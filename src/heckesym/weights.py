@@ -29,7 +29,7 @@ whose cocycles are exact integer matrices.
 
 from __future__ import annotations
 
-from .linalg import FPModule, Matrix, RowBasis, left_kernel
+from .linalg import Matrix, left_kernel, subquotient
 from .rings import ZZ, PrimeField, QuotientExtension, RationalField, UnsupportedRingError
 from .triangle import lambda_minimal_polynomial, lambda_roots_mod_p
 
@@ -152,7 +152,4 @@ def local_term(ring, action, order):
     for _ in range(order - 1):
         norm = norm.add(power)
         power = power.mul(action)
-    inv_rows = left_kernel(action.sub(ident))
-    basis = RowBasis(inv_rows)
-    relations = [basis.express(row) for row in norm.rows]
-    return FPModule(ring, inv_rows.nrows, Matrix(ring, relations, inv_rows.nrows))
+    return subquotient(left_kernel(action.sub(ident)), norm)

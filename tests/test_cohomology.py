@@ -30,11 +30,20 @@ from heckesym.cohomology import (
     surface_h1_parabolic,
     surface_h1_parabolic_dimension,
 )
-from heckesym.linalg import FPMap, FPModule, IllDefinedMapError, Matrix, left_kernel
+from heckesym.linalg import (
+    FPMap,
+    FPModule,
+    IllDefinedMapError,
+    Matrix,
+    RowBasis,
+    _leading,
+    left_kernel,
+)
 from heckesym.modsym import (
     InducedModule,
     ManinSymbolSpace,
     PermCosets,
+    boundary_map,
     boundary_space,
     cuspidal_subspace,
     eisenstein_subspace,
@@ -57,6 +66,13 @@ def level_one(n):
 
 def induced(cosets, ring, k):
     return InducedModule(cosets, weight_module_for(cosets, ring, k))
+
+
+def _two_hermite_relations(src, gens):
+    """The relations of an integral kernel as FPMap.kernel built them before
+    the lattice quotient: the saturated left kernel of [gens; source
+    relations], cut to the generator columns."""
+    return _leading(left_kernel(gens.stack(src.relations)), gens.nrows)
 
 
 def _free_index_six():
@@ -87,6 +103,29 @@ def test_cyclic_pieces_level_one_f2():
     module = induced(level_one(4), GF(2), 2)
     assert cyclic_h1(module, "s").dim() == 1  # Hom(Z/2, F_2)
     assert cyclic_h1(module, "t").dim() == 1  # Hom(Z/4, F_2)
+
+
+@pytest.mark.parametrize(
+    "cosets,ring",
+    [
+        pytest.param(gamma0_cosets(11), QQ, id="q"),
+        pytest.param(gamma0_cosets(11), GF(7), id="fp7"),
+        pytest.param(gamma0_cosets(11), ZZ, id="z"),
+        pytest.param(
+            PermCosets(TriangleSubgroup(5, (3, 2, 1, 0, 5, 4, 7, 6), (3, 1, 6, 2, 0, 5, 4, 7))),
+            rational_lambda_ring(5)[0],
+            id="perm-n5-lambda",
+        ),
+    ],
+)
+def test_h1_relations_are_the_coboundaries_in_the_norm_kernel_bases(cosets, ring):
+    # each module vector m gives the relation (m(1 - sigma), m(1 - tau)),
+    # written in the bases of ker N_sigma and ker N_tau
+    module = induced(cosets, ring, 4)
+    bs, bt = RowBasis(module.norm_kernel("s")), RowBasis(module.norm_kernel("t"))
+    ds, dt = module.right_difference("s"), module.right_difference("t")
+    expected = [bs.express(ds.rows[r]) + bt.express(dt.rows[r]) for r in range(module.rank)]
+    assert h1(module).relations.rows == expected
 
 
 def test_cyclic_pieces_vanish_for_free_letter_actions():
@@ -290,6 +329,41 @@ def test_zero_composite_detects_a_nonzero_composite():
     assert _zero_composite(ident, FPMap(free, target, first.ambient))
 
 
+@pytest.mark.parametrize(
+    "cosets",
+    [
+        # n5-mu08-a and n6-mu08-a of perfbench/data/subgroups.json
+        pytest.param(
+            PermCosets(TriangleSubgroup(5, (3, 2, 1, 0, 5, 4, 7, 6), (3, 1, 6, 2, 0, 5, 4, 7))),
+            id="n5",
+        ),
+        pytest.param(
+            PermCosets(TriangleSubgroup(6, (0, 2, 1, 4, 3, 7, 6, 5), (4, 6, 7, 1, 0, 2, 5, 3))),
+            id="n6",
+        ),
+    ],
+)
+@pytest.mark.parametrize("field", ["lambda", "fp71"])
+def test_mayer_vietoris_expresses_each_difference_row_once(monkeypatch, cosets, field):
+    # the cyclic pieces, H^1 and the connecting map share the two cyclic
+    # relation matrices: one express per row of D_sigma and of D_tau, plus
+    # the two of each group-fixed vector for the inclusion
+    n = cosets.subgroup.n
+    ring = rational_lambda_ring(n)[0] if field == "lambda" else GF(71)
+    calls = []
+    express = RowBasis.express
+
+    def counting(self, vec):
+        calls.append(vec)
+        return express(self, vec)
+
+    monkeypatch.setattr(RowBasis, "express", counting)
+    module = induced(cosets, ring, 4)
+    assert mayer_vietoris(module).exact
+    assert module.rank == 24
+    assert len(calls) == 2 * module.rank + 2 * module.group_fixed_vectors().nrows
+
+
 def test_six_term_needs_a_field():
     with pytest.raises(UnsupportedRingError, match="field"):
         mayer_vietoris(induced(level_one(3), ZZ, 2))
@@ -420,6 +494,11 @@ def _data_cosets(name):
         return PermCosets(subgroup_from_dict(json.load(fh)))
 
 
+def _cosets(group):
+    """gamma0:N, or a subgroup file in tests/data."""
+    return gamma0_cosets(int(group[7:])) if group.startswith("gamma0:") else _data_cosets(group)
+
+
 INTEGRAL_COMPARISONS = (
     [pytest.param("gamma0:%d" % N, 2, id="gamma0-%d-k2" % N) for N in range(11, 41)]
     + [pytest.param("gamma0:%d" % N, 4, id="gamma0-%d-k4" % N) for N in (11, 13)]
@@ -432,9 +511,8 @@ INTEGRAL_COMPARISONS = (
 def test_integral_comparison_kernel_is_the_identity_maps_kernel(group, k):
     # over Z the report takes the kernel as the lattice quotient L_surf /
     # L_sym; the general kernel of the identity map must give the same
-    # Hermite generators and relations
-    cosets = gamma0_cosets(int(group[7:])) if group.startswith("gamma0:") else _data_cosets(group)
-    space = ManinSymbolSpace(induced(cosets, ZZ, k))
+    # Hermite generators and relations, and so must the two-Hermite formula
+    space = ManinSymbolSpace(induced(_cosets(group), ZZ, k))
     report = comparison_report(space)
     module = space.module
     identity = FPMap(space.presentation, surface_h1(module), Matrix.identity(ZZ, module.rank),
@@ -442,6 +520,17 @@ def test_integral_comparison_kernel_is_the_identity_maps_kernel(group, k):
     kernel, gens = identity.kernel()
     assert report.kernel_gens == gens
     assert report.kernel.relations == kernel.relations
+    assert kernel.relations == _two_hermite_relations(space.presentation, gens)
+
+
+@pytest.mark.parametrize(
+    "group,k",
+    [("gamma0:11", 2), ("gamma0:23", 2), ("gamma0:60", 2), ("gamma0:11", 4), ("delta4-self.json", 2)],
+)
+def test_integral_boundary_kernel_relations_are_the_two_hermite_kernel(group, k):
+    fmap = boundary_map(ManinSymbolSpace(induced(_cosets(group), ZZ, k)))
+    kernel, gens = fmap.kernel()
+    assert kernel.relations == _two_hermite_relations(fmap.src, gens)
 
 
 # ---------------------------------------------------------------------------

@@ -19,17 +19,21 @@ from heckesym.linalg import (
     NotInSpanError,
     RowBasis,
     charpoly,
+    hermite_basis,
     hermite_normal_form,
+    lattice_quotient,
     left_kernel,
     matrix_rank,
     rref,
     smith_normal_form,
+    subquotient,
     _IntegralExtension,
     _PrimeField,
     _Rationals,
     _arithmetic,
     _echelon,
     _int_rows,
+    _leading,
     _load,
     _reduced,
     _snf_core,
@@ -782,6 +786,57 @@ def test_fpmap_image_with_torsion():
     assert ker.rank() == 0 and ker.torsion() == (2,)
     img, _ = f.image()
     assert img.rank() == 0 and img.torsion() == (2,)
+
+
+# -- subquotients -------------------------------------------------------------
+
+
+SUBQUOTIENT_RINGS = [
+    pytest.param(QQ, id="q"),
+    pytest.param(GF(7), id="fp7"),
+    pytest.param(ZZ, id="z"),
+    pytest.param(rational_lambda_ring(5)[0], id="lambda5"),
+]
+
+
+@pytest.mark.parametrize("ring", SUBQUOTIENT_RINGS)
+def test_subquotient_writes_each_row_in_the_sub_rows(ring):
+    e = ring.of_int
+    sub = Matrix(ring, [[e(1), e(2), e(0)], [e(0), e(1), e(3)]])
+    q = subquotient(sub, Matrix(ring, [[e(2), e(5), e(3)], [e(0), e(0), e(0)]]))
+    assert q.ngens == 2
+    assert q.relations == Matrix(ring, [[e(2), e(1)], [e(0), e(0)]])
+
+
+@pytest.mark.parametrize("ring", SUBQUOTIENT_RINGS)
+def test_subquotient_refuses_a_row_outside_the_span(ring):
+    e = ring.of_int
+    sub = Matrix(ring, [[e(1), e(2), e(0)], [e(0), e(1), e(3)]])
+    with pytest.raises(NotInSpanError):
+        subquotient(sub, Matrix(ring, [[e(1), e(2), e(0)], [e(0), e(0), e(1)]]))
+
+
+def test_subquotient_over_z_refuses_a_row_outside_the_lattice():
+    # (1, 0) is in the rational span of (2, 0) but not in its lattice
+    with pytest.raises(NotInSpanError):
+        subquotient(as_zz([[2, 0]]), as_zz([[1, 0]]))
+
+
+@settings(max_examples=120)
+@given(sparse_int_matrix(), st.data())
+def test_lattice_quotient_is_the_two_hermite_kernel(case, data):
+    # L(gens) / L(rows) on the Hermite basis gens: its relations are the
+    # Hermite basis of the coordinates of rows, which is the saturated left
+    # kernel of [gens; rows] cut to the gens columns
+    rows, m = case
+    gens = hermite_basis(Matrix(ZZ, rows, m))
+    assert gens.rows == [r for r in oracles.dense_hnf(rows, m) if any(r)]
+    k = data.draw(st.integers(0, 5))
+    coeffs = data.draw(st.lists(st.lists(small_int, min_size=gens.nrows, max_size=gens.nrows),
+                                min_size=k, max_size=k))
+    rel = Matrix(ZZ, [gens.act_on_row(c) for c in coeffs], m)
+    expected = _leading(left_kernel(gens.stack(rel)), gens.nrows)
+    assert lattice_quotient(gens, rel).relations == expected
 
 
 @settings(max_examples=40)
