@@ -337,13 +337,13 @@ def comparison_report(symbols):
     orbit_rows = []
     for cls, act in zip(classes, actions):
         invariants = left_kernel(act.sub(ident))
-        letter = "s" if cls.kind == "sigma" else "t"
+        step = module.right_matrix("s" if cls.kind == "sigma" else "t").act_on_row
         for v in invariants.rows:
             cur = [ring.zero] * module.rank
             cur[cls.coset * blk : (cls.coset + 1) * blk] = list(v)
             total = list(cur)
             for _ in range(cls.power - 1):
-                cur = module.apply_letter_to_row(cur, letter)
+                cur = step(cur)
                 total = [ring.add(a, b) for a, b in zip(total, cur)]
             orbit_rows.append(total)
     coords = [list(symbols.presentation.reduce(row)) for row in orbit_rows]

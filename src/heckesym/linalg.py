@@ -1,13 +1,14 @@
 """Exact linear algebra over the rings in heckesym.rings.
 
-A Matrix is a list of dense rows at the interface (.rows). A sparse-born
-one (Matrix.from_sparse: the operators of modsym.InducedModule, a few
-percent nonzero, identities, and the outputs of rref, left_kernel and
-the integer normal forms) holds {column: value} rows of its nonzero
-entries and builds its dense rows on the first read of .rows. Stacking,
-the elimination core, the integer normal forms, rows_at (FPMap.rows_at)
-and the product kernel read that form directly (Matrix.sparse_rows). F_p
-entries are reduced to residues whenever a matrix is built.
+A Matrix stores one row form: the {column: value} rows of its nonzero
+entries (sparse_rows), which the product kernel, stacking, the
+elimination core and the integer normal forms read. A sparse-born matrix
+(Matrix.from_sparse: the operators of modsym.InducedModule, identities,
+and the outputs of rref, left_kernel and the integer normal forms) is
+built in that form; one built from dense rows scans them once, when
+first needed, and keeps the result. The dense rows (.rows) are a view:
+kept as given, or built on their first read. F_p entries are reduced to
+residues whenever a matrix is built.
 
 Echelon forms, ranks and kernels over a field run on one sparse
 elimination core that keeps only the nonzero entries of each row. The
@@ -22,7 +23,7 @@ reduced rows (free columns, pivot tails, transforms), as numerators over
 one denominator, and each entry representation (ints for Q and F_p,
 integer tuples) has one loop that reduces a vector against it. The
 integer Hermite and Smith forms run on {column: value} rows of ints, and
-the Z branch of FPModule keeps its Smith transform in that form.
+the Z branch of FPModule keeps its Smith transform as such a matrix.
 
 A subquotient span(K) / span(R) has one presentation, subquotient(K, R):
 each row of R, written in the independent rows of K by RowBasis.express,
@@ -79,11 +80,10 @@ class NotInSpanError(ValueError):
 
 
 class Matrix:
-    """A matrix of ring elements: dense rows (.rows) or, sparse-born, the
-    {column: value} rows of its nonzero entries (sparse_rows), the dense
-    rows then built with ring.zero on their first read. Rows must not be
-    mutated after construction, since over Q and the quotient extensions
-    the matrix keeps their integer form (integer_form) for products."""
+    """A matrix of ring elements, stored as the {column: value} rows of its
+    nonzero entries (sparse_rows); the dense rows (.rows) are a view. Rows
+    must not be mutated after construction, since the matrix keeps both
+    forms and, over Q and the extensions, their integer form (integer_form)."""
 
     __slots__ = ("ring", "nrows", "ncols", "_rows", "_sparse", "_integer_form")
 
@@ -149,8 +149,6 @@ class Matrix:
             d = lcm(*{x.denominator for r in rows for x in r.values()})
             form = Matrix.from_sparse(ZZ, [{c: x.numerator * (d // x.denominator) for c, x in r.items()}
                                            for r in rows], n * getattr(ring, "degree", 1))
-            if self._sparse is None:  # dense numerators, for the dense product loop
-                form = Matrix(ZZ, form.rows, form.ncols)
             form = self._integer_form = (form, d)
         return form
 
@@ -169,13 +167,14 @@ class Matrix:
         return [_dense(self.ring, self._sparse[r].items(), self.ncols) for r in indices]
 
     def sparse_rows(self):
-        """The nonzero entries of each row as {column: value} dicts: the
-        kept rows of a sparse-born matrix (read only), else a fresh scan."""
-        if self._sparse is not None:
-            return self._sparse
-        if isinstance(self.ring, QuotientExtension):
-            return [{j: x for j, x in enumerate(r) if any(x)} for r in self._rows]
-        return [{j: x for j, x in enumerate(r) if x} for r in self._rows]
+        """The nonzero entries of each row as {column: value} dicts (read
+        only), scanned from the dense rows on the first call and kept."""
+        if self._sparse is None:
+            if isinstance(self.ring, QuotientExtension):
+                self._sparse = [{j: x for j, x in enumerate(r) if any(x)} for r in self._rows]
+            else:
+                self._sparse = [{j: x for j, x in enumerate(r) if x} for r in self._rows]
+        return self._sparse
 
     # -- basics ----------------------------------------------------------
     def stack(self, other):
@@ -230,11 +229,10 @@ class Matrix:
         return Matrix(self.ring, [other.act_on_row(row) for row in self.rows], other.ncols)
 
     def act_on_row(self, vec):
-        """vec * self for a plain list vec: the product kernel and the hot
-        loop of the Hecke row builder. It skips the zero entries of vec and
-        runs on native ints and residues, on the sparse rows when the matrix
-        is sparse-born; over Q and over the extensions it runs on the integer
-        form.
+        """vec * self for a plain list vec: the one vector-matrix product
+        loop, and the hot loop of the Hecke row builder. It skips the zero
+        entries of vec and runs on native ints and residues over the sparse
+        rows; over Q and over the extensions it runs on the integer form.
 
         Over an extension of degree k, the integer slice i of vec (the
         coefficients of x^i, denominators cleared) goes through the integer
@@ -270,15 +268,10 @@ class Matrix:
                         acc[top - k + j] = [a - m[j] * x for a, x in zip(acc[top - k + j], c)]
             return list(zip(*(ring.base.from_numerators(a, d * dv) for a in acc[:k])))
         out = [0] * self.ncols
-        if self._sparse is not None:
-            for v, row in zip(vec, self._sparse):
-                if v:
-                    for j, a in row.items():
-                        out[j] += v * a
-            return ring.from_numerators(out)
-        for v, row in zip(vec, self._rows):
+        for v, row in zip(vec, self.sparse_rows()):
             if v:
-                out = [o + v * a for o, a in zip(out, row)]
+                for j, a in row.items():
+                    out[j] += v * a
         return ring.from_numerators(out)
 
     def _same_shape(self, other):
@@ -1078,7 +1071,8 @@ class FPModule:
             self._diag = diag
             # the rows of W without the columns of unit invariant factors,
             # where every coordinate is zero
-            self._W = [{i: x for i, x in r.items() if diag[i] != 1} for r in W]
+            self._W = Matrix.from_sparse(ZZ, [{i: x for i, x in r.items() if diag[i] != 1} for r in W],
+                                         self.ngens)
             self._Winv = Matrix.from_sparse(ZZ, Winv, self.ngens)
         else:
             self._form = _PivotForm(_arithmetic(self.ring), self.relations)
@@ -1117,12 +1111,7 @@ class FPModule:
             raise ShapeError("reduce: length mismatch")
         self._normalize()
         if isinstance(self.ring, IntegerRing):
-            y = [0] * self.ngens
-            for v, row in zip(vec, self._W):
-                if v:
-                    for i, x in row.items():
-                        y[i] += v * x
-            return tuple(v % d if d else v for v, d in zip(y, self._diag))
+            return tuple(v % d if d else v for v, d in zip(self._W.act_on_row(vec), self._diag))
         return tuple(self._form.ar.reduce(self._form, vec)[0])
 
     def is_zero_element(self, vec):
@@ -1218,24 +1207,27 @@ class FPMap:
             mat = self._on_generators = Matrix(self.dst.ring, rows, self.dst.ncoords())
         return mat
 
-    def kernel(self):
-        """(FPModule K, ambient rows of its generators inside src)."""
+    def _kernel_generators(self):
+        """Ambient rows of generators of the kernel inside src."""
         ring = self.src.ring
         if isinstance(ring, IntegerRing):
             # the kernel's Hermite rows cut to the source columns are the Hermite
             # basis of the preimage lattice, which holds the source relations
-            gens = _leading(left_kernel(self.ambient.stack(self.dst.relations)), self.src.ngens)
-            return lattice_quotient(gens, self.src.relations), gens
+            return _leading(left_kernel(self.ambient.stack(self.dst.relations)), self.src.ngens)
         K = left_kernel(self.matrix_on_generators())
-        gens = Matrix(ring, [self.src.coords_to_ambient(k) for k in K.rows], self.src.ngens)
-        return FPModule(ring, gens.nrows), gens
+        return Matrix(ring, [self.src.coords_to_ambient(k) for k in K.rows], self.src.ngens)
+
+    def kernel(self):
+        """(FPModule K, ambient rows of its generators inside src)."""
+        gens = self._kernel_generators()
+        if isinstance(self.src.ring, IntegerRing):
+            return lattice_quotient(gens, self.src.relations), gens
+        return FPModule(self.src.ring, gens.nrows), gens
 
     def image(self):
         """(FPModule I, ambient rows spanning the image inside dst)."""
-        _K, kgens = self.kernel()
-        rel = self.src.relations.stack(kgens)
-        mod = FPModule(self.src.ring, self.src.ngens, rel)
-        return mod, self.ambient
+        rel = self.src.relations.stack(self._kernel_generators())
+        return FPModule(self.src.ring, self.src.ngens, rel), self.ambient
 
     def rank(self):
         """Rank of the induced map (field: dimension of the image)."""

@@ -227,15 +227,6 @@ class InducedModule:
         on a cache miss."""
         return self._cached("rank:" + key, lambda: matrix_rank(build()))
 
-    def apply_letter_to_row(self, vec, letter):
-        """Row vector (plain list) times the right action of the letter."""
-        bm = self._letter(letter)
-        blk = self.block
-        out = [self.ring.zero] * self.rank
-        for i, (j, B) in enumerate(bm):
-            out[j * blk : (j + 1) * blk] = B.act_on_row(vec[i * blk : (i + 1) * blk])
-        return out
-
     def right_operator(self, g):
         """Right action of an arbitrary determinant-1 integer matrix.
 

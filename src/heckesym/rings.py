@@ -209,7 +209,6 @@ class QuotientExtension(ExactRing):
             raise UnsupportedRingError("minimal polynomial must be monic")
         if any(c.denominator != 1 for c in minpoly):
             raise UnsupportedRingError("minimal polynomial must have integer coefficients")
-        self.minpoly = tuple(minpoly)
         self.degree = len(minpoly) - 1
         # m on ints (low -> high), and Z[x]/(m): the elements with integer
         # coefficients, which linalg and the weight actions compute on
@@ -223,7 +222,7 @@ class QuotientExtension(ExactRing):
 
     def _rem(self, coeffs):
         """Remainder modulo the monic minimal polynomial."""
-        m, dm = self.minpoly, self.degree
+        m, dm = self.integer_minpoly, self.degree
         coeffs = list(coeffs)
         for i in range(len(coeffs) - 1, dm - 1, -1):
             c = coeffs[i]
@@ -282,11 +281,11 @@ class QuotientExtension(ExactRing):
             isinstance(other, QuotientExtension)
             and type(other.base) is type(self.base)
             and other.base.kind == self.base.kind
-            and other.minpoly == self.minpoly
+            and other.integer_minpoly == self.integer_minpoly
         )
 
     def __hash__(self):
-        return hash(("ext", self.base.kind, self.minpoly))
+        return hash(("ext", self.base.kind, self.integer_minpoly))
 
 
 ZZ = IntegerRing()

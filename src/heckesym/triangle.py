@@ -428,13 +428,15 @@ def subgroup_to_dict(group):
 
 
 def subgroup_from_dict(data):
-    """Subgroup from {"n", "s", "t"}; an optional "mu" must match len(s)."""
+    """Subgroup from {"n", "s", "t"}; an optional "mu" must match len(s).
+    Every value is an integer (a list of them for s and t)."""
     try:
-        n = int(data["n"])
-        s, t = list(data["s"]), list(data["t"])
-        mu = int(data.get("mu", len(s)))
-    except (KeyError, TypeError, ValueError) as exc:
+        n, s, t = data["n"], list(data["s"]), list(data["t"])
+        mu = data.get("mu", len(s))
+    except (KeyError, TypeError) as exc:
         raise InvalidSubgroupError("expected keys n, s, t (and optionally mu)") from exc
+    if any(type(x) is not int for x in [n, mu, *s, *t]):
+        raise InvalidSubgroupError("n, mu and the entries of s and t must be integers")
     if mu != len(s):
         raise InvalidSubgroupError("mu does not match the permutation length")
     return TriangleSubgroup(n, s, t)

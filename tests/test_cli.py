@@ -255,6 +255,15 @@ def test_perm_file_with_a_bad_pair_exits_2(tmp_path, capsys):
     assert "bad permutation pair" in capsys.readouterr().err
 
 
+def test_perm_file_with_a_fractional_signature_exits_2(tmp_path, capsys):
+    path = tmp_path / "fractional.json"
+    path.write_text(json.dumps({"n": 4.5, "s": [0], "t": [0]}))
+    with pytest.raises(SystemExit) as info:
+        cli.main(["dims", "--group", "perm-file:%s" % path])
+    assert info.value.code == 2
+    assert "bad permutation pair" in capsys.readouterr().err
+
+
 def test_internal_invariant_exit_4(monkeypatch, capsys):
     from heckesym.linalg import InternalInvariantError
 

@@ -14,6 +14,7 @@ import random
 import pytest
 import sympy
 
+from heckesym import linalg
 from heckesym.congruence import gamma0_cosets, gamma1_cosets
 from heckesym.cohomology import (
     _zero_composite,
@@ -531,6 +532,18 @@ def test_integral_boundary_kernel_relations_are_the_two_hermite_kernel(group, k)
     fmap = boundary_map(ManinSymbolSpace(induced(_cosets(group), ZZ, k)))
     kernel, gens = fmap.kernel()
     assert kernel.relations == _two_hermite_relations(fmap.src, gens)
+
+
+@pytest.mark.parametrize("group", ["gamma0:30", "gamma0:60"])
+def test_integral_image_reads_only_the_kernel_generators(group, monkeypatch):
+    fmap = boundary_map(ManinSymbolSpace(induced(_cosets(group), ZZ, 2)))
+    calls, quotient = [], linalg.lattice_quotient
+    monkeypatch.setattr(linalg, "lattice_quotient", lambda *a: calls.append(a) or quotient(*a))
+    image, _ambient = fmap.image()
+    assert calls == []
+    assert image.relations == fmap.src.relations.stack(fmap.kernel()[1])
+    # the kernel itself is the quotient, so the count does see its calls
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -349,6 +349,38 @@ def test_from_integers_keeps_its_rows_as_integer_form():
     assert nums.rows == [[1, -2], [0, 3]] and d == 1
 
 
+# -- the one row form ----------------------------------------------------------
+
+# each ring's entries with zeros of every kind: int 0 among Fractions,
+# multiples of p, and zero tuples with int or Fraction coefficients
+ROW_FORM_CELLS = {
+    "Z": (ZZ, st.one_of(st.just(0), st.integers(-9, 9))),
+    "Q": (QQ, st.one_of(st.just(0), st.just(Fraction(0)), mixed_rational)),
+    "F7": (GF(7), st.one_of(st.sampled_from([0, 7, -14]), st.integers(-20, 20))),
+    "Q(lambda5)": (rational_lambda_ring(5)[0], st.one_of(
+        st.sampled_from([(0, 0), (Fraction(0), 0), (Fraction(0), Fraction(0))]),
+        st.tuples(mixed_rational, mixed_rational))),
+}
+
+
+@pytest.mark.parametrize("name", list(ROW_FORM_CELLS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dense_and_sparse_born_matrices_share_one_row_form(name, data):
+    ring, cell = ROW_FORM_CELLS[name]
+    n, m = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+    rows = [[data.draw(cell) for _ in range(m)] for _ in range(n)]
+    dense = Matrix(ring, rows, m)
+    born = Matrix.from_sparse(ring, [{j: x for j, x in enumerate(r) if x != ring.zero} for r in rows], m)
+    vec = [data.draw(cell) for _ in range(n)]
+    assert dense.rows == born.rows
+    assert dense.sparse_rows() == born.sparse_rows()
+    assert dense.integer_form() == born.integer_form()
+    assert dense.act_on_row(vec) == born.act_on_row(vec)
+    # the scan of the dense rows is kept, not redone
+    assert dense.sparse_rows() is dense.sparse_rows()
+
+
 FIELDS = ["Q", "F2", "F7"]
 
 

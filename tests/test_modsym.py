@@ -315,11 +315,17 @@ def test_dense_operators_are_their_block_sums(cosets, ring, k):
     for x in "stT":
         assert module.right_difference(x) == ident.sub(R[x])
     assert R["T"] == R["t"].mul(R["s"])
+    # row i*blk + a of R_x is row a of the coset's weight block, placed at
+    # the columns of the coset j it reaches
+    blk = module.block
     for x in "st":
-        for r in range(module.rank):
-            unit = [ring.zero] * module.rank
-            unit[r] = ring.one
-            assert R[x].rows[r] == module.apply_letter_to_row(unit, x)
+        for i in range(cosets.mu):
+            j, cocycle = cosets.twist(i, x)
+            block = module.weight.action_matrix(cocycle).rows
+            for a in range(blk):
+                want = [ring.zero] * module.rank
+                want[j * blk : (j + 1) * blk] = block[a]
+                assert R[x].rows[i * blk + a] == want
 
 
 def test_coset_tables_share_one_interface():

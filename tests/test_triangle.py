@@ -345,6 +345,24 @@ def test_perm_file_requires_all_fields():
     assert subgroup_from_dict({"n": 3, "s": [0], "t": [0]}).mu == 1
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 4.5, "s": [0], "t": [0]},
+        {"n": "4", "s": [0], "t": [0]},
+        {"n": True, "s": [0], "t": [0]},
+        {"n": 4, "mu": 1.9, "s": [0], "t": [0]},
+        {"n": 4, "mu": True, "s": [0], "t": [0]},
+        {"n": 3, "s": [1, 0], "t": [True, False]},
+        {"n": 4, "s": [0.0], "t": [0]},
+        {"n": 4, "s": [0], "t": ["0"]},
+    ],
+)
+def test_perm_file_refuses_values_that_are_not_integers(data):
+    with pytest.raises(InvalidSubgroupError, match="integers"):
+        subgroup_from_dict(data)
+
+
 def test_round_trip_dict():
     G = TriangleSubgroup.level_one(6)
     assert subgroup_from_dict(subgroup_to_dict(G)).mu == 1
