@@ -331,10 +331,25 @@ def comparison_report(symbols):
         symbols.presentation, surface_h1(module), Matrix.identity(ring, module.rank), check=False
     )
     kernel, kernel_gens = to_surface.kernel()
+    kdim = kernel.dim()
+    if kdim == 0:
+        # the orbit sums lie in the kernel, so they span nothing either
+        return ComparisonReport(kernel, kernel_gens, local_terms, 0, "isomorphic")
+    coords = [list(symbols.presentation.reduce(row)) for row in _orbit_sums(module, classes, actions)]
+    local_span = matrix_rank(Matrix(ring, coords, symbols.presentation.ncoords())) if coords else 0
+    if kdim == local_span:
+        verdict = "kernel spanned by elliptic orbit sums"
+    else:
+        verdict = "kernel not spanned by elliptic orbit sums"
+    return ComparisonReport(kernel, kernel_gens, local_terms, local_span, verdict)
 
-    blk = module.block
+
+def _orbit_sums(module, classes, actions):
+    """The orbit sum over its class cycle of each stabilizer-invariant
+    coefficient at each elliptic class, as ambient rows."""
+    ring, blk = module.ring, module.block
     ident = Matrix.identity(ring, blk)
-    orbit_rows = []
+    out = []
     for cls, act in zip(classes, actions):
         invariants = left_kernel(act.sub(ident))
         step = module.right_matrix("s" if cls.kind == "sigma" else "t").act_on_row
@@ -345,14 +360,5 @@ def comparison_report(symbols):
             for _ in range(cls.power - 1):
                 cur = step(cur)
                 total = [ring.add(a, b) for a, b in zip(total, cur)]
-            orbit_rows.append(total)
-    coords = [list(symbols.presentation.reduce(row)) for row in orbit_rows]
-    local_span = matrix_rank(Matrix(ring, coords, symbols.presentation.ncoords())) if coords else 0
-    kdim = kernel.dim()
-    if kdim == 0:
-        verdict = "isomorphic"
-    elif kdim == local_span:
-        verdict = "kernel spanned by elliptic orbit sums"
-    else:
-        verdict = "kernel not spanned by elliptic orbit sums"
-    return ComparisonReport(kernel, kernel_gens, local_terms, local_span, verdict)
+            out.append(total)
+    return out

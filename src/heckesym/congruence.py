@@ -242,9 +242,11 @@ def convergent_segments(x):
     segs = []
     p_back, q_back = 0, 1  # convergent -2
     p_prev, q_prev = 1, 0  # convergent -1, the cusp at infinity
-    rem = Fraction(x)
+    # Euclid on the lowest-terms pair: the remainder rem = num / den has
+    # integer part num // den, and the next one is den / (num % den)
+    num, den = x.numerator, x.denominator
     while True:
-        a = rem.numerator // rem.denominator
+        a, r = divmod(num, den)
         p = a * p_prev + p_back
         q = a * q_prev + q_back
         g = (p, p_prev, q, q_prev)
@@ -254,10 +256,9 @@ def convergent_segments(x):
         elif det != 1:
             raise InternalInvariantError("convergent matrix not unimodular")
         segs.append((g, 1))
-        frac = rem - a
-        if frac == 0:
+        if r == 0:
             return segs
-        rem = 1 / frac
+        num, den = den, r
         p_back, q_back, p_prev, q_prev = p_prev, q_prev, p, q
 
 

@@ -20,6 +20,17 @@ field (the rationals or a prime field) and refines joint invariant blocks
 prime by prime. Scalars are never extended silently: a block whose
 polynomial has an irreducible factor of higher degree keeps that factor in
 the report instead of sprouting fake eigenvalues.
+
+Over Q a block's characteristic polynomial comes from residues
+(linalg.charpoly_from_residues: charpoly modulo 62-bit primes, joined by
+CRT), with its coefficients bounded through |eigenvalue of T_p| <=
+1 + p^(k-1), which holds on cuspidal and Eisenstein symbols alike. The
+primary decomposition certifies the result whatever the bound: when each
+kernel of f(T_p)^e, over the irreducible factors f^e, has dimension
+deg(f) * e and together they fill the block, the factors are exactly the
+characteristic polynomial. A block that fails is split again with the
+Fraction charpoly, and only a second failure is an internal error. The
+hecke command's charpolys and everything over F_p use charpoly alone.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import comb
 
 from .congruence import (
     continued_fraction_path,
@@ -43,6 +55,7 @@ from .linalg import (
     NotInSpanError,
     RowBasis,
     charpoly,
+    charpoly_from_residues,
     left_kernel,
 )
 from .modsym import cuspidal_subspace
@@ -180,25 +193,41 @@ def restrict_operator(operator, subspace):
 
     Over a field it runs in the free-generator coordinates of the
     presentation: the subspace generators are reduced once to canonical
-    coordinates C, and G = matrix_on_generators acts on them through
-    _restrict_to_block, the routine eigensystem applies to its blocks. That
-    is exact, because the operator maps relations into relations, so
-    reducing an ambient image v * A gives reduce(v) * G. Over Z each
-    ambient image is expressed in the lattice the generators span with the
-    relations, so its generator part is unique only when the subspace
-    module has no nonzero relation row; else UnsupportedRingError."""
-    gens = subspace.ambient_rows
+    coordinates C (_generator_coordinates), and G = matrix_on_generators
+    acts on them through _restrict_to_block, the routine eigensystem applies
+    to its blocks. That is exact, because the operator maps relations into
+    relations, so reducing an ambient image v * A gives reduce(v) * G. Over
+    Z each ambient image is expressed in the lattice the generators span
+    with the relations, so its generator part is unique only when the
+    subspace module has no nonzero relation row; else UnsupportedRingError."""
     src = operator.src
+    if src.ring.is_field:
+        return _restrict_on_generators(operator, *_generator_coordinates(src, subspace))
+    gens = subspace.ambient_rows
+    if subspace.module is not None and not subspace.module.relations.is_zero():
+        raise UnsupportedRingError("restriction over Z needs subspace generators "
+                                   "without relations, for a unique matrix on them")
     try:
-        if src.ring.is_field:
-            coords = Matrix(src.ring, [list(src.reduce(g)) for g in gens.rows], src.ncoords())
-            return _restrict_to_block(src.ring, operator.matrix_on_generators(), coords)
-        if subspace.module is not None and not subspace.module.relations.is_zero():
-            raise UnsupportedRingError("restriction over Z needs subspace generators "
-                                       "without relations, for a unique matrix on them")
         basis = RowBasis(gens.stack(src.relations))
         images = gens.mul(operator.ambient).rows
         return Matrix(src.ring, [basis.express(v)[: gens.nrows] for v in images], gens.nrows)
+    except NotInSpanError:
+        raise IllDefinedMapError("operator does not preserve the subspace")
+
+
+def _generator_coordinates(presentation, subspace):
+    """The subspace generators reduced to the free-generator coordinates
+    of a presentation over a field, and their RowBasis."""
+    coords = Matrix(presentation.ring, [list(presentation.reduce(g)) for g in subspace.ambient_rows.rows],
+                    presentation.ncoords())
+    return coords, RowBasis(coords)
+
+
+def _restrict_on_generators(operator, coords, basis):
+    """restrict_operator over a field, on the subspace generators already
+    reduced by _generator_coordinates."""
+    try:
+        return _restrict_to_block(operator.src.ring, operator.matrix_on_generators(), coords, basis)
     except NotInSpanError:
         raise IllDefinedMapError("operator does not preserve the subspace")
 
@@ -271,11 +300,43 @@ def _poly_apply(ring, coeffs, mat):
     return out
 
 
-def _restrict_to_block(ring, mat, basis):
-    """Matrix of `mat` on the span of `basis` rows, in basis coordinates."""
-    rb = RowBasis(basis)
+def _restrict_to_block(ring, mat, basis, rb=None):
+    """Matrix of `mat` on the span of `basis` rows, in basis coordinates;
+    rb is the RowBasis of `basis` when the caller has it already."""
+    if rb is None:
+        rb = RowBasis(basis)
     rows = [rb.express(mat.act_on_row(row)) for row in basis.rows]
     return Matrix(ring, rows, basis.nrows)
+
+
+def _primary_parts(ring, p, cmat, poly, basis, evs, facs, diag):
+    """The refinement of a block (basis, evs, facs, diag) by the primary
+    components of cmat, its T_p matrix, under the factors of poly; None
+    when some kernel of f(T_p)^e does not have dimension deg(f) * e or the
+    kernels do not fill the block. Passing both checks proves poly is the
+    characteristic polynomial of cmat: the kernels of the distinct
+    irreducible f^e are independent, so they split the block into pieces
+    on which T_p has charpoly f^e."""
+    parts = []
+    consumed = 0
+    for fc, e in _factor_monic(ring, poly):
+        fmat = _poly_apply(ring, fc, cmat)
+        power = fmat
+        for _ in range(e - 1):
+            power = power.mul(fmat)
+        rows = left_kernel(power)
+        if rows.nrows != (len(fc) - 1) * e:
+            return None
+        consumed += rows.nrows
+        evs2, facs2, diag2 = dict(evs), dict(facs), diag
+        if len(fc) == 2:
+            evs2[p] = ring.neg(fc[0])
+            if e > 1 and left_kernel(fmat).nrows != rows.nrows:
+                diag2 = False
+        else:
+            facs2[p] = tuple(fc)
+        parts.append((rows.mul(basis), evs2, facs2, diag2))
+    return parts if consumed == basis.nrows else None
 
 
 def _require_eigen_space(space):
@@ -294,42 +355,36 @@ def eigensystem(space, primes, subspace=None):
 
     Returns EigenBlocks sorted by their eigenvalue data. Every block is
     invariant under all the operators; a one-eigenvalue-per-prime block of
-    dimension 2d corresponds to d copies of the plus/minus pair of a form."""
+    dimension 2d corresponds to d copies of the plus/minus pair of a form.
+    The subspace generators are reduced once for all the primes, and over
+    Q the block charpolys come from residues, certified by the
+    decomposition (see the module docstring)."""
     _require_eigen_space(space)
     ring = space.ring
+    rational = isinstance(ring, RationalField)
     if subspace is None:
         subspace = cuspidal_subspace(space)
     total = subspace.ambient_rows.nrows
     if total == 0:
         return []
+    reduced = _generator_coordinates(space.presentation, subspace)
     blocks = [(Matrix.identity(ring, total), {}, {}, True)]
     for p in primes:
-        mp = restrict_operator(hecke_matrix(space, p), subspace)
+        mp = _restrict_on_generators(hecke_matrix(space, p), *reduced)
+        r = 1 + p ** (space.weight.k - 1)
         refined = []
-        for basis, evs, facs, diag in blocks:
-            cmat = _restrict_to_block(ring, mp, basis)
-            consumed = 0
-            for fc, e in _factor_monic(ring, charpoly(cmat)):
-                fmat = _poly_apply(ring, fc, cmat)
-                power = fmat
-                for _ in range(e - 1):
-                    power = power.mul(fmat)
-                rows = left_kernel(power)
-                if rows.nrows != (len(fc) - 1) * e:
-                    raise InternalInvariantError(
-                        "primary component dimension mismatch"
-                    )
-                consumed += rows.nrows
-                evs2, facs2, diag2 = dict(evs), dict(facs), diag
-                if len(fc) == 2:
-                    evs2[p] = ring.neg(fc[0])
-                    if e > 1 and left_kernel(fmat).nrows != rows.nrows:
-                        diag2 = False
-                else:
-                    facs2[p] = tuple(fc)
-                refined.append((rows.mul(basis), evs2, facs2, diag2))
-            if consumed != basis.nrows:
-                raise InternalInvariantError("primary components do not fill the block")
+        for block in blocks:
+            cmat = _restrict_to_block(ring, mp, block[0])
+            parts = None
+            if rational:
+                n = cmat.nrows
+                bound = max(comb(n, i) * r**i for i in range(n + 1))
+                parts = _primary_parts(ring, p, cmat, charpoly_from_residues(cmat, bound), *block)
+            if parts is None:
+                parts = _primary_parts(ring, p, cmat, charpoly(cmat), *block)
+            if parts is None:
+                raise InternalInvariantError("primary components of T_%d do not fill the block" % p)
+            refined += parts
         blocks = refined
     out = [
         EigenBlock(dim=b.nrows, basis=b, eigenvalues=e, factors=f, diagonal=d)

@@ -67,6 +67,7 @@ from .rings import (
     RationalField,
     ShapeError,
     UnsupportedRingError,
+    is_prime,
     xgcd,
 )
 
@@ -1296,3 +1297,44 @@ def charpoly(mat):
                 cur = [sub(x, mul(coef, y)) for x, y in zip(cur, pi + [zero] * (len(cur) - len(pi)))]
         polys.append(cur)
     return list(polys[n])
+
+
+# the prime fields F_q of charpoly_from_residues, largest q < 2^62 first,
+# found when first needed and kept
+_RESIDUE_FIELDS = []
+
+
+def _residue_field(i):
+    while len(_RESIDUE_FIELDS) <= i:
+        q = _RESIDUE_FIELDS[-1].p - 2 if _RESIDUE_FIELDS else (1 << 62) - 1
+        while not is_prime(q):
+            q -= 2
+        _RESIDUE_FIELDS.append(PrimeField(q))
+    return _RESIDUE_FIELDS[i]
+
+
+def charpoly_from_residues(mat, bound):
+    """Monic characteristic polynomial, coefficients low -> high, of a
+    square matrix over Q whose characteristic polynomial has integer
+    coefficients of absolute value at most `bound`.
+
+    The integer form is reduced modulo 62-bit primes q that do not divide
+    its denominator, charpoly runs over each F_q, and the residues are
+    combined by CRT until the modulus exceeds 2 * bound, then lifted to the
+    symmetric range. The answer is right only when the bound holds, so
+    callers check it."""
+    nums, d = mat.integer_form()
+    coeffs, modulus, i = [0] * (mat.nrows + 1), 1, 0
+    while modulus <= 2 * bound:
+        field = _residue_field(i)
+        i += 1
+        q = field.p
+        if d % q == 0:
+            continue
+        s = pow(d, -1, q)
+        residues = charpoly(Matrix(field, [[x * s for x in row] for row in nums.rows]))
+        t = pow(modulus, -1, q)
+        coeffs = [c + modulus * ((r - c) * t % q) for c, r in zip(coeffs, residues)]
+        modulus *= q
+    half = modulus // 2
+    return QQ.from_numerators([c - modulus if c > half else c for c in coeffs])

@@ -84,6 +84,12 @@ class WeightModule:
         self.dim = k - 1
         self._lam = None
         self._matrix_cache = {}
+        # weight 2: every matrix acts as the identity, one per module (over
+        # Q with its integer form in place)
+        self._one = None
+        if self.dim == 1:
+            self._one = (Matrix.from_integers([[1]]) if isinstance(ring, RationalField)
+                         else Matrix.identity(ring, 1))
 
     def action_matrix(self, mat):
         """Matrix of the left action of a 2x2 matrix (4-tuple, entries ints
@@ -99,7 +105,7 @@ class WeightModule:
     def _action_matrix(self, mat):
         R = self.ring
         if self.dim == 1:
-            return Matrix.identity(R, 1)
+            return self._one
         if self._lam is None:
             self._lam = lambda_image_in(R, self.n)
         # the entries are integral: the Z[lambda] tuples of an extension

@@ -14,7 +14,7 @@ import random
 import pytest
 import sympy
 
-from heckesym import linalg
+from heckesym import cohomology, linalg
 from heckesym.congruence import gamma0_cosets, gamma1_cosets
 from heckesym.cohomology import (
     _zero_composite,
@@ -439,6 +439,26 @@ def test_comparison_golden_level_one_four():
     assert rep.kernel.invariants() == (2,)
     assert rep.local_span is None
     assert rep.verdict == "torsion kernel"
+
+
+def test_orbit_sums_are_built_only_for_a_nonzero_kernel(monkeypatch):
+    # the orbit sums lie in the kernel, so a zero kernel needs none of them
+    calls = []
+    orbit_sums = cohomology._orbit_sums
+
+    def counted(*args):
+        calls.append(args)
+        return orbit_sums(*args)
+
+    monkeypatch.setattr(cohomology, "_orbit_sums", counted)
+    R, _ = rational_lambda_ring(5)
+    for cosets, ring, k in ((level_one(4), QQ, 2), (gamma0_cosets(11), GF(7), 4),
+                            (level_one(5), R, 4)):
+        rep = comparison_report(ManinSymbolSpace(induced(cosets, ring, k)))
+        assert (rep.kernel.dim(), rep.local_span, rep.verdict) == (0, 0, "isomorphic")
+    assert calls == []
+    rep = comparison_report(ManinSymbolSpace(induced(level_one(4), GF(2), 2)))
+    assert rep.kernel.dim() == rep.local_span == 1 and len(calls) == 1
 
 
 def test_comparison_golden_level_one_six_f2():

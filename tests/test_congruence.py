@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckesym.congruence import (
     CongruenceCosets,
@@ -193,6 +196,56 @@ def test_convergent_segments_telescope():
         assert start == prev_end
         prev_end = end
     assert prev_end == x
+
+
+def _textbook_convergent_chain(x):
+    """The segments between successive convergents p/q of x, from the
+    partial quotients a = floor(rem), rem <- 1 / (rem - a), all on
+    Fractions; each matrix has the two convergents as columns, the second
+    negated when the determinant is -1."""
+    out = []
+    p_back, q_back, p_prev, q_prev = 0, 1, 1, 0
+    rem = Fraction(x)
+    while True:
+        a = math.floor(rem)
+        p, q = a * p_prev + p_back, a * q_prev + q_back
+        sign = 1 if p * q_prev - p_prev * q == 1 else -1
+        out.append(((p, sign * p_prev, q, sign * q_prev), 1))
+        if rem == a:
+            assert Fraction(p, q) == x
+            return out
+        rem = 1 / (rem - a)
+        p_back, q_back, p_prev, q_prev = p_prev, q_prev, p, q
+
+
+_BIG = 10**40
+RATIONALS = st.one_of(
+    st.integers(-_BIG, _BIG),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+    st.builds(Fraction, st.integers(-1000, 1000), st.integers(1, 50)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(RATIONALS)
+def test_convergent_segments_are_the_textbook_chain(x):
+    segs = convergent_segments(Fraction(x))
+    assert segs == _textbook_convergent_chain(x)
+    assert all(mat2_det(ZZ, g) == 1 for g, _ in segs)
+    # an int reads as its own lowest-terms pair
+    if isinstance(x, int):
+        assert convergent_segments(x) == segs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.none(), RATIONALS), st.one_of(st.none(), RATIONALS))
+def test_continued_fraction_path_telescopes(alpha, beta):
+    alpha = None if alpha is None else Fraction(alpha)
+    beta = None if beta is None else Fraction(beta)
+    path = continued_fraction_path(alpha, beta)
+    assert all(mat2_det(ZZ, g) == 1 for g, _ in path)
+    expected = {} if alpha == beta else {beta: 1, alpha: -1}
+    assert _chain_boundary(path) == expected
 
 
 def _chain_boundary(path):

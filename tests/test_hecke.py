@@ -26,7 +26,15 @@ from heckesym.hecke import (
     restrict_operator,
     sturm_bound,
 )
-from heckesym.linalg import FPMap, FPModule, IllDefinedMapError, Matrix, RowBasis, charpoly
+from heckesym.linalg import (
+    FPMap,
+    FPModule,
+    IllDefinedMapError,
+    InternalInvariantError,
+    Matrix,
+    RowBasis,
+    charpoly,
+)
 from heckesym.modsym import (
     PermCosets,
     Subspace,
@@ -430,6 +438,52 @@ def test_poly_apply_matches_the_power_sum(ring):
 # ---------------------------------------------------------------------------
 # eigensystem refinement and honesty
 # ---------------------------------------------------------------------------
+
+
+def test_a_wrong_residue_charpoly_is_split_again_by_the_fraction_one(monkeypatch):
+    # gamma0:11 k=8, T_2 then T_13: one 62-bit prime (bound 1) gets the
+    # 12-dimensional T_2 charpoly and the 4-dimensional T_13 block right,
+    # but not the 8-dimensional T_13 block, whose coefficients are larger
+    sp = space_for(gamma0_cosets(11), QQ, 8)
+    primes = [2, 13]
+    residues, fraction = hecke.charpoly_from_residues, hecke.charpoly
+    monkeypatch.setattr(hecke, "charpoly_from_residues", lambda mat, bound: fraction(mat))
+    expected = eigensystem(sp, primes)
+    wrong, fallbacks = [], []
+
+    def one_prime(mat, bound):
+        out = residues(mat, 1)
+        if out != fraction(mat):
+            wrong.append(mat.nrows)
+        return out
+
+    def counted(mat):
+        fallbacks.append(mat.nrows)
+        return fraction(mat)
+
+    monkeypatch.setattr(hecke, "charpoly_from_residues", one_prime)
+    monkeypatch.setattr(hecke, "charpoly", counted)
+    blocks = eigensystem(sp, primes)
+    assert wrong == fallbacks == [8]
+    assert blocks == expected
+    assert [repr(b.basis.rows) for b in blocks] == [repr(b.basis.rows) for b in expected]
+
+
+def test_two_wrong_charpolys_raise(monkeypatch):
+    sp = space_for(gamma0_cosets(11), QQ, 8)
+    residues = hecke.charpoly_from_residues
+    monkeypatch.setattr(hecke, "charpoly_from_residues", lambda mat, bound: residues(mat, 1))
+    monkeypatch.setattr(hecke, "charpoly", lambda mat: residues(mat, 1))
+    with pytest.raises(InternalInvariantError, match="T_13"):
+        eigensystem(sp, [2, 13])
+
+
+def test_a_wrong_charpoly_over_fp_raises(monkeypatch):
+    # over F_p there is no residue candidate: a wrong charpoly is the one answer
+    sp = space_for(gamma0_cosets(37), GF(7), 2)
+    monkeypatch.setattr(hecke, "charpoly", lambda mat: [0] * mat.nrows + [1])
+    with pytest.raises(InternalInvariantError, match="T_2"):
+        eigensystem(sp, [2])
 
 
 def test_level_23_keeps_irrational_eigenvalues_unsplit():

@@ -1,6 +1,8 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from types import SimpleNamespace
 
 import pytest
@@ -19,6 +21,7 @@ from heckesym.linalg import (
     NotInSpanError,
     RowBasis,
     charpoly,
+    charpoly_from_residues,
     hermite_basis,
     hermite_normal_form,
     lattice_quotient,
@@ -36,6 +39,7 @@ from heckesym.linalg import (
     _leading,
     _load,
     _reduced,
+    _residue_field,
     _snf_core,
 )
 
@@ -894,6 +898,48 @@ def test_charpoly_matches_sympy(rows):
     got = charpoly(A)
     want = oracles.sl2_charpoly(rows)
     assert tuple(Fraction(x) for x in got) == tuple(Fraction(x) for x in want)
+
+
+def _square(n, entries):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    _square(n, st.integers(-30, 30)),
+    _square(n, st.builds(Fraction, st.integers(-7, 7), st.integers(1, 12))))))
+def test_residue_charpoly_is_the_charpoly_of_a_rational_conjugate(mp):
+    m_rows, p_rows = mp
+    P = sympy.Matrix(p_rows)
+    if P.det() == 0:
+        return
+    conj = P.inv() * sympy.Matrix(m_rows) * P
+    A = Matrix(QQ, [[Fraction(int(x.p), int(x.q)) for x in conj.row(i)] for i in range(conj.rows)])
+    # every eigenvalue of M is at most its largest absolute row sum r, so
+    # the coefficient of x^(n-i) is at most C(n, i) r^i
+    n, r = len(m_rows), max(sum(abs(x) for x in row) for row in m_rows)
+    bound = max(comb(n, i) * r**i for i in range(n + 1))
+    got = charpoly_from_residues(A, bound)
+    assert got == charpoly(A) == charpoly(as_zz(m_rows))
+    assert all(type(c) is Fraction for c in got)
+
+
+def test_residue_charpoly_skips_a_prime_of_the_denominator():
+    q = _residue_field(0).p
+    A = Matrix(QQ, [[Fraction(0), Fraction(q)], [Fraction(1, q), Fraction(0)]])
+    assert A.integer_form()[1] == q
+    assert charpoly_from_residues(A, 1) == charpoly(A) == [-1, 0, 1]
+
+
+def test_residue_fields_are_found_once_and_never_at_import():
+    code = ("import heckesym.cli, heckesym.hecke; from heckesym import linalg; "
+            "assert linalg._RESIDUE_FIELDS == []")
+    subprocess.run([sys.executable, "-c", code], check=True)
+    fields = [_residue_field(i) for i in range(3)]
+    assert all(a is b for a, b in zip(fields, [_residue_field(i) for i in range(3)]))
+    qs = [f.p for f in fields]
+    assert qs == sorted(qs, reverse=True) and qs[0] < 2**62 and qs[-1] > 2**61
+    assert all(sympy.isprime(q) for q in qs)
 
 
 def test_charpoly_over_gf():

@@ -40,6 +40,19 @@ def test_weight_two_action_is_trivial():
     assert V.action_matrix((3, 5, 1, 2)).tuples() == ((1,),)
 
 
+@pytest.mark.parametrize("ring", [QQ, GF(5), ZZ], ids=["Q", "F5", "Z"])
+def test_weight_two_modules_share_one_identity(ring):
+    V = WeightModule(ring, 2, variant="plus-minus-one")
+    one = V.action_matrix(POOL[0])
+    assert all(V.action_matrix(g) is one for g in POOL)
+    assert one == Matrix.identity(ring, 1)
+    if ring is QQ:
+        # its integer form is in place before any product, and there is one
+        form = one._integer_form
+        assert form is not None and form[0].tuples() == ((1,),) and form[1] == 1
+        assert all(V.action_matrix(g).integer_form() is form for g in POOL)
+
+
 def test_minus_identity_acts_by_parity():
     V3 = WeightModule(QQ, 3, variant="plus-minus-one")
     A = V3.action_matrix((-1, 0, 0, -1))
