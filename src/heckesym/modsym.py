@@ -57,13 +57,17 @@ class PermCosets:
         ring = self.subgroup.ring
         return j, psl_canonical(ring, mat2_inv_det_one(ring, gam))
 
+    def stabilizer_word(self, cls):
+        """Generator of the stabilizer of an elliptic class, as a one-letter
+        word, checked to fix the class's coset."""
+        word = (("s" if cls.kind == "sigma" else "t", cls.power),)
+        if self.subgroup.apply_word(cls.coset, word) != cls.coset:
+            raise UnsupportedRingError("elliptic class does not fix its coset")
+        return word
+
     def stabilizer_cocycle(self, cls):
         """Generator of the stabilizer of an elliptic class, as a matrix."""
-        word = (("s" if cls.kind == "sigma" else "t", cls.power),)
-        gam, j = self.subgroup.cocycle_matrix(cls.coset, word)
-        if j != cls.coset:
-            raise UnsupportedRingError("elliptic class does not fix its coset")
-        return gam
+        return self.subgroup.cocycle_matrix(cls.coset, self.stabilizer_word(cls))[0]
 
     def label(self):
         return "perm(n=%d, mu=%d)" % (self.n, self.mu)
@@ -102,6 +106,10 @@ class InducedModule:
         self.block = weight.dim
         self.rank = self.mu * self.block
         self._cache = {}
+        # weight 2 over a permutation table: every cocycle acts as the 1x1
+        # identity, so the blocks read only the target cosets, and no
+        # cocycle (nor Z[lam]) is built; congruence tables keep their checks
+        self._targets_only = self.block == 1 and isinstance(cosets, PermCosets)
         ident = Matrix.identity(self.ring, self.block)
         self._identity = [(i, ident) for i in range(self.mu)]
         for letter, name in (("s", "sigma"), ("t", "tau")):
@@ -128,10 +136,18 @@ class InducedModule:
         return out
 
     def _letter(self, letter):
-        twist = self.cosets.twist
-        return self._cached(
-            "B" + letter, lambda: self._from_twists(twist(i, letter) for i in range(self.mu))
-        )
+        if self._targets_only:
+            target, one = self.cosets.subgroup.apply_letter, self._one_block()
+            build = lambda: [(target(i, letter), one) for i in range(self.mu)]
+        else:
+            twist = self.cosets.twist
+            build = lambda: self._from_twists(twist(i, letter) for i in range(self.mu))
+        return self._cached("B" + letter, build)
+
+    def _one_block(self):
+        """The block of the identity matrix (1, 0, 0, 1), which every
+        cocycle acts as in weight 2."""
+        return self.weight.action_matrix((1, 0, 0, 1))
 
     def _powers(self, letter):
         """Block maps of letter^0 .. letter^order (order 2 for sigma, n for
@@ -240,6 +256,9 @@ class InducedModule:
     def stabilizer_action(self, cls):
         """Action matrix on the weight module of the stabilizer generator of
         an elliptic class (rows = images of basis monomials)."""
+        if self._targets_only:
+            self.cosets.stabilizer_word(cls)  # checks that it fixes its coset
+            return self._one_block()
         return self.weight.action_matrix(self.cosets.stabilizer_cocycle(cls))
 
     def __repr__(self):

@@ -66,12 +66,18 @@ def _poly_divide_exact(num, den):
     return q
 
 
+_LAMBDA_MINPOLY_CACHE = {}
+
+
 def lambda_minimal_polynomial(n):
     """Minimal polynomial of 2*cos(pi/n) over Q, integer coefficients
-    low -> high, monic. Obtained by folding the palindromic cyclotomic
-    polynomial of order 2n through z^k + z^-k -> C_k(x)."""
+    low -> high, monic, computed once per n. Obtained by folding the
+    palindromic cyclotomic polynomial of order 2n through
+    z^k + z^-k -> C_k(x)."""
     if n < 3:
         raise ShapeError("signature n >= 3")
+    if n in _LAMBDA_MINPOLY_CACHE:
+        return _LAMBDA_MINPOLY_CACHE[n]
     phi = cyclotomic_polynomial(2 * n)
     d = len(phi) - 1
     if d % 2 or phi != phi[::-1]:
@@ -93,7 +99,8 @@ def lambda_minimal_polynomial(n):
                 out[j] += c * x
     if out[-1] != 1:
         raise InternalInvariantError("folded polynomial not monic")
-    return tuple(out)
+    out = _LAMBDA_MINPOLY_CACHE[n] = tuple(out)
+    return out
 
 
 def integral_lambda_ring(n):
@@ -115,11 +122,85 @@ def rational_lambda_ring(n):
 
 
 def lambda_roots_mod_p(n, p):
-    """Sorted roots of the minimal polynomial of lam in F_p (may be empty)."""
-    poly = lambda_minimal_polynomial(n)
-    return sorted(
-        x for x in range(p) if sum(c * pow(x, i, p) for i, c in enumerate(poly)) % p == 0
-    )
+    """Sorted roots of the minimal polynomial of lam in F_p (may be empty).
+
+    The roots are those of g = gcd(f, x^p - x), the product of the distinct
+    linear factors of f mod p, with x^p taken by square-and-multiply mod f;
+    g is split by the equal-degree step of Cantor-Zassenhaus (Cohen,
+    A Course in Computational Algebraic Number Theory, 3.4), whose random
+    shifts come from a fixed seed. The time grows with log p, not p."""
+    import random
+
+    f = [c % p for c in lambda_minimal_polynomial(n)]
+    if p == 2:
+        return [x for x in (0, 1) if sum(c * x**i for i, c in enumerate(f)) % 2 == 0]
+    h = _poly_powmod([0, 1], p, f, p) + [0, 0]
+    h[1] = (h[1] - 1) % p
+    rng, roots, todo = random.Random(p), [], [_poly_gcd(f, h, p)]
+    while todo:
+        g = todo.pop()
+        if len(g) == 2:
+            roots.append(-g[0] % p)
+        elif len(g) > 2:
+            while True:
+                # (x + a)^((p-1)/2) - 1 vanishes at the roots r of g with
+                # r + a a nonzero square, about half of them
+                h = _poly_powmod([rng.randrange(p), 1], (p - 1) // 2, g, p) + [0]
+                h[0] = (h[0] - 1) % p
+                h = _poly_gcd(g, h, p)
+                if 1 < len(h) < len(g):
+                    todo += [h, _poly_divmod(g, h, p)[0]]
+                    break
+    return sorted(roots)
+
+
+def _poly_trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_divmod(a, b, p):
+    """(quotient, remainder) mod p of coefficient lists (low -> high), for
+    b whose last coefficient is prime to p."""
+    a, inv = list(a), pow(b[-1], -1, p)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = a[i + len(b) - 1] * inv % p
+        if c:
+            for j, x in enumerate(b):
+                a[i + j] -= c * x
+    return q, _poly_trim([c % p for c in a[: len(b) - 1]])
+
+
+def _poly_powmod(a, e, f, p):
+    """a^e mod (f, p) by square-and-multiply."""
+
+    def mulmod(u, v):
+        out = [0] * (len(u) + len(v) - 1) if u and v else []
+        for i, x in enumerate(u):
+            if x:
+                for j, y in enumerate(v):
+                    out[i + j] += x * y
+        return _poly_divmod(out, f, p)[1]
+
+    out, a = [1], _poly_divmod(a, f, p)[1]
+    while e:
+        if e & 1:
+            out = mulmod(out, a)
+        e >>= 1
+        if e:
+            a = mulmod(a, a)
+    return out
+
+
+def _poly_gcd(a, b, p):
+    """Monic gcd mod p of coefficient lists, a nonzero mod p."""
+    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
 
 # ---------------------------------------------------------------------------
@@ -192,17 +273,6 @@ def sigma_matrix(ring):
 def tau_matrix(ring, lam):
     one, zero = ring.one, ring.zero
     return (lam, ring.neg(one), one, zero)
-
-
-def word_matrix(ring, lam, word):
-    """Evaluate a word, a tuple of ('s', e) / ('t', e) pairs."""
-    M = mat2_identity(ring)
-    S = sigma_matrix(ring)
-    Tau = tau_matrix(ring, lam)
-    for letter, e in word:
-        base = S if letter == "s" else Tau
-        M = mat2_mul(ring, M, mat2_pow(ring, base, e))
-    return M
 
 
 def word_inverse(word):
@@ -300,8 +370,9 @@ class TriangleSubgroup:
         self.t = t
         self.mu = mu
         self.perm_T = _compose(t, s)  # T = tau*sigma acts by t then s
-        self.ring, self.lam = integral_lambda_ring(n)  # the cocycles' Z[lam]
+        self._zlam = None  # (Z[lam], lam), built on first read
         self._words = None
+        self._tree = None
         self._rep_cache = []
         self._word_cache = {}  # word -> matrix; one-letter words in the library
         if len(self._reachable()) != mu:
@@ -310,6 +381,16 @@ class TriangleSubgroup:
     @classmethod
     def level_one(cls, n):
         return cls(n, (0,), (0,))
+
+    def _lambda_ring(self):
+        if self._zlam is None:
+            self._zlam = integral_lambda_ring(self.n)
+        return self._zlam
+
+    # Z[lam], the ring of the cocycles (Z for n = 3), and lam in it, built on
+    # first read: the minimal polynomial costs time quadratic in n
+    ring = property(lambda self: self._lambda_ring()[0])
+    lam = property(lambda self: self._lambda_ring()[1])
 
     def _reachable(self):
         seen = {0}
@@ -376,35 +457,90 @@ class TriangleSubgroup:
             edges = [("s", 1)] + [("t", e) for e in range(1, self.n)]
             words = [None] * self.mu
             words[0] = ()
+            tree = []  # (j, i, edge) in discovery order: words[j] = words[i] + (edge,)
             queue = [0]
-            while queue:
-                i = queue.pop(0)
+            for i in queue:
                 for letter, e in edges:
                     j = self.apply_letter(i, letter, e)
                     if words[j] is None:
                         words[j] = words[i] + ((letter, e),)
+                        tree.append((j, i, (letter, e)))
                         queue.append(j)
-            self._words = words
+            self._words, self._tree = words, tree
         return self._words
+
+    def mul(self, A, B):
+        """A * B for 2x2 matrices over Z[lam] (4-tuples of the coefficient
+        tuples the weight module reads): each entry sums its two polynomial
+        products as plain integers and is reduced by the minimal polynomial
+        once. For n = 3 the entries are ints and this is mat2_mul over Z."""
+        if self.n == 3:
+            return mat2_mul(ZZ, A, B)
+        m = self.ring.integer_minpoly
+        k = len(m) - 1
+        a, b, c, d = A
+        e, f, g, h = B
+        out = []
+        for pairs in (((a, e), (b, g)), ((a, f), (b, h)), ((c, e), (d, g)), ((c, f), (d, h))):
+            acc = [0] * (2 * k - 1)
+            for x, y in pairs:
+                for i, xi in enumerate(x):
+                    if xi:
+                        for j, yj in enumerate(y):
+                            acc[i + j] += xi * yj
+            for top in range(2 * k - 2, k - 1, -1):
+                t = acc[top]
+                if t:
+                    for j in range(k):
+                        acc[top - k + j] -= t * m[j]
+            out.append(tuple(acc[:k]))
+        return tuple(out)
+
+    def word_matrix(self, word):
+        """The matrix over Z[lam] of a word, a tuple of ('s', e) / ('t', e)
+        pairs, kept per word (letter powers by square-and-multiply)."""
+        M = self._word_cache.get(word)
+        if M is None:
+            ring = self.ring
+            if len(word) == 1:
+                (letter, e), = word
+                base = sigma_matrix(ring) if letter == "s" else tau_matrix(ring, self.lam)
+                if e < 0:
+                    base, e = mat2_inv_det_one(ring, base), -e
+                M = mat2_identity(ring)
+                while e:
+                    if e & 1:
+                        M = self.mul(M, base)
+                    e >>= 1
+                    if e:
+                        base = self.mul(base, base)
+            else:
+                M = mat2_identity(ring)
+                for step in word:
+                    M = self.mul(M, self.word_matrix((step,)))
+            self._word_cache[word] = M
+        return M
 
     def rep_matrices(self):
         """Exact coset representative matrices over Z[lam], built on the
-        first call."""
+        first call: each coset's is its breadth-first parent's times one
+        letter power."""
         if not self._rep_cache:
-            self._rep_cache.extend(word_matrix(self.ring, self.lam, w) for w in self.coset_words())
+            self.coset_words()
+            reps = [None] * self.mu
+            reps[0] = mat2_identity(self.ring)
+            for j, i, edge in self._tree:
+                reps[j] = self.mul(reps[i], self.word_matrix((edge,)))
+            self._rep_cache.extend(reps)
         return self._rep_cache
 
     def cocycle_matrix(self, i, word):
         """The subgroup element r_i * g * r_{i.g}^-1 over Z[lam] for g given
         as a word, PSL-sign-canonicalized, with the coset i.g."""
-        ring = self.ring
+        ring, mul = self.ring, self.mul
         reps = self.rep_matrices()
         j = self.apply_word(i, word)
-        word = tuple(word)
-        g = self._word_cache.get(word)
-        if g is None:
-            g = self._word_cache[word] = word_matrix(ring, self.lam, word)
-        M = mat2_mul(ring, mat2_mul(ring, reps[i], g), mat2_inv_det_one(ring, reps[j]))
+        M = mul(mul(reps[i], self.word_matrix(tuple(word))), mat2_inv_det_one(ring, reps[j]))
         return psl_canonical(ring, M), j
 
     def cocycle_word(self, i, word):

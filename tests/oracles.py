@@ -10,6 +10,8 @@ from math import gcd
 
 import sympy
 
+from heckesym.triangle import mat2_identity, mat2_mul, mat2_pow, sigma_matrix, tau_matrix
+
 
 def minpoly_2cos_pi_over(n):
     """Minimal polynomial of 2*cos(pi/n) over Q via sympy, as an int tuple
@@ -18,6 +20,29 @@ def minpoly_2cos_pi_over(n):
     p = sympy.minimal_polynomial(2 * sympy.cos(sympy.pi / n), x)
     coeffs = list(reversed(sympy.Poly(p, x).all_coeffs()))
     return tuple(int(c) for c in coeffs)
+
+
+def word_matrix(ring, lam, word):
+    """Evaluate a word, a tuple of ('s', e) / ('t', e) pairs, through the
+    generic mat2_mul over `ring`: one ring add and mul per entry product,
+    independent of the subgroup's own Z[lambda] product."""
+    M = mat2_identity(ring)
+    S = sigma_matrix(ring)
+    Tau = tau_matrix(ring, lam)
+    for letter, e in word:
+        base = S if letter == "s" else Tau
+        M = mat2_mul(ring, M, mat2_pow(ring, base, e))
+    return M
+
+
+def roots_mod_p(poly, p):
+    """Roots in F_p of an integer polynomial (low -> high) by trying every
+    residue."""
+    xs = range(p)
+    values = [poly[-1]] * p
+    for c in reversed(poly[:-1]):
+        values = [v * x + c for x, v in zip(xs, values)]  # Horner, reduced at the end
+    return [x for x, v in zip(xs, values) if v % p == 0]
 
 
 def projective_line_size(N):

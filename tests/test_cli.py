@@ -79,6 +79,43 @@ def test_dims_integer_ring_weight_4_answers_from_ranks(capsys):
     assert doc["torsion"] == ["6"]
 
 
+def _timed_subprocess(argv):
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "heckesym", *argv],
+                          capture_output=True, text=True)
+    return proc, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("command", ["dims", "compare"])
+def test_weight_2_perm_file_with_large_n_builds_no_lambda(command, tmp_path):
+    # Z[lambda] for n = 8000 costs seconds (its minimal polynomial is
+    # quadratic in n), and weight 2 never reads it: both commands took
+    # 3.0-4.2 s with the ring built eagerly, and 0.4-0.6 s without it
+    path = tmp_path / "one-coset-8000.json"
+    path.write_text(json.dumps({"n": 8000, "s": [0], "t": [0]}))
+    proc, elapsed = _timed_subprocess([command, "--group", "perm-file:%s" % path,
+                                       "--format", "json"])
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 2.0
+    doc = json.loads(proc.stdout)
+    if command == "dims":
+        assert doc["dims"]["manin"] == 0 and doc["dims"]["boundary"] == 1
+        assert doc["cusps"] == 1 and doc["elliptic"] == 2 and doc["genus"] == 0
+    else:
+        assert doc["verdict"] == "isomorphic" and doc["kernel"] == {"dim": 0}
+        assert doc["local_terms"] == [{"dim": 0}, {"dim": 0}]
+
+
+def test_large_prime_ring_answers_fast():
+    # the roots of lambda's minimal polynomial mod p take time in log p:
+    # trying every residue would run for about half an hour here
+    proc, elapsed = _timed_subprocess(["dims", "--group", "perm-file:" + DELTA5, "--weight", "4",
+                                       "--ring", "fp:1000000007", "--format", "json"])
+    assert elapsed < 2.0
+    assert proc.returncode == 3, proc.stderr
+    assert "no root mod 1000000007" in proc.stderr
+
+
 def test_importing_the_cli_leaves_sympy_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",

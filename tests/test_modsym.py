@@ -343,6 +343,32 @@ def test_coset_tables_share_one_interface():
             assert len(cosets.stabilizer_cocycle(cls)) == 4
 
 
+class _TwistTable:
+    """A permutation table read through its cocycles, as the induced module
+    reads every table in weight > 2."""
+
+    def __init__(self, cosets):
+        self.n, self.mu = cosets.n, cosets.mu
+        self.twist, self.stabilizer_cocycle = cosets.twist, cosets.stabilizer_cocycle
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(7), ZZ], ids=["Q", "F7", "Z"])
+def test_weight_two_permutation_module_builds_no_cocycle(ring):
+    # every cocycle acts as the 1x1 identity in weight 2, so the module reads
+    # only the target cosets and the subgroup builds neither Z[lambda] nor a
+    # cocycle; the operators are those the cocycles give
+    G = TriangleSubgroup(5, (3, 2, 1, 0, 5, 4, 7, 6), (3, 1, 6, 2, 0, 5, 4, 7))
+    weight = weight_module_for(PermCosets(G), ring, 2)
+    module = InducedModule(PermCosets(G), weight)
+    ops = [module.right_matrix(name) for name in "stT"] + [module.norm_matrix(x) for x in "st"]
+    stabs = [module.stabilizer_action(cls) for cls in G.elliptic_classes()]
+    assert G._rep_cache == [] and G._zlam is None
+    twisted = InducedModule(_TwistTable(PermCosets(G)), weight)
+    assert ops == [twisted.right_matrix(name) for name in "stT"] + [twisted.norm_matrix(x) for x in "st"]
+    assert stabs == [twisted.stabilizer_action(cls) for cls in G.elliptic_classes()]
+    assert G._rep_cache != []
+
+
 # ---------------------------------------------------------------------------
 # integral structure
 # ---------------------------------------------------------------------------

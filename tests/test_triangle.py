@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckesym.rings import ZZ, QQ, GF
+from heckesym.rings import ZZ, QQ, GF, is_prime
 from heckesym.triangle import (
     InvalidSubgroupError,
     TriangleSubgroup,
@@ -27,10 +27,11 @@ from heckesym.triangle import (
     subgroup_from_dict,
     subgroup_to_dict,
     tau_matrix,
-    word_matrix,
 )
 
 import oracles
+
+MINPOLYS = {n: oracles.minpoly_2cos_pi_over(n) for n in range(4, 13)}
 
 
 # -- lambda rings ----------------------------------------------------------
@@ -59,6 +60,27 @@ def test_lambda_roots_mod_p():
     assert lambda_roots_mod_p(4, 7) == [3, 4]  # x^2 = 2 mod 7
     assert lambda_roots_mod_p(4, 5) == []  # 2 is not a square mod 5
     assert lambda_roots_mod_p(3, 11) == [1]
+
+
+def test_lambda_minpoly_is_computed_once_per_n():
+    assert lambda_minimal_polynomial(9) is lambda_minimal_polynomial(9)
+
+
+def test_lambda_roots_mod_p_match_trying_every_residue():
+    for p in range(2, 3000):
+        if is_prime(p):
+            for n in range(4, 13):
+                assert lambda_roots_mod_p(n, p) == oracles.roots_mod_p(MINPOLYS[n], p), (n, p)
+
+
+def test_lambda_roots_mod_a_large_prime():
+    # the minimal polynomial of lambda splits mod p exactly when p = +-1 mod 2n
+    for n, p in ((5, 1000000009), (5, 1000000007), (7, 1000000007)):
+        roots = lambda_roots_mod_p(n, p)
+        f = lambda_minimal_polynomial(n)
+        assert roots == sorted(set(roots))
+        assert all(sum(c * pow(x, i, p) for i, c in enumerate(f)) % p == 0 for x in roots)
+        assert len(roots) == {(5, 1000000009): 2, (5, 1000000007): 0, (7, 1000000007): 3}[n, p]
 
 
 # -- matrix lifts ----------------------------------------------------------
@@ -116,8 +138,8 @@ def test_reduce_word_is_a_normal_form(n, word):
     assert all(0 < e < (2 if letter == "s" else n) for letter, e in out)
     # sigma^2 and tau^n are -1 in SL_2, so the matrices agree up to sign
     R, lam = integral_lambda_ring(n)
-    assert psl_canonical(R, word_matrix(R, lam, out)) == psl_canonical(
-        R, word_matrix(R, lam, word)
+    assert psl_canonical(R, oracles.word_matrix(R, lam, out)) == psl_canonical(
+        R, oracles.word_matrix(R, lam, word)
     )
 
 
@@ -248,7 +270,39 @@ def test_rep_matrices_are_built_once_per_group():
     assert G.ring == integral_lambda_ring(4)[0]
     reps = G.rep_matrices()
     assert reps is G.rep_matrices()
-    assert reps == [word_matrix(G.ring, G.lam, w) for w in G.coset_words()]
+    # each from its breadth-first parent, equal to evaluating its whole word
+    groups = [G] + _sample_groups()
+    rng = random.Random(70)
+    while len(groups) < 10:
+        mu = rng.randrange(3, 12)
+        try:
+            groups.append(TriangleSubgroup(7, oracles.random_involution(mu, rng),
+                                           oracles.random_order_n_perm(7, mu, rng)))
+        except InvalidSubgroupError:
+            continue
+    for G in groups:
+        assert G.rep_matrices() == [oracles.word_matrix(G.ring, G.lam, w) for w in G.coset_words()]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7])
+def test_subgroup_product_matches_the_generic_ring_product(n):
+    # the one-reduction-per-entry product against mat2_mul over Z[lambda]
+    G = TriangleSubgroup.level_one(n)
+    R, lam = integral_lambda_ring(n)
+    rng = random.Random(n)
+    for _ in range(40):
+        word = tuple((rng.choice("st"), rng.randrange(-n, n)) for _ in range(rng.randrange(1, 7)))
+        A = G.word_matrix(word)
+        assert A == oracles.word_matrix(R, lam, word)
+        B = oracles.word_matrix(R, lam, reduce_word(n, word[::-1]))
+        assert G.mul(A, B) == mat2_mul(R, A, B)
+
+
+def test_lambda_ring_is_built_on_first_read():
+    G = TriangleSubgroup.level_one(8000)
+    assert G.genus() == 0 and len(G.elliptic_classes()) == 2
+    assert G._zlam is None
+    assert TriangleSubgroup.level_one(7).lam == integral_lambda_ring(7)[1]
 
 
 def test_rep_matrices_land_in_expected_coset():
@@ -266,7 +320,7 @@ def test_rep_matrices_land_in_expected_coset():
                 assert j2 == j
                 assert G.apply_word(0, word_m) == 0
                 # and the two cocycle routes agree up to projective sign
-                assert psl_canonical(R, word_matrix(R, lam, word_m)) == M
+                assert psl_canonical(R, oracles.word_matrix(R, lam, word_m)) == M
 
 
 def test_cocycle_multiplicative_up_to_sign():

@@ -12,7 +12,6 @@ from heckesym.triangle import (
     mat2_mul,
     rational_lambda_ring,
     tau_matrix,
-    word_matrix,
 )
 from heckesym.weights import (
     WeightModule,
@@ -104,7 +103,7 @@ def _lambda5_pool():
         tuple((rng.choice("st"), rng.randrange(1, 5)) for _ in range(rng.randrange(1, 5)))
         for _ in range(6)
     ]
-    return [word_matrix(R5, lam, w) for w in words]
+    return [oracles.word_matrix(R5, lam, w) for w in words]
 
 
 @pytest.mark.parametrize(
