@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .cohomology import (
     boundary_dimensions,
@@ -124,6 +125,7 @@ def _op_spec(text):
     raise argparse.ArgumentTypeError("op must be tp:P or diamond:D, got %r" % text)
 
 
+@cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="heckesym",
@@ -330,8 +332,8 @@ def cmd_compare(args):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # one parser per process: it keeps no state between parses
+    args = _build_parser().parse_args(argv)
     try:
         payload = args.handler(args)
     except UnsupportedRingError as exc:

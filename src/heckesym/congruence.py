@@ -3,9 +3,16 @@
 Cosets of Gamma_0(N) carry labels from P^1(Z/N); cosets of the plus-minus
 image of Gamma_1(N) carry pairs (c, d) mod N with gcd(c, d, N) = 1, taken
 up to simultaneous negation. A coset is the bottom row of any of its
-representatives, and right multiplication acts on that row. Every label is
-backed by an exact lift to SL_2(Z), so the induced-module cocycles are
-honest integer matrices (signs included), not just projective classes.
+representatives, and right multiplication acts on that row. A label is the
+least pair of its orbit, and a pair finds it by normalisation: a scalar
+carries c to the least first entry of the orbit (gcd(c, N) in P^1(Z/N), the
+lesser of c and -c up to sign), and the scaled d is looked up among that
+entry's labels (Cremona, Algorithms for Modular Elliptic Curves, ch. 2;
+Stein, Modular Forms, ch. 8). So a gamma0 table costs about N times the
+number of divisors of N, not N^2, and a gamma1 table is linear in its index.
+Every label is backed by an exact lift to SL_2(Z), so the induced-module
+cocycles are honest integer matrices (signs included), not just projective
+classes.
 """
 
 from __future__ import annotations
@@ -48,25 +55,38 @@ def apply_moebius(A, x):
 # ---------------------------------------------------------------------------
 
 
-def _units(N):
-    return [u for u in range(1, N + 1) if gcd(u, N) == 1]
-
-
-def _coset_labels(N, units):
-    """(labels, lookup) for the pairs (c, d) mod N with gcd(c, d, N) = 1
-    up to scaling by `units`: each orbit is labelled by its least pair, and
-    lookup sends every pair to the index of its label. The pairs are walked
-    in lexicographic order, so the first pair met in an orbit is its label
-    and the labels come out sorted."""
-    labels, lookup = [], {}
+def _coset_tables(N, kind):
+    """(labels, scale) for the pairs (c, d) mod N with gcd(c, d, N) = 1, up
+    to scaling by the units of Z/N ("gamma0") or by -1 ("gamma1"). Each
+    orbit is labelled by its least pair. Its first entry is the least
+    multiple u * c, u a scalar: gcd(c, N) (0 when N divides c) for gamma0,
+    the lesser of c and -c for gamma1. scale[c] is (table, u) for that u,
+    and table[u * d % N] is the index of the label of (c, d). Per first
+    entry the d are walked upward, and each new one labels its orbit under
+    the scalars fixing that entry, so the labels come out sorted and the
+    tables hold about N times the number of divisors of N entries."""
+    units = [u for u in range(N) if gcd(u, N) == 1] if kind == "gamma0" else (1, -1)
+    tables, scale = {}, []
     for c in range(N):
+        if kind == "gamma1":
+            u = 1 if c <= -c % N else -1
+        else:
+            # u * c = g mod N for the units u = (c/g)^-1 mod N/g
+            g = gcd(c, N)
+            u = pow(c // g, -1, N // g)
+            while gcd(u, N) != 1:
+                u += N // g
+        scale.append((tables.setdefault(u * c % N, {}), u))
+    labels = []
+    for first in sorted(tables):
+        table = tables[first]
+        fixing = [w for w in units if (w - 1) * first % N == 0]
         for d in range(N):
-            if (c, d) in lookup or gcd(c, d, N) != 1:
-                continue
-            for u in units:
-                lookup[u * c % N, u * d % N] = len(labels)
-            labels.append((c, d))
-    return labels, lookup
+            if d not in table and gcd(first, d, N) == 1:
+                for w in fixing:
+                    table[w * d % N] = len(labels)
+                labels.append((first, d))
+    return labels, scale
 
 
 def lift_to_sl2(c, d, N):
@@ -124,8 +144,7 @@ class CongruenceCosets:
         self.N = N
         self.kind = kind
         self.n = 3
-        units = _units(N) if kind == "gamma0" else (1, -1)
-        self.labels, self._lookup = _coset_labels(N, units)
+        self.labels, self._scale = _coset_tables(N, kind)
         self.mu = len(self.labels)
         self.lifts = [lift_to_sl2(c, d, N) for c, d in self.labels]
         s = tuple(self._act_perm(i, _LETTERS["s"]) for i in range(self.mu))
@@ -134,8 +153,12 @@ class CongruenceCosets:
         self._inv_lifts = [mat2_inv_det_one(ZZ, m) for m in self.lifts]
 
     def coset_of(self, c, d):
+        """Index of the coset with bottom row (c, d) mod N: the pair scaled
+        to its label's first entry, then looked up there."""
+        N = self.N
+        table, u = self._scale[c % N]
         try:
-            return self._lookup[(c % self.N, d % self.N)]
+            return table[u * d % N]
         except KeyError:
             raise InternalInvariantError(
                 "row (%d, %d) is not coprime to the level" % (c, d)

@@ -162,9 +162,11 @@ class InducedModule:
 
         return self._cached("P" + letter, build)
 
-    @staticmethod
-    def _compose(first, then):
-        """Block map of 'first, then then' (right actions compose in order)."""
+    def _compose(self, first, then):
+        """Block map of 'first, then then' (right actions compose in order).
+        In weight 2 every block is the identity, so only the cosets move."""
+        if self.block == 1:
+            return [(then[j][0], B) for j, B in first]
         return [(then[j][0], B.mul(then[j][1])) for j, B in first]
 
     def _assemble(self, terms):

@@ -153,9 +153,13 @@ def local_term(ring, action, order):
     convention) and `order` the order of h. This measures the local
     obstruction at an elliptic point with stabilizer generated by h."""
     ident = Matrix.identity(ring, action.nrows)
-    norm = ident
-    power = action
-    for _ in range(order - 1):
-        norm = norm.add(power)
-        power = power.mul(action)
+    if action == ident:
+        # h acts trivially (every h does in weight 2): the norm is order * 1
+        norm = ident.scale(ring.of_int(order))
+    else:
+        norm = ident
+        power = action
+        for _ in range(order - 1):
+            norm = norm.add(power)
+            power = power.mul(action)
     return subquotient(left_kernel(action.sub(ident)), norm)

@@ -78,6 +78,24 @@ def brute_p1_classes(N):
     return orbits
 
 
+def coset_labels(N, kind):
+    """(labels, lookup) of the coset table of `kind` at level N, by walking
+    all N^2 pairs (c, d) in lexicographic order: the first pair met in an
+    orbit under scaling (by the units mod N for "gamma0", by -1 for
+    "gamma1") is its label, and lookup sends every pair with
+    gcd(c, d, N) = 1 to the index of its label."""
+    units = [u for u in range(1, N + 1) if gcd(u, N) == 1] if kind == "gamma0" else (1, -1)
+    labels, lookup = [], {}
+    for c in range(N):
+        for d in range(N):
+            if (c, d) in lookup or gcd(c, d, N) != 1:
+                continue
+            for u in units:
+                lookup[u * c % N, u * d % N] = len(labels)
+            labels.append((c, d))
+    return labels, lookup
+
+
 def gamma1_pair_count(N):
     """Number of (c,d) mod N with gcd(c,d,N)=1, modulo (c,d) ~ (-c,-d)."""
     pairs = [

@@ -106,6 +106,35 @@ def test_weight_2_perm_file_with_large_n_builds_no_lambda(command, tmp_path):
         assert doc["local_terms"] == [{"dim": 0}, {"dim": 0}]
 
 
+# Runs the command in argv[1:] and writes its exit code, its wall time and
+# its max RSS (RUSAGE_CHILDREN, in kilobytes) to stderr. A small interpreter
+# runs it, since a child's max RSS counts the memory of the process it was
+# forked from, and this one holds the whole test session.
+_MEASURE = (
+    "import resource, subprocess, sys, time\n"
+    "start = time.perf_counter()\n"
+    "code = subprocess.call(sys.argv[1:])\n"
+    "elapsed = time.perf_counter() - start\n"
+    "maxrss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+    "sys.stderr.write('%d %r %d\\n' % (code, elapsed, maxrss))\n"
+)
+
+
+def test_a_large_level_takes_time_and_memory_linear_in_the_index():
+    # the coset table of gamma0:2000 (index 3600) once walked all 4 million
+    # pairs (c, d) mod N: 7-9 s and 659 MB; the JSON is that run's output
+    proc = subprocess.run([sys.executable, "-c", _MEASURE, sys.executable, "-m", "heckesym",
+                           "dims", "--group", "gamma0:2000", "--format", "json"],
+                          capture_output=True, text=True)
+    *err, last = proc.stderr.splitlines()
+    code, elapsed, maxrss = last.split()
+    assert code == "0", err
+    with open(os.path.join(DATA, "dims_gamma0_2000.json")) as fh:
+        assert json.loads(proc.stdout) == json.load(fh)
+    assert float(elapsed) < 3.0
+    assert int(maxrss) < 150 * 1024
+
+
 def test_large_prime_ring_answers_fast():
     # the roots of lambda's minimal polynomial mod p take time in log p:
     # trying every residue would run for about half an hour here
@@ -281,6 +310,22 @@ def test_qexp_refuses_before_building_the_cuspidal_subspace(argv, monkeypatch, c
     monkeypatch.setattr(hecke, "cuspidal_subspace", boom)
     assert cli.main(argv) == 3
     assert "unsupported" in capsys.readouterr().err
+
+
+def test_one_parser_serves_a_usage_error_and_then_a_valid_call(monkeypatch, capsys):
+    cli.main(["dims", "--group", "gamma0:11"])  # the parser exists from here on
+    capsys.readouterr()
+    built = []
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", lambda *a, **k: built.append(a))
+    with pytest.raises(SystemExit) as info:
+        cli.main(["hecke", "--group", "gamma0:11", "--weight", "4", "--op", "tp:6"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    # nothing of the failed parse (its weight, its subcommand) carries over
+    doc = run_json(capsys, "dims", "--group", "gamma0:11")
+    assert doc["command"] == "dims" and doc["weight"] == 2
+    assert doc["dims"]["cuspidal"] == 2
+    assert built == []
 
 
 def test_perm_file_with_a_bad_pair_exits_2(tmp_path, capsys):

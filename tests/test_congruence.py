@@ -18,6 +18,7 @@ from heckesym.congruence import (
     lift_to_sl2,
     segment_endpoints,
 )
+from heckesym.linalg import InternalInvariantError
 from heckesym.rings import ZZ
 from heckesym.triangle import (
     mat2_det,
@@ -67,6 +68,44 @@ def test_cd_pairs_match_their_definition(N):
 def test_cd_pairs_equal_p1_for_small_levels():
     for N in (1, 2):
         assert gamma1_cosets(N).labels == gamma0_cosets(N).labels
+
+
+def _coset_or_none(cos, c, d):
+    try:
+        return cos.coset_of(c, d)
+    except InternalInvariantError:
+        return None
+
+
+@pytest.mark.parametrize("kind", ["gamma0", "gamma1"])
+def test_coset_tables_match_the_quadratic_walk(kind):
+    # labels, sigma/tau permutations and the coset of every pair (c, d)
+    # mod N, against the walk over all N^2 pairs that once built the tables;
+    # a pair missing from the walk's lookup is not coprime to the level
+    a, b, c1, d1 = TAU
+    for N in range(1, 201):
+        labels, lookup = oracles.coset_labels(N, kind)
+        cos = CongruenceCosets(N, kind)
+        assert cos.labels == labels, N
+        G = cos.subgroup
+        assert G.s == tuple(lookup[d % N, -c % N] for c, d in labels), N
+        assert G.t == tuple(lookup[(c * a + d * c1) % N, (c * b + d * d1) % N] for c, d in labels), N
+        got = {(c, d): _coset_or_none(cos, c, d) for c in range(N) for d in range(N)}
+        assert got == {pair: lookup.get(pair) for pair in got}, N
+        # any integer representatives of the pair
+        assert [cos.coset_of(c - N, d + 3 * N) for c, d in labels] == list(range(cos.mu)), N
+
+
+@pytest.mark.parametrize("kind", ["gamma0", "gamma1"])
+def test_a_pair_not_coprime_to_the_level_has_no_coset(kind):
+    cos = CongruenceCosets(36, kind)
+    # c = 0 with d not a unit, and c with gcd(c, 36) a proper divisor
+    for c, d in [(0, 2), (0, 9), (0, 0), (4, 2), (6, 3), (-6, 15), (18, 3), (12, 30)]:
+        with pytest.raises(InternalInvariantError, match="not coprime"):
+            cos.coset_of(c, d)
+    # with c a unit every pair is coprime to the level: each d has its own coset
+    for c in (1, 5, 35, -7):
+        assert len({cos.coset_of(c, d) for d in range(36)}) == 36
 
 
 # -- lifts -------------------------------------------------------------------

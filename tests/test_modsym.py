@@ -369,6 +369,32 @@ def test_weight_two_permutation_module_builds_no_cocycle(ring):
     assert G._rep_cache != []
 
 
+def _no_products(self, other):
+    raise AssertionError("a weight-2 block product")
+
+
+@pytest.mark.parametrize("table", [
+    lambda tmp: gamma0_cosets(11),
+    lambda tmp: gamma1_cosets(5),
+    lambda tmp: _listed_perm_file(tmp, "n5-mu08-a"),
+    lambda tmp: _perm_file(tmp, 400, (0,), (0,)),
+], ids=["gamma0-11", "gamma1-5", "perm-file-n5", "perm-file-n400"])
+def test_weight_two_powers_move_cosets_only(tmp_path, monkeypatch, table):
+    # every block is the 1x1 identity in weight 2, so the letter powers (the
+    # order check and the norms) and T are built without a block product
+    cosets = table(tmp_path)
+    for ring in (QQ, GF(11), ZZ):
+        weight = weight_module_for(cosets, ring, 2)
+        want = oracles.induced_operators(cosets, weight)
+        with monkeypatch.context() as patch:
+            patch.setattr(Matrix, "mul", _no_products)
+            module = InducedModule(cosets, weight)
+            got = {"T": module.right_matrix("T"), "DT": module.right_difference("T")}
+            got.update({"N" + x: module.norm_matrix(x) for x in "st"})
+        for name, mat in got.items():
+            assert mat.rows == want[name], (ring.kind, name)
+
+
 # ---------------------------------------------------------------------------
 # integral structure
 # ---------------------------------------------------------------------------

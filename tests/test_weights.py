@@ -190,6 +190,20 @@ def test_local_term_weight_two_order_four_over_z():
     assert mod.torsion() == (4,)
 
 
+def test_local_term_of_a_trivial_action_is_built_without_products(monkeypatch):
+    # h acts trivially in weight 2, so its norm is order * 1: one scaling in
+    # place of order - 1 products, for an order as large as a signature n
+    def no_products(self, other):
+        raise AssertionError("a product of a trivial action")
+
+    monkeypatch.setattr(Matrix, "mul", no_products)
+    assert local_term(ZZ, WeightModule(ZZ, 2).action_matrix(TAU), 8000).torsion() == (8000,)
+    assert local_term(GF(2), Matrix.identity(GF(2), 1), 8000).dim() == 1
+    assert local_term(GF(3), Matrix.identity(GF(3), 1), 8000).dim() == 0
+    assert local_term(QQ, WeightModule(QQ, 2).action_matrix(SIGMA), 2).dim() == 0
+    assert local_term(ZZ, Matrix.identity(ZZ, 3), 4).torsion() == (4, 4, 4)
+
+
 def test_local_terms_vanish_over_q():
     V = WeightModule(QQ, 4)
     assert local_term(QQ, V.action_matrix(SIGMA), 2).dim() == 0
