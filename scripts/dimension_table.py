@@ -4,8 +4,10 @@
 For each level and weight this lists the symbol space dimension, its
 cuspidal/Eisenstein split, both cohomology dimensions with their parabolic
 parts, and the genus / cusp count of the quotient curve. Everything is
-computed over Q, so the symbol and cohomology columns should agree; seeing
-them side by side is the point of the table.
+computed over Q, so the symbol columns (from the presentation and the
+boundary map's kernel) and the cohomology columns (from the local terms of
+cohomology.dimension_report) should agree; seeing them side by side is the
+point of the table.
 
 Usage:
     python3 scripts/dimension_table.py --max-level 30 --weights 2 4 6
@@ -13,12 +15,7 @@ Usage:
 
 import argparse
 
-from heckesym.cohomology import (
-    h1_dimension,
-    h1_parabolic_dimension,
-    surface_h1_dimension,
-    surface_h1_parabolic_dimension,
-)
+from heckesym.cohomology import dimension_report
 from heckesym.congruence import gamma0_cosets, gamma1_cosets
 from heckesym.modsym import cuspidal_subspace, manin_space, weight_module_for
 from heckesym.rings import QQ
@@ -40,15 +37,12 @@ def main():
         cosets = build(N)
         for k in args.weights:
             space = manin_space(cosets, weight_module_for(cosets, QQ, k))
-            module = space.module
             dim = space.rank()
             cusp = cuspidal_subspace(space).module.rank()
+            report = dimension_report(space.module)
             row = (
                 N, k, dim, cusp, dim - cusp,
-                h1_dimension(module),
-                h1_parabolic_dimension(module),
-                surface_h1_dimension(module),
-                surface_h1_parabolic_dimension(module),
+                report.h1, report.h1_par, report.surface_h1, report.surface_h1_par,
                 cosets.subgroup.genus(),
                 len(cosets.subgroup.cusp_classes()),
             )

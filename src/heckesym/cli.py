@@ -25,14 +25,7 @@ import json
 import sys
 from functools import cache
 
-from .cohomology import (
-    boundary_dimensions,
-    comparison_report,
-    h1_dimension,
-    h1_parabolic_dimension,
-    surface_h1_dimension,
-    surface_h1_parabolic_dimension,
-)
+from .cohomology import DIMENSIONS, comparison_report, dimension_report
 from .congruence import gamma0_cosets, gamma1_cosets
 from .hecke import (
     diamond_operator,
@@ -240,28 +233,16 @@ def _human_scalar(value):
 
 def cmd_dims(args):
     cosets, ring, space = _build_space(args)
-    module = space.module
-    # ranks alone: the cuspidal part is the kernel of the boundary map
-    boundary, eisenstein = boundary_dimensions(module)
-    manin = space.rank()
+    report = dimension_report(space.module)
     subgroup = cosets.subgroup
-    payload = {
-        "dims": {
-            "manin": manin,
-            "cuspidal": manin - eisenstein,
-            "eisenstein": eisenstein,
-            "boundary": boundary,
-            "h1": h1_dimension(module),
-            "h1_par": h1_parabolic_dimension(module),
-            "surface_h1": surface_h1_dimension(module),
-            "surface_h1_par": surface_h1_parabolic_dimension(module),
-        },
+    return {
+        "dims": {key: getattr(report, key) for key in DIMENSIONS},
         "genus": subgroup.genus(),
         "cusps": len(subgroup.cusp_classes()),
         "elliptic": len(subgroup.elliptic_classes()),
-        "torsion": [str(d) for d in space.presentation.torsion()],
+        # over Z the Smith form of the symbol relations; a field has none
+        "torsion": [str(d) for d in space.torsion()] if isinstance(ring, IntegerRing) else [],
     }
-    return payload
 
 
 def cmd_hecke(args):

@@ -17,9 +17,14 @@ matrices of its two cyclic pieces side by side), and the integral
 comparison kernel by linalg.lattice_quotient.
 
 All presentations work over the integers (Smith normal form exposes the
-torsion) and over the supported fields. The *_dimension helpers avoid the
-transform-carrying eliminations and only count ranks; over the integers they
-return the free rank.
+torsion) and over the supported fields.
+
+The *_dimension helpers read dimension_report, which sums local terms of
+the induced module: per-orbit stabilizers at the elliptic classes and
+cusps, and Shapiro's lemma for the invariants and coinvariants. Where the
+characteristic divides an elliptic order a generator norm may not split,
+and two ranks of the norms stand in; otherwise no operator of the whole
+module is built. Over the integers every number is the free rank.
 """
 
 from dataclasses import dataclass
@@ -28,6 +33,7 @@ from .linalg import (
     FPMap,
     FPModule,
     IllDefinedMapError,
+    InternalInvariantError,
     Matrix,
     NotInSpanError,
     RowBasis,
@@ -67,20 +73,9 @@ def h1(module):
     return _cocycle_presentation(module)[2]
 
 
-def _coboundary_rank(module):
-    """Rank of [Ds | Dt], the coboundary map m -> (m(1 - sigma), m(1 - tau))."""
-    return module.operator_rank(
-        "Ds|Dt",
-        lambda: module.right_difference("s").hstack(module.right_difference("t")),
-    )
-
-
 def h1_dimension(module):
-    """dim H^1 by rank-nullity alone (free rank over the integers)."""
-    rank = module.rank
-    ks = rank - module.operator_rank("Ns", lambda: module.norm_matrix("s"))
-    kt = rank - module.operator_rank("Nt", lambda: module.norm_matrix("t"))
-    return ks + kt - _coboundary_rank(module)
+    """dim H^1 (free rank over the integers), from the dimension report."""
+    return dimension_report(module).h1
 
 
 def h1_parabolic(module):
@@ -96,17 +91,8 @@ def h1_parabolic(module):
 
 
 def h1_parabolic_dimension(module):
-    """dim of the parabolic part by rank-nullity alone.
-
-    dim {w : w N_sigma = w N_tau = 0} minus dim of the coboundary image,
-    the latter being dim M^T - dim M^G since a translation-fixed m gives
-    the zero cocycle exactly when it is fixed by the whole group."""
-    rank = module.rank
-    r_dt = module.operator_rank("DT", lambda: module.right_difference("T"))
-    r_norms = module.operator_rank(
-        "Ns|Nt", lambda: module.norm_matrix("s").hstack(module.norm_matrix("t"))
-    )
-    return rank + r_dt - r_norms - _coboundary_rank(module)
+    """dim of the parabolic part, from the dimension report."""
+    return dimension_report(module).h1_par
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +108,8 @@ def surface_h1(module):
 
 
 def surface_h1_dimension(module):
-    """dim of the surface cohomology by rank-nullity alone."""
-    rs = module.operator_rank("Ds", lambda: module.right_difference("s"))
-    rt = module.operator_rank("Dt", lambda: module.right_difference("t"))
-    return rs + rt - _coboundary_rank(module)
+    """dim of the surface cohomology, from the dimension report."""
+    return dimension_report(module).surface_h1
 
 
 def surface_h1_parabolic(module):
@@ -142,24 +126,181 @@ def surface_h1_parabolic(module):
 
 
 def boundary_dimensions(module):
-    """(boundary, Eisenstein) dimensions by rank-nullity alone.
-
-    The boundary space is the module modulo the rows of DT = 1 - T, and
-    the boundary map sends symbols there through Ds = 1 - sigma, so its
-    image, the Eisenstein part, has dimension rank([Ds; DT]) - rank(DT).
-    Over the integers these are the free ranks."""
-    r_dt = module.operator_rank("DT", lambda: module.right_difference("T"))
-    r_map = module.operator_rank(
-        "Ds/DT",
-        lambda: module.right_difference("s").stack(module.right_difference("T")),
-    )
-    return module.rank - r_dt, r_map - r_dt
+    """(boundary, Eisenstein) dimensions, from the dimension report."""
+    report = dimension_report(module)
+    return report.boundary, report.eisenstein
 
 
 def surface_h1_parabolic_dimension(module):
-    """dim of the parabolic surface part by rank-nullity alone: the
-    surface part minus the image of 1 - sigma in the boundary space."""
-    return surface_h1_dimension(module) - boundary_dimensions(module)[1]
+    """dim of the parabolic surface part, from the dimension report."""
+    return dimension_report(module).surface_h1_par
+
+
+# ---------------------------------------------------------------------------
+# dimensions from local terms
+# ---------------------------------------------------------------------------
+
+DIMENSIONS = ("manin", "cuspidal", "eisenstein", "boundary", "h1", "h1_par",
+              "surface_h1", "surface_h1_par")
+
+
+@dataclass(frozen=True)
+class DimensionReport:
+    """The DIMENSIONS of an induced module M (free ranks over the integers)
+    and the local quantities they come from: fixed = (dim M^sigma,
+    dim M^tau, dim M^T), norm_ranks = the ranks of the two generator norms,
+    invariants = dim M^G, coinvariants = dim M_G, and split, whether each
+    generator norm maps onto the vectors its generator fixes."""
+
+    fixed: tuple
+    norm_ranks: tuple
+    invariants: int
+    coinvariants: int
+    split: bool
+    manin: int
+    cuspidal: int
+    eisenstein: int
+    boundary: int
+    h1: int
+    h1_par: int
+    surface_h1: int
+    surface_h1_par: int
+
+
+def dimension_report(module):
+    """Every dimension the dims helpers read, cached on the module.
+
+    With R = rank M and f_g = dim M^g, in any characteristic: boundary = f_T
+    and eisenstein = f_T - dim M_G, the image of 1 - sigma in M / M(1 - T)
+    being M modulo the augmentation M(1 - sigma) + M(1 - tau); surface_h1 =
+    R - f_s - f_t + dim M^G, from M^sigma meeting M^tau in M^G; and by the
+    six-term sequence of the free product, h1 = R - rank N_s - rank N_t +
+    dim M^G. When each norm N_g maps onto M^g (split), its kernel is M(1 - g),
+    so manin = h1 and h1_par = R - f_s - f_t - f_T + dim M_G + dim M^G;
+    otherwise (characteristic p dividing an elliptic order) these two take
+    one rank each of the stacked and of the side-by-side norms."""
+    return module.cached("dims", lambda: _dimension_report(module))
+
+
+def _dimension_report(module):
+    R, d = module.rank, module.block
+    subgroup = module.cosets.subgroup
+    elliptic = subgroup.elliptic_classes()
+    (f_s, n_s), (f_t, n_t) = (_letter_terms(module, letter, elliptic) for letter in "st")
+    cusps = subgroup.cusp_classes()
+    if d == 1:  # V is trivial: each cycle of T adds 1, and V^Gamma = V_Gamma = V
+        f_T, inv, coinv = len(cusps), 1, 1
+    else:
+        bT = module.block_map("T")
+        stabilizers = [_around(bT, c.coset) for c in cusps]  # the first at coset 0
+        f_T = sum(map(_fixed_dim, stabilizers))
+        inv = _shapiro_fixed(module, stabilizers[0], False)
+        coinv = _shapiro_fixed(module, _transpose(stabilizers[0]), True)
+    split = n_s == f_s and n_t == f_t
+    h1 = R - n_s - n_t + inv
+    if split:
+        manin, h1_par = h1, R - f_s - f_t - f_T + coinv + inv
+    else:
+        ns, nt = module.norm_matrix("s"), module.norm_matrix("t")
+        manin = R - matrix_rank(ns.stack(nt))
+        h1_par = R - f_T - matrix_rank(ns.hstack(nt)) + inv
+    eisenstein = f_T - coinv
+    surface = R - f_s - f_t + inv
+    report = DimensionReport(
+        fixed=(f_s, f_t, f_T), norm_ranks=(n_s, n_t), invariants=inv, coinvariants=coinv,
+        split=split, manin=manin, cuspidal=manin - eisenstein, eisenstein=eisenstein,
+        boundary=f_T, h1=h1, h1_par=h1_par, surface_h1=surface,
+        surface_h1_par=surface - eisenstein)
+    for ok, check in ((inv <= min(f_s, f_t, f_T, d), "dim M^G <= dim M^sigma, M^tau, M^T, V"),
+                      (coinv <= d, "dim M_G <= dim V"),
+                      (0 <= eisenstein <= f_T, "0 <= eisenstein <= boundary"),
+                      (report.cuspidal >= 0, "cuspidal >= 0")):
+        if not ok:
+            raise InternalInvariantError("dimension report: %s fails" % check)
+    return report
+
+
+def _around(bm, i):
+    """The product of the blocks around the cycle of coset i: the action
+    on the block at i of the cycle's stabilizer generator."""
+    j, h = bm[i]
+    while j != i:
+        j, B = bm[j]
+        h = h.mul(B)
+    return h
+
+
+def _fixed_dim(h):
+    """dim V^h of a block h: v h = v is v (h - 1) = 0."""
+    return h.nrows - matrix_rank(h.sub(Matrix.identity(h.ring, h.nrows)))
+
+
+def _letter_terms(module, letter, elliptic):
+    """(dim M^g, rank N_g) for the generator g = sigma or tau, of order o,
+    summed over its orbits on the cosets. An orbit is induced from the
+    stabilizer <h> of its first coset, h = g^L there for an orbit of length
+    L, so it adds dim V^h and the rank of N_h = 1 + h + ... + h^(m - 1),
+    m = o / L. A full orbit has h = 1, checked when the module was built,
+    and adds d to both; the others are the elliptic classes of g. N_h is m
+    on V^h, into which it maps, so it maps onto V^h unless the
+    characteristic divides m; then the local term V^h / N_h V falls short."""
+    ring, d = module.ring, module.block
+    powers = module.powers(letter)
+    classes = [c for c in elliptic if c.kind[0] == letter]
+    fixed = rank = d * ((module.mu - sum(len(c.cycle) for c in classes)) // (len(powers) - 1))
+    for cls in classes:
+        h = powers[cls.power][cls.coset][1]
+        f = _fixed_dim(h)
+        fixed, rank = fixed + f, rank + f
+        if ring.is_zero(ring.of_int(cls.order)):
+            rank -= local_term(ring, h, cls.order).dim()
+    return fixed, rank
+
+
+def _transpose(B):
+    return Matrix(B.ring, [list(col) for col in zip(*B.rows)], B.nrows)
+
+
+def _shapiro_fixed(module, start, dual):
+    """dim M^G, or dim M_G when dual: dim V^Gamma and dim V_Gamma, by
+    Shapiro's lemma (Brown, Cohomology of Groups, III.5-III.6).
+
+    A G-fixed vector is its block v at coset 0 carried along a breadth-first
+    spanning tree of the sigma/tau coset graph, v P_j at coset j, and each
+    edge i -> j off the tree, with block B, asks v (P_i B - P_j) = 0. The v
+    meeting the constraints so far have a basis K, at first the vectors
+    that `start`, the stabilizer block of coset 0 in its cusp, fixes. Only
+    the products K P_j are kept, and an empty K ends the walk. M_G is dual
+    to the fixed vectors of the transposed action, whose edges run j -> i
+    with the transposed blocks, so no block is inverted."""
+    mu = module.mu
+    edges = [[] for _ in range(mu)]
+    for letter in "st":
+        for i, (j, B) in enumerate(module.block_map(letter)):
+            if dual:
+                edges[j].append((i, _transpose(B)))
+            else:
+                edges[i].append((j, B))
+    paths = [None] * mu  # K P_j
+    paths[0] = left_kernel(start.sub(Matrix.identity(start.ring, start.nrows)))
+    queue = [0]
+    for i in queue:  # breadth first: the queue grows while it is read
+        for j, B in edges[i]:
+            if not paths[0].nrows:
+                return 0
+            step = paths[i].mul(B)
+            if paths[j] is None:
+                paths[j] = step
+                queue.append(j)
+                continue
+            C = step.sub(paths[j])
+            if not C.is_zero():
+                # the x with x C = 0 cut K down to x K, and each K P_j to x K P_j
+                X = left_kernel(C)
+                paths = [P if P is None else X.mul(P) for P in paths]
+    if len(queue) != mu:
+        raise InternalInvariantError("the coset graph is not connected")
+    return paths[0].nrows
 
 
 # ---------------------------------------------------------------------------

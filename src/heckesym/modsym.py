@@ -24,9 +24,10 @@ and they ask for it through congruence.require_congruence.
 """
 
 from collections import namedtuple
+from functools import cached_property
 
 from .congruence import continued_fraction_path, require_congruence
-from .linalg import FPMap, FPModule, Matrix, left_kernel, matrix_rank
+from .linalg import FPMap, FPModule, Matrix, left_kernel
 from .rings import UnsupportedRingError
 from .triangle import mat2_inv_det_one, psl_canonical
 from .weights import WeightModule
@@ -113,7 +114,7 @@ class InducedModule:
         ident = Matrix.identity(self.ring, self.block)
         self._identity = [(i, ident) for i in range(self.mu)]
         for letter, name in (("s", "sigma"), ("t", "tau")):
-            powers = self._powers(letter)
+            powers = self.powers(letter)
             if powers[-1] != self._identity:
                 raise UnsupportedRingError(
                     "%s does not act with order %d on the induced module; the "
@@ -128,7 +129,7 @@ class InducedModule:
         act = self.weight.action_matrix
         return [(j, act(coc)) for j, coc in twists]
 
-    def _cached(self, key, build):
+    def cached(self, key, build):
         """The cached value under key; `build` runs only on a miss."""
         out = self._cache.get(key)
         if out is None:
@@ -142,14 +143,14 @@ class InducedModule:
         else:
             twist = self.cosets.twist
             build = lambda: self._from_twists(twist(i, letter) for i in range(self.mu))
-        return self._cached("B" + letter, build)
+        return self.cached("B" + letter, build)
 
     def _one_block(self):
         """The block of the identity matrix (1, 0, 0, 1), which every
         cocycle acts as in weight 2."""
         return self.weight.action_matrix((1, 0, 0, 1))
 
-    def _powers(self, letter):
+    def powers(self, letter):
         """Block maps of letter^0 .. letter^order (order 2 for sigma, n for
         tau), composed once for both the order check and the norm."""
 
@@ -160,7 +161,7 @@ class InducedModule:
                 out.append(self._compose(out[-1], step))
             return out
 
-        return self._cached("P" + letter, build)
+        return self.cached("P" + letter, build)
 
     def _compose(self, first, then):
         """Block map of 'first, then then' (right actions compose in order).
@@ -195,55 +196,52 @@ class InducedModule:
 
     # -- operators ---------------------------------------------------------
 
-    def _blockmap(self, name):
+    def block_map(self, name):
+        """Block map [(j, B)] of sigma ("s"), tau ("t") or T ("T"), listed
+        by source coset."""
         if name == "s" or name == "t":
             return self._letter(name)
         if name == "T":
-            return self._cached("BT", lambda: self._compose(self._letter("t"), self._letter("s")))
+            return self.cached("BT", lambda: self._compose(self._letter("t"), self._letter("s")))
         raise ValueError(name)
 
     def right_matrix(self, name):
         """Matrix of the right action of sigma ("s"), tau ("t") or the
         translation T = tau sigma ("T")."""
-        return self._cached("R" + name, lambda: self._assemble([(1, self._blockmap(name))]))
+        return self.cached("R" + name, lambda: self._assemble([(1, self.block_map(name))]))
 
     def right_difference(self, name):
         """Matrix of (identity - right action)."""
-        return self._cached(
+        return self.cached(
             "D" + name,
-            lambda: self._assemble([(1, self._identity), (-1, self._blockmap(name))]),
+            lambda: self._assemble([(1, self._identity), (-1, self.block_map(name))]),
         )
 
     def norm_matrix(self, letter):
         """Sum of the right actions of the powers of a generator."""
-        return self._cached(
+        return self.cached(
             "N" + letter,
-            lambda: self._assemble([(1, bm) for bm in self._powers(letter)[:-1]]),
+            lambda: self._assemble([(1, bm) for bm in self.powers(letter)[:-1]]),
         )
 
     def norm_kernel(self, letter):
         """Basis of the row vectors killed by a generator norm. These are
         the admissible cocycle values on that generator."""
-        return self._cached("K" + letter, lambda: left_kernel(self.norm_matrix(letter)))
+        return self.cached("K" + letter, lambda: left_kernel(self.norm_matrix(letter)))
 
     def fixed_vectors(self, name):
         """Basis of the vectors fixed by the right action of "s", "t" or
         the translation "T"."""
-        return self._cached("F" + name, lambda: left_kernel(self.right_difference(name)))
+        return self.cached("F" + name, lambda: left_kernel(self.right_difference(name)))
 
     def group_fixed_vectors(self):
         """Basis of the vectors fixed by the whole group action."""
-        return self._cached(
+        return self.cached(
             "FG",
             lambda: left_kernel(
                 self.right_difference("s").hstack(self.right_difference("t"))
             ),
         )
-
-    def operator_rank(self, key, build):
-        """Cached rank of a derived operator matrix; `build` is only called
-        on a cache miss."""
-        return self._cached("rank:" + key, lambda: matrix_rank(build()))
 
     def right_operator(self, g):
         """Right action of an arbitrary determinant-1 integer matrix.
@@ -272,12 +270,16 @@ class InducedModule:
 
 
 class _QuotientSpace:
-    """The induced module modulo the row span of a relation matrix."""
+    """The induced module modulo the row span of the relation matrix that
+    _relations builds, on the first read of the presentation."""
 
-    def __init__(self, module, relations):
+    def __init__(self, module):
         self.module = module
         self.ring = module.ring
-        self.presentation = FPModule(self.ring, module.rank, relations)
+
+    @cached_property
+    def presentation(self):
+        return FPModule(self.ring, self.module.rank, self._relations())
 
     def rank(self):
         return self.presentation.rank()
@@ -301,9 +303,12 @@ class ManinSymbolSpace(_QuotientSpace):
     """Quotient of the induced module by the two norm relation families."""
 
     def __init__(self, module):
-        super().__init__(module, module.norm_matrix("s").stack(module.norm_matrix("t")))
+        super().__init__(module)
         self.cosets = module.cosets
         self.weight = module.weight
+
+    def _relations(self):
+        return self.module.norm_matrix("s").stack(self.module.norm_matrix("t"))
 
 
 class BoundarySpace(_QuotientSpace):
@@ -311,8 +316,8 @@ class BoundarySpace(_QuotientSpace):
     are indexed by the cusps of the subgroup, each cut down by the twisted
     action of its width translation."""
 
-    def __init__(self, module):
-        super().__init__(module, module.right_difference("T"))
+    def _relations(self):
+        return self.module.right_difference("T")
 
 
 def manin_space(cosets, weight):

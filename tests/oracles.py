@@ -608,3 +608,43 @@ def induced_operators(cosets, weight):
             total = combine(F.add, total, power)
         ops["N" + name] = total
     return ops
+
+
+def rank_dimensions(cosets, weight):
+    """The dims numbers of the module induced along a coset table, by the
+    nine global ranks of the textbook operators (induced_operators), each
+    a dense_rank over the fraction field of the weight's ring: manin = R -
+    rank [Ns; Nt], boundary = R - rank DT, eisenstein = rank [Ds; DT] -
+    rank DT, h1 = 2R - rank Ns - rank Nt - rank [Ds | Dt], h1_par = R +
+    rank DT - rank [Ns | Nt] - rank [Ds | Dt], surface_h1 = rank Ds +
+    rank Dt - rank [Ds | Dt], and the cuspidal and parabolic surface parts
+    less the Eisenstein part."""
+    ring = weight.ring
+    if hasattr(ring, "p"):
+        F = PrimeFieldOps(ring.p)
+    elif hasattr(ring, "integer_minpoly"):
+        F = SimpleExtensionOps(ring.integer_minpoly)
+    else:
+        F = RationalOps  # Q, and Z read over Q
+    ops = induced_operators(cosets, weight)
+    R = len(ops["s"])
+
+    def rank(*names, side=False):
+        mats = [ops[n] for n in names]
+        rows = [sum(parts, []) for parts in zip(*mats)] if side else sum(mats, [])
+        return dense_rank(rows, F) if rows else 0
+
+    r_dt, r_coboundary = rank("DT"), rank("Ds", "Dt", side=True)
+    manin = R - rank("Ns", "Nt")
+    eisenstein = rank("Ds", "DT") - r_dt
+    surface = rank("Ds") + rank("Dt") - r_coboundary
+    return {
+        "manin": manin,
+        "cuspidal": manin - eisenstein,
+        "eisenstein": eisenstein,
+        "boundary": R - r_dt,
+        "h1": 2 * R - rank("Ns") - rank("Nt") - r_coboundary,
+        "h1_par": R + r_dt - rank("Ns", "Nt", side=True) - r_coboundary,
+        "surface_h1": surface,
+        "surface_h1_par": surface - eisenstein,
+    }

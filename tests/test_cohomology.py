@@ -13,6 +13,8 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from heckesym import cohomology, linalg
 from heckesym.congruence import gamma0_cosets, gamma1_cosets
@@ -580,3 +582,74 @@ def test_lambda_ring_presentations_agree():
     assert surface_h1(module).dim() == man
     rep = mayer_vietoris(module)
     assert rep.exact
+
+
+# ---------------------------------------------------------------------------
+# dimensions from local terms
+# ---------------------------------------------------------------------------
+
+DIMENSION_RINGS = [QQ, ZZ, GF(2), GF(3), GF(5), GF(7)]
+
+
+@st.composite
+def _dimension_triples(draw):
+    """(cosets, weight, ring) with at most 40 module coordinates: gamma0
+    and gamma1 at small levels, or a random permutation subgroup of index
+    up to 6 at n = 4, 5, 6 (intransitive and unsupported draws rejected)."""
+    kind = draw(st.sampled_from(["gamma0", "gamma1", "perm"]))
+    if kind == "gamma0":
+        cosets = gamma0_cosets(draw(st.integers(1, 13)))
+    elif kind == "gamma1":
+        cosets = gamma1_cosets(draw(st.integers(1, 7)))
+    else:
+        n, mu = draw(st.sampled_from([4, 5, 6])), draw(st.integers(1, 6))
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        try:
+            group = TriangleSubgroup(n, oracles.random_involution(mu, rng),
+                                     oracles.random_order_n_perm(n, mu, rng))
+        except InvalidSubgroupError:
+            reject()
+        cosets = PermCosets(group)
+    k = draw(st.integers(2, min(8, 1 + 40 // cosets.mu)))
+    return cosets, k, draw(st.sampled_from(DIMENSION_RINGS))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_dimension_triples())
+def test_dimension_report_is_the_nine_ranks(triple):
+    cosets, k, ring = triple
+    try:
+        module = induced(cosets, ring, k)
+    except UnsupportedRingError:
+        reject()  # odd weight with -1 in the group, or no lambda in the ring
+    report = cohomology.dimension_report(module)
+    want = oracles.rank_dimensions(cosets, module.weight)
+    assert {key: getattr(report, key) for key in cohomology.DIMENSIONS} == want
+    assert (h1_dimension(module), h1_parabolic_dimension(module)) == (want["h1"], want["h1_par"])
+    assert surface_h1_dimension(module) == want["surface_h1"]
+    assert surface_h1_parabolic_dimension(module) == want["surface_h1_par"]
+    assert boundary_dimensions(module) == (want["boundary"], want["eisenstein"])
+
+
+@pytest.mark.parametrize("ring,split", [(GF(2), False), (GF(3), False), (GF(5), True), (QQ, True)])
+def test_bad_characteristic_takes_the_two_rank_fallback(ring, split):
+    # gamma0:13 has two elliptic points of order 2 and two of order 3: over
+    # F_2 and F_3 a norm misses the fixed vectors of its generator there
+    module = induced(gamma0_cosets(13), ring, 6)
+    report = cohomology.dimension_report(module)
+    assert report.split is split
+    # only the fallback assembles the norms, one rank each of two stackings
+    assert ("Ns" in module._cache) is not split
+    if ring is not QQ:  # the Fraction oracle takes seconds here
+        want = oracles.rank_dimensions(module.cosets, module.weight)
+        assert {key: getattr(report, key) for key in cohomology.DIMENSIONS} == want
+
+
+def test_a_weight_two_report_counts_cycles_without_block_products(monkeypatch):
+    monkeypatch.setattr(Matrix, "mul", lambda self, other: pytest.fail("a block product"))
+    for cosets, ring in ((gamma1_cosets(5), QQ), (gamma0_cosets(13), GF(2)),
+                         (gamma0_cosets(13), GF(3)), (level_one(6), ZZ)):
+        report = cohomology.dimension_report(induced(cosets, ring, 2))
+        subgroup = cosets.subgroup
+        assert report.boundary == len(subgroup.cusp_classes())
+        assert report.invariants == report.coinvariants == 1
