@@ -30,11 +30,11 @@ from .congruence import gamma0_cosets, gamma1_cosets
 from .hecke import (
     diamond_operator,
     hecke_matrix,
+    operator_charpolys,
     qexpansions,
-    restrict_operator,
     sturm_bound,
 )
-from .linalg import IllDefinedMapError, InternalInvariantError, charpoly
+from .linalg import IllDefinedMapError, InternalInvariantError
 from .modsym import (
     PermCosets,
     cuspidal_subspace,
@@ -257,16 +257,13 @@ def cmd_hecke(args):
         op = hecke_matrix(space, value)
     else:
         op = diamond_operator(space, value)
-    mat = op.matrix_on_generators()
-    cusp = cuspidal_subspace(space)
-    restricted = restrict_operator(op, cusp)
-    payload = {
+    full, cuspidal = operator_charpolys(op, cuspidal_subspace(space))
+    return {
         "operator": "%s:%d" % (kind, value),
-        "matrix": [_fmt(row) for row in mat.rows],
-        "charpoly": _fmt(charpoly(mat)),
-        "cuspidal_charpoly": _fmt(charpoly(restricted)),
+        "matrix": [_fmt(row) for row in op.matrix_on_generators().rows],
+        "charpoly": _fmt(full),
+        "cuspidal_charpoly": _fmt(cuspidal),
     }
-    return payload
 
 
 def cmd_qexp(args):

@@ -29,8 +29,12 @@ primary decomposition certifies the result whatever the bound: when each
 kernel of f(T_p)^e, over the irreducible factors f^e, has dimension
 deg(f) * e and together they fill the block, the factors are exactly the
 characteristic polynomial. A block that fails is split again with the
-Fraction charpoly, and only a second failure is an internal error. The
-hecke command's charpolys and everything over F_p use charpoly alone.
+Fraction charpoly, and only a second failure is an internal error.
+Eigensystems over F_p use charpoly alone. The kernels take no Fraction
+matrix product: each is the end of a chain of left kernels of an integer
+multiple of f(T_p) (_primary_parts). The hecke command's charpolys use
+charpoly(T) = charpoly(T|S) * charpoly(T on V/S) for the invariant
+cuspidal subspace S, so each Hessenberg runs on one block.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .congruence import (
     continued_fraction_path,
@@ -49,6 +53,7 @@ from .congruence import (
 )
 from .linalg import (
     FPMap,
+    FPModule,
     IllDefinedMapError,
     InternalInvariantError,
     Matrix,
@@ -61,6 +66,7 @@ from .linalg import (
 from .modsym import cuspidal_subspace
 from .rings import ZZ, PrimeField, RationalField, UnsupportedRingError, is_prime
 from .triangle import mat2_det, mat2_mul
+from .weights import _poly_mul
 
 
 def sturm_bound(space):
@@ -223,6 +229,18 @@ def _generator_coordinates(presentation, subspace):
     return coords, RowBasis(coords)
 
 
+def operator_charpolys(operator, subspace):
+    """(charpoly on the whole space, charpoly on an invariant subspace S)
+    of an operator over a field, the first as charpoly(T|S) times the
+    charpoly on V/S. V/S is presented with the generators of S as
+    relations, and its FPMap check re-proves the invariance."""
+    coords, basis = _generator_coordinates(operator.src, subspace)
+    on_sub = charpoly(_restrict_on_generators(operator, coords, basis))
+    quotient = FPModule(coords.ring, coords.ncols, coords)
+    on_quotient = FPMap(quotient, quotient, operator.matrix_on_generators(), check=True)
+    return _poly_mul(coords.ring, on_sub, charpoly(on_quotient.matrix_on_generators())), on_sub
+
+
 def _restrict_on_generators(operator, coords, basis):
     """restrict_operator over a field, on the subspace generators already
     reduced by _generator_coordinates."""
@@ -287,52 +305,67 @@ def _factor_monic(ring, coeffs):
 
 
 def _poly_apply(ring, coeffs, mat):
-    """Evaluate a polynomial (coefficients low->high) at a square matrix.
+    """sum_i (L c_i d^(m-i)) A^i = L d^m f(mat), a nonzero multiple of the
+    polynomial f = coeffs (low->high, degree m) at a square matrix, by
+    Horner's rule on integer rows through A.act_on_row: mat = A / d is the
+    integer form and L the least common denominator of the coefficients
+    over Q; over F_p, A = mat and d = L = 1."""
+    rational = isinstance(ring, RationalField)
+    A, d = mat.integer_form() if rational else (mat, 1)
+    L, m = lcm(*(Fraction(c).denominator for c in coeffs)), len(coeffs) - 1
+    coeffs = [(L * d ** (m - i) * Fraction(c)).numerator for i, c in enumerate(coeffs)]
+    rows = [[coeffs[-1] if j == i else 0 for j in range(mat.nrows)] for i in range(mat.nrows)]
+    for c in reversed(coeffs[:-1]):
+        rows = [A.act_on_row(row) for row in rows]
+        for i, row in enumerate(rows):
+            row[i] += c
+    return Matrix.from_integers(rows) if rational else Matrix(ring, rows)
 
-    Horner's rule from c_d mat + c_(d-1), so a linear factor takes no
-    matrix product."""
-    ident = Matrix.identity(ring, mat.nrows)
-    if len(coeffs) == 1:
-        return ident.scale(coeffs[0])
-    out = mat.scale(coeffs[-1]).add(ident.scale(coeffs[-2]))
-    for c in reversed(coeffs[:-2]):
-        out = out.mul(mat).add(ident.scale(c))
-    return out
 
-
-def _restrict_to_block(ring, mat, basis, rb=None):
+def _restrict_to_block(ring, mat, basis, rb=None, name=None):
     """Matrix of `mat` on the span of `basis` rows, in basis coordinates;
-    rb is the RowBasis of `basis` when the caller has it already."""
-    if rb is None:
-        rb = RowBasis(basis)
-    rows = [rb.express(mat.act_on_row(row)) for row in basis.rows]
-    return Matrix(ring, rows, basis.nrows)
+    rb is the RowBasis of `basis` when the caller has it already. A span
+    that `mat` does not preserve raises NotInSpanError, or, for an
+    eigenblock, which the operator `name` must preserve, an internal error."""
+    rb = RowBasis(basis) if rb is None else rb
+    try:
+        return Matrix(ring, [rb.express(mat.act_on_row(row)) for row in basis.rows], basis.nrows)
+    except NotInSpanError:
+        if name is None:
+            raise
+        raise InternalInvariantError("%s does not preserve an eigenblock of dimension %d" % (name, basis.nrows))
 
 
 def _primary_parts(ring, p, cmat, poly, basis, evs, facs, diag):
     """The refinement of a block (basis, evs, facs, diag) by the primary
     components of cmat, its T_p matrix, under the factors of poly; None
-    when some kernel of f(T_p)^e does not have dimension deg(f) * e or the
-    kernels do not fill the block. Passing both checks proves poly is the
-    characteristic polynomial of cmat: the kernels of the distinct
-    irreducible f^e are independent, so they split the block into pieces
-    on which T_p has charpoly f^e."""
-    parts = []
-    consumed = 0
+    when some kernel chain below does not reach dimension deg(f) * e or
+    the kernels do not fill the block. For each f^e, with F =
+    _poly_apply(f, cmat), K = ker F is replaced by {x : x F in span K},
+    which is ker F^(j+1) when K = ker F^j, while K is smaller than
+    deg(f) * e and still grows. Passing both checks proves poly is the
+    characteristic polynomial of cmat: the kernels lie in the generalized
+    eigenspaces of the distinct f, which are independent, so each has
+    dimension deg(f) * e and equals ker f(T_p)^e."""
+    n, parts, consumed = cmat.nrows, [], 0
     for fc, e in _factor_monic(ring, poly):
         fmat = _poly_apply(ring, fc, cmat)
-        power = fmat
-        for _ in range(e - 1):
-            power = power.mul(fmat)
-        rows = left_kernel(power)
-        if rows.nrows != (len(fc) - 1) * e:
+        want = (len(fc) - 1) * e
+        rows = left_kernel(fmat)
+        first, grown = rows.nrows, True
+        while grown and rows.nrows < want:
+            # x F = y K: K is independent, so the kernel of [F; K] has its
+            # pivots in the first n columns, and cut there it stays reduced
+            cut = [{j: x for j, x in r.items() if j < n} for r in left_kernel(fmat.stack(rows)).sparse_rows()]
+            grown = len(cut) > rows.nrows
+            rows = Matrix.from_sparse(ring, cut, n)
+        if rows.nrows != want:
             return None
-        consumed += rows.nrows
+        consumed += want
         evs2, facs2, diag2 = dict(evs), dict(facs), diag
         if len(fc) == 2:
             evs2[p] = ring.neg(fc[0])
-            if e > 1 and left_kernel(fmat).nrows != rows.nrows:
-                diag2 = False
+            diag2 = diag and (e == 1 or first == want)
         else:
             facs2[p] = tuple(fc)
         parts.append((rows.mul(basis), evs2, facs2, diag2))
@@ -374,7 +407,7 @@ def eigensystem(space, primes, subspace=None):
         r = 1 + p ** (space.weight.k - 1)
         refined = []
         for block in blocks:
-            cmat = _restrict_to_block(ring, mp, block[0])
+            cmat = _restrict_to_block(ring, mp, block[0], name="T_%d" % p)
             parts = None
             if rational:
                 n = cmat.nrows
@@ -459,7 +492,7 @@ def qexpansions(space, bound):
                         diamond_cache[p] = restrict_operator(
                             diamond_operator(space, p), subspace
                         )
-                    cmat = _restrict_to_block(ring, diamond_cache[p], blk.basis)
+                    cmat = _restrict_to_block(ring, diamond_cache[p], blk.basis, name="diamond %d" % p)
                     lam = cmat.rows[0][0]
                     if cmat != Matrix.identity(ring, cmat.nrows).scale(lam):
                         usable = False

@@ -555,6 +555,25 @@ def dense_product(A, B, ncols, F):
     return out
 
 
+def power_kernel(mat, f, e):
+    """Reduced echelon basis (dense rows) of the left kernel of f(mat)^e,
+    for a square Matrix over Q or F_p and f given low -> high: f(mat) as
+    the sum of c_i mat^i, its e-th power by dense products, and the kernel
+    by dense_left_kernel, on RationalOps or PrimeFieldOps."""
+    p = getattr(mat.ring, "p", None)
+    F, n = (RationalOps if p is None else PrimeFieldOps(p)), mat.nrows
+    rows = [list(r) for r in mat.rows]
+    ident = [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
+    value, power = [[F.zero] * n for _ in range(n)], ident
+    for c in f:
+        value = [[F.add(x, F.mul(c, y)) for x, y in zip(vr, pr)] for vr, pr in zip(value, power)]
+        power = dense_product(power, rows, n, F)
+    out = ident
+    for _ in range(e):
+        out = dense_product(out, value, n, F)
+    return dense_left_kernel(out, F)
+
+
 def weight_action_rows(k, mat):
     """Rows of the adjugate action of mat = (a, b, c, d) on homogeneous
     polynomials of degree k - 2, by sympy substitution: row i holds the

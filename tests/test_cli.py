@@ -11,10 +11,11 @@ import sys
 import time
 
 import pytest
+import sympy
 
 import heckesym.cli as cli
 import oracles
-from heckesym import linalg
+from heckesym import hecke, linalg
 from heckesym.congruence import gamma0_cosets
 from heckesym.linalg import Matrix
 from heckesym.modsym import InducedModule, weight_module_for
@@ -254,6 +255,90 @@ def test_hecke_diamond_gamma1(capsys):
     for i, row in enumerate(doc["matrix"]):
         assert row[i] == "-1"
         assert all(x == "0" for j, x in enumerate(row) if j != i)
+
+
+def test_a_block_that_is_not_hecke_invariant_exits_4(capsys, monkeypatch):
+    # gamma0:37: T_2 splits the cuspidal symbols into the blocks of 37a and
+    # 37b, where T_3 acts as -3 and 1; a line through both is not invariant
+    real = hecke._primary_parts
+
+    def corrupted(ring, p, cmat, poly, basis, evs, facs, diag):
+        parts = real(ring, p, cmat, poly, basis, evs, facs, diag)
+        (a, evs2, facs2, diag2), (b, *_rest) = parts[:2]
+        line = Matrix(ring, [[ring.add(x, y) for x, y in zip(a.rows[0], b.rows[0])]])
+        return [(line, evs2, facs2, diag2)] + parts[1:]
+
+    monkeypatch.setattr(hecke, "_primary_parts", corrupted)
+    assert cli.main(["qexp", "--group", "gamma0:37"]) == 4
+    err = capsys.readouterr().err
+    assert "T_3 does not preserve an eigenblock of dimension 1" in err
+    assert "(group gamma0:37, weight 2, ring q)" in err
+
+
+def test_a_block_that_is_not_diamond_invariant_exits_4(capsys, monkeypatch):
+    # gamma1:13: the diamond <2> has no rational eigenvector on the cuspidal
+    # symbols, so no line is invariant under it
+    real = hecke.eigensystem
+
+    def one_line(space, primes, subspace=None):
+        blk = real(space, primes, subspace)[0]
+        line = Matrix(space.ring, [[space.ring.one] * blk.basis.ncols])
+        return [hecke.EigenBlock(dim=1, basis=line, eigenvalues={p: space.ring.zero for p in primes},
+                                 factors={}, diagonal=True)]
+
+    monkeypatch.setattr(hecke, "eigensystem", one_line)
+    assert cli.main(["qexp", "--group", "gamma1:13", "--bound", "2"]) == 4
+    err = capsys.readouterr().err
+    assert "diamond 2 does not preserve an eigenblock of dimension 1" in err
+    assert "(group gamma1:13, weight 2, ring q)" in err
+
+
+def _sympy_charpoly(rows, p=None):
+    """Charpoly coefficients, low -> high, of JSON matrix rows by sympy:
+    over Q on Rationals, over F_p on the integer residues, reduced mod p."""
+    x = sympy.Symbol("x")
+    if not rows:
+        return [1]
+    coeffs = sympy.Matrix([[sympy.Rational(v) for v in r] for r in rows]).charpoly(x).all_coeffs()[::-1]
+    return [sympy.Rational(c) if p is None else int(c) % p for c in coeffs]
+
+
+HECKE_CHARPOLY_CASES = [
+    ("gamma0:1", 2, "tp:2"),  # no symbols at all
+    ("gamma0:2", 2, "tp:3"),  # no cuspidal symbols
+    ("gamma0:11", 2, "tp:2"),
+    ("gamma0:11", 4, "tp:3"),
+    ("gamma0:12", 6, "tp:5"),
+    ("gamma0:15", 4, "tp:2"),
+    ("gamma0:23", 2, "tp:5"),
+    ("gamma1:5", 3, "diamond:2"),
+    ("gamma1:7", 3, "tp:2"),
+    ("gamma1:7", 4, "diamond:3"),
+    ("gamma1:8", 2, "tp:3"),
+    ("gamma1:9", 5, "diamond:2"),
+    ("gamma1:10", 6, "diamond:3"),
+]
+
+
+@pytest.mark.parametrize("group,k,op", HECKE_CHARPOLY_CASES)
+def test_hecke_charpolys_match_sympy_and_reduce_across_rings(group, k, op, capsys):
+    rational = run_json(capsys, "hecke", "--group", group, "--weight", str(k), "--op", op)
+    full = [sympy.Rational(c) for c in rational["charpoly"]]
+    assert full == _sympy_charpoly(rational["matrix"])
+    # the cuspidal charpoly divides the full one
+    x = sympy.Symbol("x")
+    cusp = sympy.Poly([sympy.Rational(c) for c in rational["cuspidal_charpoly"][::-1]], x)
+    assert sympy.Poly(full[::-1], x).rem(cusp).is_zero
+    reduced = 0
+    for p in (5, 7, 11, 13):
+        doc = run_json(capsys, "hecke", "--group", group, "--weight", str(k), "--op", op, "--ring", "fp:%d" % p)
+        assert [int(c) for c in doc["charpoly"]] == _sympy_charpoly(doc["matrix"], p)
+        # over F_p the symbols are those over Z reduced mod p, so where p
+        # leaves the dimension alone they are free over Z localized at p
+        if len(doc["matrix"]) == len(rational["matrix"]) and all(c.q % p for c in full):
+            assert [int(c.p * pow(c.q, -1, p) % p) for c in full] == [int(c) for c in doc["charpoly"]]
+            reduced += 1
+    assert reduced >= 2
 
 
 def test_compare_gamma0_11_rational(capsys):

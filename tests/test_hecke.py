@@ -8,11 +8,14 @@ invariance, double-coset well-definedness, diamond relations, and the
 refusal to extend scalars when a polynomial does not split.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from heckesym import hecke
 from heckesym.congruence import continued_fraction_path, gamma0_cosets, gamma1_cosets
@@ -421,23 +424,139 @@ def test_zero_dimensional_space_charpoly():
 
 @pytest.mark.parametrize("ring", [QQ, GF(7)], ids=["Q", "F7"])
 def test_poly_apply_matches_the_power_sum(ring):
+    # the integer Horner gives L d^m f(mat), mat = A / d and L the common
+    # denominator of the coefficients of f; over F_p, f(mat) itself
     rng = random.Random(5)
+
+    def entry():
+        if ring is QQ:
+            return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+        return ring.of_int(rng.randint(-4, 4))
+
     for degree in (1, 2, 3, 4):
         for n in (1, 3, 4):
-            entries = [[ring.of_int(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
-            mat = Matrix(ring, entries)
-            coeffs = [ring.of_int(rng.randint(-5, 5)) for _ in range(degree)] + [ring.one]
+            mat = Matrix(ring, [[entry() for _ in range(n)] for _ in range(n)])
+            coeffs = [entry() for _ in range(degree)] + [ring.one]
             expected = Matrix(ring, [[ring.zero] * n for _ in range(n)])
             power = Matrix.identity(ring, n)
             for c in coeffs:
                 expected = expected.add(power.scale(c))
                 power = power.mul(mat)
-            assert _poly_apply(ring, coeffs, mat) == expected
+            scale = 1
+            if ring is QQ:
+                d = mat.integer_form()[1]
+                scale = math.lcm(*(c.denominator for c in coeffs)) * d**degree
+            assert _poly_apply(ring, coeffs, mat) == expected.scale(ring.of_int(scale))
 
 
 # ---------------------------------------------------------------------------
 # eigensystem refinement and honesty
 # ---------------------------------------------------------------------------
+
+
+# x^2 + 1 and x^2 + x + 3, irreducible over Q and over F_7
+_QUADRATICS = [(1, 0, 1), (3, 1, 1)]
+
+_PIECE = st.one_of(
+    st.tuples(st.just("jordan"), st.integers(-3, 3), st.integers(1, 3)),
+    st.tuples(st.just("companion"), st.sampled_from(_QUADRATICS), st.integers(1, 2)),
+)
+
+
+def _random_block(ring, pieces, seed):
+    """A dense square matrix similar to the block sum of the pieces: Jordan
+    blocks (eigenvalue, size) and companion matrices of g^power for an
+    irreducible quadratic g; over Q conjugated by a diagonal as well, so
+    that its entries have denominators."""
+    blocks = []
+    for kind, a, size in pieces:
+        if kind == "jordan":
+            blocks.append([[a if i == j else (1 if j == i + 1 else 0) for j in range(size)] for i in range(size)])
+        else:
+            h = [1]
+            for _ in range(size):
+                h = [sum(h[i] * a[j - i] for i in range(len(h)) if 0 <= j - i < len(a)) for j in range(len(h) + 2)]
+            m = len(h) - 1
+            blocks.append([[1 if j == i + 1 else 0 for j in range(m)] for i in range(m - 1)] + [[-c for c in h[:-1]]])
+    n = sum(len(b) for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[at + i][at:at + len(b)] = row
+        at += len(b)
+    rng = random.Random(seed)
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i == j:
+            break
+        c = rng.choice([-2, -1, 1, 2])
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        for r in rows:
+            r[j] -= c * r[i]
+    if ring is QQ:
+        s = [rng.choice([1, 2, 3]) for _ in range(n)]
+        rows = [[Fraction(x * s[i], s[j]) for j, x in enumerate(r)] for i, r in enumerate(rows)]
+    return Matrix(ring, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring=st.sampled_from([QQ, GF(7)]), pieces=st.lists(_PIECE, min_size=1, max_size=4),
+       seed=st.integers(0, 10**6))
+@example(ring=QQ, pieces=[("jordan", 2, 2), ("jordan", 2, 1), ("companion", (3, 1, 1), 2)], seed=1)
+@example(ring=GF(7), pieces=[("jordan", -1, 1), ("jordan", -1, 1), ("jordan", 3, 3)], seed=2)
+def test_primary_parts_are_the_kernels_of_the_powers(ring, pieces, seed):
+    assume(sum(size * (1 if kind == "jordan" else 2) for kind, _a, size in pieces) <= 8)
+    cmat = _random_block(ring, pieces, seed)
+    poly = charpoly(cmat)
+    n = cmat.nrows
+    parts = hecke._primary_parts(ring, 2, cmat, poly, Matrix.identity(ring, n), {}, {}, True)
+    assert parts is not None
+    factors = hecke._factor_monic(ring, poly)
+    assert len(parts) == len(factors)
+    for (basis, evs, facs, diag), (f, e) in zip(parts, factors):
+        assert basis.rows == oracles.power_kernel(cmat, f, e)
+        if len(f) == 2:
+            assert evs == {2: ring.neg(f[0])} and facs == {}
+            assert diag == (e == 1 or len(oracles.power_kernel(cmat, f, 1)) == e)
+        else:
+            assert evs == {} and facs == {2: tuple(f)} and diag
+
+
+def test_a_wrong_candidate_stops_the_chain_short(monkeypatch):
+    # gamma0:33 k=2: T_2 has charpoly (x - 1)^2 (x + 2)^4 on the cuspidal
+    # symbols and acts semisimply; the candidate (x - 1)^3 (x + 2)^3 takes
+    # ker(T_2 - 1), dimension 2, and the next kernel adds nothing
+    sp = space_for(gamma0_cosets(33), QQ, 2)
+    expected = eigensystem(sp, [2, 3])
+    cmat = restrict_operator(hecke_matrix(sp, 2), cuspidal_subspace(sp))
+    x = sympy.Symbol("x")
+    wrong = [Fraction(int(c)) for c in sympy.Poly((x - 1) ** 3 * (x + 2) ** 3, x).all_coeffs()[::-1]]
+    kernels = []
+    real_kernel = hecke.left_kernel
+
+    def spy(mat):
+        out = real_kernel(mat)
+        kernels.append(out.nrows)
+        return out
+
+    monkeypatch.setattr(hecke, "left_kernel", spy)
+    ident = Matrix.identity(QQ, cmat.nrows)
+    assert hecke._primary_parts(QQ, 2, cmat, wrong, ident, {}, {}, True) is None
+    assert kernels == [2, 2]
+    fallbacks = []
+    fraction = hecke.charpoly
+    monkeypatch.setattr(hecke, "charpoly_from_residues", lambda mat, bound: wrong if mat.nrows == 6 else fraction(mat))
+
+    def counted(mat):
+        fallbacks.append(mat.nrows)
+        return fraction(mat)
+
+    monkeypatch.setattr(hecke, "charpoly", counted)
+    blocks = eigensystem(sp, [2, 3])
+    assert fallbacks == [6]
+    assert blocks == expected
+    assert [repr(b.basis.rows) for b in blocks] == [repr(b.basis.rows) for b in expected]
 
 
 def test_a_wrong_residue_charpoly_is_split_again_by_the_fraction_one(monkeypatch):
