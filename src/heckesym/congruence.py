@@ -310,26 +310,9 @@ def continued_fraction_path(alpha, beta):
     return out
 
 
-def segment_endpoints(g):
-    """(g.0, g.oo) as Fractions / None."""
-    a, b, c, d = g
-    start = None if d == 0 else Fraction(b, d)
-    end = None if c == 0 else Fraction(a, c)
-    return start, end
-
-
 # ---------------------------------------------------------------------------
-# Hecke coset representatives
+# diamond operators
 # ---------------------------------------------------------------------------
-
-
-def hecke_representatives(p, N):
-    """Determinant-p matrices for T_p (p coprime to N: p+1 of them) or
-    U_p (p dividing N: p of them)."""
-    reps = [(1, j, 0, p) for j in range(p)]
-    if N % p:
-        reps.append((p, 0, 0, 1))
-    return reps
 
 
 def diamond_matrix(d, N):

@@ -1,14 +1,16 @@
 """Hecke operators, eigensystems, and q-expansion coefficients.
 
-Operators come from the double-coset construction on modular symbols: a
-determinant-p integer matrix delta carries the path symbol
-{alpha, beta} (x) v to {delta.alpha, delta.beta} (x) delta.v, and T_p sums
-this over left coset representatives of the determinant-p matrices that are
-upper triangular with top-left entry 1 mod the level. Each translated path
-is cut back into unimodular segments by continued fractions, so the whole
-operator assembles from the same cocycles that define the space. The
-adjugate weight action is multiplicative in any determinant, which is what
-makes the sum independent of the choice of representatives.
+T_p acts on Manin symbols through Heilbronn matrices (Merel, Universal
+Fourier expansions of modular forms, 1994; Cremona, Algorithms for Modular
+Elliptic Curves, ch. 2): the symbol of coset (c, d) with coefficient v goes
+to the sum, over Cremona's determinant-p matrices h, of the symbol of
+(c, d) h with coefficient v acted on by adj h, and the terms whose row is
+not a unit pair mod N drop out, which makes the sum U_p when p divides N.
+This is the double-coset operator, diamond twist included on Gamma_1(N),
+up to Manin relations: no translated path is cut into unimodular segments
+by continued fractions, and no cocycle is checked per segment. The weight
+action of adj h = [[d, -b], [-c, a]] substitutes h itself: P(X, Y) goes to
+P(aX + bY, cX + dY), as in Merel's formula.
 
 Callers over a field read only the rows of an operator at the free
 generators of the presentation, so an operator assembles its ambient rows
@@ -40,17 +42,12 @@ cuspidal subspace S, so each Hessenberg runs on one block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
+from operator import add, sub
 
-from .congruence import (
-    continued_fraction_path,
-    diamond_matrix,
-    hecke_representatives,
-    require_congruence,
-    segment_endpoints,
-)
+from .congruence import diamond_matrix, require_congruence
 from .linalg import (
     FPMap,
     FPModule,
@@ -65,7 +62,7 @@ from .linalg import (
 )
 from .modsym import cuspidal_subspace
 from .rings import ZZ, PrimeField, RationalField, UnsupportedRingError, is_prime
-from .triangle import mat2_det, mat2_mul
+from .triangle import mat2_det, mat2_identity, mat2_inv_det_one, mat2_mul
 from .weights import _poly_mul
 
 
@@ -75,34 +72,47 @@ def sturm_bound(space):
     return space.weight.k * space.cosets.mu // 12 + 1
 
 
-def _double_coset_reps(cosets, p):
-    """Left coset representatives for T_p (p prime to the level: p + 1 of
-    them) or U_p (p dividing the level: p of them).
+@lru_cache(maxsize=32)
+def _heilbronn(p):
+    """Cremona's Heilbronn matrices of determinant p, as (a, b, c, d) for
+    [[a, b], [c, d]] (Cremona, Algorithms for Modular Elliptic Curves, 2.4):
+    [[1, 0], [0, p]], then for each |r| <= (p - 1) / 2 the matrices along a
+    nearest-integer continued fraction of r / p. Built in time linear in
+    the length of the list, which grows like p log p."""
+    if p == 2:
+        return ((1, 0, 0, 2), (2, 0, 0, 1), (2, 1, 0, 1), (1, 0, 1, 2))
+    out = [(1, 0, 0, p)]
+    for r in range(-(p - 1) // 2, (p - 1) // 2 + 1):
+        x1, x2, y1, y2, a, b = p, -r, 0, 1, -p, r
+        out.append((x1, x2, y1, y2))
+        while b:
+            # a / b rounded half away from zero
+            q = (2 * abs(a) + abs(b)) // (2 * abs(b))
+            q = q if (a < 0) == (b < 0) else -q
+            a, b = -b, a - b * q
+            x1, x2, y1, y2 = x2, q * x2 - x1, y2, q * y2 - y1
+            out.append((x1, x2, y1, y2))
+    return tuple(out)
 
-    The representative with lower row (0, 1) is corrected on the left by a
-    determinant-one lift of diag(1/p, p), which lands it in the matrices
-    congruent to [[1, *], [0, p]] mod N. For the P^1-labelled cosets the
-    correction is an element of the subgroup and changes nothing; for the
-    (c, d)-pair cosets it is exactly what makes the sum well defined in odd
-    weight, and it builds the diamond twist into the last summand."""
-    reps = list(hecke_representatives(p, cosets.N))
-    if len(reps) == p + 1:
-        reps[-1] = mat2_mul(ZZ, diamond_matrix(p, cosets.N), reps[-1])
-    return reps
 
-
-def _operator_rows(space, reps, rows):
+def _operator_rows(space, mats, rows):
     """Ambient images of the given induced-module coordinates under the
-    operator that sends each coset generator through every representative,
-    as {row: dense image row}. The full ambient matrix is this with every
-    row.
+    operator of the matrices `mats`, as {row: dense image row}. The full
+    ambient matrix is this with every row.
 
-    Only the cosets that own a requested row are cut into unimodular
-    segments, once per representative. A segment contributes the requested
-    rows a of its block A_delta A_gamma alone, each as row a of A_delta
-    times A_gamma, so no full block product is formed. Over Q the rows are
-    summed on ints and become Fractions once, when finished."""
-    cosets = space.cosets
+    A matrix h of determinant other than one is a Heilbronn matrix: it
+    sends row a of coset i to e_a A(lift_i^-1) A(adj h) A(L) in block j,
+    where (x, y) = (bottom row of lift_i) * h mod N lies in coset j and L is
+    lift_j, negated for gamma1 when its bottom row is -(x, y) mod N. A term
+    with gcd(x, y, N) > 1 is dropped, which makes the sum U_p when p
+    divides N. A determinant-one g is a translation: the same term with h
+    the identity and (x, y) the bottom row of g * lift_i.
+
+    Only the cosets that own a requested row are visited, and the terms
+    landing on one coset j are summed before the product, so each pair
+    (i, j) takes one. Over Q the rows are summed on ints and become
+    Fractions once, when finished."""
+    cosets, N = space.cosets, space.cosets.N
     ring = space.ring
     weight = space.weight
     blk = space.module.block
@@ -110,30 +120,36 @@ def _operator_rows(space, reps, rows):
     if isinstance(ring, RationalField):
         # integer matrices act integrally: their integer forms have d = 1
         work, action = ZZ, lambda g: weight.action_matrix(g).integer_form()[0]
-    add, sub = work.add, work.sub
-    out = {r: [work.zero] * space.module.rank for r in rows}
+    # -lift_j acts as (-1)^k lift_j, and only gamma1 tells +-(x, y) apart
+    signed = cosets.kind == "gamma1" and weight.k % 2
     owned = {}
-    for r in sorted(out):
+    for r in sorted(rows):
         owned.setdefault(r // blk, []).append(r % blk)
-    for delta in reps:
-        delta_rows = action(delta).rows
-        # the lifts have determinant one, so m below is unimodular iff delta is
-        unimodular = mat2_det(ZZ, delta) == 1
-        for i, offsets in owned.items():
-            m = mat2_mul(ZZ, delta, cosets.lifts[i])
-            if unimodular:
-                segments = [(m, 1)]
-            else:
-                segments = continued_fraction_path(*segment_endpoints(m))
-            for seg, sign in segments:
-                j, gamma = cosets.symbol_cocycle(seg)
-                act = action(gamma).act_on_row
-                op = add if sign == 1 else sub
-                lo, hi = j * blk, (j + 1) * blk
-                for a in offsets:
-                    dest = out[i * blk + a]
-                    piece = act(delta_rows[a])
-                    dest[lo:hi] = [op(x, y) for x, y in zip(dest[lo:hi], piece)]
+    # sums[i, j]: the entries of the A(adj h) of the terms from coset i
+    # landing on coset j, summed as they come, so memory does not grow with
+    # the number of matrices
+    sums, zero = {}, [0] * (blk * blk)
+    for g in mats:
+        left, h = (g, mat2_identity(ZZ)) if mat2_det(ZZ, g) == 1 else (None, g)
+        a, b, c, d = h
+        # mat2_inv_det_one is the adjugate, whatever the determinant
+        flat = [x for row in action(mat2_inv_det_one(ZZ, h)).rows for x in row]
+        for i in owned:
+            u, v = (cosets.lifts[i] if left is None else mat2_mul(ZZ, left, cosets.lifts[i]))[2:]
+            x, y = u * a + v * c, u * b + v * d
+            if gcd(x, y, N) != 1:
+                continue
+            j = cosets.coset_of(x, y)
+            L = cosets.lifts[j]
+            op = sub if signed and ((L[2] - x) % N or (L[3] - y) % N) else add
+            sums[i, j] = list(map(op, sums.get((i, j), zero), flat))
+    out = {r: [work.zero] * space.module.rank for r in rows}
+    inverses = {i: action(mat2_inv_det_one(ZZ, cosets.lifts[i])).rows for i in owned}
+    for (i, j), total in sums.items():
+        summed = Matrix(work, [total[r:r + blk] for r in range(0, blk * blk, blk)], blk)
+        act = action(cosets.lifts[j]).act_on_row
+        for off in owned[i]:
+            out[i * blk + off][j * blk:(j + 1) * blk] = act(summed.act_on_row(inverses[i][off]))
     if work is not ring:
         out = {r: ring.from_numerators(row) for r, row in out.items()}
     return out
@@ -146,16 +162,16 @@ class LazyOperator(FPMap):
     Every read goes through rows_at, which builds the missing rows in one
     batch; .ambient assembles all of them on first access."""
 
-    def __init__(self, space, reps):
+    def __init__(self, space, mats):
         self.src = self.dst = space.presentation
         self._space = space
-        self._reps = reps
+        self._mats = mats
         self._rows = {}
 
     def rows_at(self, indices):
         missing = sorted({r for r in indices if r not in self._rows})
         if missing:
-            self._rows.update(_operator_rows(self._space, self._reps, missing))
+            self._rows.update(_operator_rows(self._space, self._mats, missing))
         return [self._rows[r] for r in indices]
 
     @cached_property
@@ -165,12 +181,10 @@ class LazyOperator(FPMap):
 
 
 def hecke_matrix(space, p):
-    """The Hecke operator at a prime p as a self-map of the symbol space.
-
-    Well-definedness on the quotient is the usual double-coset argument:
-    right multiplication by a subgroup element permutes the representatives
-    up to subgroup factors on the left, and those factors stay in the
-    normalized cocycle range.
+    """The Hecke operator at a prime p (U_p when p divides the level) as a
+    self-map of the symbol space, from the Heilbronn matrices of
+    determinant p. Merel's theorem makes it well defined on the quotient:
+    it agrees with the double-coset operator up to Manin relations.
 
     The result is a LazyOperator: ambient rows are assembled when first
     read (matrix_on_generators and restrict_operator read only the rows at
@@ -178,7 +192,7 @@ def hecke_matrix(space, p):
     require_congruence(space.cosets, "Hecke operators")
     if not is_prime(p):
         raise ValueError("Hecke operators are indexed by primes, got %r" % (p,))
-    return LazyOperator(space, _double_coset_reps(space.cosets, p))
+    return LazyOperator(space, _heilbronn(p))
 
 
 def diamond_operator(space, d):

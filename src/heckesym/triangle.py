@@ -205,7 +205,7 @@ def _poly_gcd(a, b, p):
 
 # ---------------------------------------------------------------------------
 # 2x2 matrices as 4-tuples (a, b, c, d) over an exact ring; the congruence
-# cosets and the Hecke representatives use them over ZZ
+# cosets and the Hecke rows use them over ZZ
 # ---------------------------------------------------------------------------
 
 

@@ -10,6 +10,8 @@ from math import gcd
 
 import sympy
 
+from heckesym.congruence import continued_fraction_path, diamond_matrix
+from heckesym.rings import ZZ
 from heckesym.triangle import mat2_identity, mat2_mul, mat2_pow, sigma_matrix, tau_matrix
 
 
@@ -667,3 +669,53 @@ def rank_dimensions(cosets, weight):
         "surface_h1": surface,
         "surface_h1_par": surface - eisenstein,
     }
+
+
+def segment_endpoints(g):
+    """(g.0, g.oo) as Fractions, None for the cusp at infinity."""
+    a, b, c, d = g
+    start = None if d == 0 else Fraction(b, d)
+    end = None if c == 0 else Fraction(a, c)
+    return start, end
+
+
+def hecke_representatives(p, N):
+    """Determinant-p matrices for T_p (p coprime to N: p+1 of them) or
+    U_p (p dividing N: p of them)."""
+    reps = [(1, j, 0, p) for j in range(p)]
+    if N % p:
+        reps.append((p, 0, 0, 1))
+    return reps
+
+
+def hecke_rows_by_paths(space, p, rows):
+    """Ambient rows {row: dense row} of T_p (U_p when p divides the level)
+    on a congruence symbol space, by the double-coset construction on
+    paths: each representative delta carries the coset-i path {lift_i.0,
+    lift_i.oo} (x) v to {delta lift_i.0, delta lift_i.oo} (x) delta.v, and
+    the translated path is cut into unimodular segments by continued
+    fractions, each rewritten as a coset generator by symbol_cocycle.
+    Everything runs on the ring's own elements.
+
+    The representative with lower row (0, 1) is corrected on the left by
+    an SL_2(Z) lift of diag(1/p, p) mod N, which builds the diamond twist of
+    Gamma_1(N) into the sum (and changes nothing on Gamma_0(N))."""
+    cosets, ring, weight = space.cosets, space.ring, space.weight
+    blk = space.module.block
+    reps = hecke_representatives(p, cosets.N)
+    if len(reps) == p + 1:
+        reps[-1] = mat2_mul(ZZ, diamond_matrix(p, cosets.N), reps[-1])
+    out = {}
+    for r in rows:
+        i, a = divmod(r, blk)
+        row = [ring.zero] * space.module.rank
+        for delta in reps:
+            image = weight.action_matrix(delta).rows[a]
+            path = continued_fraction_path(*segment_endpoints(mat2_mul(ZZ, delta, cosets.lifts[i])))
+            for seg, sign in path:
+                j, gamma = cosets.symbol_cocycle(seg)
+                piece = weight.action_matrix(gamma).act_on_row(image)
+                op = ring.add if sign == 1 else ring.sub
+                row[j * blk:(j + 1) * blk] = [op(x, y) for x, y in zip(row[j * blk:(j + 1) * blk], piece)]
+        out[r] = row
+    return out

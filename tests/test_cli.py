@@ -161,6 +161,22 @@ def test_dims_of_a_large_module_comes_from_local_terms(argv, name, seconds, mega
         assert int(maxrss) < megabytes * 1024
 
 
+@pytest.mark.parametrize("group,op,name,seconds", [
+    ("gamma0:11", "tp:10007", "hecke_gamma0_11_tp10007.json", 1.8),
+    ("gamma1:13", "tp:1009", "hecke_gamma1_13_tp1009.json", 1.0),
+], ids=["gamma0-11-tp10007", "gamma1-13-tp1009"])
+def test_hecke_at_a_large_prime(group, op, name, seconds):
+    # cutting p + 1 translated paths per coset by continued fractions took
+    # 2.0-2.9 s and 1.3-1.5 s on a 2-core VM, the Heilbronn matrices
+    # 0.5-1.0 s and 0.24-0.36 s; each JSON file is the path-cutting code's
+    # output
+    proc, elapsed = _timed_subprocess(["hecke", "--group", group, "--op", op, "--format", "json"])
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(DATA, name)) as fh:
+        assert proc.stdout == fh.read()
+    assert elapsed < seconds
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("an operator of the whole module")
 

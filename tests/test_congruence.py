@@ -14,9 +14,7 @@ from heckesym.congruence import (
     diamond_matrix,
     gamma0_cosets,
     gamma1_cosets,
-    hecke_representatives,
     lift_to_sl2,
-    segment_endpoints,
 )
 from heckesym.linalg import InternalInvariantError
 from heckesym.rings import ZZ
@@ -231,7 +229,7 @@ def test_convergent_segments_telescope():
     for g, sign in segs:
         assert sign == 1
         assert mat2_det(ZZ, g) == 1
-        start, end = segment_endpoints(g)
+        start, end = oracles.segment_endpoints(g)
         assert start == prev_end
         prev_end = end
     assert prev_end == x
@@ -290,7 +288,7 @@ def test_continued_fraction_path_telescopes(alpha, beta):
 def _chain_boundary(path):
     total = {}
     for g, s in path:
-        start, end = segment_endpoints(g)
+        start, end = oracles.segment_endpoints(g)
         total[end] = total.get(end, 0) + s
         total[start] = total.get(start, 0) - s
     return {pt: c for pt, c in total.items() if c}
@@ -325,13 +323,13 @@ def test_apply_moebius():
 
 
 def test_hecke_representatives_coprime_level():
-    reps = hecke_representatives(3, 11)
+    reps = oracles.hecke_representatives(3, 11)
     assert len(reps) == 4
     assert all(mat2_det(ZZ, m) == 3 for m in reps)
 
 
 def test_hecke_representatives_dividing_level():
-    reps = hecke_representatives(3, 12)
+    reps = oracles.hecke_representatives(3, 12)
     assert len(reps) == 3
     assert all(mat2_det(ZZ, m) == 3 for m in reps)
 

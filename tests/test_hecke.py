@@ -10,6 +10,7 @@ refusal to extend scalars when a polynomial does not split.
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from heckesym import hecke
-from heckesym.congruence import continued_fraction_path, gamma0_cosets, gamma1_cosets
+from heckesym.congruence import gamma0_cosets, gamma1_cosets
 from heckesym.hecke import (
     LazyOperator,
     _poly_apply,
@@ -383,22 +384,25 @@ def test_generator_matrix_is_reduced_once(monkeypatch):
 def test_lazy_operator_splits_only_generator_cosets(monkeypatch):
     sp = space_for(gamma0_cosets(37), QQ, 2)
     free = sp.presentation.free_generators()
-    calls = []
+    built = []
+    operator_rows = hecke._operator_rows
 
-    def counted(alpha, beta):
-        calls.append((alpha, beta))
-        return continued_fraction_path(alpha, beta)
+    def counted(space, mats, rows):
+        built.extend(sorted({r // space.module.block for r in rows}))
+        return operator_rows(space, mats, rows)
 
-    monkeypatch.setattr(hecke, "continued_fraction_path", counted)
+    monkeypatch.setattr(hecke, "_operator_rows", counted)
     op = hecke_matrix(sp, 2)
     mat = op.matrix_on_generators()
-    # weight 2: one coordinate per coset; three representatives, none of
-    # determinant one, for each coset that owns a free generator
-    assert len(calls) == 3 * len(free) < 3 * sp.cosets.mu
+    # weight 2: one coordinate per coset, and only the cosets that own a
+    # free generator are built
+    assert built == sorted(free) and len(free) < sp.cosets.mu
     assert "ambient" not in vars(op)
     assert restrict_operator(op, cuspidal_subspace(sp)).nrows == 4
-    assert len(calls) == 3 * len(free)
-    assert op.ambient.nrows == sp.cosets.mu and len(calls) == 3 * sp.cosets.mu
+    assert built == sorted(free)
+    # .ambient builds the rest, each coset once
+    assert op.ambient.nrows == sp.cosets.mu
+    assert sorted(built) == list(range(sp.cosets.mu))
     full = FPMap(sp.presentation, sp.presentation, op.ambient, check=False)
     assert full.matrix_on_generators() == mat
 
@@ -415,6 +419,67 @@ def test_check_verifies_the_full_operator(maker, N, k):
     # translation by a matrix that does not normalize the subgroup
     with pytest.raises(IllDefinedMapError):
         verify_operator(LazyOperator(sp, [(1, 0, 1, 1)]))
+
+
+# -- Heilbronn matrices against the continued-fraction paths ---------------------
+
+HEILBRONN_SIZES = {2: 4, 3: 6, 5: 12, 7: 18, 11: 30, 13: 38, 1009: 5476}
+
+
+@pytest.mark.parametrize("p", sorted(HEILBRONN_SIZES))
+def test_heilbronn_matrices_have_determinant_p(p):
+    mats = hecke._heilbronn(p)
+    assert len(mats) == HEILBRONN_SIZES[p]
+    assert all(a * d - b * c == p for a, b, c, d in mats)
+
+
+def test_heilbronn_matrices_at_2():
+    assert hecke._heilbronn(2) == ((1, 0, 0, 2), (2, 0, 0, 1), (2, 1, 0, 1), (1, 0, 1, 2))
+
+
+def test_heilbronn_list_is_cached_within_a_bound():
+    assert hecke._heilbronn.cache_info().maxsize is not None
+    assert hecke._heilbronn(13) is hecke._heilbronn(13)
+    # about p log p matrices, each from one rounding step
+    start = time.perf_counter()
+    mats = hecke._heilbronn.__wrapped__(10007)
+    assert time.perf_counter() - start < 1.0
+    assert len(mats) == 67698
+
+
+@st.composite
+def _hecke_cases(draw):
+    """(cosets maker, N, k, ring, p): gamma0 of level at most 20 in even
+    weight, gamma1 of level at most 13 in any weight up to 8 (odd ones
+    from level 3, where the subgroup misses -1), p <= 13."""
+    if draw(st.booleans()):
+        maker, N, k = gamma0_cosets, draw(st.integers(1, 20)), draw(st.sampled_from([2, 4, 6, 8]))
+    else:
+        maker, N = gamma1_cosets, draw(st.integers(1, 13))
+        k = draw(st.integers(2, 8) if N > 2 else st.sampled_from([2, 4, 6, 8]))
+    ring = draw(st.sampled_from([QQ, GF(2), GF(3), GF(7)]))
+    return maker, N, k, ring, draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_hecke_cases())
+@example((gamma0_cosets, 15, 4, QQ, 5))  # U_p
+@example((gamma0_cosets, 14, 2, GF(7), 7))  # U_p at p = char
+@example((gamma1_cosets, 7, 3, GF(7), 7))
+@example((gamma1_cosets, 13, 5, GF(3), 3))  # p = char, odd weight
+@example((gamma1_cosets, 10, 8, GF(2), 2))
+@example((gamma0_cosets, 20, 6, QQ, 13))
+def test_heilbronn_rows_agree_with_the_path_oracle(case):
+    # every ambient row of the Heilbronn operator differs from the
+    # double-coset sum over continued-fraction paths by relations only
+    maker, N, k, ring, p = case
+    sp = space_for(maker(N), ring, k)
+    pres = sp.presentation
+    op = hecke_matrix(sp, p)
+    expected = oracles.hecke_rows_by_paths(sp, p, range(pres.ngens))
+    for r, row in enumerate(op.ambient.rows):
+        assert pres.reduce(row) == pres.reduce(expected[r]), r
+    verify_operator(op)
 
 
 def test_zero_dimensional_space_charpoly():
