@@ -184,15 +184,11 @@ def dimension_report(module):
 
 def _dimension_report(module):
     R, d = module.rank, module.block
-    subgroup = module.cosets.subgroup
-    elliptic = subgroup.elliptic_classes()
-    (f_s, n_s), (f_t, n_t) = (_letter_terms(module, letter, elliptic) for letter in "st")
-    cusps = subgroup.cusp_classes()
+    (f_s, n_s), (f_t, n_t) = (_letter_terms(module, letter) for letter in "st")
     if d == 1:  # V is trivial: each cycle of T adds 1, and V^Gamma = V_Gamma = V
-        f_T, inv, coinv = len(cusps), 1, 1
+        f_T, inv, coinv = len(module.cosets.subgroup.cusp_classes()), 1, 1
     else:
-        bT = module.block_map("T")
-        stabilizers = [_around(bT, c.coset) for c in cusps]  # the first at coset 0
+        stabilizers = [orbit.stabilizer for orbit in module.orbits("T")]  # the first at coset 0
         f_T = sum(map(_fixed_dim, stabilizers))
         inv = _shapiro_fixed(module, stabilizers[0], False)
         coinv = _shapiro_fixed(module, _transpose(stabilizers[0]), True)
@@ -220,40 +216,29 @@ def _dimension_report(module):
     return report
 
 
-def _around(bm, i):
-    """The product of the blocks around the cycle of coset i: the action
-    on the block at i of the cycle's stabilizer generator."""
-    j, h = bm[i]
-    while j != i:
-        j, B = bm[j]
-        h = h.mul(B)
-    return h
-
-
 def _fixed_dim(h):
     """dim V^h of a block h: v h = v is v (h - 1) = 0."""
     return h.nrows - matrix_rank(h.sub(Matrix.identity(h.ring, h.nrows)))
 
 
-def _letter_terms(module, letter, elliptic):
+def _letter_terms(module, letter):
     """(dim M^g, rank N_g) for the generator g = sigma or tau, of order o,
-    summed over its orbits on the cosets. An orbit is induced from the
-    stabilizer <h> of its first coset, h = g^L there for an orbit of length
-    L, so it adds dim V^h and the rank of N_h = 1 + h + ... + h^(m - 1),
-    m = o / L. A full orbit has h = 1, checked when the module was built,
-    and adds d to both; the others are the elliptic classes of g. N_h is m
-    on V^h, into which it maps, so it maps onto V^h unless the
-    characteristic divides m; then the local term V^h / N_h V falls short."""
+    summed over its orbits on the cosets. An orbit of length L is induced
+    from the stabilizer <H> of its least coset, H = g^L there, so it adds
+    dim V^H and the rank of N_H = 1 + H + ... + H^(m - 1), m = o / L. A
+    full orbit has H = 1, checked when the module was built, and adds d to
+    both; the others are the elliptic classes of g. N_H is m on V^H, into
+    which it maps, so it maps onto V^H unless the characteristic divides m;
+    then the local term V^H / N_H V falls short."""
     ring, d = module.ring, module.block
-    powers = module.powers(letter)
-    classes = [c for c in elliptic if c.kind[0] == letter]
-    fixed = rank = d * ((module.mu - sum(len(c.cycle) for c in classes)) // (len(powers) - 1))
-    for cls in classes:
-        h = powers[cls.power][cls.coset][1]
-        f = _fixed_dim(h)
+    order = 2 if letter == "s" else module.n
+    fixed = rank = 0
+    for orbit in module.orbits(letter):
+        m = order // len(orbit.cycle)
+        f = d if m == 1 else _fixed_dim(orbit.stabilizer)
         fixed, rank = fixed + f, rank + f
-        if ring.is_zero(ring.of_int(cls.order)):
-            rank -= local_term(ring, h, cls.order).dim()
+        if m > 1 and ring.is_zero(ring.of_int(m)):
+            rank -= local_term(ring, orbit.stabilizer, m).dim()
     return fixed, rank
 
 

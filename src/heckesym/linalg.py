@@ -53,6 +53,7 @@ right multiplication, so the matrix of "f then g" is M_f * M_g.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from operator import add as _add, mul as _mul, sub as _sub
 from heapq import heapify, heappop, heappush
@@ -771,14 +772,22 @@ def hermite_normal_form(mat, with_transform=False):
     reduced into [0, pivot). Optionally also U (unimodular) with U*A = H.
 
     Column by column, xgcd combinations clear the column below the first
-    row that has it, then the pivot reduces the entries above it."""
+    row that has it, then the pivot reduces the entries above it. An index
+    from each column to the rows holding it keeps both steps to those rows,
+    so an input already in Hermite form costs time linear in its entries."""
     _require_zz(mat, "hermite_normal_form")
     n, m = mat.nrows, mat.ncols
     rows = _int_rows(mat)
     tabs = (rows, [{i: 1} for i in range(n)]) if with_transform else (rows,)
+    # held[c]: every row that holds column c, and maybe rows that no longer
+    # do; a row is added whenever it gains a column
+    held = defaultdict(set)
+    for r, row in enumerate(rows):
+        for c in row:
+            held[c].add(r)
     rank = 0
     for c in range(m):
-        nz = [r for r in range(rank, n) if c in rows[r]]
+        nz = sorted(r for r in held.get(c, ()) if r >= rank and c in rows[r])
         if not nz:
             continue
         r0 = nz[0]
@@ -786,24 +795,34 @@ def hermite_normal_form(mat, with_transform=False):
             a, b = rows[r0][c], rows[r][c]
             g, x, y = xgcd(a, b)
             aa, bb = a // g, b // g
+            before = rows[r0], rows[r]
             for tab in tabs:
                 u, v = tab[r0], tab[r]
                 if x != 1 or y:  # else the pivot divides b and row r0 stays
                     tab[r0] = _combine(x, u, y, v)
                 tab[r] = _combine(bb, u, -aa, v)
-        for tab in tabs:
-            tab[rank], tab[r0] = tab[r0], tab[rank]
+            for r1, row in ((r0, before[1]), (r, before[0])):
+                for k in row:
+                    held[k].add(r1)
+        if r0 != rank:
+            for tab in tabs:
+                tab[rank], tab[r0] = tab[r0], tab[rank]
+            for r1 in (rank, r0):
+                for k in rows[r1]:
+                    held[k].add(r1)
         if rows[rank][c] < 0:
             for tab in tabs:
                 row = tab[rank]
                 for k in row:
                     row[k] = -row[k]
         p = rows[rank][c]
-        for r in range(rank):
+        for r in [r for r in held[c] if r < rank]:
             q = rows[r].get(c, 0) // p
             if q:
                 for tab in tabs:
                     _addmul(tab[r], -q, tab[rank])
+                for k in rows[rank]:
+                    held[k].add(r)
         rank += 1
     H = Matrix.from_sparse(ZZ, rows, m)
     if with_transform:
@@ -817,10 +836,11 @@ def hermite_basis(mat):
     return _leading(hermite_normal_form(mat), mat.ncols)
 
 
-def _snf_core(a, m):
+def _snf_core(a, m, transforms=True):
     """Smith form of the integer dict rows a (m columns), consumed in
     place: (D, U, W, Winv) as dict rows, with D = U*A*W diagonal, a
-    divisibility chain with d_i >= 0.
+    divisibility chain with d_i >= 0. Without transforms, U, W and Winv
+    come back as empty rows; their entries can grow far beyond D's.
 
     Step t moves an entry of least magnitude of the trailing block to
     (t, t), clears row and column t by division with remainder, swapping a
@@ -829,9 +849,7 @@ def _snf_core(a, m):
     only their diagonal entry, so column operations need only visit the
     rows from t on."""
     n = len(a)
-    U = [{i: 1} for i in range(n)]
-    Wcols = [{i: 1} for i in range(m)]
-    Winv = [{i: 1} for i in range(m)]
+    U, Wcols, Winv = ([{i: 1} if transforms else {} for i in range(k)] for k in (n, m, m))
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -950,6 +968,19 @@ def smith_normal_form(mat):
     return D, U, W
 
 
+def _hermite_invariants(rows, m):
+    """The Smith diagonal of a Hermite basis (dict rows, m columns). A unit
+    pivot is the only entry of its column, so a column operation clears
+    the rest of its row and the row splits off as an invariant factor 1;
+    only the other rows are diagonalized, on the columns they hold, and
+    without transforms."""
+    rest = [r for r in rows if r[min(r)] != 1]
+    cols = {c: i for i, c in enumerate(sorted({j for r in rest for j in r}))}
+    a = _snf_core([{cols[j]: x for j, x in r.items()} for r in rest], len(cols), False)[0]
+    diag = [1] * (len(rows) - len(rest)) + [a[i].get(i, 0) for i in range(len(a))]
+    return diag + [0] * (m - len(diag))
+
+
 # ---------------------------------------------------------------------------
 # prepared row spaces
 # ---------------------------------------------------------------------------
@@ -1042,7 +1073,11 @@ class FPModule:
     """Quotient of a free module R^ngens by the row span of `relations`.
 
     Over a field the normal form is the reduced echelon basis of the
-    relations; over Z it is the Smith form (diagonal invariant factors).
+    relations. Over Z the invariant factors come from their Hermite form
+    alone (_hermite_invariants). The full Smith form, with the transforms
+    that the coordinates need, is built on the first reduce,
+    coords_to_ambient or generator_ambient_rows, and its diagonal must
+    agree with them.
     """
 
     def __init__(self, ring, ngens, relations=None):
@@ -1058,6 +1093,13 @@ class FPModule:
         self.ngens = ngens
         self.relations = relations
         self._normalized = False
+        self._hermite = self._diag = None
+
+    def _hermite_rows(self):
+        """The Hermite basis of the relations (Z), kept."""
+        if self._hermite is None:
+            self._hermite = hermite_basis(self.relations).sparse_rows()
+        return self._hermite
 
     def _normalize(self):
         if self._normalized:
@@ -1065,10 +1107,13 @@ class FPModule:
         if isinstance(self.ring, IntegerRing):
             # Hermite-reduce first: same row lattice, so the same quotient,
             # but with entries the diagonalization can digest
-            hnf = hermite_normal_form(self.relations)
-            a, _U, W, Winv = _snf_core([r for r in _int_rows(hnf) if r], self.ngens)
+            a, _U, W, Winv = _snf_core([dict(r) for r in self._hermite_rows()], self.ngens)
             diag = [a[i].get(i, 0) for i in range(min(len(a), self.ngens))]
             diag += [0] * (self.ngens - len(diag))
+            if self._diag is not None and diag != self._diag:
+                raise InternalInvariantError(
+                    "Smith diagonal check: the invariant factors read from the Hermite "
+                    "form %s differ from the full Smith form's %s" % (self._diag, diag))
             self._diag = diag
             # the rows of W without the columns of unit invariant factors,
             # where every coordinate is zero
@@ -1081,9 +1126,9 @@ class FPModule:
 
     # -- structure -------------------------------------------------------
     def rank(self):
-        self._normalize()
         if isinstance(self.ring, IntegerRing):
-            return sum(1 for d in self._diag if d == 0)
+            return self.invariants().count(0)
+        self._normalize()
         return len(self._form.free)
 
     def dim(self):
@@ -1095,7 +1140,8 @@ class FPModule:
         """Diagonal of the Smith form of the relations (Z only)."""
         if not isinstance(self.ring, IntegerRing):
             return ()
-        self._normalize()
+        if self._diag is None:
+            self._diag = _hermite_invariants(self._hermite_rows(), self.ngens)
         return tuple(self._diag)
 
     def torsion(self):
@@ -1143,9 +1189,9 @@ class FPModule:
         return Matrix.from_sparse(self.ring, [{f: self.ring.one} for f in self._form.free], self.ngens)
 
     def ncoords(self):
-        self._normalize()
         if isinstance(self.ring, IntegerRing):
             return self.ngens
+        self._normalize()
         return len(self._form.free)
 
     def __repr__(self):

@@ -10,6 +10,15 @@ relations; the boundary space is the quotient by the translation relations,
 and the boundary map sends a symbol to the difference of its endpoints.
 Cuspidal and Eisenstein parts are its kernel and image.
 
+The module splits along the coset orbits of each generator g of order o
+(Shapiro's lemma; Brown, Cohomology of Groups, III.5-6): on an orbit
+c_0..c_(l-1) from its least coset, e_(c_0, v) g^k = e_(c_k, v Q_k), and
+g^l acts on the block at c_0 by the stabilizer block H. So the relations
+are one coset's norm rows per orbit: e_(c_0, v) N = sum_k e_(c_k, v N_H Q_k)
+with N_H = 1 + H + ... + H^(o/l - 1), and since e_(c_k, w) N =
+e_(c_0, w Q_k^-1) N, these rows span the same row module over any ring
+as the norm rows at every coset.
+
 Both kinds of table, congruence.CongruenceCosets and PermCosets here, share
 one interface, and everything in this module reads a table through it alone:
 n and mu; twist(i, letter), the coset reached from i by the letter with
@@ -30,10 +39,11 @@ from .congruence import continued_fraction_path, require_congruence
 from .linalg import FPMap, FPModule, Matrix, left_kernel
 from .rings import UnsupportedRingError
 from .triangle import mat2_inv_det_one, psl_canonical
-from .weights import WeightModule
+from .weights import WeightModule, norm
 
 
 Subspace = namedtuple("Subspace", ["module", "ambient_rows"])
+Orbit = namedtuple("Orbit", ["cycle", "steps", "stabilizer"])
 
 
 class PermCosets:
@@ -113,14 +123,22 @@ class InducedModule:
         self._targets_only = self.block == 1 and isinstance(cosets, PermCosets)
         ident = Matrix.identity(self.ring, self.block)
         self._identity = [(i, ident) for i in range(self.mu)]
-        for letter, name in (("s", "sigma"), ("t", "tau")):
-            powers = self.powers(letter)
-            if powers[-1] != self._identity:
-                raise UnsupportedRingError(
-                    "%s does not act with order %d on the induced module; the "
-                    "weight twist is incompatible with these cosets"
-                    % (name, len(powers) - 1)
-                )
+        # g^o = 1 on the module exactly when, on each orbit of g, the
+        # stabilizer block H has H^(o / l) = 1: g^o is conjugate to it on
+        # every block of the orbit (in weight 2 every block is the identity)
+        for letter, name, order in (("s", "sigma", 2), ("t", "tau", self.n)):
+            for orbit in self.orbits(letter):
+                m, rest = divmod(order, len(orbit.cycle))
+                h = power = orbit.stabilizer
+                if not rest and self.block > 1 and h != ident:
+                    for _ in range(m - 1):
+                        power = power.mul(h)
+                    rest = power != ident
+                if rest:
+                    raise UnsupportedRingError(
+                        "%s does not act with order %d on the induced module; the "
+                        "weight twist is incompatible with these cosets" % (name, order)
+                    )
 
     # -- block maps: [(j, B)] with (i (x) v) * g = (j (x) v B) row-wise ----
 
@@ -150,25 +168,57 @@ class InducedModule:
         cocycle acts as in weight 2."""
         return self.weight.action_matrix((1, 0, 0, 1))
 
-    def powers(self, letter):
-        """Block maps of letter^0 .. letter^order (order 2 for sigma, n for
-        tau), composed once for both the order check and the norm."""
+    def orbits(self, name):
+        """The orbits of sigma ("s"), tau ("t") or T ("T") on the cosets, by
+        least coset c0: Orbit(cycle c_0..c_(l-1), steps Q_0..Q_(l-1),
+        stabilizer H) with e_(c0, v) g^k = e_(c_k, v Q_k) and H = Q_l, the
+        action of g^l on the block at c0. Walking a cycle takes one block
+        product per coset, and none in weight 2."""
 
         def build():
-            step = self._letter(letter)
-            out = [self._identity, step]
-            for _ in range((2 if letter == "s" else self.n) - 1):
-                out.append(self._compose(out[-1], step))
+            bm, ident, out = self.block_map(name), self._identity[0][1], []
+            seen = [False] * self.mu
+            for c0 in range(self.mu):
+                if seen[c0]:
+                    continue
+                cycle, j = [c0], bm[c0][0]
+                while j != c0:
+                    seen[j] = True
+                    cycle.append(j)
+                    j = bm[j][0]
+                if self.block == 1:
+                    out.append(Orbit(cycle, [ident] * len(cycle), bm[c0][1]))
+                    continue
+                steps, Q = [ident], bm[c0][1]
+                for c in cycle[1:]:
+                    steps.append(Q)
+                    Q = Q.mul(bm[c][1])
+                out.append(Orbit(cycle, steps, Q))
             return out
 
-        return self.cached("P" + letter, build)
+        return self.cached("O" + name, build)
+
+    def spread(self, orbit, K):
+        """The rows of K placed in the block at c0 and carried around the
+        orbit: row v becomes the {column: value} row with block v Q_k at
+        each c_k."""
+        blk = self.block
+        rows = [{} for _ in range(K.nrows)]
+        for k, (c, Q) in enumerate(zip(orbit.cycle, orbit.steps)):
+            base = c * blk
+            for row, krow in zip(rows, (self._then(K, Q) if k else K).sparse_rows()):
+                for b, x in krow.items():
+                    row[base + b] = x
+        return rows
+
+    def _then(self, A, B):
+        """A * B for blocks; in weight 2 every block is the identity."""
+        return A if self.block == 1 else A.mul(B)
 
     def _compose(self, first, then):
         """Block map of 'first, then then' (right actions compose in order).
         In weight 2 every block is the identity, so only the cosets move."""
-        if self.block == 1:
-            return [(then[j][0], B) for j, B in first]
-        return [(then[j][0], B.mul(then[j][1])) for j, B in first]
+        return [(then[j][0], self._then(B, then[j][1])) for j, B in first]
 
     def _assemble(self, terms):
         """Sparse-born matrix of a signed sum of block maps, terms
@@ -218,11 +268,16 @@ class InducedModule:
         )
 
     def norm_matrix(self, letter):
-        """Sum of the right actions of the powers of a generator."""
-        return self.cached(
-            "N" + letter,
-            lambda: self._assemble([(1, bm) for bm in self.powers(letter)[:-1]]),
-        )
+        """Sum of the right actions of the powers of a generator below its
+        order (2 for sigma, n for tau)."""
+
+        def build():
+            powers = [self._identity, self._letter(letter)]
+            while len(powers) < (2 if letter == "s" else self.n):
+                powers.append(self._compose(powers[-1], powers[1]))
+            return self._assemble([(1, bm) for bm in powers])
+
+        return self.cached("N" + letter, build)
 
     def norm_kernel(self, letter):
         """Basis of the row vectors killed by a generator norm. These are
@@ -231,8 +286,21 @@ class InducedModule:
 
     def fixed_vectors(self, name):
         """Basis of the vectors fixed by the right action of "s", "t" or
-        the translation "T"."""
-        return self.cached("F" + name, lambda: left_kernel(self.right_difference(name)))
+        the translation "T": on each orbit, a basis of V^H spread around it
+        (Shapiro's lemma). Every leading entry lies in the block at c0, so
+        sorted by leading column this is the reduced echelon basis of
+        left_kernel(right_difference(name)), or its Hermite basis over Z."""
+
+        def build():
+            ident = self._identity[0][1]
+            rows = []
+            for orbit in self.orbits(name):
+                H = orbit.stabilizer
+                rows += self.spread(orbit, ident if H == ident else left_kernel(H.sub(ident)))
+            rows.sort(key=min)
+            return Matrix.from_sparse(self.ring, rows, self.rank)
+
+        return self.cached("F" + name, build)
 
     def group_fixed_vectors(self):
         """Basis of the vectors fixed by the whole group action."""
@@ -308,7 +376,14 @@ class ManinSymbolSpace(_QuotientSpace):
         self.weight = module.weight
 
     def _relations(self):
-        return self.module.norm_matrix("s").stack(self.module.norm_matrix("t"))
+        """The norm rows at the least coset c0 of each orbit of sigma and
+        tau: N_H Q_k at c_k, N_H the norm of the stabilizer H of order o / l."""
+        module = self.module
+        rows = []
+        for letter, order in (("s", 2), ("t", module.n)):
+            for orbit in module.orbits(letter):
+                rows += module.spread(orbit, norm(orbit.stabilizer, order // len(orbit.cycle)))
+        return Matrix.from_sparse(module.ring, rows, module.rank)
 
 
 class BoundarySpace(_QuotientSpace):

@@ -147,19 +147,26 @@ def _poly_mul(R, f, g):
     return out
 
 
+def norm(action, order):
+    """1 + h + ... + h^(order - 1) for the matrix h of an action (row
+    convention); an identity action (every one in weight 2) gives
+    order * 1 without a product."""
+    ring = action.ring
+    ident = Matrix.identity(ring, action.nrows)
+    if order > 1 and action == ident:
+        return ident.scale(ring.of_int(order))
+    total, power = ident, action
+    for i in range(1, order):
+        total = total.add(power)
+        if i < order - 1:
+            power = power.mul(action)
+    return total
+
+
 def local_term(ring, action, order):
     """The quotient (invariants of h) / (norm of h applied to V), presented
     on a basis of the invariants; `action` is the matrix of h on V (row
     convention) and `order` the order of h. This measures the local
     obstruction at an elliptic point with stabilizer generated by h."""
     ident = Matrix.identity(ring, action.nrows)
-    if action == ident:
-        # h acts trivially (every h does in weight 2): the norm is order * 1
-        norm = ident.scale(ring.of_int(order))
-    else:
-        norm = ident
-        power = action
-        for _ in range(order - 1):
-            norm = norm.add(power)
-            power = power.mul(action)
-    return subquotient(left_kernel(action.sub(ident)), norm)
+    return subquotient(left_kernel(action.sub(ident)), norm(action, order))

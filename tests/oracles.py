@@ -526,6 +526,59 @@ def dense_hnf(rows, ncols):
     return A
 
 
+def hnf_by_scan(rows, ncols):
+    """(H, U) as dict rows: the Hermite form with transform by the same
+    xgcd steps as linalg.hermite_normal_form, but finding the rows that
+    hold each column by scanning every row below the rank and every row
+    above the pivot, with no index. Both must give identical H and U."""
+    from heckesym.rings import xgcd
+
+    def addmul(dst, q, src):
+        for k, w in src.items():
+            s = dst.get(k, 0) + q * w
+            if s:
+                dst[k] = s
+            else:
+                del dst[k]
+
+    def combine(x, u, y, v):
+        out = {k: x * w for k, w in u.items()} if x else {}
+        if y:
+            addmul(out, y, v)
+        return out
+
+    n = len(rows)
+    tabs = ([{j: x for j, x in enumerate(r) if x} for r in rows], [{i: 1} for i in range(n)])
+    H = tabs[0]
+    rank = 0
+    for c in range(ncols):
+        nz = [r for r in range(rank, n) if c in H[r]]
+        if not nz:
+            continue
+        r0 = nz[0]
+        for r in nz[1:]:
+            a, b = H[r0][c], H[r][c]
+            g, x, y = xgcd(a, b)
+            for tab in tabs:
+                u, v = tab[r0], tab[r]
+                if x != 1 or y:
+                    tab[r0] = combine(x, u, y, v)
+                tab[r] = combine(b // g, u, -(a // g), v)
+        for tab in tabs:
+            tab[rank], tab[r0] = tab[r0], tab[rank]
+        if H[rank][c] < 0:
+            for tab in tabs:
+                tab[rank] = {k: -w for k, w in tab[rank].items()}
+        p = H[rank][c]
+        for r in range(rank):
+            q = H[r].get(c, 0) // p
+            if q:
+                for tab in tabs:
+                    addmul(tab[r], -q, tab[rank])
+        rank += 1
+    return tabs
+
+
 def in_row_lattice(rows, ncols, vec):
     """Whether vec is an integer combination of rows: reduce it down the
     pivots of their Hermite form (dense_hnf) and see if nothing is left."""
@@ -629,6 +682,31 @@ def induced_operators(cosets, weight):
             total = combine(F.add, total, power)
         ops["N" + name] = total
     return ops
+
+
+def global_fixed_vectors(module, name):
+    """The vectors fixed by "s", "t" or "T" as one kernel of the whole
+    induced module: the left kernel of the identity minus the action."""
+    from heckesym.linalg import left_kernel
+
+    return left_kernel(module.right_difference(name))
+
+
+def global_relations(module):
+    """The Manin relations as both full norm matrices, sigma's on tau's:
+    the norm rows at every coset."""
+    return module.norm_matrix("s").stack(module.norm_matrix("t"))
+
+
+def smith_diagonal(mat):
+    """The Smith diagonal of an integer matrix, padded with zeros to its
+    column count, by diagonalizing every row and column of its Hermite
+    basis at once (no unit pivot split off first)."""
+    from heckesym.linalg import _snf_core, hermite_basis
+
+    a = _snf_core([dict(r) for r in hermite_basis(mat).sparse_rows()], mat.ncols)[0]
+    diag = [a[i].get(i, 0) for i in range(len(a))]
+    return tuple(diag + [0] * (mat.ncols - len(diag)))
 
 
 def rank_dimensions(cosets, weight):

@@ -527,3 +527,26 @@ def test_internal_invariant_exit_4(monkeypatch, capsys):
     assert cli.main(["compare", "--group", "gamma0:11", "--weight", "4", "--ring", "fp:7"]) == 4
     err = capsys.readouterr().err
     assert "gamma0:11" in err and "weight 4" in err and "ring fp:7" in err
+
+
+def test_smith_diagonal_mismatch_exits_4(monkeypatch, capsys):
+    # the invariant factors read from the Hermite form must be the diagonal
+    # of the full Smith form, checked when a Z module builds the latter
+    # after them; here the cheap ones are forced wrong and the comparison
+    # kernel asks for its generator rows, so the full form is built
+    monkeypatch.setattr(linalg, "_hermite_invariants", lambda rows, m: [2] + [0] * (m - 1))
+    report = cli.comparison_report
+
+    def with_generator_rows(space):
+        out = report(space)
+        out.kernel.invariants()
+        out.kernel.generator_ambient_rows()
+        return out
+
+    monkeypatch.setattr(cli, "comparison_report", with_generator_rows)
+    assert cli.main(["compare", "--group", "gamma0:11", "--ring", "z"]) == 4
+    err = capsys.readouterr().err
+    assert "internal invariant" in err and "Smith diagonal check" in err
+    assert "gamma0:11" in err and "ring z" in err
+    monkeypatch.undo()
+    assert cli.main(["compare", "--group", "gamma0:11", "--ring", "z", "--format", "json"]) == 0

@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckesym import cli
+from heckesym import cli, linalg
 from heckesym.rings import GF, QQ, ZZ, UnsupportedRingError
 from heckesym.triangle import integral_lambda_ring, rational_lambda_ring
 from heckesym.linalg import (
@@ -621,6 +621,44 @@ def test_sparse_hermite_form_matches_the_textbook_oracle(case):
     assert_hermite_shape(H)
 
 
+@st.composite
+def hermite_inputs(draw):
+    """A sparse integer matrix; with zero rows added, or replaced by its
+    Hermite form (rows shuffled in among zero rows, or as it is)."""
+    rows, m = draw(sparse_int_matrix(max_n=10, max_m=10))
+    kind = draw(st.sampled_from(["random", "zero rows", "hermite", "hermite shuffled"]))
+    if kind == "zero rows":
+        rows = rows + [[0] * m for _ in range(draw(st.integers(1, 4)))]
+    elif kind.startswith("hermite"):
+        rows = oracles.dense_hnf(rows, m)
+        if kind == "hermite shuffled":
+            rows = draw(st.permutations(rows))
+    return rows, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(hermite_inputs())
+def test_indexed_hermite_form_matches_the_scanning_oracle(case):
+    # the column index changes which rows are visited, not the steps taken
+    rows, m = case
+    H, U = hermite_normal_form(Matrix(ZZ, rows, m), with_transform=True)
+    want_h, want_u = oracles.hnf_by_scan(rows, m)
+    assert H.sparse_rows() == want_h
+    assert U.sparse_rows() == want_u
+    assert hermite_normal_form(Matrix(ZZ, rows, m)).sparse_rows() == want_h
+
+
+def test_hermite_form_of_a_hermite_basis_touches_no_row(monkeypatch):
+    # an input already in Hermite form takes no combination and no
+    # reduction: each column's only row is its pivot row
+    rows = [r for r in oracles.dense_hnf([[2, 4, 1, 0, 3], [0, 3, 5, 1, 1], [1, 1, 1, 1, 7]], 5) if any(r)]
+    calls = []
+    monkeypatch.setattr(linalg, "_addmul", lambda *a: calls.append(a))
+    monkeypatch.setattr(linalg, "_combine", lambda *a: calls.append(a))
+    assert hermite_normal_form(Matrix(ZZ, rows, 5)).rows == rows
+    assert calls == []
+
+
 @settings(max_examples=150)
 @given(sparse_int_matrix())
 def test_sparse_smith_core_transforms(case):
@@ -666,6 +704,22 @@ def test_smith_form_matches_sympy_invariants(rows):
     S = sympy_snf(sympy.Matrix(rows))
     want = [abs(int(S[i, i])) for i in range(min(S.rows, S.cols))]
     assert sorted(got) == sorted(want)
+
+
+@settings(max_examples=150)
+@given(sparse_int_matrix(), st.booleans())
+def test_invariants_from_the_hermite_form_are_the_smith_diagonal(case, unit_heavy):
+    # unit pivots split off as factors 1; the rest is diagonalized alone.
+    # Building the full form afterwards (reduce) checks the two agree.
+    rows, m = case
+    if unit_heavy:  # relation-like: many rows with a unit entry
+        rows = [[1 if j == i % max(m, 1) else x for j, x in enumerate(r)] for i, r in enumerate(rows)]
+    D = smith_normal_form(Matrix(ZZ, rows, m))[0]
+    diag = [D.rows[i][i] for i in range(min(D.nrows, D.ncols))]
+    mod = FPModule(ZZ, m, Matrix(ZZ, rows, m))
+    assert mod.invariants() == tuple(diag + [0] * (m - len(diag)))
+    assert mod.rank() == m - (matrix_rank(Matrix(ZZ, rows, m)) if rows else 0)
+    mod.reduce([0] * m)
 
 
 def test_smith_form_hand_example():

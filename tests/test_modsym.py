@@ -11,16 +11,26 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from heckesym.congruence import (
     apply_moebius,
     gamma0_cosets,
     gamma1_cosets,
 )
-from heckesym.linalg import FPMap, Matrix, left_kernel, matrix_rank
+from heckesym.linalg import (
+    FPMap,
+    Matrix,
+    hermite_basis,
+    left_kernel,
+    matrix_rank,
+    rref,
+)
 from heckesym.modsym import (
     BoundarySpace,
     InducedModule,
+    ManinSymbolSpace,
     PermCosets,
     boundary_map,
     boundary_space,
@@ -32,6 +42,7 @@ from heckesym.modsym import (
 )
 from heckesym.rings import GF, QQ, ZZ, UnsupportedRingError
 from heckesym.triangle import (
+    InvalidSubgroupError,
     TriangleSubgroup,
     load_subgroup,
     mat2_mul,
@@ -396,6 +407,140 @@ def test_weight_two_powers_move_cosets_only(tmp_path, monkeypatch, table):
 
 
 # ---------------------------------------------------------------------------
+# orbit lattices against the global forms
+# ---------------------------------------------------------------------------
+
+ORBIT_RINGS = {"q": QQ, "z": ZZ, "f2": GF(2), "f3": GF(3), "f7": GF(7), "lambda": None}
+
+
+@st.composite
+def induced_modules(draw):
+    """An induced module over gamma0 N <= 30, gamma1 N <= 13 or a random
+    permutation subgroup of the n = 4, 5, 6 triangle group, at a weight
+    2..6 that keeps its rank at most 200 (90 over Z), over Q, Z, F_2, F_3,
+    F_7 or Q(2cos(pi/n)); combinations without a module are rejected."""
+    kind = draw(st.sampled_from(["gamma0", "gamma1", "perm"]))
+    if kind == "gamma0":
+        cosets = gamma0_cosets(draw(st.integers(1, 30)))
+    elif kind == "gamma1":
+        cosets = gamma1_cosets(draw(st.integers(1, 13)))
+    else:
+        n, mu = draw(st.sampled_from([4, 5, 6])), draw(st.integers(1, 8))
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        try:
+            group = TriangleSubgroup(n, oracles.random_involution(mu, rng),
+                                     oracles.random_order_n_perm(n, mu, rng))
+        except InvalidSubgroupError:
+            assume(False)
+        cosets = PermCosets(group)
+    name = draw(st.sampled_from(sorted(ORBIT_RINGS)))
+    ring = rational_lambda_ring(cosets.n)[0] if name == "lambda" else ORBIT_RINGS[name]
+    # over Z the Smith oracle diagonalizes whole relation matrices, which
+    # takes seconds from rank about 100 (gamma1 in weight 3 and up)
+    k = draw(st.integers(2, max(2, min(6, 1 + (90 if ring is ZZ else 200) // cosets.mu))))
+    try:
+        return InducedModule(cosets, weight_module_for(cosets, ring, k))
+    except UnsupportedRingError:
+        assume(False)
+
+
+def _key(mat):
+    return mat.nrows, mat.ncols, repr(mat.rows)
+
+
+def _check_orbit_lattices(module):
+    # fixed vectors spread from each orbit's stabilizer are the global
+    # kernel's echelon (Hermite over Z) basis, entry types included; one
+    # coset's norm rows per orbit span the full norm stack's row module
+    for name in "stT":
+        assert _key(module.fixed_vectors(name)) == _key(oracles.global_fixed_vectors(module, name))
+    space = ManinSymbolSpace(module)
+    relations, stack = space.presentation.relations, oracles.global_relations(module)
+    if module.ring is ZZ:
+        assert _key(hermite_basis(relations)) == _key(hermite_basis(stack))
+        assert space.presentation.invariants() == oracles.smith_diagonal(stack)
+    else:
+        (R, piv), (S, spiv) = rref(relations), rref(stack)
+        assert piv == spiv and repr(R.rows[: len(piv)]) == repr(S.rows[: len(spiv)])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(induced_modules())
+def test_orbit_lattices_match_the_global_forms(module):
+    _check_orbit_lattices(module)
+
+
+@pytest.mark.parametrize("table, ring, k", [
+    (lambda tmp: gamma0_cosets(30), ZZ, 2),
+    (lambda tmp: gamma0_cosets(23), ZZ, 4),
+    (lambda tmp: gamma0_cosets(13), ZZ, 6),
+    (lambda tmp: gamma0_cosets(27), GF(3), 6),
+    (lambda tmp: gamma1_cosets(13), GF(2), 2),
+    (lambda tmp: gamma1_cosets(7), GF(7), 5),
+    (lambda tmp: level_one(4), GF(2), 6),
+    (lambda tmp: _listed_perm_file(tmp, "n5-mu08-a"), "lambda", 6),
+    (lambda tmp: _listed_perm_file(tmp, "n6-mu08-a"), GF(2), 4),
+], ids=["gamma0-30-z-k2", "gamma0-23-z-k4", "gamma0-13-z-k6", "gamma0-27-f3-k6", "gamma1-13-f2-k2",
+        "gamma1-7-f7-k5", "delta4-f2-k6", "n5-mu08-a-lambda-k6", "n6-mu08-a-f2-k4"])
+def test_orbit_lattices_match_the_global_forms_on_pinned_spaces(tmp_path, table, ring, k):
+    cosets = table(tmp_path)
+    ring = rational_lambda_ring(cosets.n)[0] if ring == "lambda" else ring
+    _check_orbit_lattices(InducedModule(cosets, weight_module_for(cosets, ring, k)))
+
+
+class _OneCoset:
+    """A one-coset table of signature 3 whose letters act through given
+    cocycles, read with exact signs."""
+
+    n, mu, weight_variant = 3, 1, "plus-minus-one"
+
+    def __init__(self, s, t):
+        self.cocycles = {"s": s, "t": t}
+
+    def twist(self, i, letter):
+        return 0, self.cocycles[letter]
+
+
+class _TwoCosets(_OneCoset):
+    """Two cosets that tau swaps: a cycle of length 2 under an order 3."""
+
+    mu = 2
+
+    def twist(self, i, letter):
+        return (1 - i if letter == "t" else i), (1, 0, 0, 1)
+
+
+@pytest.mark.parametrize("cosets, k, name", [
+    (gamma0_cosets(11), 3, "sigma"),
+    (_OneCoset((1, 0, 0, 1), (-1, 0, 0, -1)), 3, "tau"),
+    (_TwoCosets(None, None), 2, "tau"),
+])
+def test_a_failed_order_check_keeps_its_message(cosets, k, name):
+    order = 2 if name == "sigma" else 3
+    msg = ("%s does not act with order %d on the induced module; the weight twist "
+           "is incompatible with these cosets" % (name, order))
+    with pytest.raises(UnsupportedRingError) as err:
+        InducedModule(cosets, weight_module_for(cosets, QQ, k))
+    assert str(err.value) == msg
+
+
+@pytest.mark.parametrize("N, products", [(11, 14), (13, 20)])
+def test_building_a_module_takes_about_one_product_per_coset_and_letter(monkeypatch, N, products):
+    # a walk around each orbit of sigma and tau takes one block product per
+    # coset after the first, and each elliptic orbit raises its stabilizer
+    # to its order: gamma0(11) has 6 sigma pairs and 4 tau triples (6 + 8
+    # products), gamma0(13) has 6 pairs, 4 triples and two fixed points of
+    # each (6 + 8 + 2 * 1 + 2 * 2); composing every letter power took 3 mu
+    cosets = gamma0_cosets(N)
+    weight = weight_module_for(cosets, QQ, 50)
+    count, mul = [], Matrix.mul
+    monkeypatch.setattr(Matrix, "mul", lambda self, other: count.append(1) or mul(self, other))
+    InducedModule(cosets, weight)
+    assert len(count) == products
+
+
+# ---------------------------------------------------------------------------
 # integral structure
 # ---------------------------------------------------------------------------
 
@@ -411,6 +556,20 @@ def test_integral_rank_matches_rational_dimension():
             while d % 3 == 0:
                 d //= 3
             assert d == 1
+
+
+@pytest.mark.parametrize("N, k, torsion", [(11, 4, (22,)), (13, 3, (13,)), (7, 5, (14,)), (9, 6, (3, 36))])
+def test_gamma1_integral_torsion_agrees_with_every_residue_field(N, k, torsion):
+    # diagonalizing the whole relation matrix with its transforms took over
+    # a minute on each of these (the transforms grow to 10^5-bit entries);
+    # the invariant factors from the Hermite form take a fraction of a
+    # second. Over F_p the dimension is the free rank plus the number of
+    # invariant factors that p divides.
+    cosets = gamma1_cosets(N)
+    zspace = space_for(cosets, ZZ, k)
+    assert zspace.torsion() == torsion
+    for p in (2, 3, 5, 7, 11, 13):
+        assert space_for(cosets, GF(p), k).dim() == zspace.rank() + sum(d % p == 0 for d in torsion)
 
 
 # ---------------------------------------------------------------------------
