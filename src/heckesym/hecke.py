@@ -12,18 +12,20 @@ by continued fractions, and no cocycle is checked per segment. The weight
 action of adj h = [[d, -b], [-c, a]] substitutes h itself: P(X, Y) goes to
 P(aX + bY, cX + dY), as in Merel's formula.
 
-Callers over a field read only the rows of an operator at the free
-generators of the presentation, so an operator assembles its ambient rows
-when they are first read, one batch per read, and keeps them; its .ambient
-matrix is built in full on first access.
+Callers read only some rows of an operator (those at the free generators
+of the presentation, or at a few generators' supports), so an operator
+assembles its ambient rows when they are first read, one batch per read,
+and keeps them; its .ambient matrix is built in full on first access.
 
-Eigenvalue extraction factors characteristic polynomials over the base
-field (the rationals or a prime field) and refines joint invariant blocks
-prime by prime. Scalars are never extended silently: a block whose
-polynomial has an irreducible factor of higher degree keeps that factor in
-the report instead of sprouting fake eigenvalues.
+Eigensystems refine joint invariant blocks prime by prime over the base
+field (the rationals or a prime field). Scalars are never extended
+silently: a block whose polynomial has an irreducible factor of higher
+degree keeps that factor in the report instead of sprouting fake
+eigenvalues.
 
-Over Q a block's characteristic polynomial comes from residues
+The first prime splits the subspace S by _split_block: T_p restricted to
+S, and each block's characteristic polynomial, factored, and its primary
+decomposition. Over Q the polynomial comes from residues
 (linalg.charpoly_from_residues: charpoly modulo 62-bit primes, joined by
 CRT), with its coefficients bounded through |eigenvalue of T_p| <=
 1 + p^(k-1), which holds on cuspidal and Eisenstein symbols alike. The
@@ -31,12 +33,37 @@ primary decomposition certifies the result whatever the bound: when each
 kernel of f(T_p)^e, over the irreducible factors f^e, has dimension
 deg(f) * e and together they fill the block, the factors are exactly the
 characteristic polynomial. A block that fails is split again with the
-Fraction charpoly, and only a second failure is an internal error.
-Eigensystems over F_p use charpoly alone. The kernels take no Fraction
-matrix product: each is the end of a chain of left kernels of an integer
-multiple of f(T_p) (_primary_parts). The hecke command's charpolys use
-charpoly(T) = charpoly(T|S) * charpoly(T on V/S) for the invariant
-cuspidal subspace S, so each Hessenberg runs on one block.
+Fraction charpoly, and only a second failure is an internal error. Over
+F_p charpoly alone is used. The kernels take no Fraction matrix product:
+each is the end of a chain of left kernels of an integer multiple of
+f(T_p) (_primary_parts).
+
+A block B on which T_p is semisimple with an irreducible minimal
+polynomial g of degree m is a vector space over its Hecke field
+K = F[x]/(g), x acting as T_p (Stein, Modular Forms: A Computational
+Approach, ch. 7 and 9). It keeps a _HeckeField: dim B / m cuspidal
+generators, fewest nonzeros first, whose projections along the other
+blocks (_Frame, the inverse of the stacked block bases) are a K-basis, so
+their Krylov rows x T_p^i (i < m) are a basis of B, and one more generator
+as a check. A later T_q commutes with T_p and is K-linear on B; where it is
+a scalar a_q of K, it is read from the Hecke rows at those generators'
+supports alone (_generator_images, _field_value): each image is expressed
+in S, which raises IllDefinedMapError when it leaves S, projected onto B,
+and solved for a_q in the Krylov basis. When every generator, the check
+one included, gives the same a_q, B keeps its basis and diagonal flag and
+records a_q, or its minimal polynomial when a_q is not in F; no charpoly,
+factoring or kernel runs. A block that disagrees, a block without a field,
+and every block at a prime whose blocks do not stack into a basis of S go
+through _split_block at that prime, and the parts get their fields there.
+At such a prime T_q is on all of S, and the blocks read from their fields
+must be invariant under it too. So S- and block-invariance are checked in
+full at the first prime and wherever a block is split; elsewhere the
+membership of the images in S, the agreement of the generators and the
+check generator stand in for them.
+
+The hecke command's charpolys use charpoly(T) = charpoly(T|S) *
+charpoly(T on V/S) for the invariant cuspidal subspace S, so each
+Hessenberg runs on one block.
 """
 
 from __future__ import annotations
@@ -59,6 +86,7 @@ from .linalg import (
     charpoly,
     charpoly_from_residues,
     left_kernel,
+    matrix_rank,
 )
 from .modsym import cuspidal_subspace
 from .rings import ZZ, PrimeField, RationalField, UnsupportedRingError, is_prime
@@ -396,6 +424,202 @@ def _require_eigen_space(space):
         )
 
 
+def _split_block(ring, p, k, mp, block):
+    """The primary parts of a block (basis, evs, facs, diag) under T_p,
+    from the matrix mp of T_p on the subspace: the block restriction, which
+    checks that T_p preserves it, then its charpoly, over Q from residues
+    under the eigenvalue bound 1 + p^(k-1) and again as Fractions when
+    the decomposition refuses those."""
+    cmat = _restrict_to_block(ring, mp, block[0], name="T_%d" % p)
+    parts = None
+    if isinstance(ring, RationalField):
+        n, r = cmat.nrows, 1 + p ** (k - 1)
+        bound = max(comb(n, i) * r**i for i in range(n + 1))
+        parts = _primary_parts(ring, p, cmat, charpoly_from_residues(cmat, bound), *block)
+    if parts is None:
+        parts = _primary_parts(ring, p, cmat, charpoly(cmat), *block)
+    if parts is None:
+        raise InternalInvariantError("primary components of T_%d do not fill the block" % p)
+    return parts
+
+
+def _eigenblocks(blocks, primes):
+    """EigenBlocks of (basis, evs, facs, diag) blocks, sorted by their
+    eigenvalue data prime by prime, then by dimension."""
+    def key(blk):
+        basis, evs, facs, _diag = blk
+        parts = [(0, evs[p]) if p in evs else (1, len(facs[p]), facs[p]) for p in primes]
+        return tuple(parts) + (basis.nrows,)
+
+    return [EigenBlock(dim=b.nrows, basis=b, eigenvalues=e, factors=f, diagonal=d)
+            for b, e, f, d in sorted(blocks, key=key)]
+
+
+@dataclass(frozen=True)
+class _HeckeField:
+    """A block B on which T_p acts semisimply with an irreducible minimal
+    polynomial g of degree m, read as a vector space over K = F[x]/(g), x
+    acting as T_p: the projections x_t onto B of the cuspidal generators
+    `gens` are a K-basis, so the Krylov rows x_t T_p^i (i < m) are a basis
+    of B, prepared in `krylov`. The projection of one more generator,
+    `check` (None when every generator is taken), has the Krylov
+    coordinates `check_coords`."""
+
+    poly: tuple
+    gens: tuple
+    krylov: RowBasis
+    check: int | None
+    check_coords: list
+
+
+def _multiplication(ring, a, g):
+    """The matrix of multiplication by a on F[x]/(g), g monic of degree m
+    and a of m coefficients, both low to high: row i holds x^i a mod g."""
+    rows = [list(a)]
+    for _ in range(len(g) - 2):
+        top, row = rows[-1][-1], [ring.zero] + rows[-1][:-1]
+        if not ring.is_zero(top):
+            row = [ring.sub(x, ring.mul(top, c)) for x, c in zip(row, g)]
+        rows.append(row)
+    return Matrix(ring, rows)
+
+
+def _minpoly_mod(ring, a, g):
+    """The minimal polynomial over F of a in F[x]/(g), monic, low to high.
+    The powers 1, a, ..., a^m are stacked from a^m down, so the multiples
+    x^i mu of the minimal polynomial mu span their left kernel, and mu,
+    the one with the fewest leading zeros, is the last row of its reduced
+    echelon basis."""
+    if not any(a[1:]):
+        return (ring.neg(a[0]), ring.one)
+    mul, m = _multiplication(ring, a, g), len(a)
+    powers = [[ring.one] + [ring.zero] * (m - 1)]
+    for _ in range(m):
+        powers.append(mul.act_on_row(powers[-1]))
+    last = left_kernel(Matrix(ring, powers[::-1], m)).rows[-1]
+    d = m - next(i for i, x in enumerate(last) if x)
+    return tuple(last[m - j] for j in range(d + 1))
+
+
+class _Frame:
+    """The blocks of a decomposition of the subspace, stacked into one
+    basis: basis.express(v) are the coordinates of a subspace vector v on
+    the stacked bases, v Pi for Pi the inverse of the stacked basis
+    matrix, so their slice at spans[i] is the projection of v onto block i
+    along the others, in the basis of block i. basis is None when the
+    blocks do not stack into a basis of the subspace."""
+
+    def __init__(self, ring, blocks, total):
+        stacked = Matrix.from_sparse(ring, [r for b in blocks for r in b[0].sparse_rows()], total)
+        self.basis = RowBasis(stacked)
+        if stacked.nrows != total or self.basis.rank != total:
+            self.basis = None
+        self.ring, self.spans, self._units, at = ring, [], {}, 0
+        for b in blocks:
+            self.spans.append((at, at + b[0].nrows))
+            at += b[0].nrows
+
+    def unit(self, j):
+        """The coordinates of cuspidal generator j, kept."""
+        if j not in self._units:
+            e = [self.ring.zero] * self.basis.mat.ncols
+            e[j] = self.ring.one
+            self._units[j] = self.basis.express(e)
+        return self._units[j]
+
+    def restrict(self, mp, basis, span):
+        """The matrix, in the basis of the block at span, of the subspace
+        operator mp on that block, or None when mp moves the block."""
+        lo, hi = span
+        rows = []
+        for b in basis.rows:
+            c = self.basis.express(mp.act_on_row(b))
+            if any(c[:lo]) or any(c[hi:]):
+                return None
+            rows.append(c[lo:hi])
+        return Matrix(self.ring, rows, hi - lo)
+
+
+def _hecke_field(ring, p, mp, block, frame, span, order):
+    """The _HeckeField of the block at `span` of the frame, from the
+    factor g that it carries at the prime p and mp, T_p on the subspace,
+    or None. Generators are tried in `order`. None when T_p moves the block
+    (its images leave it in the frame) or g(T_p) is not zero on it."""
+    basis, evs, facs, _diag = block
+    g = facs[p] if p in facs else (ring.neg(evs[p]), ring.one)
+    (lo, hi), m, n = span, len(g) - 1, basis.nrows
+    M = frame.restrict(mp, basis, span)
+    if M is None:
+        return None
+    gens, krylov, check = [], [], None
+    for j in order:
+        x = frame.unit(j)[lo:hi]
+        if not any(x):
+            continue
+        if len(gens) * m == n:
+            check = j
+            break
+        seq = [x]
+        for _ in range(m):
+            seq.append(M.act_on_row(seq[-1]))
+        # x g(M) = 0 on rows x whose Krylov rows span the block is g(M) = 0
+        if any(Matrix(ring, seq).act_on_row(list(g))):
+            return None
+        if matrix_rank(Matrix(ring, krylov + seq[:m], n)) == len(krylov) + m:
+            gens.append(j)
+            krylov += seq[:m]
+    if len(gens) * m != n:
+        return None
+    krylov = RowBasis(Matrix(ring, krylov, n))
+    coords = None if check is None else krylov.express(frame.unit(check)[lo:hi])
+    return _HeckeField(tuple(g), tuple(gens), krylov, check, coords)
+
+
+def _field_value(ring, field, images):
+    """The coefficients of a_q in K, T_q = a_q(T_p) on the block of a
+    _HeckeField, from images[j], the projections onto the block of the
+    images of its generators j under T_q; None when a generator's image
+    leaves its own K-line or the generators, the check one included,
+    disagree."""
+    m, a = len(field.poly) - 1, None
+    for t, j in enumerate(field.gens):
+        c = field.krylov.express(images[j])
+        here = c[t * m:(t + 1) * m]
+        if any(c[:t * m]) or any(c[(t + 1) * m:]) or (a is not None and here != a):
+            return None
+        a = here
+    if field.check is not None:
+        mul, x = _multiplication(ring, a, field.poly), field.check_coords
+        want = [y for t in range(len(field.gens)) for y in mul.act_on_row(x[t * m:(t + 1) * m])]
+        if field.krylov.express(images[field.check]) != want:
+            return None
+    return a
+
+
+def _generator_images(space, op, reduced, gens):
+    """{j: image under op of cuspidal generator j, in subspace coordinates}
+    for the generator indices gens, from the operator rows at the union
+    of their supports only; IllDefinedMapError when one leaves the
+    subspace. reduced is _generator_coordinates of the subspace."""
+    ring, pres = space.ring, space.presentation
+    coords, basis = reduced
+    sparse = coords.sparse_rows()
+    support = sorted({c for j in gens for c in sparse[j]})
+    free = pres.free_generators()
+    rows = Matrix(ring, op.rows_at([free[c] for c in support]), pres.ngens)
+    at = {c: i for i, c in enumerate(support)}
+    out = {}
+    for j in gens:
+        vec = [ring.zero] * len(support)
+        for c, x in sparse[j].items():
+            vec[at[c]] = x
+        try:
+            out[j] = basis.express(list(pres.reduce(rows.act_on_row(vec))))
+        except NotInSpanError:
+            raise IllDefinedMapError("operator does not preserve the subspace")
+    return out
+
+
 def eigensystem(space, primes, subspace=None):
     """Joint primary decomposition of the Hecke operators at the given
     primes, on the cuspidal subspace by default.
@@ -403,54 +627,67 @@ def eigensystem(space, primes, subspace=None):
     Returns EigenBlocks sorted by their eigenvalue data. Every block is
     invariant under all the operators; a one-eigenvalue-per-prime block of
     dimension 2d corresponds to d copies of the plus/minus pair of a form.
-    The subspace generators are reduced once for all the primes, and over
-    Q the block charpolys come from residues, certified by the
-    decomposition (see the module docstring)."""
+    The first prime splits the subspace by _split_block; a block it leaves
+    semisimple, with an irreducible polynomial, gets its _HeckeField, on
+    which each later T_q is read as a scalar from the images of a few
+    generators (_field_value). A block without one, or on which they
+    disagree, goes through _split_block at that prime, and its parts get
+    their fields there (see the module docstring)."""
     _require_eigen_space(space)
     ring = space.ring
-    rational = isinstance(ring, RationalField)
     if subspace is None:
         subspace = cuspidal_subspace(space)
     total = subspace.ambient_rows.nrows
     if total == 0:
         return []
     reduced = _generator_coordinates(space.presentation, subspace)
-    blocks = [(Matrix.identity(ring, total), {}, {}, True)]
+    sparse = reduced[0].sparse_rows()
+    order = sorted(range(total), key=lambda j: (len(sparse[j]), j))
+    blocks, fields, frame = [(Matrix.identity(ring, total), {}, {}, True)], [None], None
     for p in primes:
-        mp = _restrict_on_generators(hecke_matrix(space, p), *reduced)
-        r = 1 + p ** (space.weight.k - 1)
-        refined = []
-        for block in blocks:
-            cmat = _restrict_to_block(ring, mp, block[0], name="T_%d" % p)
-            parts = None
-            if rational:
-                n = cmat.nrows
-                bound = max(comb(n, i) * r**i for i in range(n + 1))
-                parts = _primary_parts(ring, p, cmat, charpoly_from_residues(cmat, bound), *block)
-            if parts is None:
-                parts = _primary_parts(ring, p, cmat, charpoly(cmat), *block)
-            if parts is None:
-                raise InternalInvariantError("primary components of T_%d do not fill the block" % p)
+        op, values = hecke_matrix(space, p), {}
+        if any(fields):
+            gens = sorted({j for f in fields if f for j in (*f.gens, f.check) if j is not None})
+            images = {j: frame.basis.express(v) for j, v in _generator_images(space, op, reduced, gens).items()}
+            for i, f in enumerate(fields):
+                if f is not None:
+                    lo, hi = frame.spans[i]
+                    values[i] = _field_value(ring, f, {j: c[lo:hi] for j, c in images.items()})
+        mp, refined, kept, changed = None, [], [], frame is None
+        for i, block in enumerate(blocks):
+            a = values.get(i)
+            if a is not None:
+                basis, evs, facs, diag = block
+                evs, facs, f = dict(evs), dict(facs), _minpoly_mod(ring, a, fields[i].poly)
+                if len(f) == 2:
+                    evs[p] = ring.neg(f[0])
+                else:
+                    facs[p] = f
+                refined.append((basis, evs, facs, diag))
+                kept.append(fields[i])
+                continue
+            if mp is None:
+                mp = _restrict_on_generators(op, *reduced)
+            parts = _split_block(ring, p, space.weight.k, mp, block)
+            changed = changed or len(parts) != 1 or parts[0][0] != block[0]
             refined += parts
-        blocks = refined
-    out = [
-        EigenBlock(dim=b.nrows, basis=b, eigenvalues=e, factors=f, diagonal=d)
-        for b, e, f, d in blocks
-    ]
-
-    def key(blk):
-        parts = []
-        for p in primes:
-            if p in blk.eigenvalues:
-                parts.append((0, blk.eigenvalues[p]))
-            else:
-                fac = blk.factors[p]
-                parts.append((1, len(fac), fac))
-        parts.append(blk.dim)
-        return tuple(parts)
-
-    out.sort(key=key)
-    return out
+            kept += [None] * len(parts)
+        if mp is not None:
+            # T_q is on the whole subspace here: check the blocks read
+            # from their fields against it too
+            for i in values:
+                if values[i] is not None and frame.restrict(mp, blocks[i][0], frame.spans[i]) is None:
+                    raise InternalInvariantError("T_%d does not preserve an eigenblock of dimension %d"
+                                                 % (p, blocks[i][0].nrows))
+        blocks, fields = refined, kept
+        if changed:
+            frame = _Frame(ring, blocks, total)
+        if frame.basis is None:
+            fields = [None] * len(blocks)
+        elif mp is not None:
+            fields = [f or _hecke_field(ring, p, mp, b, frame, frame.spans[i], order)
+                      for i, (b, f) in enumerate(zip(blocks, fields))]
+    return _eigenblocks(blocks, primes)
 
 
 # ---------------------------------------------------------------------------

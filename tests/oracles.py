@@ -10,7 +10,10 @@ from math import gcd
 
 import sympy
 
+from heckesym import hecke
 from heckesym.congruence import continued_fraction_path, diamond_matrix
+from heckesym.linalg import Matrix
+from heckesym.modsym import cuspidal_subspace
 from heckesym.rings import ZZ
 from heckesym.triangle import mat2_identity, mat2_mul, mat2_pow, sigma_matrix, tau_matrix
 
@@ -797,3 +800,22 @@ def hecke_rows_by_paths(space, p, rows):
                 row[j * blk:(j + 1) * blk] = [op(x, y) for x, y in zip(row[j * blk:(j + 1) * blk], piece)]
         out[r] = row
     return out
+
+
+def eigensystem_by_restriction(space, primes, subspace=None):
+    """hecke.eigensystem by full restriction at every prime: T_p on the
+    whole subspace from the Hecke rows at every free generator, then each
+    block restricted, its charpoly taken and split into primary parts
+    (hecke._split_block), with no Hecke field carried between primes."""
+    hecke._require_eigen_space(space)
+    if subspace is None:
+        subspace = cuspidal_subspace(space)
+    total = subspace.ambient_rows.nrows
+    if total == 0:
+        return []
+    reduced = hecke._generator_coordinates(space.presentation, subspace)
+    blocks = [(Matrix.identity(space.ring, total), {}, {}, True)]
+    for p in primes:
+        mp = hecke._restrict_on_generators(hecke.hecke_matrix(space, p), *reduced)
+        blocks = [part for block in blocks for part in hecke._split_block(space.ring, p, space.weight.k, mp, block)]
+    return hecke._eigenblocks(blocks, primes)

@@ -177,6 +177,23 @@ def test_hecke_at_a_large_prime(group, op, name, seconds):
     assert elapsed < seconds
 
 
+@pytest.mark.parametrize("argv,name,seconds", [
+    (["--group", "gamma0:37", "--bound", "200"], "qexp_gamma0_37_bound200.json", 2.0),
+    (["--group", "gamma0:30", "--weight", "6"], "qexp_gamma0_30_k6.json", 4.0),
+], ids=["gamma0-37-bound200", "gamma0-30-k6"])
+def test_qexp_reads_later_primes_on_hecke_fields(argv, name, seconds):
+    # 45 and 11 primes after the first: restricting each T_p to the
+    # cuspidal symbols and to every block took 0.67-0.72 s and 2.5-2.9 s
+    # as subprocesses on a 2-core VM, reading it on the Hecke fields
+    # 0.57-0.64 s and 1.95-2.47 s; each JSON file is the restricting
+    # code's output
+    proc, elapsed = _timed_subprocess(["qexp", *argv, "--format", "json"])
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(DATA, name)) as fh:
+        assert proc.stdout == fh.read()
+    assert elapsed < seconds
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("an operator of the whole module")
 
@@ -307,6 +324,45 @@ def test_a_block_that_is_not_diamond_invariant_exits_4(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "diamond 2 does not preserve an eigenblock of dimension 1" in err
     assert "(group gamma1:13, weight 2, ring q)" in err
+
+
+def test_a_wrong_entry_in_a_generator_row_at_a_later_prime_exits_4(capsys, monkeypatch):
+    # gamma0:37: T_3 is read on the Hecke fields of the two T_2 blocks from
+    # the Hecke rows at a few generators' supports; one entry of the first
+    # of those rows is changed, each column in turn. A change that is zero
+    # in the quotient leaves the answer as it was; any other is caught by
+    # the membership test, or by the full restriction and its block checks
+    real, three = hecke._operator_rows, hecke._heilbronn(3)
+    assert cli.main(["qexp", "--group", "gamma0:37"]) == 0
+    expected = capsys.readouterr().out
+    space = cli._build_space(cli._build_parser().parse_args(["qexp", "--group", "gamma0:37"]))[2]
+    ring, seen = space.ring, set()
+    for col in range(space.module.rank):
+        read = []
+
+        def corrupted(sp, mats, rows):
+            out = real(sp, mats, rows)
+            if mats == three and not read:
+                read.append(sorted(rows))
+                out[min(rows)][col] = ring.add(out[min(rows)][col], ring.one)
+            return out
+
+        monkeypatch.setattr(hecke, "_operator_rows", corrupted)
+        code = cli.main(["qexp", "--group", "gamma0:37"])
+        out, err = capsys.readouterr()
+        # the fast path asked for 3 of the 5 free generator rows
+        assert len(read[0]) == 3
+        unit = [ring.zero] * space.module.rank
+        unit[col] = ring.one
+        if not any(space.presentation.reduce(unit)):
+            assert code == 0 and out == expected
+            continue
+        assert code == 4 and out == ""
+        message = err.split(": ", 1)[1].split(" (group")[0]
+        assert message in ("operator does not preserve the subspace",
+                           "T_3 does not preserve an eigenblock of dimension 2")
+        seen.add(message)
+    assert len(seen) == 2
 
 
 def _sympy_charpoly(rows, p=None):

@@ -46,7 +46,7 @@ from heckesym.modsym import (
     manin_space,
     weight_module_for,
 )
-from heckesym.rings import GF, QQ, ZZ, UnsupportedRingError
+from heckesym.rings import GF, QQ, ZZ, UnsupportedRingError, is_prime
 from heckesym.triangle import TriangleSubgroup, rational_lambda_ring
 
 import oracles
@@ -625,11 +625,12 @@ def test_a_wrong_candidate_stops_the_chain_short(monkeypatch):
 
 
 def test_a_wrong_residue_charpoly_is_split_again_by_the_fraction_one(monkeypatch):
-    # gamma0:11 k=8, T_2 then T_13: one 62-bit prime (bound 1) gets the
-    # 12-dimensional T_2 charpoly and the 4-dimensional T_13 block right,
-    # but not the 8-dimensional T_13 block, whose coefficients are larger
+    # gamma0:11 k=8, T_13 then T_2: one 62-bit prime (bound 1) gets the
+    # 12-dimensional T_13 charpoly wrong, its coefficients are too large;
+    # the Fraction one splits the cuspidal symbols into blocks of
+    # dimension 4 and 8, on which T_2 is then read from their Hecke fields
     sp = space_for(gamma0_cosets(11), QQ, 8)
-    primes = [2, 13]
+    primes = [13, 2]
     residues, fraction = hecke.charpoly_from_residues, hecke.charpoly
     monkeypatch.setattr(hecke, "charpoly_from_residues", lambda mat, bound: fraction(mat))
     expected = eigensystem(sp, primes)
@@ -648,7 +649,7 @@ def test_a_wrong_residue_charpoly_is_split_again_by_the_fraction_one(monkeypatch
     monkeypatch.setattr(hecke, "charpoly_from_residues", one_prime)
     monkeypatch.setattr(hecke, "charpoly", counted)
     blocks = eigensystem(sp, primes)
-    assert wrong == fallbacks == [8]
+    assert wrong == fallbacks == [12]
     assert blocks == expected
     assert [repr(b.basis.rows) for b in blocks] == [repr(b.basis.rows) for b in expected]
 
@@ -659,7 +660,7 @@ def test_two_wrong_charpolys_raise(monkeypatch):
     monkeypatch.setattr(hecke, "charpoly_from_residues", lambda mat, bound: residues(mat, 1))
     monkeypatch.setattr(hecke, "charpoly", lambda mat: residues(mat, 1))
     with pytest.raises(InternalInvariantError, match="T_13"):
-        eigensystem(sp, [2, 13])
+        eigensystem(sp, [13, 2])
 
 
 def test_a_wrong_charpoly_over_fp_raises(monkeypatch):
@@ -668,6 +669,139 @@ def test_a_wrong_charpoly_over_fp_raises(monkeypatch):
     monkeypatch.setattr(hecke, "charpoly", lambda mat: [0] * mat.nrows + [1])
     with pytest.raises(InternalInvariantError, match="T_2"):
         eigensystem(sp, [2])
+
+
+# ---------------------------------------------------------------------------
+# later primes on the Hecke field
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_blocks(blocks, expected):
+    def shape(bs):
+        return [(repr(b.basis.rows), repr(b.eigenvalues), repr(b.factors), b.diagonal) for b in bs]
+
+    assert shape(blocks) == shape(expected)
+
+
+def _primes_to_sturm(sp):
+    return [p for p in range(2, sturm_bound(sp) + 1) if is_prime(p)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["gamma0", "gamma1"]), N=st.integers(1, 40), k=st.integers(2, 6),
+       ring=st.sampled_from([QQ, GF(5), GF(7), GF(11)]))
+@example(kind="gamma0", N=23, k=2, ring=QQ)
+@example(kind="gamma0", N=83, k=2, ring=QQ)
+@example(kind="gamma0", N=11, k=8, ring=QQ)
+def test_eigensystem_matches_the_restriction_oracle(kind, N, k, ring):
+    # bases by repr, so over Q the entries and eigenvalues stay Fractions
+    assume(k % 2 == 0 if kind == "gamma0" else 3 <= N <= 13)
+    cosets = (gamma0_cosets if kind == "gamma0" else gamma1_cosets)(N)
+    assume(cosets.mu * (k - 1) <= 250)
+    sp = space_for(cosets, ring, k)
+    primes = _primes_to_sturm(sp)
+    _assert_same_blocks(eigensystem(sp, primes), oracles.eigensystem_by_restriction(sp, primes))
+
+
+def test_an_old_block_whose_u3_is_no_field_scalar_is_split_as_before(monkeypatch):
+    # gamma0:33: T_2 acts as -2 on the 4-dimensional old block of 11a, so
+    # its Hecke field is Q; U_3 has minimal polynomial x^2 + x + 3 there,
+    # not a scalar, and the block takes the full restriction at 3. The
+    # 2-dimensional new block is read from its field at every later prime
+    sp = space_for(gamma0_cosets(33), QQ, 2)
+    primes = _primes_to_sturm(sp)
+    assert primes == [2, 3, 5, 7]
+    splits, restrictions = [], []
+    split, restrict = hecke._split_block, hecke._restrict_on_generators
+
+    def spied_split(ring, p, k, mp, block):
+        splits.append((p, block[0].nrows))
+        return split(ring, p, k, mp, block)
+
+    def spied_restrict(operator, coords, basis):
+        restrictions.append(operator)
+        return restrict(operator, coords, basis)
+
+    monkeypatch.setattr(hecke, "_split_block", spied_split)
+    monkeypatch.setattr(hecke, "_restrict_on_generators", spied_restrict)
+    blocks = eigensystem(sp, primes)
+    assert splits == [(2, 6), (3, 4)]
+    assert len(restrictions) == 2
+    old = next(b for b in blocks if b.dim == 4)
+    assert old.factors == {3: (3, 1, 1)} and old.eigenvalues == {2: -2, 5: 1, 7: -2}
+    monkeypatch.undo()
+    _assert_same_blocks(blocks, oracles.eigensystem_by_restriction(sp, primes))
+
+
+@pytest.mark.parametrize("doubled", [(1, 2), (2,)], ids=["generator-and-check", "check"])
+def test_a_disagreeing_image_sends_the_blocks_to_the_full_restriction(monkeypatch, doubled):
+    # gamma0:37: both T_2 blocks have Hecke field Q, generators 0 and 1
+    # and check generator 2. Doubling the T_3 images of generator 1 and the
+    # check leaves each image on its own line and the check consistent
+    # with generator 1, but generator 0 disagrees; doubling the check's
+    # image alone fails the check. Either way both blocks are split from
+    # the full restriction, whose rows are untouched
+    sp = space_for(gamma0_cosets(37), QQ, 2)
+    primes = [2, 3, 5]
+    splits, chosen = [], []
+    split, field, images = hecke._split_block, hecke._hecke_field, hecke._generator_images
+
+    def spied_split(ring, p, k, mp, block):
+        splits.append((p, block[0].nrows))
+        return split(ring, p, k, mp, block)
+
+    def spied_field(*args):
+        out = field(*args)
+        chosen.append((out.gens, out.check))
+        return out
+
+    def doubling(space, op, reduced, gens):
+        out = images(space, op, reduced, gens)
+        if op._mats == hecke._heilbronn(3):
+            for j in doubled:
+                out[j] = [space.ring.add(x, x) for x in out[j]]
+        return out
+
+    monkeypatch.setattr(hecke, "_split_block", spied_split)
+    monkeypatch.setattr(hecke, "_hecke_field", spied_field)
+    monkeypatch.setattr(hecke, "_generator_images", doubling)
+    blocks = eigensystem(sp, primes)
+    assert chosen[:2] == [((0, 1), 2)] * 2
+    assert splits == [(2, 4), (3, 2), (3, 2)]
+    monkeypatch.undo()
+    _assert_same_blocks(blocks, oracles.eigensystem_by_restriction(sp, primes))
+
+
+@pytest.mark.parametrize("N,built", [(37, 3), (83, 4)])
+def test_later_primes_build_rows_only_at_the_chosen_generators(monkeypatch, N, built):
+    sp = space_for(gamma0_cosets(N), QQ, 2)
+    free = sp.presentation.free_generators()
+    coords = hecke._generator_coordinates(sp.presentation, cuspidal_subspace(sp))[0].sparse_rows()
+    rows, chosen = [], []
+    operator_rows, images = hecke._operator_rows, hecke._generator_images
+
+    def counted(space, mats, wanted):
+        rows.append(sorted(wanted))
+        return operator_rows(space, mats, wanted)
+
+    def spied(space, op, reduced, gens):
+        chosen.append(list(gens))
+        return images(space, op, reduced, gens)
+
+    monkeypatch.setattr(hecke, "_operator_rows", counted)
+    monkeypatch.setattr(hecke, "_generator_images", spied)
+    primes = [2, 3, 5, 7, 11, 13]
+    blocks = eigensystem(sp, primes)
+    # T_2 is built at every free generator, each later T_p only at the
+    # supports of the generators its blocks chose, the same ones each time
+    assert rows[0] == free
+    assert len(rows) == len(primes) and len(chosen) == len(primes) - 1
+    for got, gens in zip(rows[1:], chosen):
+        assert gens == chosen[0]
+        assert got == sorted({free[c] for j in gens for c in coords[j]})
+        assert len(got) == built < len(free)
+    monkeypatch.undo()
+    _assert_same_blocks(blocks, oracles.eigensystem_by_restriction(sp, primes))
 
 
 def test_level_23_keeps_irrational_eigenvalues_unsplit():
