@@ -25,9 +25,13 @@ cusps, and Shapiro's lemma for the invariants and coinvariants. Where the
 characteristic divides an elliptic order a generator norm may not split,
 and two ranks of the norms stand in; otherwise no operator of the whole
 module is built. Over the integers every number is the free rank.
+
+Over Q(2cos(pi/n)) mayer_vietoris reads its report from the sequence over
+one split prime P > 2^31, certified by dimension_report's five dimensions.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .linalg import (
     FPMap,
@@ -43,9 +47,10 @@ from .linalg import (
     matrix_rank,
     subquotient,
 )
-from .modsym import Subspace, boundary_space
-from .rings import IntegerRing, UnsupportedRingError
-from .weights import local_term
+from .modsym import InducedModule, Subspace, boundary_space
+from .rings import GF, IntegerRing, QuotientExtension, UnsupportedRingError, is_prime
+from .triangle import lambda_roots_mod_p
+from .weights import WeightModule, local_term
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +315,12 @@ class SixTermReport:
     compositions_vanish: bool
     exact: bool
 
+    def dimensions(self):
+        return (self.group_fixed, self.split_fixed, self.module_dim, self.h1_dim, self.cyclic_dim)
+
     def euler_sum(self):
-        return (
-            self.group_fixed
-            - self.split_fixed
-            + self.module_dim
-            - self.h1_dim
-            + self.cyclic_dim
-        )
+        t1, t2, t3, t4, t5 = self.dimensions()
+        return t1 - t2 + t3 - t4 + t5
 
 
 def _zero_composite(f, g):
@@ -340,12 +343,48 @@ def mayer_vietoris(module):
     difference of the two fixed subspaces, connecting map into cocycle
     coordinates, restriction to the cyclic pieces), then certifies
     exactness with rank counts plus vanishing composites. Needs field
-    coefficients so dimensions make sense."""
+    coefficients so dimensions make sense.
+
+    Over K = Q(lambda) the sequence is first built on the sibling module
+    over F_P, P the split prime of _split_prime, and that report is
+    returned when it is exact with the five dimensions that
+    dimension_report gives over K. The certificate: over any field the
+    ranks of an exact six-term sequence are fixed by its five dimensions,
+    and the sequence over K is exact (Brown, Cohomology of Groups, II.7 and
+    III.5). Each dimension mod P is at least its K value, the F_P module
+    being the reduction of the Z[lambda]-lattice at the degree-one prime
+    (P, lambda - r), so a prime where the reduction drops a rank shows up
+    as a mismatch, and then the sequence is built over K itself."""
     ring = module.ring
     if not ring.is_field:
         raise UnsupportedRingError(
             "the exact sequence report needs field coefficients"
         )
+    if isinstance(ring, QuotientExtension):
+        rep = dimension_report(module)
+        (f_s, f_t, _), (n_s, n_t) = rep.fixed, rep.norm_ranks
+        dims = (rep.invariants, f_s + f_t, module.rank, rep.h1, f_s - n_s + f_t - n_t)
+        w = module.weight
+        sibling = InducedModule(module.cosets, WeightModule(GF(_split_prime(module.n)), w.k, w.variant, w.n))
+        report = _six_term(sibling)
+        if report.exact and report.dimensions() == dims:
+            return report
+    return _six_term(module)
+
+
+@lru_cache(maxsize=None)
+def _split_prime(n):
+    """The least prime above 2^31 at which the minimal polynomial of
+    lambda = 2cos(pi/n) has a root, so that lambda -> root maps Z[lambda]
+    onto F_P."""
+    P = 2**31 + 1
+    while not (is_prime(P) and lambda_roots_mod_p(n, P)):
+        P += 2
+    return P
+
+
+def _six_term(module):
+    ring = module.ring
     fs = module.fixed_vectors("s")
     ft = module.fixed_vectors("t")
     fg = module.group_fixed_vectors()

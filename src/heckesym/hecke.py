@@ -715,7 +715,8 @@ def qexpansions(space, bound):
     Primes up to max(bound, sturm_bound) drive the eigensystem, so blocks
     are separated as finely as rational eigenvalues allow; coefficients at
     prime powers follow the weight-k recurrence with the diamond character,
-    and multiplicativity fills in the rest."""
+    and multiplicativity fills in the rest. Over Q a block that is not two
+    copies of one Hecke module raises InternalInvariantError."""
     _require_eigen_space(space)
     if bound < 1:
         raise ValueError("coefficient bound must be at least 1")
@@ -754,6 +755,15 @@ def qexpansions(space, bound):
             continue
         coeffs = _coefficients(ring, k, blk.eigenvalues, chi, bound)
         out.append(QExpansion(block=blk, character=chi, coefficients=coeffs))
+    if isinstance(ring, RationalField):
+        # the star involution splits S = S^+ (+) S^- with S^+ = S^- as Hecke
+        # modules, so each block is two copies of one: its dimension is even
+        # (as at an eigenvalue) and so is dim / deg f for every factor f
+        for blk in blocks:
+            for deg in [1] + [len(f) - 1 for f in blk.factors.values()]:
+                if blk.dim % (2 * deg):
+                    raise InternalInvariantError("an eigenblock of dimension %d is not two copies "
+                                                 "of one (factor degree %d)" % (blk.dim, deg))
     return out
 
 

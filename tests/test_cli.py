@@ -365,6 +365,31 @@ def test_a_wrong_entry_in_a_generator_row_at_a_later_prime_exits_4(capsys, monke
     assert len(seen) == 2
 
 
+# gamma0:83: +1 at these columns of the T_3 row of ambient coordinate 65
+# keeps S and every block invariant, yet changes the eigenvalues, and splits
+# a block of S into pieces that are not two copies of one Hecke module
+GAMMA0_83_SILENT_COLUMNS = (3, 5, 7, 8, 12, 24, 29, 30, 41, 42, 43, 44, 69, 72, 73, 78, 81, 82)
+
+
+@pytest.mark.parametrize("col", GAMMA0_83_SILENT_COLUMNS)
+def test_a_wrong_hecke_row_that_keeps_every_block_invariant_exits_4(capsys, monkeypatch, col):
+    real, three = hecke._operator_rows, hecke._heilbronn(3)
+    read = []
+
+    def corrupted(sp, mats, rows):
+        out = real(sp, mats, rows)
+        if mats == three and 65 in out:
+            read.append(sorted(rows))
+            out[65][col] = sp.ring.add(out[65][col], sp.ring.one)
+        return out
+
+    monkeypatch.setattr(hecke, "_operator_rows", corrupted)
+    assert cli.main(["qexp", "--group", "gamma0:83"]) == 4
+    out, err = capsys.readouterr()
+    assert read and out == ""
+    assert "is not two copies of one" in err
+
+
 def _sympy_charpoly(rows, p=None):
     """Charpoly coefficients, low -> high, of JSON matrix rows by sympy:
     over Q on Rationals, over F_p on the integer residues, reduced mod p."""

@@ -7,6 +7,7 @@ the genus / cusp-count formulas in oracles.py; everything else by exactness
 certificates and cross-agreement between independently built presentations.
 """
 
+import dataclasses
 import json
 import os
 import random
@@ -52,15 +53,19 @@ from heckesym.modsym import (
     eisenstein_subspace,
     weight_module_for,
 )
-from heckesym.rings import GF, QQ, ZZ, UnsupportedRingError
+from heckesym.rings import GF, QQ, ZZ, UnsupportedRingError, is_prime
 from heckesym.triangle import (
     InvalidSubgroupError,
     TriangleSubgroup,
+    lambda_roots_mod_p,
     rational_lambda_ring,
     subgroup_from_dict,
 )
 
 import oracles
+
+SUBGROUPS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench", "data", "subgroups.json")
 
 
 def level_one(n):
@@ -582,6 +587,87 @@ def test_lambda_ring_presentations_agree():
     assert surface_h1(module).dim() == man
     rep = mayer_vietoris(module)
     assert rep.exact
+
+
+def test_split_primes_are_pinned():
+    # the least prime above 2^31 where lambda's minimal polynomial has a
+    # root; never 71, the prime the benchmark checks lambda against
+    pinned = {4: 2147483713, 5: 2147483659, 6: 2147483713, 7: 2147483659, 8: 2147483713}
+    for n, P in pinned.items():
+        assert cohomology._split_prime(n) == P
+        assert P > 2**31 and P != 71 and is_prime(P) and lambda_roots_mod_p(n, P)
+        assert not any(is_prime(q) and lambda_roots_mod_p(n, q) for q in range(2**31 + 1, P))
+
+
+def _lambda_mv_cosets(name):
+    """A subgroup of the benchmark's lambda_mv pool (index 8 to 10 in
+    perfbench/data/subgroups.json, read only), or Delta(n) for delta4 to
+    delta7: the files of tests/data for n = 4, 5, level_one for 6, 7."""
+    if name.startswith("delta"):
+        files = {"delta4": "delta4-self.json", "delta5": "delta5.json"}
+        return _data_cosets(files[name]) if name in files else level_one(int(name[5:]))
+    with open(SUBGROUPS) as fh:
+        return PermCosets(subgroup_from_dict(json.load(fh)[name]))
+
+
+LAMBDA_MV = ["n%d-mu%02d-%s" % (n, mu, x) for n in (4, 5, 6) for mu in (8, 9, 10) for x in "ab"]
+LAMBDA_MV += ["delta%d" % n for n in range(4, 8)]
+
+
+def _six_term_rings(monkeypatch):
+    """The rings of the modules each six-term pass is built over."""
+    rings, six_term = [], cohomology._six_term
+
+    def spy(module):
+        rings.append(module.ring)
+        return six_term(module)
+
+    monkeypatch.setattr(cohomology, "_six_term", spy)
+    return rings
+
+
+@pytest.mark.parametrize("k", [4, 6])
+@pytest.mark.parametrize("name", LAMBDA_MV)
+def test_certified_six_term_equals_the_exact_path(monkeypatch, name, k):
+    # over Q(lambda) the report is read from the sibling module over F_P;
+    # the exact path over K, called directly, must give the same report
+    cosets = _lambda_mv_cosets(name)
+    module = induced(cosets, rational_lambda_ring(cosets.n)[0], k)
+    exact = cohomology._six_term(module)
+    rings = _six_term_rings(monkeypatch)
+    assert mayer_vietoris(module) == exact
+    assert rings == [GF(cohomology._split_prime(cosets.n))]
+    assert exact.exact and exact.compositions_vanish
+
+
+@pytest.mark.parametrize("miss", ["h1_dim", "rank", "prime"])
+def test_certificate_miss_falls_back_to_the_exact_path(monkeypatch, miss):
+    # a mod-P report with one dimension off, or a rank short (so the
+    # sequence is not exact), or a prime where the reduction drops ranks
+    # (5 ramifies in Q(2cos(pi/5)) and divides the order of tau, which has
+    # an elliptic class here, so the cyclic pieces mod 5 are not zero): the
+    # exact path runs over K
+    cosets = _lambda_mv_cosets("n5-mu08-a")
+    module = induced(cosets, rational_lambda_ring(5)[0], 4)
+    exact = cohomology._six_term(module)
+    six_term = cohomology._six_term
+
+    def missed(sibling):
+        rep = six_term(sibling)
+        if sibling.ring is module.ring:
+            return rep
+        if miss == "h1_dim":
+            return dataclasses.replace(rep, h1_dim=rep.h1_dim + 1)
+        ranks = rep.map_ranks[:2] + (rep.map_ranks[2] - 1,) + rep.map_ranks[3:]
+        return dataclasses.replace(rep, map_ranks=ranks, exact=False)
+
+    if miss == "prime":
+        monkeypatch.setattr(cohomology, "_split_prime", lambda n: 5)
+    else:
+        monkeypatch.setattr(cohomology, "_six_term", missed)
+    rings = _six_term_rings(monkeypatch)
+    assert mayer_vietoris(module) == exact
+    assert rings == [GF(5) if miss == "prime" else GF(cohomology._split_prime(5)), module.ring]
 
 
 # ---------------------------------------------------------------------------
