@@ -361,12 +361,12 @@ def mayer_vietoris(module):
             "the exact sequence report needs field coefficients"
         )
     if isinstance(ring, QuotientExtension):
-        rep = dimension_report(module)
-        (f_s, f_t, _), (n_s, n_t) = rep.fixed, rep.norm_ranks
-        dims = (rep.invariants, f_s + f_t, module.rank, rep.h1, f_s - n_s + f_t - n_t)
+        local = dimension_report(module)
+        (f_s, f_t, _), (n_s, n_t) = local.fixed, local.norm_ranks
+        dims = (local.invariants, f_s + f_t, module.rank, local.h1, f_s - n_s + f_t - n_t)
         w = module.weight
-        sibling = InducedModule(module.cosets, WeightModule(GF(_split_prime(module.n)), w.k, w.variant, w.n))
-        report = _six_term(sibling)
+        fp = WeightModule(GF(_split_prime(w.n)), w.k, w.variant, w.n)
+        report = _six_term(InducedModule(module.cosets, fp))
         if report.exact and report.dimensions() == dims:
             return report
     return _six_term(module)
@@ -384,6 +384,7 @@ def _split_prime(n):
 
 
 def _six_term(module):
+    """The six-term report built and checked over the module's own ring."""
     ring = module.ring
     fs = module.fixed_vectors("s")
     ft = module.fixed_vectors("t")
