@@ -18,12 +18,15 @@ faster than Fraction arithmetic; over an extension of Q by a root of an
 integral monic polynomial, such as Q(2cos(pi/n)), the same on rows of
 integer coefficient tuples whose pivots are made rational integers; over
 F_p residues. Any other ring is refused. Ranks take forward elimination
-alone. Over a field FPModule and RowBasis hold one pivot form of the
-reduced rows (free columns, pivot tails, transforms), as numerators over
-one denominator, and each entry representation (ints for Q and F_p,
-integer tuples) has one loop that reduces a vector against it. The
-integer Hermite and Smith forms run on {column: value} rows of ints, and
-the Z branch of FPModule keeps its Smith transform as such a matrix.
+alone.
+
+FPModule, RowBasis and FPMap read a row space through its normal form,
+one per ring kind, which _normal_form alone chooses from the ring. Over a
+field it is _PivotForm: the reduced rows (free columns, pivot tails,
+transforms) as numerators over one denominator, against which each entry
+representation (ints for Q and F_p, integer tuples) has one reduce loop.
+Over Z it is _LatticeForm: the Hermite rows, which give the invariant
+factors, and the Smith transforms, built on the first coordinate read.
 
 A subquotient span(K) / span(R) has one presentation, subquotient(K, R):
 each row of R, written in the independent rows of K by RowBasis.express,
@@ -54,6 +57,7 @@ right multiplication, so the matrix of "f then g" is M_f * M_g.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import cached_property
 from fractions import Fraction
 from operator import add as _add, mul as _mul, sub as _sub
 from heapq import heapify, heappop, heappush
@@ -604,6 +608,20 @@ def _arithmetic(ring):
     raise UnsupportedRingError("field elimination over %s" % ring.kind)
 
 
+def _normal_form(ring):
+    """The normal form of row spaces over a ring, a function of (matrix,
+    with_transform=False): _LatticeForm over Z, _PivotForm over a field,
+    else refused. Only here do FPModule, RowBasis and FPMap learn the ring
+    kind. Both forms give pivots, invariants, reduce, generator rows, free
+    generators, express, and a map's generator images, kernel and rank."""
+    if isinstance(ring, IntegerRing):
+        return _LatticeForm
+    if not ring.is_field:
+        raise UnsupportedRingError("presentations require a field or the integers")
+    ar = _arithmetic(ring)
+    return lambda mat, with_transform=False: _PivotForm(ar, mat, with_transform=with_transform)
+
+
 def _load(ar, mat):
     """Loaded copies of the sparse rows of a matrix, and their scales."""
     loaded = [ar.load(row) for row in mat.sparse_rows()]
@@ -982,21 +1000,21 @@ def _hermite_invariants(rows, m):
 
 
 # ---------------------------------------------------------------------------
-# prepared row spaces
+# normal forms of row spaces
 # ---------------------------------------------------------------------------
 
 
 class _PivotForm:
-    """The reduced echelon basis of a row space over a field, as FPModule
-    and RowBasis use it: the free (non-pivot) columns, and per pivot column
-    c the tail of its row on the free coordinates and its transform row
-    over the nrows input rows (empty unless kept); the integer flavours
-    keep tails and transforms as numerators over den and tden."""
+    """The reduced echelon basis of a row space over a field: the free
+    (non-pivot) columns, which are the coordinates, and per pivot column c
+    the tail of its row on them and its transform row over the nrows input
+    rows (empty unless kept); the integer flavours keep tails and
+    transforms as numerators over den and tden."""
 
-    __slots__ = ("ar", "free", "pivots", "den", "tden", "nrows")
+    __slots__ = ("ar", "free", "pivots", "den", "tden", "nrows", "ncols")
 
     def __init__(self, ar, mat, with_transform=False):
-        self.ar, self.nrows = ar, mat.nrows if with_transform else 0
+        self.ar, self.nrows, self.ncols = ar, mat.nrows if with_transform else 0, mat.ncols
         rows, scales = _load(ar, mat)
         ts = [{i: ar.one} for i in range(self.nrows)] if with_transform else None
         piv, _ = _reduced(ar, rows, ts)
@@ -1010,26 +1028,132 @@ class _PivotForm:
                             else ([{}] * len(piv), 1))
         self.pivots = [(c, tail, t) for (c, _r, _t), tail, t in zip(piv, tails, trows)]
 
+    def invariants(self):
+        return ()
+
+    def reduce(self, vec):
+        return tuple(self.ar.reduce(self, vec)[0])
+
+    def generator_rows(self):
+        one = self.ar.ring.one
+        return Matrix.from_sparse(self.ar.ring, [{f: one} for f in self.free], self.ncols)
+
+    def free_generators(self):
+        return list(self.free)
+
+    def express(self, vec):
+        coords, coeffs = self.ar.reduce(self, vec)
+        if coords.count(self.ar.ring.zero) != len(coords):
+            raise NotInSpanError("not in the row space")
+        return coeffs
+
+    def generator_images(self, fmap):
+        """The generators are unit rows, so their images are plain rows."""
+        return fmap.rows_at(self.free)
+
+    def kernel_generators(self, fmap):
+        K = left_kernel(fmap.matrix_on_generators()).sparse_rows()
+        return Matrix.from_sparse(self.ar.ring, [{self.free[i]: x for i, x in r.items()} for r in K], self.ncols)
+
+    def kernel_module(self, gens, relations):
+        """The kernel is free on its generators, which avoid the pivots."""
+        return FPModule(self.ar.ring, gens.nrows)
+
+    def map_rank(self, fmap):
+        return matrix_rank(fmap.matrix_on_generators())
+
+
+class _LatticeForm:
+    """The Hermite basis of a row lattice over Z, built on first need (a
+    map's kernel reads none of its source's): (pivot column, Hermite row,
+    transform row) per nonzero row, transform rows only with_transform. The
+    invariant factors come from the Hermite rows alone; coordinates are
+    Smith coordinates, from their Smith form, built on the first coordinate
+    read, whose diagonal must agree with the factors."""
+
+    def __init__(self, mat, with_transform=False):
+        self.mat, self.with_transform, self._diag = mat, with_transform, None
+
+    @cached_property
+    def pivots(self):
+        if self.with_transform:
+            H, U = hermite_normal_form(self.mat, with_transform=True)
+            return [(min(h), h, u) for h, u in zip(H.sparse_rows(), U.sparse_rows()) if h]
+        return [(min(h), h, None) for h in hermite_basis(self.mat).sparse_rows()]
+
+    @cached_property
+    def _smith(self):
+        """(W without the columns of unit invariant factors, where every
+        coordinate is zero; Winv) of the Smith form of the Hermite rows."""
+        n = self.mat.ncols
+        a, _U, W, Winv = _snf_core([dict(h) for _c, h, _u in self.pivots], n)
+        diag = [a[i].get(i, 0) for i in range(min(len(a), n))]
+        diag += [0] * (n - len(diag))
+        if self._diag is not None and diag != self._diag:
+            raise InternalInvariantError(
+                "Smith diagonal check: the invariant factors read from the Hermite "
+                "form %s differ from the full Smith form's %s" % (self._diag, diag))
+        self._diag = diag
+        return (Matrix.from_sparse(ZZ, [{i: x for i, x in r.items() if diag[i] != 1} for r in W], n),
+                Matrix.from_sparse(ZZ, Winv, n))
+
+    def free_generators(self):
+        raise UnsupportedRingError("free generators and dim are field notions; use rank/invariants over Z")
+
+    def invariants(self):
+        if self._diag is None:
+            self._diag = _hermite_invariants([h for _c, h, _u in self.pivots], self.mat.ncols)
+        return tuple(self._diag)
+
+    def reduce(self, vec):
+        W = self._smith[0]
+        return tuple(v % d if d else v for v, d in zip(W.act_on_row(vec), self._diag))
+
+    def generator_rows(self):
+        return self._smith[1]
+
+    def express(self, vec):
+        """The triangular solve on dict rows: a Hermite row clears its pivot
+        column and changes only the columns right of it."""
+        v = {j: x for j, x in enumerate(vec) if x}
+        coeffs = {}
+        for c, h, u in self.pivots:
+            x = v.get(c)
+            if x:
+                q, rem = divmod(x, h[c])
+                if rem:
+                    raise NotInSpanError("not in the lattice")
+                _addmul(v, -q, h)
+                _addmul(coeffs, q, u)
+        if v:
+            raise NotInSpanError("not in the lattice")
+        return _dense(ZZ, coeffs.items(), self.mat.nrows)
+
+    def generator_images(self, fmap):
+        return self.generator_rows().mul(fmap.ambient).rows
+
+    def kernel_generators(self, fmap):
+        """The kernel's Hermite rows cut to the source columns: the Hermite
+        basis of the preimage lattice, which holds the source relations."""
+        return _leading(left_kernel(fmap.ambient.stack(fmap.dst.relations)), self.mat.ncols)
+
+    kernel_module = staticmethod(lambda gens, relations: lattice_quotient(gens, relations))
+
+    def map_rank(self, fmap):
+        return fmap.image()[0].rank()
+
 
 class RowBasis:
-    """Row space of a matrix, prepared for membership and expression.
-
-    Over a field the coefficients of an expression are unique when the rows
-    are independent, which is how the library uses it; for dependent rows
-    they are one valid choice."""
+    """Row space of a matrix, prepared for membership and expression by its
+    normal form with transforms. Over a field the coefficients of an
+    expression are unique when the rows are independent, which is how the
+    library uses it; for dependent rows they are one valid choice."""
 
     def __init__(self, mat):
         self.mat = mat
         self.ring = mat.ring
-        if isinstance(mat.ring, IntegerRing):
-            H, U = hermite_normal_form(mat, with_transform=True)
-            # (pivot column, Hermite row, transform row) of each nonzero
-            # Hermite row, in increasing pivot order
-            self._pivots = [(min(h), h, u) for h, u in zip(H.sparse_rows(), U.sparse_rows()) if h]
-            self.rank = len(self._pivots)
-        else:
-            self._form = _PivotForm(_arithmetic(mat.ring), mat, with_transform=True)
-            self.rank = len(self._form.pivots)
+        self._form = _normal_form(mat.ring)(mat, with_transform=True)
+        self.rank = len(self._form.pivots)
 
     def contains(self, vec):
         try:
@@ -1042,26 +1166,7 @@ class RowBasis:
         """Coefficients c with c * rows(mat) == vec, else NotInSpanError."""
         if len(vec) != self.mat.ncols:
             raise ShapeError("express: length mismatch")
-        if isinstance(self.ring, IntegerRing):
-            # the triangular solve on dict rows: a Hermite row clears its
-            # pivot column and changes only the columns right of it
-            v = {j: x for j, x in enumerate(vec) if x}
-            coeffs = {}
-            for c, h, u in self._pivots:
-                x = v.get(c)
-                if x:
-                    q, rem = divmod(x, h[c])
-                    if rem:
-                        raise NotInSpanError("not in the lattice")
-                    _addmul(v, -q, h)
-                    _addmul(coeffs, q, u)
-            if v:
-                raise NotInSpanError("not in the lattice")
-            return _dense(ZZ, coeffs.items(), self.mat.nrows)
-        coords, coeffs = self._form.ar.reduce(self._form, vec)
-        if coords.count(self.ring.zero) != len(coords):
-            raise NotInSpanError("not in the row space")
-        return coeffs
+        return self._form.express(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -1070,15 +1175,11 @@ class RowBasis:
 
 
 class FPModule:
-    """Quotient of a free module R^ngens by the row span of `relations`.
-
-    Over a field the normal form is the reduced echelon basis of the
-    relations. Over Z the invariant factors come from their Hermite form
-    alone (_hermite_invariants). The full Smith form, with the transforms
-    that the coordinates need, is built on the first reduce,
-    coords_to_ambient or generator_ambient_rows, and its diagonal must
-    agree with them.
-    """
+    """Quotient of a free module R^ngens by the row span of `relations`,
+    over a field or Z, read through the normal form of the relations that
+    _normal_form chooses from the ring, built on first need: the reduced
+    echelon basis over a field (_PivotForm), the Hermite basis with Smith
+    coordinates over Z (_LatticeForm)."""
 
     def __init__(self, ring, ngens, relations=None):
         if ngens < 0:
@@ -1087,79 +1188,38 @@ class FPModule:
             relations = Matrix(ring, [], ngens)
         if relations.ncols != ngens:
             raise ShapeError("relations have %d columns, expected %d" % (relations.ncols, ngens))
-        if not (isinstance(ring, IntegerRing) or ring.is_field):
-            raise UnsupportedRingError("presentations require a field or the integers")
+        if relations.ring != ring:
+            raise UnsupportedRingError("relations over %s, module over %s" % (relations.ring.kind, ring.kind))
         self.ring = ring
         self.ngens = ngens
         self.relations = relations
-        self._normalized = False
-        self._hermite = self._diag = None
+        self._make_form = _normal_form(ring)
 
-    def _hermite_rows(self):
-        """The Hermite basis of the relations (Z), kept."""
-        if self._hermite is None:
-            self._hermite = hermite_basis(self.relations).sparse_rows()
-        return self._hermite
+    @cached_property
+    def _form(self):
+        return self._make_form(self.relations)
 
-    def _normalize(self):
-        if self._normalized:
-            return
-        if isinstance(self.ring, IntegerRing):
-            # Hermite-reduce first: same row lattice, so the same quotient,
-            # but with entries the diagonalization can digest
-            a, _U, W, Winv = _snf_core([dict(r) for r in self._hermite_rows()], self.ngens)
-            diag = [a[i].get(i, 0) for i in range(min(len(a), self.ngens))]
-            diag += [0] * (self.ngens - len(diag))
-            if self._diag is not None and diag != self._diag:
-                raise InternalInvariantError(
-                    "Smith diagonal check: the invariant factors read from the Hermite "
-                    "form %s differ from the full Smith form's %s" % (self._diag, diag))
-            self._diag = diag
-            # the rows of W without the columns of unit invariant factors,
-            # where every coordinate is zero
-            self._W = Matrix.from_sparse(ZZ, [{i: x for i, x in r.items() if diag[i] != 1} for r in W],
-                                         self.ngens)
-            self._Winv = Matrix.from_sparse(ZZ, Winv, self.ngens)
-        else:
-            self._form = _PivotForm(_arithmetic(self.ring), self.relations)
-        self._normalized = True
-
-    # -- structure -------------------------------------------------------
     def rank(self):
-        if isinstance(self.ring, IntegerRing):
-            return self.invariants().count(0)
-        self._normalize()
-        return len(self._form.free)
+        """Generators minus the rank of the relations, their pivot count."""
+        return self.ngens - len(self._form.pivots)
 
     def dim(self):
-        if isinstance(self.ring, IntegerRing):
-            raise UnsupportedRingError("dim is a field notion; use rank/invariants over Z")
-        return self.rank()
+        return len(self.free_generators())
 
     def invariants(self):
         """Diagonal of the Smith form of the relations (Z only)."""
-        if not isinstance(self.ring, IntegerRing):
-            return ()
-        if self._diag is None:
-            self._diag = _hermite_invariants(self._hermite_rows(), self.ngens)
-        return tuple(self._diag)
+        return self._form.invariants()
 
     def torsion(self):
         return tuple(d for d in self.invariants() if d > 1)
 
-    # -- elements ----------------------------------------------------------
     def reduce(self, vec):
-        """Canonical coordinates of an ambient row vector in the quotient.
-
-        Field: coordinates on the free (non-pivot) generator positions.
-        Z: Smith coordinates, each reduced mod its invariant factor.
-        """
+        """Canonical coordinates of an ambient row vector in the quotient:
+        over a field on the free (non-pivot) generator positions, over Z the
+        Smith coordinates, each reduced mod its invariant factor."""
         if len(vec) != self.ngens:
             raise ShapeError("reduce: length mismatch")
-        self._normalize()
-        if isinstance(self.ring, IntegerRing):
-            return tuple(v % d if d else v for v, d in zip(self._W.act_on_row(vec), self._diag))
-        return tuple(self._form.ar.reduce(self._form, vec)[0])
+        return self._form.reduce(vec)
 
     def is_zero_element(self, vec):
         rz = self.ring.is_zero
@@ -1167,37 +1227,22 @@ class FPModule:
 
     def coords_to_ambient(self, coords):
         """A representative ambient vector for canonical coordinates."""
-        self._normalize()
-        if isinstance(self.ring, IntegerRing):
-            return self._Winv.act_on_row(list(coords))
-        vec = [self.ring.zero] * self.ngens
-        for f, x in zip(self._form.free, coords):
-            vec[f] = x
-        return vec
+        return self.generator_ambient_rows().act_on_row(list(coords))
 
     def free_generators(self):
         """Field only: the ambient coordinates that are not pivots of the
         relations; their unit vectors are the normalized generators."""
-        self._normalize()
-        return list(self._form.free)
+        return self._form.free_generators()
 
     def generator_ambient_rows(self):
         """Ambient representatives of the normalized generators."""
-        self._normalize()
-        if isinstance(self.ring, IntegerRing):
-            return Matrix.from_sparse(ZZ, self._Winv.sparse_rows(), self.ngens)
-        return Matrix.from_sparse(self.ring, [{f: self.ring.one} for f in self._form.free], self.ngens)
+        return self._form.generator_rows()
 
     def ncoords(self):
-        if isinstance(self.ring, IntegerRing):
-            return self.ngens
-        self._normalize()
-        return len(self._form.free)
+        return self.generator_ambient_rows().nrows
 
     def __repr__(self):
-        if isinstance(self.ring, IntegerRing):
-            return "FPModule(Z, rank %d, torsion %s)" % (self.rank(), list(self.torsion()))
-        return "FPModule(%s, dim %d)" % (self.ring.kind, self.rank())
+        return "FPModule(%s, rank %d, torsion %s)" % (self.ring.kind, self.rank(), list(self.torsion()))
 
 
 def subquotient(sub, rows):
@@ -1240,48 +1285,26 @@ class FPMap:
 
     def matrix_on_generators(self):
         """Matrix in canonical coordinates (rows: src generators), built on
-        the first call and kept.
-
-        Over a field the generators are the free coordinates, whose images
-        are plain ambient rows."""
+        the first call and kept."""
         mat = getattr(self, "_on_generators", None)
         if mat is None:
-            if isinstance(self.src.ring, IntegerRing):
-                images = self.src.generator_ambient_rows().mul(self.ambient).rows
-            else:
-                images = self.rows_at(self.src.free_generators())
-            rows = [list(self.dst.reduce(v)) for v in images]
+            rows = [list(self.dst.reduce(v)) for v in self.src._form.generator_images(self)]
             mat = self._on_generators = Matrix(self.dst.ring, rows, self.dst.ncoords())
         return mat
 
-    def _kernel_generators(self):
-        """Ambient rows of generators of the kernel inside src."""
-        ring = self.src.ring
-        if isinstance(ring, IntegerRing):
-            # the kernel's Hermite rows cut to the source columns are the Hermite
-            # basis of the preimage lattice, which holds the source relations
-            return _leading(left_kernel(self.ambient.stack(self.dst.relations)), self.src.ngens)
-        K = left_kernel(self.matrix_on_generators())
-        return Matrix(ring, [self.src.coords_to_ambient(k) for k in K.rows], self.src.ngens)
-
     def kernel(self):
         """(FPModule K, ambient rows of its generators inside src)."""
-        gens = self._kernel_generators()
-        if isinstance(self.src.ring, IntegerRing):
-            return lattice_quotient(gens, self.src.relations), gens
-        return FPModule(self.src.ring, gens.nrows), gens
+        gens = self.src._form.kernel_generators(self)
+        return self.src._form.kernel_module(gens, self.src.relations), gens
 
     def image(self):
         """(FPModule I, ambient rows spanning the image inside dst)."""
-        rel = self.src.relations.stack(self._kernel_generators())
+        rel = self.src.relations.stack(self.src._form.kernel_generators(self))
         return FPModule(self.src.ring, self.src.ngens, rel), self.ambient
 
     def rank(self):
         """Rank of the induced map (field: dimension of the image)."""
-        if isinstance(self.src.ring, IntegerRing):
-            mod, _ = self.image()
-            return mod.rank()
-        return matrix_rank(self.matrix_on_generators())
+        return self.src._form.map_rank(self)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,7 @@ def _poly_divide_exact(num, den):
 
 
 _LAMBDA_MINPOLY_CACHE = {}
+_LAMBDA_ROOTS_CACHE = {}
 
 
 def lambda_minimal_polynomial(n):
@@ -122,11 +123,17 @@ def rational_lambda_ring(n):
 
 
 def lambda_roots_mod_p(n, p):
-    """Sorted roots of the minimal polynomial of lam in F_p (may be empty).
+    """Sorted roots of the minimal polynomial of lam in F_p (may be empty),
+    as a new list; _search_lambda_roots runs once per (n, p)."""
+    if (n, p) not in _LAMBDA_ROOTS_CACHE:
+        _LAMBDA_ROOTS_CACHE[n, p] = tuple(_search_lambda_roots(n, p))
+    return list(_LAMBDA_ROOTS_CACHE[n, p])
 
-    The roots are those of g = gcd(f, x^p - x), the product of the distinct
-    linear factors of f mod p, with x^p taken by square-and-multiply mod f;
-    g is split by the equal-degree step of Cantor-Zassenhaus (Cohen,
+
+def _search_lambda_roots(n, p):
+    """The sorted roots of lambda_roots_mod_p: those of g = gcd(f, x^p - x),
+    the product of the distinct linear factors of f mod p, with x^p taken by
+    square-and-multiply mod f; g is split by the equal-degree step of Cantor-Zassenhaus (Cohen,
     A Course in Computational Algebraic Number Theory, 3.4), whose random
     shifts come from a fixed seed. The time grows with log p, not p."""
     import random

@@ -17,7 +17,7 @@ import sympy
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from heckesym import cohomology, linalg
+from heckesym import cohomology, linalg, triangle
 from heckesym.congruence import gamma0_cosets, gamma1_cosets
 from heckesym.cohomology import (
     _zero_composite,
@@ -588,6 +588,24 @@ def test_split_primes_are_pinned():
         assert cohomology._split_prime(n) == P
         assert P > 2**31 and P != 71 and is_prime(P) and lambda_roots_mod_p(n, P)
         assert not any(is_prime(q) and lambda_roots_mod_p(n, q) for q in range(2**31 + 1, P))
+
+
+def test_lambda_roots_are_searched_once_per_prime(monkeypatch):
+    # every six-term report over Q(2cos(pi/5)) builds a sibling module over
+    # F_P, which needs lambda's root mod P, as _split_prime did before it
+    searches, search = [], triangle._search_lambda_roots
+    monkeypatch.setattr(triangle, "_LAMBDA_ROOTS_CACHE", {})
+    monkeypatch.setattr(triangle, "_search_lambda_roots", lambda n, p: searches.append((n, p)) or search(n, p))
+    ring, _lam = rational_lambda_ring(5)
+    module = induced(level_one(5), ring, 4)
+    for _ in range(2):
+        assert mayer_vietoris(module).exact
+    P = cohomology._split_prime(5)
+    assert searches.count((5, P)) == 1 and len(searches) == len(set(searches))
+    # each call still returns a list of its own
+    roots = lambda_roots_mod_p(5, P)
+    roots.append(0)
+    assert lambda_roots_mod_p(5, P) == roots[:-1]
 
 
 def _lambda_mv_cosets(name):

@@ -1,4 +1,6 @@
+import inspect
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckesym import cli, linalg
-from heckesym.rings import GF, QQ, ZZ, UnsupportedRingError
+from heckesym.rings import GF, QQ, ZZ, ShapeError, UnsupportedRingError
 from heckesym.triangle import integral_lambda_ring, rational_lambda_ring
 from heckesym.linalg import (
     FPModule,
@@ -876,6 +878,100 @@ def test_fpmap_image_with_torsion():
     assert ker.rank() == 0 and ker.torsion() == (2,)
     img, _ = f.image()
     assert img.rank() == 0 and img.torsion() == (2,)
+
+
+def test_fpmodule_refuses_relations_over_another_ring():
+    # the normal form is chosen from the module's ring; relations over
+    # another ring once reduced to wrong coordinates or died in pow
+    with pytest.raises(UnsupportedRingError, match="relations over fp:5"):
+        FPModule(QQ, 2, Matrix(GF(5), [[3, 4]]))
+    with pytest.raises(UnsupportedRingError, match="module over fp:5"):
+        FPModule(GF(5), 2, Matrix(QQ, [[Fraction(1), Fraction(1, 2)]]))
+
+
+def test_field_notions_are_refused_over_z():
+    mod = FPModule(ZZ, 3, Matrix(ZZ, [[2, 0, 0]]))
+    for read in (mod.free_generators, mod.dim):
+        with pytest.raises(UnsupportedRingError, match="field notions"):
+            read()
+    assert mod.rank() == 2 and mod.torsion() == (2,)
+
+
+def test_presentations_refuse_rings_that_are_neither_z_nor_a_field():
+    Z5 = integral_lambda_ring(5)[0]  # Z[lambda] is no field
+    rel = Matrix(Z5, [[Z5.one, Z5.zero]])
+    for build in (lambda: FPModule(Z5, 2, rel), lambda: RowBasis(rel)):
+        with pytest.raises(UnsupportedRingError, match="a field or the integers"):
+            build()
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(7), ZZ], ids=["Q", "F7", "Z"])
+def test_presentations_check_shapes(ring):
+    one, zero = ring.one, ring.zero
+    with pytest.raises(ShapeError):
+        FPModule(ring, -1)
+    with pytest.raises(ShapeError):
+        FPModule(ring, 2, Matrix(ring, [[one]]))
+    mod = FPModule(ring, 2, Matrix(ring, [[one, one]]))
+    with pytest.raises(ShapeError):
+        mod.reduce([one])
+    with pytest.raises(ShapeError):
+        RowBasis(Matrix(ring, [[one, zero]])).express([one])
+    with pytest.raises(ShapeError):
+        FPMap(mod, FPModule(ring, 3), Matrix(ring, [[one, zero], [zero, one]]))
+
+
+def test_presentations_never_test_the_ring_kind():
+    # _normal_form is the one place that chooses a normal form by the ring
+    for cls in (FPModule, RowBasis, FPMap):
+        assert not re.search(r"IntegerRing|is_field|isinstance\([^)]*ring", inspect.getsource(cls)), cls
+
+
+@st.composite
+def presented_maps(draw):
+    """(n, m, source relations, ambient map, extra target relations) of
+    small integer matrices. Relation rows are scaled by 2, 3, 6 or 7 now
+    and then, for torsion that some of the primes divide. The target
+    relations are the source relations pushed through the map, plus the
+    extra rows, so the map is well defined over every ring."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def rows(count, width, scales=(1,)):
+        row = st.tuples(st.sampled_from(scales), st.lists(st.integers(-4, 4), min_size=width, max_size=width))
+        return [[c * x for x in r] for c, r in draw(st.lists(row, min_size=count[0], max_size=count[1]))]
+
+    rel = rows((0, 3), n, (1, 2, 3, 6, 7))
+    ambient = rows((n, n), m)
+    extra = rows((0, 2), m, (1, 2, 3, 6, 7))
+    return n, m, rel, ambient, extra
+
+
+@settings(max_examples=60, deadline=None)
+@given(presented_maps())
+def test_normal_forms_agree_across_rings(case):
+    n, m, rel, ambient, extra = case
+    pushed = [[sum(r[i] * ambient[i][j] for i in range(n)) for j in range(m)] for r in rel]
+
+    def presented_map(ring):
+        def mat(rows, width):
+            return Matrix(ring, [[ring.of_int(x) for x in r] for r in rows], width)
+
+        src, dst = FPModule(ring, n, mat(rel, n)), FPModule(ring, m, mat(pushed + extra, m))
+        return FPMap(src, dst, mat(ambient, m), check=True)
+
+    z = presented_map(ZZ)
+    for ring in (QQ, GF(2), GF(3), GF(7)):
+        f = presented_map(ring)
+        for over_z, over_f in ((z.src, f.src), (z.dst, f.dst)):
+            # universal coefficients: Q sees the free rank, F_p also each
+            # invariant factor that p divides
+            p = getattr(ring, "p", None)
+            torsion = [d for d in over_z.torsion() if p and d % p == 0]
+            assert over_f.dim() == over_z.rank() + len(torsion), (ring, over_z.invariants())
+        # rank-nullity over each field
+        assert f.kernel()[0].dim() + f.rank() == f.src.dim() and f.image()[0].dim() == f.rank()
+    # over Z, ranks are additive along 0 -> ker -> src -> im -> 0
+    assert z.kernel()[0].rank() + z.rank() == z.src.rank()
 
 
 # -- subquotients -------------------------------------------------------------
