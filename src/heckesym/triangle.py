@@ -133,9 +133,9 @@ def lambda_roots_mod_p(n, p):
 def _search_lambda_roots(n, p):
     """The sorted roots of lambda_roots_mod_p: those of g = gcd(f, x^p - x),
     the product of the distinct linear factors of f mod p, with x^p taken by
-    square-and-multiply mod f; g is split by the equal-degree step of Cantor-Zassenhaus (Cohen,
-    A Course in Computational Algebraic Number Theory, 3.4), whose random
-    shifts come from a fixed seed. The time grows with log p, not p."""
+    square-and-multiply mod f; g is split by the equal-degree step of
+    Cantor-Zassenhaus (Cohen, A Course in Computational Algebraic Number
+    Theory, 3.4), with random shifts from a fixed seed. Time grows with log p."""
     import random
 
     f = [c % p for c in lambda_minimal_polynomial(n)]
