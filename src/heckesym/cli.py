@@ -12,10 +12,11 @@ subgroups of a Hecke triangle group given by a permutation pair in a JSON
 file (perm-file:PATH). Rings are the rationals (q), the integers (z), a
 prime field (fp:P), or the rational extension by 2cos(pi/n) (lambda).
 
-Exit codes: 0 success, 2 usage errors, 3 for mathematically unsupported
-combinations, 4 when an internal consistency check fails (the message
-names the check, the group, the weight and the ring). JSON output
-renders ring elements as decimal strings so exact values survive parsing.
+Exit codes: 0 success, 2 usage errors and an --out path that cannot be
+written, 3 for mathematically unsupported combinations, 4 when an internal
+consistency check fails (the message names the check, the group, the
+weight and the ring). JSON output renders ring elements as decimal strings
+so exact values survive parsing.
 """
 
 from __future__ import annotations
@@ -334,8 +335,13 @@ def main(argv=None):
     else:
         text = "\n".join(_render_human(full))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print("cannot write the output to %r: %s" % (args.out, exc.strerror or exc),
+                  file=sys.stderr)
+            return 2
     else:
         print(text)
     return 0

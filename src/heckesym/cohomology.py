@@ -10,7 +10,8 @@ translation T = tau sigma), cyclic pieces for each generator, the cohomology
 of the quotient surface via coinvariants with its own parabolic part, a
 six-term exact sequence tying the pieces together, and the comparison map
 from modular symbols to the surface, whose kernel is spanned by orbit sums
-of stabilizer-invariant coefficients at the elliptic classes.
+of stabilizer-invariant coefficients at the elliptic classes, the sigma
+and tau orbits of InducedModule.orbits shorter than the generator's order.
 
 Every piece is presented by linalg.subquotient (H^1 sets the relation
 matrices of its two cyclic pieces side by side), and the integral
@@ -462,20 +463,19 @@ def comparison_report(symbols):
     Both are quotients of the same induced module (by norm relations and by
     fixed subspaces respectively), and every norm row is a fixed vector, so
     the identity induces a well-defined surjection. Its kernel is measured
-    against the elliptic classes: each stabilizer-invariant coefficient v at
-    an elliptic class yields an orbit sum over the class cycle, which is a
-    generator-fixed vector, hence dies on the surface; the span of these
-    classes sits inside the kernel and local terms of size V^h / N_h V bound
-    the contribution of each class.
+    against the elliptic classes (_elliptic_orbits): each v fixed by the
+    stabilizer block H of a class yields an orbit sum, v spread around the
+    orbit, which is a generator-fixed vector, hence dies on the surface; the
+    span of these sums sits inside the kernel and local terms of size
+    V^H / N_H V bound the contribution of each class.
 
     Over the integers the kernel is the lattice quotient L_surf / L_sym,
     the rows the identity map's FPMap.kernel gives; its solve checks that
     each symbol relation is a surface relation."""
     module = symbols.module
     ring = module.ring
-    classes = module.cosets.subgroup.elliptic_classes()
-    actions = [module.stabilizer_action(cls) for cls in classes]
-    local_terms = tuple(local_term(ring, act, cls.order) for cls, act in zip(classes, actions))
+    elliptic = _elliptic_orbits(module)
+    local_terms = tuple(local_term(ring, orbit.stabilizer, m) for orbit, m in elliptic)
 
     if isinstance(ring, IntegerRing):
         gens = hermite_basis(surface_h1(module).relations)
@@ -501,7 +501,7 @@ def comparison_report(symbols):
     if kdim == 0:
         # the orbit sums lie in the kernel, so they span nothing either
         return ComparisonReport(kernel, kernel_gens, local_terms, 0, "isomorphic")
-    coords = [list(symbols.presentation.reduce(row)) for row in _orbit_sums(module, classes, actions)]
+    coords = [list(symbols.presentation.reduce(row)) for row in _orbit_sums(module, elliptic)]
     local_span = matrix_rank(Matrix(ring, coords, symbols.presentation.ncoords())) if coords else 0
     if kdim == local_span:
         verdict = "kernel spanned by elliptic orbit sums"
@@ -510,21 +510,19 @@ def comparison_report(symbols):
     return ComparisonReport(kernel, kernel_gens, local_terms, local_span, verdict)
 
 
-def _orbit_sums(module, classes, actions):
-    """The orbit sum over its class cycle of each stabilizer-invariant
-    coefficient at each elliptic class, as ambient rows."""
-    ring, blk = module.ring, module.block
-    ident = Matrix.identity(ring, blk)
-    out = []
-    for cls, act in zip(classes, actions):
-        invariants = left_kernel(act.sub(ident))
-        step = module.right_matrix("s" if cls.kind == "sigma" else "t").act_on_row
-        for v in invariants.rows:
-            cur = [ring.zero] * module.rank
-            cur[cls.coset * blk : (cls.coset + 1) * blk] = list(v)
-            total = list(cur)
-            for _ in range(cls.power - 1):
-                cur = step(cur)
-                total = [ring.add(a, b) for a, b in zip(total, cur)]
-            out.append(total)
-    return out
+def _elliptic_orbits(module):
+    """(orbit, m) per elliptic class, in the order of elliptic_classes():
+    the sigma, then the tau orbits shorter than the generator's order, by
+    least coset, whose block H has order m = order / length."""
+    return [(orbit, order // len(orbit.cycle))
+            for letter, order in (("s", 2), ("t", module.n))
+            for orbit in module.orbits(letter) if len(orbit.cycle) < order]
+
+
+def _orbit_sums(module, elliptic):
+    """The orbit sums of the vectors each elliptic stabilizer block fixes,
+    as dense ambient rows."""
+    ident = Matrix.identity(module.ring, module.block)
+    rows = [row for orbit, _ in elliptic
+            for row in module.spread(orbit, left_kernel(orbit.stabilizer.sub(ident)))]
+    return Matrix.from_sparse(module.ring, rows, module.rank).rows

@@ -29,7 +29,6 @@ from .triangle import (
     mat2_inv_det_one,
     mat2_mul,
     mat2_neg,
-    mat2_pow,
     sigma_matrix,
     tau_matrix,
 )
@@ -129,7 +128,7 @@ class CongruenceCosets:
     negation, the group is the projective image of Gamma_1(N).
 
     Besides the coset-table interface it shares with modsym.PermCosets
-    (twist, stabilizer_cocycle, weight_variant, label), it carries the cusp
+    (n, mu, twist, weight_variant, label, subgroup), it carries the cusp
     arithmetic the Hecke operators and path conversion need. Cocycles are
     exact integer matrices, so the weight action keeps their signs.
     """
@@ -197,9 +196,6 @@ class CongruenceCosets:
                     raise InternalInvariantError("cocycle diagonal is not a unit sign")
         return gamma
 
-    def act_letter(self, i, letter, e=1):
-        return self.act(i, mat2_pow(ZZ, _LETTERS[letter], e))
-
     def twist(self, i, letter):
         """(j, cocycle) for coset i under the letter; the cocycle is the
         inverse of the Schreier element, which multiplies the coefficient."""
@@ -209,14 +205,6 @@ class CongruenceCosets:
         """The same as twist for any g in SL_2(Z)."""
         j, gamma = self.act(i, g)
         return j, mat2_inv_det_one(ZZ, gamma)
-
-    def stabilizer_cocycle(self, cls):
-        """Generator of the stabilizer of an elliptic class, as a matrix."""
-        letter = "s" if cls.kind == "sigma" else "t"
-        j, gamma = self.act_letter(cls.coset, letter, cls.power)
-        if j != cls.coset:
-            raise UnsupportedRingError("elliptic class does not fix its coset")
-        return gamma
 
     def label(self):
         return "%s:%d" % (self.kind, self.N)

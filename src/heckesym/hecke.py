@@ -89,9 +89,9 @@ from .linalg import (
     matrix_rank,
 )
 from .modsym import cuspidal_subspace
-from .rings import ZZ, PrimeField, RationalField, UnsupportedRingError, is_prime
+from .rings import (ZZ, PrimeField, RationalField, UnsupportedRingError, is_prime,
+                    multiplication_rows, poly_mul)
 from .triangle import mat2_det, mat2_identity, mat2_inv_det_one, mat2_mul
-from .weights import _poly_mul
 
 
 def sturm_bound(space):
@@ -280,7 +280,7 @@ def operator_charpolys(operator, subspace):
     on_sub = charpoly(_restrict_on_generators(operator, coords, basis))
     quotient = FPModule(coords.ring, coords.ncols, coords)
     on_quotient = FPMap(quotient, quotient, operator.matrix_on_generators(), check=True)
-    return _poly_mul(coords.ring, on_sub, charpoly(on_quotient.matrix_on_generators())), on_sub
+    return poly_mul(coords.ring, on_sub, charpoly(on_quotient.matrix_on_generators())), on_sub
 
 
 def _restrict_on_generators(operator, coords, basis):
@@ -346,7 +346,7 @@ def _factor_monic(ring, coeffs):
     return pairs
 
 
-def _poly_apply(ring, coeffs, mat):
+def _evaluate_at(ring, coeffs, mat):
     """sum_i (L c_i d^(m-i)) A^i = L d^m f(mat), a nonzero multiple of the
     polynomial f = coeffs (low->high, degree m) at a square matrix, by
     Horner's rule on integer rows through A.act_on_row: mat = A / d is the
@@ -383,7 +383,7 @@ def _primary_parts(ring, p, cmat, poly, basis, evs, facs, diag):
     components of cmat, its T_p matrix, under the factors of poly; None
     when some kernel chain below does not reach dimension deg(f) * e or
     the kernels do not fill the block. For each f^e, with F =
-    _poly_apply(f, cmat), K = ker F is replaced by {x : x F in span K},
+    _evaluate_at(f, cmat), K = ker F is replaced by {x : x F in span K},
     which is ker F^(j+1) when K = ker F^j, while K is smaller than
     deg(f) * e and still grows. Passing both checks proves poly is the
     characteristic polynomial of cmat: the kernels lie in the generalized
@@ -391,7 +391,7 @@ def _primary_parts(ring, p, cmat, poly, basis, evs, facs, diag):
     dimension deg(f) * e and equals ker f(T_p)^e."""
     n, parts, consumed = cmat.nrows, [], 0
     for fc, e in _factor_monic(ring, poly):
-        fmat = _poly_apply(ring, fc, cmat)
+        fmat = _evaluate_at(ring, fc, cmat)
         want = (len(fc) - 1) * e
         rows = left_kernel(fmat)
         first, grown = rows.nrows, True
@@ -472,18 +472,6 @@ class _HeckeField:
     check_coords: list
 
 
-def _multiplication(ring, a, g):
-    """The matrix of multiplication by a on F[x]/(g), g monic of degree m
-    and a of m coefficients, both low to high: row i holds x^i a mod g."""
-    rows = [list(a)]
-    for _ in range(len(g) - 2):
-        top, row = rows[-1][-1], [ring.zero] + rows[-1][:-1]
-        if not ring.is_zero(top):
-            row = [ring.sub(x, ring.mul(top, c)) for x, c in zip(row, g)]
-        rows.append(row)
-    return Matrix(ring, rows)
-
-
 def _minpoly_mod(ring, a, g):
     """The minimal polynomial over F of a in F[x]/(g), monic, low to high.
     The powers 1, a, ..., a^m are stacked from a^m down, so the multiples
@@ -492,7 +480,7 @@ def _minpoly_mod(ring, a, g):
     echelon basis."""
     if not any(a[1:]):
         return (ring.neg(a[0]), ring.one)
-    mul, m = _multiplication(ring, a, g), len(a)
+    mul, m = Matrix(ring, multiplication_rows(ring, a, g)), len(a)
     powers = [[ring.one] + [ring.zero] * (m - 1)]
     for _ in range(m):
         powers.append(mul.act_on_row(powers[-1]))
@@ -589,7 +577,7 @@ def _field_value(ring, field, images):
             return None
         a = here
     if field.check is not None:
-        mul, x = _multiplication(ring, a, field.poly), field.check_coords
+        mul, x = Matrix(ring, multiplication_rows(ring, a, field.poly)), field.check_coords
         want = [y for t in range(len(field.gens)) for y in mul.act_on_row(x[t * m:(t + 1) * m])]
         if field.krylov.express(images[field.check]) != want:
             return None

@@ -73,6 +73,7 @@ from .rings import (
     ShapeError,
     UnsupportedRingError,
     is_prime,
+    multiplication_rows,
     xgcd,
 )
 
@@ -472,20 +473,9 @@ class _IntegralExtension:
             nums = [self.scaled(v, 1, g) for v in nums]
         return dict(zip(row, nums)), Fraction(d, g or 1)
 
-    def _mul_rows(self, b):
-        """The integer matrix of multiplication by b: row i is b * x^i."""
-        m = self.minpoly
-        rows = [b]
-        for _ in range(self.degree - 1):
-            # the last row times x, with x^k reduced by the minimal polynomial
-            r = rows[-1]
-            top = r[-1]
-            rows.append(tuple([-top * m[0]] + [r[i - 1] - top * m[i] for i in range(1, len(r))]))
-        return rows
-
     def times(self, b):
         """The function y -> b * y on integer coefficient tuples."""
-        cols = list(zip(*self._mul_rows(b)))
+        cols = list(zip(*multiplication_rows(ZZ, b, self.minpoly)))
         return lambda y: tuple([sum(map(_mul, y, col)) for col in cols])
 
     def eliminate(self, row, t, prow, pt, c):
@@ -512,7 +502,7 @@ class _IntegralExtension:
         p = row[c]
         if any(p[1:]):
             # the adjugate N(p)/p: row 0 of the adjugate of the matrix of p
-            rows = self._mul_rows(p)
+            rows = multiplication_rows(ZZ, p, self.minpoly)
             adj = tuple([(-1) ** j * _det([r[1:] for i, r in enumerate(rows) if i != j])
                          for j in range(len(rows))])
             if self.times(adj)(p)[0] < 0:  # p * adj = N(p); keep the pivot positive

@@ -22,14 +22,14 @@ as the norm rows at every coset.
 Both kinds of table, congruence.CongruenceCosets and PermCosets here, share
 one interface, and everything in this module reads a table through it alone:
 n and mu; twist(i, letter), the coset reached from i by the letter with
-the cocycle that multiplies the coefficient; stabilizer_cocycle(cls), the
-stabilizer generator of an elliptic class; the weight_variant class
-attribute naming the matching weight action; and label(). Cocycles are
-plain 2x2 matrices, 4-tuples over Z for congruence tables and over the
-group's own Z[2cos(pi/n)] for permutation tables, which the weight module
-of signature n turns into row-convention action matrices. Only path
-conversion and matrix right actions need more (congruence cusp arithmetic),
-and they ask for it through congruence.require_congruence.
+the cocycle that multiplies the coefficient; the weight_variant class
+attribute naming the matching weight action; label(); and subgroup, the
+TriangleSubgroup of the coset permutations. Cocycles are plain 2x2
+matrices, 4-tuples over Z for congruence tables and over the group's own
+Z[2cos(pi/n)] for permutation tables, which the weight module of signature
+n turns into row-convention action matrices. Only path conversion and
+matrix right actions need more (congruence cusp arithmetic), and they ask
+for it through congruence.require_congruence.
 """
 
 from collections import namedtuple
@@ -67,18 +67,6 @@ class PermCosets:
         gam, j = self.subgroup.cocycle_matrix(i, ((letter, 1),))
         ring = self.subgroup.ring
         return j, psl_canonical(ring, mat2_inv_det_one(ring, gam))
-
-    def stabilizer_word(self, cls):
-        """Generator of the stabilizer of an elliptic class, as a one-letter
-        word, checked to fix the class's coset."""
-        word = (("s" if cls.kind == "sigma" else "t", cls.power),)
-        if self.subgroup.apply_word(cls.coset, word) != cls.coset:
-            raise UnsupportedRingError("elliptic class does not fix its coset")
-        return word
-
-    def stabilizer_cocycle(self, cls):
-        """Generator of the stabilizer of an elliptic class, as a matrix."""
-        return self.subgroup.cocycle_matrix(cls.coset, self.stabilizer_word(cls))[0]
 
     def label(self):
         return "perm(n=%d, mu=%d)" % (self.n, self.mu)
@@ -312,22 +300,12 @@ class InducedModule:
         )
 
     def right_operator(self, g):
-        """Right action of an arbitrary determinant-1 integer matrix.
-
-        Only congruence tables carry enough structure for this; it backs the
-        diamond operators and the symbol-invariance checks."""
+        """Right action of an arbitrary determinant-1 integer matrix, on a
+        congruence table; the diamond operators use hecke._operator_rows."""
         require_congruence(self.cosets, "matrix right actions")
         twist_by = self.cosets.twist_by
         bm = self._from_twists(twist_by(i, g) for i in range(self.mu))
         return self._assemble([(1, bm)])
-
-    def stabilizer_action(self, cls):
-        """Action matrix on the weight module of the stabilizer generator of
-        an elliptic class (rows = images of basis monomials)."""
-        if self._targets_only:
-            self.cosets.stabilizer_word(cls)  # checks that it fixes its coset
-            return self._one_block()
-        return self.weight.action_matrix(self.cosets.stabilizer_cocycle(cls))
 
     def __repr__(self):
         return "InducedModule(mu=%d, block=%d, %s)" % (

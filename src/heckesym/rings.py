@@ -3,6 +3,9 @@
 Ring elements are plain Python values (int, Fraction, tuple of base
 elements); a ring object supplies the arithmetic. Everything is exact and
 immutable; nothing in this module touches floating point.
+
+Polynomials are coefficient lists, low to high, and their arithmetic over
+any of these rings is the poly_* functions and multiplication_rows here.
 """
 
 from __future__ import annotations
@@ -96,6 +99,12 @@ class IntegerRing(ExactRing):
 
     def is_negative(self, a):
         return a < 0
+
+    def inv(self, a):
+        """The inverse of a unit, 1 or -1."""
+        if a in (1, -1):
+            return a
+        raise UnsupportedRingError("%r is not a unit of the integers" % (a,))
 
 
 class RationalField(ExactRing):
@@ -220,24 +229,11 @@ class QuotientExtension(ExactRing):
         self.zero = (base.zero,) * self.degree
         self.one = tuple([base.one] + [base.zero] * (self.degree - 1))
 
-    def _rem(self, coeffs):
-        """Remainder modulo the monic minimal polynomial."""
-        m, dm = self.integer_minpoly, self.degree
-        coeffs = list(coeffs)
-        for i in range(len(coeffs) - 1, dm - 1, -1):
-            c = coeffs[i]
-            if c:
-                coeffs[i] = 0
-                for j in range(dm):
-                    coeffs[i - dm + j] -= c * m[j]
-        return coeffs[:dm]
-
     def from_coeffs(self, coeffs):
         coeffs = [self.base.of_int(c) if isinstance(c, int) else c for c in coeffs]
         if len(coeffs) > self.degree:
-            coeffs = self._rem(coeffs)
-        coeffs = list(coeffs) + [self.base.zero] * (self.degree - len(coeffs))
-        return tuple(coeffs)
+            coeffs = poly_divmod(self.base, coeffs, self.integer_minpoly)[1]
+        return tuple(coeffs + [self.base.zero] * (self.degree - len(coeffs)))
 
     def generator(self):
         return self.from_coeffs([0, 1])
@@ -252,13 +248,19 @@ class QuotientExtension(ExactRing):
         return tuple([-x for x in a])
 
     def mul(self, a, b):
-        # base.zero keeps the coefficients Fractions over Q
-        prod = [self.base.zero] * (2 * self.degree - 1)
+        # reduced inline, faster than poly_divmod; base.zero keeps Fractions over Q
+        m, k = self.integer_minpoly, self.degree
+        prod = [self.base.zero] * (2 * k - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     prod[i + j] += ai * bj
-        return tuple(self._rem(prod))
+        for top in range(2 * k - 2, k - 1, -1):
+            c = prod[top]
+            if c:
+                for j in range(k):
+                    prod[top - k + j] -= c * m[j]
+        return tuple(prod[:k])
 
     def of_int(self, n):
         return tuple([self.base.of_int(n)] + [self.base.zero] * (self.degree - 1))
@@ -294,3 +296,70 @@ QQ = RationalField()
 
 def GF(p):
     return PrimeField(p)
+
+
+# ---------------------------------------------------------------------------
+# polynomials: coefficient lists, low -> high, over a ring
+# ---------------------------------------------------------------------------
+
+
+def _trim(ring, a):
+    while a and ring.is_zero(a[-1]):
+        a.pop()
+    return a
+
+
+def poly_mul(ring, f, g):
+    """The product of f and g."""
+    out = [ring.zero] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if not ring.is_zero(a):
+            for j, b in enumerate(g):
+                out[i + j] = ring.add(out[i + j], ring.mul(a, b))
+    return out
+
+
+def poly_divmod(ring, a, b):
+    """(q, r) with a = q b + r and r shorter than b, its trailing zeros
+    dropped, for b whose last coefficient is a unit of the ring."""
+    a, inv, n = list(a), ring.inv(b[-1]), len(b) - 1
+    q = [ring.zero] * max(len(a) - n, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = ring.mul(a[i + n], inv)
+        if not ring.is_zero(c):
+            for j, x in enumerate(b):
+                a[i + j] = ring.sub(a[i + j], ring.mul(c, x))
+    return q, _trim(ring, a[:n])
+
+
+def poly_gcd(ring, a, b):
+    """The monic gcd of a and b over a field ([] when both are zero)."""
+    a, b = _trim(ring, list(a)), _trim(ring, list(b))
+    while b:
+        a, b = b, poly_divmod(ring, a, b)[1]
+    return [ring.mul(c, ring.inv(a[-1])) for c in a] if a else a
+
+
+def poly_powmod(ring, a, e, f):
+    """a^e mod f by square-and-multiply, for f as in poly_divmod."""
+    out, a = poly_divmod(ring, [ring.one], f)[1], poly_divmod(ring, a, f)[1]
+    while e:
+        if e & 1:
+            out = poly_divmod(ring, poly_mul(ring, out, a), f)[1]
+        e >>= 1
+        if e:
+            a = poly_divmod(ring, poly_mul(ring, a, a), f)[1]
+    return out
+
+
+def multiplication_rows(ring, a, g):
+    """The matrix rows of multiplication by a on ring[x]/(g), g monic of
+    degree m and a of m coefficients: row i is x^i a mod g, the row above
+    it times x, reduced."""
+    rows = [list(a)]
+    for _ in range(len(g) - 2):
+        top, row = rows[-1][-1], [ring.zero] + rows[-1][:-1]
+        if not ring.is_zero(top):
+            row = [ring.sub(x, ring.mul(top, c)) for x, c in zip(row, g)]
+        rows.append(row)
+    return rows

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .rings import ZZ, QuotientExtension, ShapeError
+from .rings import GF, ZZ, QuotientExtension, ShapeError, poly_divmod, poly_gcd, poly_powmod
 from .linalg import InternalInvariantError
 
 
@@ -45,25 +45,11 @@ def cyclotomic_polynomial(m):
         poly = [-1] + [0] * (m - 1) + [1]  # z^m - 1
         for d in range(1, m):
             if m % d == 0:
-                poly = _poly_divide_exact(poly, cyclotomic_polynomial(d))
+                poly, rest = poly_divmod(ZZ, poly, cyclotomic_polynomial(d))
+                if rest:
+                    raise InternalInvariantError("inexact polynomial division")
         _CYCLOTOMIC_CACHE[m] = tuple(poly)
     return list(_CYCLOTOMIC_CACHE[m])
-
-
-def _poly_divide_exact(num, den):
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % den[-1]:
-            raise InternalInvariantError("inexact polynomial division")
-        q[i] = c // den[-1]
-        if q[i]:
-            for j, dcoef in enumerate(den):
-                num[i + j] -= q[i] * dcoef
-    if any(num):
-        raise InternalInvariantError("inexact polynomial division")
-    return q
 
 
 _LAMBDA_MINPOLY_CACHE = {}
@@ -138,76 +124,28 @@ def _search_lambda_roots(n, p):
     Theory, 3.4), with random shifts from a fixed seed. Time grows with log p."""
     import random
 
-    f = [c % p for c in lambda_minimal_polynomial(n)]
+    F = GF(p)
+    f = [F.of_int(c) for c in lambda_minimal_polynomial(n)]
     if p == 2:
         return [x for x in (0, 1) if sum(c * x**i for i, c in enumerate(f)) % 2 == 0]
-    h = _poly_powmod([0, 1], p, f, p) + [0, 0]
-    h[1] = (h[1] - 1) % p
-    rng, roots, todo = random.Random(p), [], [_poly_gcd(f, h, p)]
+    h = poly_powmod(F, [0, 1], p, f) + [0, 0]
+    h[1] = F.sub(h[1], 1)
+    rng, roots, todo = random.Random(p), [], [poly_gcd(F, f, h)]
     while todo:
         g = todo.pop()
         if len(g) == 2:
-            roots.append(-g[0] % p)
+            roots.append(F.neg(g[0]))
         elif len(g) > 2:
             while True:
                 # (x + a)^((p-1)/2) - 1 vanishes at the roots r of g with
                 # r + a a nonzero square, about half of them
-                h = _poly_powmod([rng.randrange(p), 1], (p - 1) // 2, g, p) + [0]
-                h[0] = (h[0] - 1) % p
-                h = _poly_gcd(g, h, p)
+                h = poly_powmod(F, [rng.randrange(p), 1], (p - 1) // 2, g) + [0]
+                h[0] = F.sub(h[0], 1)
+                h = poly_gcd(F, g, h)
                 if 1 < len(h) < len(g):
-                    todo += [h, _poly_divmod(g, h, p)[0]]
+                    todo += [h, poly_divmod(F, g, h)[0]]
                     break
     return sorted(roots)
-
-
-def _poly_trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _poly_divmod(a, b, p):
-    """(quotient, remainder) mod p of coefficient lists (low -> high), for
-    b whose last coefficient is prime to p."""
-    a, inv = list(a), pow(b[-1], -1, p)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    for i in range(len(q) - 1, -1, -1):
-        c = q[i] = a[i + len(b) - 1] * inv % p
-        if c:
-            for j, x in enumerate(b):
-                a[i + j] -= c * x
-    return q, _poly_trim([c % p for c in a[: len(b) - 1]])
-
-
-def _poly_powmod(a, e, f, p):
-    """a^e mod (f, p) by square-and-multiply."""
-
-    def mulmod(u, v):
-        out = [0] * (len(u) + len(v) - 1) if u and v else []
-        for i, x in enumerate(u):
-            if x:
-                for j, y in enumerate(v):
-                    out[i + j] += x * y
-        return _poly_divmod(out, f, p)[1]
-
-    out, a = [1], _poly_divmod(a, f, p)[1]
-    while e:
-        if e & 1:
-            out = mulmod(out, a)
-        e >>= 1
-        if e:
-            a = mulmod(a, a)
-    return out
-
-
-def _poly_gcd(a, b, p):
-    """Monic gcd mod p of coefficient lists, a nonzero mod p."""
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_divmod(a, b, p)[1]
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +305,8 @@ class TriangleSubgroup:
                 raise InvalidSubgroupError("not a permutation of 0..mu-1")
         if _compose(s, s) != tuple(range(mu)):
             raise InvalidSubgroupError("sigma permutation must square to the identity")
-        pw = tuple(range(mu))
-        for _ in range(n):
-            pw = _compose(pw, t)
-        if pw != tuple(range(mu)):
+        # t^n = 1 exactly when every cycle length of t divides n
+        if any(n % len(cycle) for cycle in _perm_cycles(t)):
             raise InvalidSubgroupError("tau permutation must have order dividing n")
         self.n = n
         self.s = s

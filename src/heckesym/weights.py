@@ -30,7 +30,7 @@ whose cocycles are exact integer matrices.
 from __future__ import annotations
 
 from .linalg import Matrix, left_kernel, subquotient
-from .rings import ZZ, PrimeField, QuotientExtension, RationalField, UnsupportedRingError
+from .rings import ZZ, PrimeField, QuotientExtension, RationalField, UnsupportedRingError, poly_mul
 from .triangle import lambda_minimal_polynomial, lambda_roots_mod_p
 
 
@@ -133,18 +133,9 @@ def _action_rows(R, a, b, c, d, k):
     pu = [[R.one]]
     pv = [[R.one]]
     for _ in range(k2):
-        pu.append(_poly_mul(R, pu[-1], u))
-        pv.append(_poly_mul(R, pv[-1], v))
-    return [_poly_mul(R, pu[i], pv[k2 - i]) for i in range(k - 1)]
-
-
-def _poly_mul(R, f, g):
-    out = [R.zero] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if not R.is_zero(a):
-            for j, b in enumerate(g):
-                out[i + j] = R.add(out[i + j], R.mul(a, b))
-    return out
+        pu.append(poly_mul(R, pu[-1], u))
+        pv.append(poly_mul(R, pv[-1], v))
+    return [poly_mul(R, pu[i], pv[k2 - i]) for i in range(k - 1)]
 
 
 def norm(action, order):

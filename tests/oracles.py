@@ -12,10 +12,11 @@ import sympy
 
 from heckesym import hecke
 from heckesym.congruence import continued_fraction_path, diamond_matrix
-from heckesym.linalg import Matrix
-from heckesym.modsym import cuspidal_subspace
+from heckesym.linalg import Matrix, left_kernel
+from heckesym.modsym import PermCosets, cuspidal_subspace
 from heckesym.rings import ZZ
 from heckesym.triangle import mat2_identity, mat2_mul, mat2_pow, sigma_matrix, tau_matrix
+from heckesym.weights import local_term
 
 
 def minpoly_2cos_pi_over(n):
@@ -38,6 +39,40 @@ def word_matrix(ring, lam, word):
         base = S if letter == "s" else Tau
         M = mat2_mul(ring, M, mat2_pow(ring, base, e))
     return M
+
+
+def elliptic_local_data(module):
+    """(local terms, orbit sums) of the elliptic classes of an induced
+    module, from each class's own stabilizer generator rather than the
+    module's orbit walk: for a permutation table the subgroup element
+    r_c g^l r_c^-1 of cocycle_matrix, for a congruence table the element
+    lift_c g^l lift_c^-1 that the table's act gives, g the class's letter
+    and l its cycle length. Its weight action h gives the local term
+    local_term(ring, h, order); each h-fixed coefficient placed at the
+    class coset and carried around the class cycle by the dense right
+    action of g gives one orbit sum, a dense ambient row."""
+    cosets, ring, blk = module.cosets, module.ring, module.block
+    terms, sums = [], []
+    for cls in cosets.subgroup.elliptic_classes():
+        letter = "s" if cls.kind == "sigma" else "t"
+        if isinstance(cosets, PermCosets):
+            gamma, j = cosets.subgroup.cocycle_matrix(cls.coset, ((letter, cls.power),))
+        else:
+            g = sigma_matrix(ZZ) if letter == "s" else tau_matrix(ZZ, 1)
+            j, gamma = cosets.act(cls.coset, mat2_pow(ZZ, g, cls.power))
+        assert j == cls.coset, "the stabilizer generator moves its coset"
+        h = module.weight.action_matrix(gamma)
+        terms.append(local_term(ring, h, cls.order))
+        step = module.right_matrix(letter).act_on_row
+        for v in left_kernel(h.sub(Matrix.identity(ring, blk))).rows:
+            cur = [ring.zero] * module.rank
+            cur[cls.coset * blk:(cls.coset + 1) * blk] = list(v)
+            total = list(cur)
+            for _ in range(cls.power - 1):
+                cur = step(cur)
+                total = [ring.add(a, b) for a, b in zip(total, cur)]
+            sums.append(total)
+    return terms, sums
 
 
 def roots_mod_p(poly, p):

@@ -482,6 +482,15 @@ def test_out_file(tmp_path, capsys):
     assert doc["dims"]["manin"] == 3
 
 
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+def test_out_path_that_cannot_be_written_exits_2(tmp_path, capsys, where):
+    target = tmp_path if where == "directory" else tmp_path / "nonexistent" / "dir" / "x.json"
+    code = cli.main(["dims", "--group", "gamma0:11", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert str(target) in captured.err and "Traceback" not in captured.err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "heckesym", "dims", "--group", "gamma0:6",

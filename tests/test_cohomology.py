@@ -41,7 +41,10 @@ from heckesym.linalg import (
     Matrix,
     RowBasis,
     _leading,
+    hermite_basis,
     left_kernel,
+    matrix_rank,
+    rref,
 )
 from heckesym.modsym import (
     InducedModule,
@@ -457,6 +460,49 @@ def test_orbit_sums_are_built_only_for_a_nonzero_kernel(monkeypatch):
     assert calls == []
     rep = comparison_report(ManinSymbolSpace(induced(level_one(4), GF(2), 2)))
     assert rep.kernel.dim() == rep.local_span == 1 and len(calls) == 1
+
+
+def _elliptic_sample():
+    """Coset tables with elliptic classes of both kinds, and the
+    (ring, weight) pairs each is checked over."""
+    with open(SUBGROUPS) as fh:
+        data = json.load(fh)
+    perms = [level_one(n) for n in (4, 5, 6)]
+    perms += [PermCosets(subgroup_from_dict(data[name])) for name in ("n4-mu08-a", "n5-mu09-b", "n6-mu10-a")]
+    congruence = [gamma0_cosets(N) for N in (2, 3, 5, 10, 13)] + [gamma1_cosets(N) for N in (2, 3, 5)]
+    fields = [QQ, ZZ, GF(2), GF(3)]
+    for cosets in congruence:
+        yield cosets, [(ring, k) for ring in fields for k in (2, 3, 4)]
+    for cosets in perms:
+        lam = rational_lambda_ring(cosets.n)[0]
+        yield cosets, [(ring, k) for ring in fields + [lam] for k in (2, 4)]
+
+
+def test_elliptic_local_data_match_the_class_stabilizers():
+    # the stabilizer blocks of the short sigma and tau orbits give the same
+    # local terms and orbit sums as each class's own stabilizer generator
+    nonzero = 0
+    for cosets, cases in _elliptic_sample():
+        for ring, k in cases:
+            try:
+                module = induced(cosets, ring, k)
+            except UnsupportedRingError:
+                continue  # odd weight on a table whose group holds -1
+            space = ManinSymbolSpace(module)
+            report = comparison_report(space)
+            terms, sums = oracles.elliptic_local_data(module)
+            case = (cosets, ring, k)
+            assert [repr(t) for t in report.local_terms] == [repr(t) for t in terms], case
+            assert [t.relations for t in report.local_terms] == [t.relations for t in terms], case
+            ours = cohomology._orbit_sums(module, cohomology._elliptic_orbits(module))
+            span = hermite_basis if ring == ZZ else (lambda m: rref(m)[0])
+            assert span(Matrix(ring, ours, module.rank)) == span(Matrix(ring, sums, module.rank)), case
+            if ring.is_field and report.kernel.dim():
+                nonzero += 1
+                pres = space.presentation
+                coords = Matrix(ring, [list(pres.reduce(row)) for row in sums], pres.ncoords())
+                assert report.local_span == matrix_rank(coords), case
+    assert nonzero >= 10
 
 
 def test_comparison_golden_level_one_six_f2():

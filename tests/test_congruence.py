@@ -207,8 +207,8 @@ def test_act_letter_matches_permutation():
     cos = gamma0_cosets(6)
     G = cos.subgroup
     for i in range(cos.mu):
-        assert cos.act_letter(i, "s")[0] == G.s[i]
-        assert cos.act_letter(i, "t")[0] == G.t[i]
+        assert cos.act(i, SIGMA)[0] == G.s[i]
+        assert cos.act(i, TAU)[0] == G.t[i]
 
 
 # -- paths between cusps -------------------------------------------------------

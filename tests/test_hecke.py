@@ -22,7 +22,7 @@ from heckesym import hecke
 from heckesym.congruence import gamma0_cosets, gamma1_cosets
 from heckesym.hecke import (
     LazyOperator,
-    _poly_apply,
+    _evaluate_at,
     diamond_operator,
     eigensystem,
     hecke_matrix,
@@ -511,7 +511,7 @@ def test_poly_apply_matches_the_power_sum(ring):
             if ring is QQ:
                 d = mat.integer_form()[1]
                 scale = math.lcm(*(c.denominator for c in coeffs)) * d**degree
-            assert _poly_apply(ring, coeffs, mat) == expected.scale(ring.of_int(scale))
+            assert _evaluate_at(ring, coeffs, mat) == expected.scale(ring.of_int(scale))
 
 
 # ---------------------------------------------------------------------------

@@ -350,8 +350,6 @@ def test_coset_tables_share_one_interface():
         assert weight_module_for(cosets, QQ, 2).variant == variant
         j, cocycle = cosets.twist(0, "t")
         assert j == cosets.subgroup.t[0] and len(cocycle) == 4
-        for cls in cosets.subgroup.elliptic_classes():
-            assert len(cosets.stabilizer_cocycle(cls)) == 4
 
 
 class _TwistTable:
@@ -360,7 +358,7 @@ class _TwistTable:
 
     def __init__(self, cosets):
         self.n, self.mu = cosets.n, cosets.mu
-        self.twist, self.stabilizer_cocycle = cosets.twist, cosets.stabilizer_cocycle
+        self.twist = cosets.twist
 
 
 @pytest.mark.parametrize("ring", [QQ, GF(7), ZZ], ids=["Q", "F7", "Z"])
@@ -372,11 +370,11 @@ def test_weight_two_permutation_module_builds_no_cocycle(ring):
     weight = weight_module_for(PermCosets(G), ring, 2)
     module = InducedModule(PermCosets(G), weight)
     ops = [module.right_matrix(name) for name in "stT"] + [module.norm_matrix(x) for x in "st"]
-    stabs = [module.stabilizer_action(cls) for cls in G.elliptic_classes()]
+    stabs = [orbit.stabilizer for x in "st" for orbit in module.orbits(x)]
     assert G._rep_cache == [] and G._zlam is None
     twisted = InducedModule(_TwistTable(PermCosets(G)), weight)
     assert ops == [twisted.right_matrix(name) for name in "stT"] + [twisted.norm_matrix(x) for x in "st"]
-    assert stabs == [twisted.stabilizer_action(cls) for cls in G.elliptic_classes()]
+    assert stabs == [orbit.stabilizer for x in "st" for orbit in twisted.orbits(x)]
     assert G._rep_cache != []
 
 

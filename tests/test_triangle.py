@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckesym import triangle
 from heckesym.rings import ZZ, QQ, GF, is_prime
 from heckesym.triangle import (
     InvalidSubgroupError,
@@ -160,6 +161,17 @@ def test_rejects_wrong_tau_order():
     # a 3-cycle cannot be the tau action when n = 4
     with pytest.raises(InvalidSubgroupError, match="order dividing"):
         TriangleSubgroup(4, (0, 1, 2), (1, 2, 0))
+
+
+def test_tau_order_check_composes_no_permutation_n_times(monkeypatch):
+    # every cycle length of t divides n: O(mu) whatever n is
+    composed = []
+    compose = triangle._compose
+    monkeypatch.setattr(triangle, "_compose", lambda p, q: composed.append(1) or compose(p, q))
+    G = TriangleSubgroup(10**6, (1, 0), (0, 1))
+    assert G.n == 10**6 and len(composed) <= 2
+    with pytest.raises(InvalidSubgroupError, match="order dividing"):
+        TriangleSubgroup(10**6 + 1, (0, 1, 2), (1, 2, 0))
 
 
 def test_rejects_intransitive():
