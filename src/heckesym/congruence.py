@@ -10,14 +10,15 @@ lesser of c and -c up to sign), and the scaled d is looked up among that
 entry's labels (Cremona, Algorithms for Modular Elliptic Curves, ch. 2;
 Stein, Modular Forms, ch. 8). So a gamma0 table costs about N times the
 number of divisors of N, not N^2, and a gamma1 table is linear in its index.
-Every label is backed by an exact lift to SL_2(Z), so the induced-module
-cocycles are honest integer matrices (signs included), not just projective
-classes.
+Every label is backed by an exact lift to SL_2(Z), built on its first read,
+so the induced-module cocycles are honest integer matrices (signs included),
+not just projective classes; the coset permutations need no lift.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .linalg import InternalInvariantError
@@ -121,7 +122,7 @@ def lift_to_sl2(c, d, N):
 
 
 class CongruenceCosets:
-    """Coset table for a congruence subgroup, with exact lifts.
+    """Coset table for a congruence subgroup, with lifts built on first read.
 
     kind "gamma0": labels are P^1(Z/N) points, the group is the projective
     image of Gamma_0(N). kind "gamma1": labels are (c,d) pairs modulo
@@ -145,11 +146,14 @@ class CongruenceCosets:
         self.n = 3
         self.labels, self._scale = _coset_tables(N, kind)
         self.mu = len(self.labels)
-        self.lifts = [lift_to_sl2(c, d, N) for c, d in self.labels]
         s = tuple(self._act_perm(i, _LETTERS["s"]) for i in range(self.mu))
         t = tuple(self._act_perm(i, _LETTERS["t"]) for i in range(self.mu))
         self.subgroup = TriangleSubgroup(3, s, t)
-        self._inv_lifts = [mat2_inv_det_one(ZZ, m) for m in self.lifts]
+
+    @cached_property
+    def lifts(self):
+        """Each label's exact SL_2(Z) lift, built on its first read."""
+        return [lift_to_sl2(c, d, self.N) for c, d in self.labels]
 
     def coset_of(self, c, d):
         """Index of the coset with bottom row (c, d) mod N: the pair scaled
@@ -162,9 +166,6 @@ class CongruenceCosets:
             raise InternalInvariantError(
                 "row (%d, %d) is not coprime to the level" % (c, d)
             )
-
-    def coset_of_matrix(self, g):
-        return self.coset_of(g[2], g[3])
 
     def _act_perm(self, i, g):
         c, d = self.labels[i]
@@ -180,8 +181,8 @@ class CongruenceCosets:
         choice is multiplicative, so the twisted action matrices of sigma
         and tau have honest orders 2 and 3 in every weight, odd included."""
         lifted = mat2_mul(ZZ, self.lifts[i], g)
-        j = self.coset_of_matrix(lifted)
-        gamma = mat2_mul(ZZ, lifted, self._inv_lifts[j])
+        j = self.coset_of(*lifted[2:])
+        gamma = mat2_mul(ZZ, lifted, mat2_inv_det_one(ZZ, self.lifts[j]))
         return j, self._normalize_member(gamma)
 
     def _normalize_member(self, gamma):
@@ -213,7 +214,7 @@ class CongruenceCosets:
         """For a determinant-1 integer matrix g, the pair (j, gamma) with
         gamma = lift_j * g^(-1) in the subgroup. This rewrites the modular
         symbol {g.0, g.oo} as the coset-j generator twisted by gamma."""
-        j = self.coset_of_matrix(g)
+        j = self.coset_of(*g[2:])
         gamma = mat2_mul(ZZ, self.lifts[j], mat2_inv_det_one(ZZ, g))
         return j, self._normalize_member(gamma)
 

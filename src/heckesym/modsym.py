@@ -24,12 +24,13 @@ one interface, and everything in this module reads a table through it alone:
 n and mu; twist(i, letter), the coset reached from i by the letter with
 the cocycle that multiplies the coefficient; the weight_variant class
 attribute naming the matching weight action; label(); and subgroup, the
-TriangleSubgroup of the coset permutations. Cocycles are plain 2x2
-matrices, 4-tuples over Z for congruence tables and over the group's own
-Z[2cos(pi/n)] for permutation tables, which the weight module of signature
-n turns into row-convention action matrices. Only path conversion and
-matrix right actions need more (congruence cusp arithmetic), and they ask
-for it through congruence.require_congruence.
+TriangleSubgroup of the coset permutations, all that weight 2 reads (every
+cocycle acts there as 1). Cocycles are plain 2x2 matrices, 4-tuples over Z
+for congruence tables and over the group's own Z[2cos(pi/n)] for
+permutation tables, which the weight module of signature n turns into
+row-convention action matrices. Only path conversion and matrix right
+actions need more (congruence cusp arithmetic), and they ask for it
+through congruence.require_congruence.
 """
 
 from collections import namedtuple
@@ -105,10 +106,6 @@ class InducedModule:
         self.block = weight.dim
         self.rank = self.mu * self.block
         self._cache = {}
-        # weight 2 over a permutation table: every cocycle acts as the 1x1
-        # identity, so the blocks read only the target cosets, and no
-        # cocycle (nor Z[lam]) is built; congruence tables keep their checks
-        self._targets_only = self.block == 1 and isinstance(cosets, PermCosets)
         ident = Matrix.identity(self.ring, self.block)
         self._identity = [(i, ident) for i in range(self.mu)]
         # g^o = 1 on the module exactly when, on each orbit of g, the
@@ -118,7 +115,7 @@ class InducedModule:
             for orbit in self.orbits(letter):
                 m, rest = divmod(order, len(orbit.cycle))
                 h = power = orbit.stabilizer
-                if not rest and self.block > 1 and h != ident:
+                if not rest and h != ident:
                     for _ in range(m - 1):
                         power = power.mul(h)
                     rest = power != ident
@@ -143,18 +140,14 @@ class InducedModule:
         return out
 
     def _letter(self, letter):
-        if self._targets_only:
-            target, one = self.cosets.subgroup.apply_letter, self._one_block()
+        if self.block == 1:
+            # in weight 2 every cocycle acts as 1: no cocycle is built
+            target, one = self.cosets.subgroup.apply_letter, self.weight.action_matrix((1, 0, 0, 1))
             build = lambda: [(target(i, letter), one) for i in range(self.mu)]
         else:
             twist = self.cosets.twist
             build = lambda: self._from_twists(twist(i, letter) for i in range(self.mu))
         return self.cached("B" + letter, build)
-
-    def _one_block(self):
-        """The block of the identity matrix (1, 0, 0, 1), which every
-        cocycle acts as in weight 2."""
-        return self.weight.action_matrix((1, 0, 0, 1))
 
     def orbits(self, name):
         """The orbits of sigma ("s"), tau ("t") or T ("T") on the cosets, by
@@ -174,13 +167,10 @@ class InducedModule:
                     seen[j] = True
                     cycle.append(j)
                     j = bm[j][0]
-                if self.block == 1:
-                    out.append(Orbit(cycle, [ident] * len(cycle), bm[c0][1]))
-                    continue
                 steps, Q = [ident], bm[c0][1]
                 for c in cycle[1:]:
                     steps.append(Q)
-                    Q = Q.mul(bm[c][1])
+                    Q = self._then(Q, bm[c][1])
                 out.append(Orbit(cycle, steps, Q))
             return out
 
@@ -256,13 +246,20 @@ class InducedModule:
         )
 
     def norm_matrix(self, letter):
-        """Sum of the right actions of the powers of a generator below its
-        order (2 for sigma, n for tau)."""
+        """Sum of the right actions of the powers of a generator g below its
+        order o (2 for sigma, n for tau): o / r times the sum below the first
+        power g^r that moves no coset and is the identity (r divides o)."""
 
         def build():
-            powers = [self._identity, self._letter(letter)]
-            while len(powers) < (2 if letter == "s" else self.n):
-                powers.append(self._compose(powers[-1], powers[1]))
+            order, g = (2 if letter == "s" else self.n), self._letter(letter)
+            powers, fixed = [self._identity], list(range(self.mu))
+            while len(powers) < order:
+                power = self._compose(powers[-1], g) if len(powers) > 1 else g
+                if [j for j, _ in power] == fixed and power == self._identity:
+                    c = self.ring.of_int(order // len(powers))
+                    powers = [[(j, B.scale(c)) for j, B in bm] for bm in powers]
+                    break
+                powers.append(power)
             return self._assemble([(1, bm) for bm in powers])
 
         return self.cached("N" + letter, build)

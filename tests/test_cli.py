@@ -85,10 +85,10 @@ def test_dims_integer_ring_weight_4_answers_from_ranks(capsys):
     assert doc["torsion"] == ["6"]
 
 
-def _timed_subprocess(argv):
+def _timed_subprocess(argv, timeout=None):
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "heckesym", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
     return proc, time.perf_counter() - start
 
 
@@ -110,6 +110,23 @@ def test_weight_2_perm_file_with_large_n_builds_no_lambda(command, tmp_path):
     else:
         assert doc["verdict"] == "isomorphic" and doc["kernel"] == {"dim": 0}
         assert doc["local_terms"] == [{"dim": 0}, {"dim": 0}]
+
+
+def test_a_norm_stops_at_the_first_identity_power(tmp_path):
+    # tau fixes both cosets, so it acts as 1 in weight 2 and its norm over
+    # F_5 is n times the identity; composing all n = 10^9 letter powers was
+    # killed at 10 s
+    docs = []
+    for n in (1000000000, 10):
+        path = tmp_path / ("n%d.json" % n)
+        path.write_text(json.dumps({"n": n, "s": [1, 0], "t": [0, 1]}))
+        proc, elapsed = _timed_subprocess(["dims", "--group", "perm-file:%s" % path,
+                                           "--ring", "fp:5", "--format", "json"], timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert elapsed < 2.0, n
+        docs.append(json.loads(proc.stdout))
+        docs[-1].pop("group")
+    assert docs[0] == docs[1]
 
 
 # Runs the command in argv[1:] and writes its exit code, its wall time and

@@ -5,20 +5,29 @@ formulas (recomputed from scratch in oracles.py), so the presentation, the
 boundary map and its kernel/image are pinned by an independent route.
 """
 
+import inspect
 import json
 import os
+import pathlib
 import random
+import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import heckesym
+from heckesym.cohomology import comparison_report, dimension_report
 from heckesym.congruence import (
+    CongruenceCosets,
     apply_moebius,
     gamma0_cosets,
     gamma1_cosets,
+    require_congruence,
 )
+from heckesym.hecke import hecke_matrix
 from heckesym.linalg import (
     FPMap,
     Matrix,
@@ -352,15 +361,6 @@ def test_coset_tables_share_one_interface():
         assert j == cosets.subgroup.t[0] and len(cocycle) == 4
 
 
-class _TwistTable:
-    """A permutation table read through its cocycles, as the induced module
-    reads every table in weight > 2."""
-
-    def __init__(self, cosets):
-        self.n, self.mu = cosets.n, cosets.mu
-        self.twist = cosets.twist
-
-
 @pytest.mark.parametrize("ring", [QQ, GF(7), ZZ], ids=["Q", "F7", "Z"])
 def test_weight_two_permutation_module_builds_no_cocycle(ring):
     # every cocycle acts as the 1x1 identity in weight 2, so the module reads
@@ -369,13 +369,52 @@ def test_weight_two_permutation_module_builds_no_cocycle(ring):
     G = TriangleSubgroup(5, (3, 2, 1, 0, 5, 4, 7, 6), (3, 1, 6, 2, 0, 5, 4, 7))
     weight = weight_module_for(PermCosets(G), ring, 2)
     module = InducedModule(PermCosets(G), weight)
-    ops = [module.right_matrix(name) for name in "stT"] + [module.norm_matrix(x) for x in "st"]
+    ops = {name: module.right_matrix(name).rows for name in "stT"}
+    ops.update({"N" + x: module.norm_matrix(x).rows for x in "st"})
     stabs = [orbit.stabilizer for x in "st" for orbit in module.orbits(x)]
     assert G._rep_cache == [] and G._zlam is None
-    twisted = InducedModule(_TwistTable(PermCosets(G)), weight)
-    assert ops == [twisted.right_matrix(name) for name in "stT"] + [twisted.norm_matrix(x) for x in "st"]
-    assert stabs == [orbit.stabilizer for x in "st" for orbit in twisted.orbits(x)]
+    assert stabs and all(H == Matrix.identity(ring, 1) for H in stabs)
+    want = oracles.induced_operators(PermCosets(G), weight)
+    assert ops == {name: want[name] for name in ops}
     assert G._rep_cache != []
+
+
+def _no_twist(self, i, letter):
+    raise AssertionError("a weight-2 twist")
+
+
+@pytest.mark.parametrize("make", [gamma0_cosets, gamma1_cosets], ids=["gamma0", "gamma1"])
+@pytest.mark.parametrize("ring", [QQ, GF(7), ZZ], ids=["Q", "F7", "Z"])
+def test_weight_two_congruence_module_reads_no_lift_and_no_twist(monkeypatch, make, ring):
+    # dims and compare in weight 2 read only the coset permutations, so the
+    # lifts are built on the first read, by the Hecke rows
+    cosets = make(11 if make is gamma0_cosets else 13)
+    weight = weight_module_for(cosets, ring, 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(CongruenceCosets, "twist", _no_twist)
+        module = InducedModule(cosets, weight)
+        dimension_report(module)
+        space = ManinSymbolSpace(module)
+        space.presentation.invariants()
+        comparison_report(space)
+        got = {name: module.right_matrix(name).rows for name in "stT"}
+        got.update({"N" + x: module.norm_matrix(x).rows for x in "st"})
+    assert "lifts" not in cosets.__dict__
+    want = oracles.induced_operators(cosets, weight)
+    assert got == {name: want[name] for name in got}
+    hecke_matrix(space, 2).matrix_on_generators()
+    assert "lifts" in cosets.__dict__
+
+
+def test_only_congruence_asks_which_kind_of_table_it_holds():
+    # every other module reads a table through the shared interface alone;
+    # require_congruence is the one test of the table's class
+    pattern = re.compile(r"isinstance\([^)]*(PermCosets|CongruenceCosets)")
+    for path in sorted(pathlib.Path(heckesym.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        if path.name == "congruence.py":
+            source = source.replace(inspect.getsource(require_congruence), "")
+        assert not pattern.search(source), path.name
 
 
 def _no_products(self, other):
@@ -501,12 +540,14 @@ class _OneCoset:
 
 
 class _TwoCosets(_OneCoset):
-    """Two cosets that tau swaps: a cycle of length 2 under an order 3."""
+    """Two cosets that tau swaps: a cycle of length 2 under an order 3. The
+    subgroup holds the coset permutations a weight-2 module reads."""
 
     mu = 2
+    subgroup = SimpleNamespace(apply_letter=lambda i, letter: 1 - i if letter == "t" else i)
 
     def twist(self, i, letter):
-        return (1 - i if letter == "t" else i), (1, 0, 0, 1)
+        return self.subgroup.apply_letter(i, letter), (1, 0, 0, 1)
 
 
 @pytest.mark.parametrize("cosets, k, name", [
