@@ -20,9 +20,9 @@ comparison kernel by linalg.lattice_quotient.
 All presentations work over the integers (Smith normal form exposes the
 torsion) and over the supported fields.
 
-The *_dimension helpers read dimension_report, which sums local terms of
-the induced module: per-orbit stabilizers at the elliptic classes and
-cusps, and Shapiro's lemma for the invariants and coinvariants. Where the
+The *_dimension helpers read dimension_report, which sums the local data
+each InducedModule.orbits orbit keeps (V^H, and V^H / N_H V at the elliptic
+classes), and counts M^G and M_G by the module's shapiro_walk. Where the
 characteristic divides an elliptic order a generator norm may not split,
 and two ranks of the norms stand in; otherwise no operator of the whole
 module is built. Over the integers every number is the free rank.
@@ -51,7 +51,7 @@ from .linalg import (
 from .modsym import InducedModule, Subspace, boundary_space
 from .rings import GF, IntegerRing, QuotientExtension, UnsupportedRingError, is_prime
 from .triangle import lambda_roots_mod_p
-from .weights import WeightModule, local_term
+from .weights import WeightModule
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +194,8 @@ def _dimension_report(module):
     if d == 1:  # V is trivial: each cycle of T adds 1, and V^Gamma = V_Gamma = V
         f_T, inv, coinv = len(module.cosets.subgroup.cusp_classes()), 1, 1
     else:
-        stabilizers = [orbit.stabilizer for orbit in module.orbits("T")]  # the first at coset 0
-        f_T = sum(map(_fixed_dim, stabilizers))
-        inv = _shapiro_fixed(module, stabilizers[0], False)
-        coinv = _shapiro_fixed(module, _transpose(stabilizers[0]), True)
+        f_T = sum(orbit.fixed.nrows for orbit in module.orbits("T"))
+        inv, coinv = module.group_fixed_vectors().nrows, module.shapiro_walk(True)[0].nrows
     split = n_s == f_s and n_t == f_t
     h1 = R - n_s - n_t + inv
     if split:
@@ -222,76 +220,21 @@ def _dimension_report(module):
     return report
 
 
-def _fixed_dim(h):
-    """dim V^h of a block h: v h = v is v (h - 1) = 0."""
-    return h.nrows - matrix_rank(h.sub(Matrix.identity(h.ring, h.nrows)))
-
-
 def _letter_terms(module, letter):
-    """(dim M^g, rank N_g) for the generator g = sigma or tau, of order o,
-    summed over its orbits on the cosets. An orbit of length L is induced
-    from the stabilizer <H> of its least coset, H = g^L there, so it adds
-    dim V^H and the rank of N_H = 1 + H + ... + H^(m - 1), m = o / L. A
-    full orbit has H = 1, checked when the module was built, and adds d to
-    both; the others are the elliptic classes of g. N_H is m on V^H, into
-    which it maps, so it maps onto V^H unless the characteristic divides m;
-    then the local term V^H / N_H V falls short."""
-    ring, d = module.ring, module.block
-    order = 2 if letter == "s" else module.n
+    """(dim M^g, rank N_g) for g = sigma or tau, summed over its orbits. An
+    orbit is induced from the stabilizer <H> of its least coset, H of order
+    m, so it adds dim V^H and rank N_H. A full orbit (m = 1) has H = 1 and
+    adds d to both; the others are the elliptic classes of g. N_H is m on
+    V^H, into which it maps, so it maps onto V^H unless the characteristic
+    divides m; then the local term V^H / N_H V falls short."""
+    ring = module.ring
     fixed = rank = 0
     for orbit in module.orbits(letter):
-        m = order // len(orbit.cycle)
-        f = d if m == 1 else _fixed_dim(orbit.stabilizer)
+        f = orbit.fixed.nrows if orbit.order > 1 else module.block
         fixed, rank = fixed + f, rank + f
-        if m > 1 and ring.is_zero(ring.of_int(m)):
-            rank -= local_term(ring, orbit.stabilizer, m).dim()
+        if orbit.order > 1 and ring.is_zero(ring.of_int(orbit.order)):
+            rank -= orbit.local_term.dim()
     return fixed, rank
-
-
-def _transpose(B):
-    return Matrix(B.ring, [list(col) for col in zip(*B.rows)], B.nrows)
-
-
-def _shapiro_fixed(module, start, dual):
-    """dim M^G, or dim M_G when dual: dim V^Gamma and dim V_Gamma, by
-    Shapiro's lemma (Brown, Cohomology of Groups, III.5-III.6).
-
-    A G-fixed vector is its block v at coset 0 carried along a breadth-first
-    spanning tree of the sigma/tau coset graph, v P_j at coset j, and each
-    edge i -> j off the tree, with block B, asks v (P_i B - P_j) = 0. The v
-    meeting the constraints so far have a basis K, at first the vectors
-    that `start`, the stabilizer block of coset 0 in its cusp, fixes. Only
-    the products K P_j are kept, and an empty K ends the walk. M_G is dual
-    to the fixed vectors of the transposed action, whose edges run j -> i
-    with the transposed blocks, so no block is inverted."""
-    mu = module.mu
-    edges = [[] for _ in range(mu)]
-    for letter in "st":
-        for i, (j, B) in enumerate(module.block_map(letter)):
-            if dual:
-                edges[j].append((i, _transpose(B)))
-            else:
-                edges[i].append((j, B))
-    paths = [None] * mu  # K P_j
-    paths[0] = left_kernel(start.sub(Matrix.identity(start.ring, start.nrows)))
-    queue = [0]
-    for i in queue:  # breadth first: the queue grows while it is read
-        for j, B in edges[i]:
-            if not paths[0].nrows:
-                return 0
-            step = paths[i].mul(B)
-            if paths[j] is None:
-                paths[j] = step
-                queue.append(j)
-                continue
-            C = step.sub(paths[j])
-            if not C.is_zero():
-                # the x with x C = 0 cut K down to x K, and each K P_j to x K P_j
-                X = left_kernel(C)
-                paths = [P if P is None else X.mul(P) for P in paths]
-    if len(queue) != mu:
-        raise InternalInvariantError("the coset graph is not connected")
-    return paths[0].nrows
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +330,7 @@ def _split_prime(n):
 def _six_term(module):
     """The six-term report built and checked over the module's own ring."""
     ring = module.ring
-    fs = module.fixed_vectors("s")
-    ft = module.fixed_vectors("t")
-    fg = module.group_fixed_vectors()
+    fs, ft, fg = module.fixed_vectors("s"), module.fixed_vectors("t"), module.group_fixed_vectors()
     cs, ct, h = _cocycle_presentation(module)
     zs, zt = (Matrix.from_sparse(ring, [{} for _ in range(module.rank)], k) for k in (cs.ngens, ct.ngens))
     # the connecting map sends m to its sigma relation row
@@ -475,7 +416,7 @@ def comparison_report(symbols):
     module = symbols.module
     ring = module.ring
     elliptic = _elliptic_orbits(module)
-    local_terms = tuple(local_term(ring, orbit.stabilizer, m) for orbit, m in elliptic)
+    local_terms = tuple(orbit.local_term for orbit in elliptic)
 
     if isinstance(ring, IntegerRing):
         gens = hermite_basis(surface_h1(module).relations)
@@ -511,18 +452,14 @@ def comparison_report(symbols):
 
 
 def _elliptic_orbits(module):
-    """(orbit, m) per elliptic class, in the order of elliptic_classes():
-    the sigma, then the tau orbits shorter than the generator's order, by
-    least coset, whose block H has order m = order / length."""
-    return [(orbit, order // len(orbit.cycle))
-            for letter, order in (("s", 2), ("t", module.n))
-            for orbit in module.orbits(letter) if len(orbit.cycle) < order]
+    """The elliptic classes, in the order of elliptic_classes(): the sigma,
+    then the tau orbits whose stabilizer block has order m > 1, by least
+    coset."""
+    return [orbit for letter in "st" for orbit in module.orbits(letter) if orbit.order > 1]
 
 
 def _orbit_sums(module, elliptic):
     """The orbit sums of the vectors each elliptic stabilizer block fixes,
     as dense ambient rows."""
-    ident = Matrix.identity(module.ring, module.block)
-    rows = [row for orbit, _ in elliptic
-            for row in module.spread(orbit, left_kernel(orbit.stabilizer.sub(ident)))]
+    rows = [row for orbit in elliptic for row in module.spread(orbit, orbit.fixed)]
     return Matrix.from_sparse(module.ring, rows, module.rank).rows

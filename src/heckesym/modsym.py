@@ -17,7 +17,8 @@ g^l acts on the block at c_0 by the stabilizer block H. So the relations
 are one coset's norm rows per orbit: e_(c_0, v) N = sum_k e_(c_k, v N_H Q_k)
 with N_H = 1 + H + ... + H^(o/l - 1), and since e_(c_k, w) N =
 e_(c_0, w Q_k^-1) N, these rows span the same row module over any ring
-as the norm rows at every coset.
+as the norm rows at every coset. Each Orbit builds V^H, N_H and the local
+term V^H / N_H V once for all readers, and M^G comes from shapiro_walk.
 
 Both kinds of table, congruence.CongruenceCosets and PermCosets here, share
 one interface, and everything in this module reads a table through it alone:
@@ -37,14 +38,35 @@ from collections import namedtuple
 from functools import cached_property
 
 from .congruence import continued_fraction_path, require_congruence
-from .linalg import FPMap, FPModule, Matrix, left_kernel
+from .linalg import FPMap, FPModule, InternalInvariantError, Matrix, left_kernel, subquotient
 from .rings import UnsupportedRingError
 from .triangle import mat2_inv_det_one, psl_canonical
-from .weights import WeightModule, norm
+from .weights import WeightModule, norm as action_norm
 
 
 Subspace = namedtuple("Subspace", ["module", "ambient_rows"])
-Orbit = namedtuple("Orbit", ["cycle", "steps", "stabilizer"])
+
+
+class Orbit(namedtuple("Orbit", ["cycle", "steps", "stabilizer", "order"])):
+    """An orbit c_0..c_(l-1) of a generator g on the cosets, from its least
+    coset: steps Q_0..Q_(l-1) with e_(c0, v) g^k = e_(c_k, v Q_k), the
+    stabilizer block H = Q_l (g^l on the block at c0) and its order
+    m = o / l (0 for T, and where l does not divide g's order o). V^H, N_H
+    and the local term V^H / N_H V are each built on first read and kept."""
+
+    @cached_property
+    def fixed(self):
+        """Basis of V^H: the shared identity Q_0 (H itself in weight 2) if H = 1."""
+        ident, H = self.steps[0], self.stabilizer
+        return ident if H is ident or H == ident else left_kernel(H.sub(ident))
+
+    @cached_property
+    def norm(self):  # N_H = 1 + H + ... + H^(m - 1), the shared identity if m = 1
+        return self.steps[0] if self.order == 1 else action_norm(self.stabilizer, self.order)
+
+    @cached_property
+    def local_term(self):  # V^H / N_H V on the basis of V^H
+        return subquotient(self.fixed, self.norm)
 
 
 class PermCosets:
@@ -105,24 +127,25 @@ class InducedModule:
         self.mu = cosets.mu
         self.block = weight.dim
         self.rank = self.mu * self.block
+        self.orders = {"s": 2, "t": self.n, "T": 0}  # T has infinite order
         self._cache = {}
         ident = Matrix.identity(self.ring, self.block)
         self._identity = [(i, ident) for i in range(self.mu)]
-        # g^o = 1 on the module exactly when, on each orbit of g, the
-        # stabilizer block H has H^(o / l) = 1: g^o is conjugate to it on
-        # every block of the orbit (in weight 2 every block is the identity)
-        for letter, name, order in (("s", "sigma", 2), ("t", "tau", self.n)):
+        # g^o = 1 on the module exactly when each orbit of g has H^m = 1
+        # (m = 0 where its length does not divide o): g^o is conjugate to H^m
+        # on every block of the orbit (in weight 2 every block is the identity)
+        for letter, name in (("s", "sigma"), ("t", "tau")):
             for orbit in self.orbits(letter):
-                m, rest = divmod(order, len(orbit.cycle))
                 h = power = orbit.stabilizer
+                rest = not orbit.order
                 if not rest and h != ident:
-                    for _ in range(m - 1):
+                    for _ in range(orbit.order - 1):
                         power = power.mul(h)
                     rest = power != ident
                 if rest:
                     raise UnsupportedRingError(
-                        "%s does not act with order %d on the induced module; the "
-                        "weight twist is incompatible with these cosets" % (name, order)
+                        "%s does not act with order %d on the induced module; the weight "
+                        "twist is incompatible with these cosets" % (name, self.orders[letter])
                     )
 
     # -- block maps: [(j, B)] with (i (x) v) * g = (j (x) v B) row-wise ----
@@ -150,11 +173,9 @@ class InducedModule:
         return self.cached("B" + letter, build)
 
     def orbits(self, name):
-        """The orbits of sigma ("s"), tau ("t") or T ("T") on the cosets, by
-        least coset c0: Orbit(cycle c_0..c_(l-1), steps Q_0..Q_(l-1),
-        stabilizer H) with e_(c0, v) g^k = e_(c_k, v Q_k) and H = Q_l, the
-        action of g^l on the block at c0. Walking a cycle takes one block
-        product per coset, and none in weight 2."""
+        """The Orbits of sigma ("s"), tau ("t") or T ("T") on the cosets, by
+        least coset. Walking a cycle takes one block product per coset, and
+        none in weight 2, where every stabilizer is the shared identity."""
 
         def build():
             bm, ident, out = self.block_map(name), self._identity[0][1], []
@@ -171,7 +192,8 @@ class InducedModule:
                 for c in cycle[1:]:
                     steps.append(Q)
                     Q = self._then(Q, bm[c][1])
-                out.append(Orbit(cycle, steps, Q))
+                m, rest = divmod(self.orders[name], len(cycle))
+                out.append(Orbit(cycle, steps, Q if self.block > 1 else ident, 0 if rest else m))
             return out
 
         return self.cached("O" + name, build)
@@ -251,7 +273,7 @@ class InducedModule:
         power g^r that moves no coset and is the identity (r divides o)."""
 
         def build():
-            order, g = (2 if letter == "s" else self.n), self._letter(letter)
+            order, g = self.orders[letter], self._letter(letter)
             powers, fixed = [self._identity], list(range(self.mu))
             while len(powers) < order:
                 power = self._compose(powers[-1], g) if len(powers) > 1 else g
@@ -277,24 +299,66 @@ class InducedModule:
         left_kernel(right_difference(name)), or its Hermite basis over Z."""
 
         def build():
-            ident = self._identity[0][1]
-            rows = []
-            for orbit in self.orbits(name):
-                H = orbit.stabilizer
-                rows += self.spread(orbit, ident if H == ident else left_kernel(H.sub(ident)))
+            rows = [row for orbit in self.orbits(name) for row in self.spread(orbit, orbit.fixed)]
             rows.sort(key=min)
             return Matrix.from_sparse(self.ring, rows, self.rank)
 
         return self.cached("F" + name, build)
 
     def group_fixed_vectors(self):
-        """Basis of the vectors fixed by the whole group action."""
-        return self.cached(
-            "FG",
-            lambda: left_kernel(
-                self.right_difference("s").hstack(self.right_difference("t"))
-            ),
-        )
+        """Basis of M^G, the vectors fixed by the whole group action: for
+        each row v of K, the block v P_j at each coset j (shapiro_walk)."""
+
+        def build():
+            paths, blk = self.shapiro_walk(False), self.block
+            rows = [{} for _ in range(paths[0].nrows)]
+            for j, P in enumerate(paths):
+                for row, prow in zip(rows, P.sparse_rows()):
+                    row.update((j * blk + b, x) for b, x in prow.items())
+            return Matrix.from_sparse(self.ring, rows, self.rank)
+
+        return self.cached("FG", build)
+
+    def shapiro_walk(self, dual):
+        """The products K P_j by coset j that give M^G, or M_G when dual,
+        by Shapiro's lemma (Brown, Cohomology of Groups, III.5-III.6).
+
+        A G-fixed vector is its block v at coset 0 carried along a
+        breadth-first spanning tree of the sigma/tau coset graph, v P_j at
+        coset j, and each edge i -> j off the tree, with block B, asks
+        v (P_i B - P_j) = 0. The v meeting the constraints so far have a
+        basis K, at first V^H for the block H of coset 0 in its cusp; an
+        empty K ends the walk, which then returns [K]. M_G is dual to the
+        fixed vectors of the transposed action, whose edges run j -> i
+        with the transposed blocks, so no block is inverted."""
+        cusp = self.orbits("T")[0]
+        start = left_kernel(_transpose(cusp.stabilizer).sub(cusp.steps[0])) if dual else cusp.fixed
+        mu, edges = self.mu, [[] for _ in range(self.mu)]
+        for letter in "st":
+            for i, (j, B) in enumerate(self.block_map(letter)):
+                if dual:
+                    edges[j].append((i, _transpose(B)))
+                else:
+                    edges[i].append((j, B))
+        paths = [start] + [None] * (mu - 1)  # K P_j
+        queue = [0]
+        for i in queue:  # breadth first: the queue grows while it is read
+            for j, B in edges[i]:
+                if not paths[0].nrows:
+                    return paths[:1]
+                step = self._then(paths[i], B)
+                if paths[j] is None:
+                    paths[j] = step
+                    queue.append(j)
+                    continue
+                C = step.sub(paths[j])
+                if not C.is_zero():
+                    # the x with x C = 0 cut K down to x K, and each K P_j to x K P_j
+                    X = left_kernel(C)
+                    paths = [P if P is None else X.mul(P) for P in paths]
+        if len(queue) != mu:
+            raise InternalInvariantError("the coset graph is not connected")
+        return paths
 
     def right_operator(self, g):
         """Right action of an arbitrary determinant-1 integer matrix, on a
@@ -310,6 +374,10 @@ class InducedModule:
             self.block,
             self.ring.kind,
         )
+
+
+def _transpose(B):
+    return Matrix(B.ring, [list(col) for col in zip(*B.rows)], B.nrows)
 
 
 class _QuotientSpace:
@@ -354,10 +422,8 @@ class ManinSymbolSpace(_QuotientSpace):
         """The norm rows at the least coset c0 of each orbit of sigma and
         tau: N_H Q_k at c_k, N_H the norm of the stabilizer H of order o / l."""
         module = self.module
-        rows = []
-        for letter, order in (("s", 2), ("t", module.n)):
-            for orbit in module.orbits(letter):
-                rows += module.spread(orbit, norm(orbit.stabilizer, order // len(orbit.cycle)))
+        rows = [row for letter in "st" for orbit in module.orbits(letter)
+                for row in module.spread(orbit, orbit.norm)]
         return Matrix.from_sparse(module.ring, rows, module.rank)
 
 

@@ -110,9 +110,12 @@ def rational_lambda_ring(n):
 
 def lambda_roots_mod_p(n, p):
     """Sorted roots of the minimal polynomial of lam in F_p (may be empty),
-    as a new list; _search_lambda_roots runs once per (n, p)."""
+    as a new list; _search_lambda_roots runs once per (n, p), unless p is
+    prime to 2n and not +-1 mod 2n: lam = z + 1/z, z a primitive 2n-th root
+    of unity, and Frobenius fixes lam just when it sends z to z^(+-1)."""
     if (n, p) not in _LAMBDA_ROOTS_CACHE:
-        _LAMBDA_ROOTS_CACHE[n, p] = tuple(_search_lambda_roots(n, p))
+        split = (2 * n) % p == 0 or p % (2 * n) in (1, 2 * n - 1)
+        _LAMBDA_ROOTS_CACHE[n, p] = tuple(_search_lambda_roots(n, p)) if split else ()
     return list(_LAMBDA_ROOTS_CACHE[n, p])
 
 

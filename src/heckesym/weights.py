@@ -17,8 +17,8 @@ or coefficient tuples over Z[lambda] with lambda = 2cos(pi/n). They are
 read as the integers they are: over Q and the extensions Z[lambda] and
 Q(lambda) the action is built on them directly, and over Z and F_p each
 entry becomes one ring element first. The image of lambda in the
-coefficient ring is checked on first use: 1 for n = 3, the generator of
-the extension, or a root of its minimal polynomial in F_p.
+coefficient ring is checked when the module is built: 1 for n = 3, the
+generator of the extension, or a root of its minimal polynomial in F_p.
 
 Two variants control how much of the matrix sign matters. "projective"
 requires even weight, where -identity acts trivially and cocycles only
@@ -29,7 +29,7 @@ whose cocycles are exact integer matrices.
 
 from __future__ import annotations
 
-from .linalg import Matrix, left_kernel, subquotient
+from .linalg import Matrix
 from .rings import ZZ, PrimeField, QuotientExtension, RationalField, UnsupportedRingError, poly_mul
 from .triangle import lambda_minimal_polynomial, lambda_roots_mod_p
 
@@ -82,7 +82,9 @@ class WeightModule:
         self.variant = variant
         self.n = n
         self.dim = k - 1
-        self._lam = None
+        # taken now, so a ring without lambda is refused before any cocycle
+        # (and Z[lambda] with it) is built
+        self._lam = lambda_image_in(ring, n) if self.dim > 1 else None
         self._matrix_cache = {}
         # weight 2: every matrix acts as the identity, one per module (over
         # Q with its integer form in place)
@@ -106,8 +108,6 @@ class WeightModule:
         R = self.ring
         if self.dim == 1:
             return self._one
-        if self._lam is None:
-            self._lam = lambda_image_in(R, self.n)
         # the entries are integral: the Z[lambda] tuples of an extension
         # (whose generator is lambda) and the ints of Q (which holds lambda
         # only for n = 3) build the action on integers, kept as the matrix's
@@ -152,12 +152,3 @@ def norm(action, order):
         if i < order - 1:
             power = power.mul(action)
     return total
-
-
-def local_term(ring, action, order):
-    """The quotient (invariants of h) / (norm of h applied to V), presented
-    on a basis of the invariants; `action` is the matrix of h on V (row
-    convention) and `order` the order of h. This measures the local
-    obstruction at an elliptic point with stabilizer generated by h."""
-    ident = Matrix.identity(ring, action.nrows)
-    return subquotient(left_kernel(action.sub(ident)), norm(action, order))

@@ -12,11 +12,11 @@ import sympy
 
 from heckesym import hecke
 from heckesym.congruence import continued_fraction_path, diamond_matrix
-from heckesym.linalg import Matrix, left_kernel
+from heckesym.linalg import Matrix, left_kernel, subquotient
 from heckesym.modsym import PermCosets, cuspidal_subspace
 from heckesym.rings import ZZ
 from heckesym.triangle import mat2_identity, mat2_mul, mat2_pow, sigma_matrix, tau_matrix
-from heckesym.weights import local_term
+from heckesym.weights import norm
 
 
 def minpoly_2cos_pi_over(n):
@@ -48,9 +48,10 @@ def elliptic_local_data(module):
     r_c g^l r_c^-1 of cocycle_matrix, for a congruence table the element
     lift_c g^l lift_c^-1 that the table's act gives, g the class's letter
     and l its cycle length. Its weight action h gives the local term
-    local_term(ring, h, order); each h-fixed coefficient placed at the
-    class coset and carried around the class cycle by the dense right
-    action of g gives one orbit sum, a dense ambient row."""
+    V^h / N_h V, the h-fixed vectors modulo the image of the norm of h;
+    each h-fixed coefficient placed at the class coset and carried around
+    the class cycle by the dense right action of g gives one orbit sum, a
+    dense ambient row."""
     cosets, ring, blk = module.cosets, module.ring, module.block
     terms, sums = [], []
     for cls in cosets.subgroup.elliptic_classes():
@@ -62,9 +63,10 @@ def elliptic_local_data(module):
             j, gamma = cosets.act(cls.coset, mat2_pow(ZZ, g, cls.power))
         assert j == cls.coset, "the stabilizer generator moves its coset"
         h = module.weight.action_matrix(gamma)
-        terms.append(local_term(ring, h, cls.order))
+        fixed = left_kernel(h.sub(Matrix.identity(ring, blk)))
+        terms.append(subquotient(fixed, norm(h, cls.order)))
         step = module.right_matrix(letter).act_on_row
-        for v in left_kernel(h.sub(Matrix.identity(ring, blk))).rows:
+        for v in fixed.rows:
             cur = [ring.zero] * module.rank
             cur[cls.coset * blk:(cls.coset + 1) * blk] = list(v)
             total = list(cur)
@@ -73,6 +75,12 @@ def elliptic_local_data(module):
                 total = [ring.add(a, b) for a, b in zip(total, cur)]
             sums.append(total)
     return terms, sums
+
+
+def global_group_fixed_vectors(module):
+    """Basis of M^G as one left kernel of [1 - sigma | 1 - tau] on the
+    whole module, without the orbit walk."""
+    return left_kernel(module.right_difference("s").hstack(module.right_difference("t")))
 
 
 def roots_mod_p(poly, p):

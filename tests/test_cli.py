@@ -129,6 +129,25 @@ def test_a_norm_stops_at_the_first_identity_power(tmp_path):
     assert docs[0] == docs[1]
 
 
+@pytest.mark.parametrize("ring,message", [
+    ("q", "ring rationals does not contain lambda for n=100000"),
+    ("z", "ring integers does not contain lambda for n=100000"),
+    ("fp:3", "the minimal polynomial of lambda for n=100000 has no root mod 3; "
+             "use --ring lambda or a prime where it splits"),
+])
+def test_a_ring_without_lambda_is_refused_before_z_lambda_is_built(tmp_path, ring, message):
+    # weight 4 needs lambda = 2cos(pi/n) in the ring; the query used to build
+    # lambda's minimal polynomial for the cocycles first, 1.2-1.5 s at
+    # n = 4000 and quadratic in n, before the ring was refused
+    path = tmp_path / "n100000.json"
+    path.write_text(json.dumps({"n": 100000, "s": [1, 0], "t": [0, 1]}))
+    proc, elapsed = _timed_subprocess(["dims", "--group", "perm-file:%s" % path,
+                                       "--weight", "4", "--ring", ring], timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.strip() == "unsupported: " + message
+    assert elapsed < 2.0
+
+
 # Runs the command in argv[1:] and writes its exit code, its wall time and
 # its max RSS (RUSAGE_CHILDREN, in kilobytes) to stderr. A small interpreter
 # runs it, since a child's max RSS counts the memory of the process it was

@@ -11,13 +11,14 @@ import dataclasses
 import json
 import os
 import random
+import sys
 
 import pytest
 import sympy
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from heckesym import cohomology, linalg, triangle
+from heckesym import cohomology, linalg, triangle, weights
 from heckesym.congruence import gamma0_cosets, gamma1_cosets
 from heckesym.cohomology import (
     _zero_composite,
@@ -393,7 +394,8 @@ def test_six_term_exact_for_random_subgroups(seed):
 
     # parabolic rank-nullity: dim H^1_par = dim Z^1_par - dim M^T + dim M^G
     z_par = left_kernel(module.norm_matrix("s").hstack(module.norm_matrix("t")))
-    expected = z_par.nrows - module.fixed_vectors("T").nrows + module.group_fixed_vectors().nrows
+    invariants = oracles.global_group_fixed_vectors(module).nrows
+    expected = z_par.nrows - module.fixed_vectors("T").nrows + invariants
     assert h1_parabolic(module).dim() == expected
     assert h1_parabolic_dimension(module) == expected
 
@@ -503,6 +505,71 @@ def test_elliptic_local_data_match_the_class_stabilizers():
                 coords = Matrix(ring, [list(pres.reduce(row)) for row in sums], pres.ncoords())
                 assert report.local_span == matrix_rank(coords), case
     assert nonzero >= 10
+
+
+def _subgroup_file(name):
+    with open(SUBGROUPS) as fh:
+        return PermCosets(subgroup_from_dict(json.load(fh)[name]))
+
+
+@pytest.mark.parametrize("table,field", [
+    ("gamma0-13", "F5"), ("gamma0-13", "Z"), ("n5-mu08-a", "lambda"), ("n5-mu08-a", "F71"),
+])
+def test_each_orbit_local_data_is_formed_once(monkeypatch, table, field):
+    # V^H and N_H of an orbit are built on its first read and kept: the
+    # presentation, the dimension report, the comparison and the six-term
+    # sequence all read them, and M^G comes from the orbit walk rather than
+    # a kernel of [1 - sigma | 1 - tau]
+    cosets = gamma0_cosets(13) if table == "gamma0-13" else _subgroup_file(table)
+    ring = {"F5": GF(5), "Z": ZZ, "F71": GF(71), "lambda": rational_lambda_ring(5)[0]}[field]
+    kernels, norms = [], []
+    left_kernel, norm = linalg.left_kernel, weights.norm
+
+    def kernel_spy(mat):
+        kernels.append(mat)
+        return left_kernel(mat)
+
+    def norm_spy(action, order):
+        norms.append(action)
+        return norm(action, order)
+
+    for name, mod in list(sys.modules.items()):
+        for attr, value in list(vars(mod).items()) if name.startswith("heckesym") else ():
+            for original, spy in ((left_kernel, kernel_spy), (norm, norm_spy)):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, spy)
+    module = induced(cosets, ring, 4)
+    space = ManinSymbolSpace(module)
+    assert space.presentation.ngens == module.rank
+    cohomology.dimension_report(module)
+    comparison_report(space)
+    if ring.is_field:
+        assert cohomology._six_term(module).exact
+    ident = Matrix.identity(ring, module.block)
+    differences = [orbit.stabilizer.sub(ident) for letter in "stT" for orbit in module.orbits(letter)]
+    T0 = module.orbits("T")[0].stabilizer
+    dual_start = Matrix(ring, [list(col) for col in zip(*T0.rows)], T0.nrows).sub(ident)
+    for D in differences:
+        allowed = sum(E == D for E in differences) + (dual_start == D)
+        assert sum(K == D for K in kernels) <= allowed
+    assert len(norms) <= len(module.orbits("s")) + len(module.orbits("t"))
+    assert all(K.ncols != 2 * module.rank for K in kernels)
+
+
+def test_the_walk_fixed_vectors_span_the_global_kernel():
+    for cosets, cases in _elliptic_sample():
+        for ring, k in cases:
+            if k == 3:
+                continue
+            try:
+                module = induced(cosets, ring, k)
+            except UnsupportedRingError:
+                continue  # F_p without lambda
+            ours, want = module.group_fixed_vectors(), oracles.global_group_fixed_vectors(module)
+            span = hermite_basis if ring == ZZ else (lambda m: rref(m)[0])
+            case = (cosets, ring, k)
+            assert span(ours) == span(want), case
+            assert ours.nrows == cohomology.dimension_report(module).invariants, case
 
 
 def test_comparison_golden_level_one_six_f2():

@@ -57,6 +57,7 @@ from heckesym.triangle import (
     mat2_mul,
     mat2_pow,
     rational_lambda_ring,
+    reduce_word,
     sigma_matrix,
     tau_matrix,
 )
@@ -414,6 +415,20 @@ def test_only_congruence_asks_which_kind_of_table_it_holds():
         source = path.read_text()
         if path.name == "congruence.py":
             source = source.replace(inspect.getsource(require_congruence), "")
+        assert not pattern.search(source), path.name
+
+
+def test_only_modsym_names_the_generator_orders():
+    # InducedModule.orders holds the orders 2 and n of sigma and tau, which
+    # every other module reads from it or from an orbit; triangle's word
+    # arithmetic reduces exponents by them on its own
+    pattern = re.compile(r'\("s", 2\)|2 if letter == "s"')
+    for path in sorted(pathlib.Path(heckesym.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        if path.name == "modsym.py":
+            continue
+        if path.name == "triangle.py":
+            source = source.replace(inspect.getsource(reduce_word), "")
         assert not pattern.search(source), path.name
 
 

@@ -74,6 +74,25 @@ def test_lambda_roots_mod_p_match_trying_every_residue():
                 assert lambda_roots_mod_p(n, p) == oracles.roots_mod_p(MINPOLYS[n], p), (n, p)
 
 
+def test_lambda_roots_mod_p_search_only_where_frobenius_can_fix_lambda(monkeypatch):
+    # lambda = z + 1/z for z a primitive 2n-th root of unity: for p prime to
+    # 2n, Frobenius fixes lambda exactly when p = +-1 mod 2n, so every other
+    # such p has no root and needs no polynomial
+    searched = []
+    search = triangle._search_lambda_roots
+
+    def recorded(n, p):
+        searched.append((n, p))
+        return search(n, p)
+
+    monkeypatch.setattr(triangle, "_LAMBDA_ROOTS_CACHE", {})
+    monkeypatch.setattr(triangle, "_search_lambda_roots", recorded)
+    pairs = [(n, p) for p in range(2, 400) if is_prime(p) for n in range(4, 13)]
+    for n, p in pairs:
+        assert lambda_roots_mod_p(n, p) == oracles.roots_mod_p(MINPOLYS[n], p), (n, p)
+    assert searched == [(n, p) for n, p in pairs if (2 * n) % p == 0 or p % (2 * n) in (1, 2 * n - 1)]
+
+
 def test_lambda_roots_mod_a_large_prime():
     # the minimal polynomial of lambda splits mod p exactly when p = +-1 mod 2n
     for n, p in ((5, 1000000009), (5, 1000000007), (7, 1000000007)):

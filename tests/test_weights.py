@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from heckesym.linalg import Matrix, charpoly
+from heckesym.linalg import Matrix, charpoly, left_kernel, subquotient
+from heckesym.modsym import InducedModule, PermCosets, weight_module_for
 from heckesym.rings import GF, QQ, ZZ, QuotientExtension, UnsupportedRingError
 from heckesym.triangle import (
+    TriangleSubgroup,
     integral_lambda_ring,
     lambda_minimal_polynomial,
     mat2_mul,
@@ -16,7 +18,7 @@ from heckesym.triangle import (
 from heckesym.weights import (
     WeightModule,
     lambda_image_in,
-    local_term,
+    norm,
 )
 
 import oracles
@@ -177,17 +179,32 @@ def test_action_over_lambda_extension():
 # -- local terms ---------------------------------------------------------------
 
 
+def _local_term(action, order):
+    """V^h / N_h V for the matrix h of an action (row convention) of the
+    given order: the local obstruction at an elliptic point."""
+    fixed = left_kernel(action.sub(Matrix.identity(action.ring, action.nrows)))
+    return subquotient(fixed, norm(action, order))
+
+
+def _orbit_terms(n, ring, k):
+    """The local terms of the sigma and the tau orbit of the one coset of
+    the signature-n triangle group, read from its induced module."""
+    cosets = PermCosets(TriangleSubgroup.level_one(n))
+    module = InducedModule(cosets, weight_module_for(cosets, ring, k))
+    return [orbit.local_term for letter in "st" for orbit in module.orbits(letter)]
+
+
 def test_local_term_weight_two_order_two_over_z():
     V = WeightModule(ZZ, 2)
     A = V.action_matrix(SIGMA)
-    mod = local_term(ZZ, A, 2)
-    assert mod.torsion() == (2,)
-    assert mod.rank() == 0
+    for mod in (_local_term(A, 2), _orbit_terms(4, ZZ, 2)[0]):
+        assert mod.torsion() == (2,)
+        assert mod.rank() == 0
 
 
 def test_local_term_weight_two_order_four_over_z():
-    mod = local_term(ZZ, Matrix.identity(ZZ, 1), 4)
-    assert mod.torsion() == (4,)
+    assert _local_term(Matrix.identity(ZZ, 1), 4).torsion() == (4,)
+    assert _orbit_terms(4, ZZ, 2)[1].torsion() == (4,)
 
 
 def test_local_term_of_a_trivial_action_is_built_without_products(monkeypatch):
@@ -197,23 +214,28 @@ def test_local_term_of_a_trivial_action_is_built_without_products(monkeypatch):
         raise AssertionError("a product of a trivial action")
 
     monkeypatch.setattr(Matrix, "mul", no_products)
-    assert local_term(ZZ, WeightModule(ZZ, 2).action_matrix(TAU), 8000).torsion() == (8000,)
-    assert local_term(GF(2), Matrix.identity(GF(2), 1), 8000).dim() == 1
-    assert local_term(GF(3), Matrix.identity(GF(3), 1), 8000).dim() == 0
-    assert local_term(QQ, WeightModule(QQ, 2).action_matrix(SIGMA), 2).dim() == 0
-    assert local_term(ZZ, Matrix.identity(ZZ, 3), 4).torsion() == (4, 4, 4)
+    assert _local_term(WeightModule(ZZ, 2).action_matrix(TAU), 8000).torsion() == (8000,)
+    assert _local_term(Matrix.identity(GF(2), 1), 8000).dim() == 1
+    assert _local_term(Matrix.identity(GF(3), 1), 8000).dim() == 0
+    assert _local_term(WeightModule(QQ, 2).action_matrix(SIGMA), 2).dim() == 0
+    assert _local_term(Matrix.identity(ZZ, 3), 4).torsion() == (4, 4, 4)
+    # and so is the tau orbit's term of an induced module of signature 8000
+    assert _orbit_terms(8000, ZZ, 2)[1].torsion() == (8000,)
+    assert _orbit_terms(8000, GF(2), 2)[1].dim() == 1
+    assert _orbit_terms(8000, GF(3), 2)[1].dim() == 0
 
 
 def test_local_terms_vanish_over_q():
     V = WeightModule(QQ, 4)
-    assert local_term(QQ, V.action_matrix(SIGMA), 2).dim() == 0
-    assert local_term(QQ, V.action_matrix(TAU), 3).dim() == 0
+    assert _local_term(V.action_matrix(SIGMA), 2).dim() == 0
+    assert _local_term(V.action_matrix(TAU), 3).dim() == 0
+    assert [t.dim() for t in _orbit_terms(3, QQ, 4)] == [0, 0]
 
 
 def test_local_term_weight_four_sigma_mod_two():
     V = WeightModule(GF(2), 4)
-    mod = local_term(GF(2), V.action_matrix(SIGMA), 2)
-    assert mod.dim() == 1
+    assert _local_term(V.action_matrix(SIGMA), 2).dim() == 1
+    assert _orbit_terms(3, GF(2), 4)[0].dim() == 1
 
 
 # -- lambda embeddings -----------------------------------------------------------
