@@ -330,7 +330,9 @@ def _split_prime(n):
 def _six_term(module):
     """The six-term report built and checked over the module's own ring."""
     ring = module.ring
-    fs, ft, fg = module.fixed_vectors("s"), module.fixed_vectors("t"), module.group_fixed_vectors()
+    fs = module.fixed_vectors("s")
+    ft = module.fixed_vectors("t")
+    fg = module.group_fixed_vectors()
     cs, ct, h = _cocycle_presentation(module)
     zs, zt = (Matrix.from_sparse(ring, [{} for _ in range(module.rank)], k) for k in (cs.ngens, ct.ngens))
     # the connecting map sends m to its sigma relation row
