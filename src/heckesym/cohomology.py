@@ -131,12 +131,6 @@ def surface_h1_parabolic(module):
     return Subspace(mod, gens)
 
 
-def boundary_dimensions(module):
-    """(boundary, Eisenstein) dimensions, from the dimension report."""
-    report = dimension_report(module)
-    return report.boundary, report.eisenstein
-
-
 def surface_h1_parabolic_dimension(module):
     """dim of the parabolic surface part, from the dimension report."""
     return dimension_report(module).surface_h1_par
@@ -387,9 +381,6 @@ class ComparisonReport:
     local_terms: tuple
     local_span: object  # int over a field, None over the integers
     verdict: str
-
-    def local_dimension_total(self):
-        return sum(term.dim() for term in self.local_terms)
 
 
 def _kills(row, mat):

@@ -10,28 +10,36 @@ relations; the boundary space is the quotient by the translation relations,
 and the boundary map sends a symbol to the difference of its endpoints.
 Cuspidal and Eisenstein parts are its kernel and image.
 
+Every block is the weight action of one 2x2 cocycle, and the action turns
+a product gh into M_h M_g, so group elements are composed on the 2x2 side
+and acted once: T's cocycles, each orbit's stabilizer, the order check and
+the letter powers of the norms are cocycle products, never d x d block
+products.
+
 The module splits along the coset orbits of each generator g of order o
 (Shapiro's lemma; Brown, Cohomology of Groups, III.5-6): on an orbit
-c_0..c_(l-1) from its least coset, e_(c_0, v) g^k = e_(c_k, v Q_k), and
-g^l acts on the block at c_0 by the stabilizer block H. So the relations
-are one coset's norm rows per orbit: e_(c_0, v) N = sum_k e_(c_k, v N_H Q_k)
-with N_H = 1 + H + ... + H^(o/l - 1), and since e_(c_k, w) N =
+c_0..c_(l-1) from its least coset, with B_k g's block at c_k,
+e_(c_0, v) g^k = e_(c_k, v Q_k) for Q_k = B_0 ... B_(k-1), and g^l acts on
+the block at c_0 by the stabilizer block H = Q_l. So the relations are one
+coset's norm rows per orbit: e_(c_0, v) N = sum_k e_(c_k, v N_H Q_k) with
+N_H = 1 + H + ... + H^(o/l - 1), and since e_(c_k, w) N =
 e_(c_0, w Q_k^-1) N, these rows span the same row module over any ring
-as the norm rows at every coset. Each Orbit builds V^H, N_H and the local
-term V^H / N_H V once for all readers, and M^G comes from shapiro_walk.
+as the norm rows at every coset. spread carries such rows around an orbit
+block by block. Each Orbit builds V^H, N_H and the local term V^H / N_H V
+once for all readers, and M^G comes from shapiro_walk.
 
 Both kinds of table, congruence.CongruenceCosets and PermCosets here, share
 one interface, and everything in this module reads a table through it alone:
 n and mu; twist(i, letter), the coset reached from i by the letter with
 the cocycle that multiplies the coefficient; the weight_variant class
 attribute naming the matching weight action; label(); and subgroup, the
-TriangleSubgroup of the coset permutations, all that weight 2 reads (every
-cocycle acts there as 1). Cocycles are plain 2x2 matrices, 4-tuples over Z
-for congruence tables and over the group's own Z[2cos(pi/n)] for
-permutation tables, which the weight module of signature n turns into
-row-convention action matrices. Only path conversion and matrix right
-actions need more (congruence cusp arithmetic), and they ask for it
-through congruence.require_congruence.
+TriangleSubgroup of the coset permutations s, t and perm_T, all that
+weight 2 reads (every cocycle acts there as 1), whose mul is the cocycles'
+2x2 product. Cocycles are plain 2x2 matrices, 4-tuples over Z for congruence
+tables and over the group's own Z[2cos(pi/n)] for permutation tables, which
+the weight module of signature n turns into row-convention action matrices.
+Only path conversion and matrix right actions need more (congruence cusp
+arithmetic), and they ask for it through congruence.require_congruence.
 """
 
 from collections import namedtuple
@@ -40,29 +48,31 @@ from functools import cached_property
 from .congruence import continued_fraction_path, require_congruence
 from .linalg import FPMap, FPModule, InternalInvariantError, Matrix, left_kernel, subquotient
 from .rings import UnsupportedRingError
-from .triangle import mat2_inv_det_one, psl_canonical
+from .triangle import mat2_inv_det_one, mat2_pow, psl_canonical
 from .weights import WeightModule, norm as action_norm
 
 
 Subspace = namedtuple("Subspace", ["module", "ambient_rows"])
 
 
-class Orbit(namedtuple("Orbit", ["cycle", "steps", "stabilizer", "order"])):
+class Orbit(namedtuple("Orbit", ["cycle", "blocks", "stabilizer", "order", "one"])):
     """An orbit c_0..c_(l-1) of a generator g on the cosets, from its least
-    coset: steps Q_0..Q_(l-1) with e_(c0, v) g^k = e_(c_k, v Q_k), the
-    stabilizer block H = Q_l (g^l on the block at c0) and its order
-    m = o / l (0 for T, and where l does not divide g's order o). V^H, N_H
-    and the local term V^H / N_H V are each built on first read and kept."""
+    coset, with the letter's blocks B_k at c_k (e_(c_k, v) g = e_(c_(k+1),
+    v B_k)), the stabilizer block H = B_0 ... B_(l-1), the action of the
+    product of the 2x2 cocycles around the cycle (g^l on the block at c0),
+    its order m = o / l (0 for T, and where l does not divide g's order o)
+    and the module's shared identity block. V^H, N_H and the local term
+    V^H / N_H V are each built on first read and kept."""
 
     @cached_property
     def fixed(self):
-        """Basis of V^H: the shared identity Q_0 (H itself in weight 2) if H = 1."""
-        ident, H = self.steps[0], self.stabilizer
+        """Basis of V^H: the shared identity (H itself in weight 2) if H = 1."""
+        ident, H = self.one, self.stabilizer
         return ident if H is ident or H == ident else left_kernel(H.sub(ident))
 
     @cached_property
     def norm(self):  # N_H = 1 + H + ... + H^(m - 1), the shared identity if m = 1
-        return self.steps[0] if self.order == 1 else action_norm(self.stabilizer, self.order)
+        return self.one if self.order == 1 else action_norm(self.stabilizer, self.order)
 
     @cached_property
     def local_term(self):  # V^H / N_H V on the basis of V^H
@@ -131,29 +141,7 @@ class InducedModule:
         self._cache = {}
         ident = Matrix.identity(self.ring, self.block)
         self._identity = [(i, ident) for i in range(self.mu)]
-        # g^o = 1 on the module exactly when each orbit of g has H^m = 1
-        # (m = 0 where its length does not divide o): g^o is conjugate to H^m
-        # on every block of the orbit (in weight 2 every block is the identity)
-        for letter, name in (("s", "sigma"), ("t", "tau")):
-            for orbit in self.orbits(letter):
-                h = power = orbit.stabilizer
-                rest = not orbit.order
-                if not rest and h != ident:
-                    for _ in range(orbit.order - 1):
-                        power = power.mul(h)
-                    rest = power != ident
-                if rest:
-                    raise UnsupportedRingError(
-                        "%s does not act with order %d on the induced module; the weight "
-                        "twist is incompatible with these cosets" % (name, self.orders[letter])
-                    )
-
-    # -- block maps: [(j, B)] with (i (x) v) * g = (j (x) v B) row-wise ----
-
-    def _from_twists(self, twists):
-        """Block map of (j, cocycle) twists listed by source coset."""
-        act = self.weight.action_matrix
-        return [(j, act(coc)) for j, coc in twists]
+        self.orbits("s"), self.orbits("t")  # walking them checks the orders
 
     def cached(self, key, build):
         """The cached value under key; `build` runs only on a miss."""
@@ -162,23 +150,50 @@ class InducedModule:
             out = self._cache[key] = build()
         return out
 
-    def _letter(self, letter):
-        if self.block == 1:
-            # in weight 2 every cocycle acts as 1: no cocycle is built
-            target, one = self.cosets.subgroup.apply_letter, self.weight.action_matrix((1, 0, 0, 1))
-            build = lambda: [(target(i, letter), one) for i in range(self.mu)]
-        else:
-            twist = self.cosets.twist
-            build = lambda: self._from_twists(twist(i, letter) for i in range(self.mu))
-        return self.cached("B" + letter, build)
+    # -- generator actions: 2x2 cocycles, and the blocks they act by -------
+
+    def twists(self, name):
+        """[(j, cocycle)] by source coset for sigma ("s"), tau ("t") or T
+        ("T"): coset i goes to j, the coefficient multiplied by the 2x2
+        cocycle (the table's twist for a letter). T = tau sigma goes by tau
+        to j, then by sigma: its cocycle is sigma's at j times tau's at i."""
+
+        def build():
+            if name == "T":
+                s, mul = self.twists("s"), self.cosets.subgroup.mul
+                return [(s[j][0], mul(s[j][1], c)) for j, c in self.twists("t")]
+            return [self.cosets.twist(i, name) for i in range(self.mu)]
+
+        return self.cached("C" + name, build)
+
+    def block_map(self, name):
+        """Block map [(j, B)] of sigma ("s"), tau ("t") or T ("T"), listed
+        by source coset, with (i (x) v) * g = (j (x) v B): B is the action
+        of the cocycle of twists(name). In weight 2 every cocycle acts as
+        1, so only the coset permutations are read and no cocycle is built."""
+
+        def build():
+            if self.block > 1:
+                act = self.weight.action_matrix
+                return [(j, act(c)) for j, c in self.twists(name)]
+            sub, one = self.cosets.subgroup, self.weight.action_matrix((1, 0, 0, 1))
+            return [(j, one) for j in (sub.s if name == "s" else sub.t if name == "t" else sub.perm_T)]
+
+        if name not in self.orders:
+            raise ValueError(name)
+        return self.cached("B" + name, build)
 
     def orbits(self, name):
         """The Orbits of sigma ("s"), tau ("t") or T ("T") on the cosets, by
-        least coset. Walking a cycle takes one block product per coset, and
-        none in weight 2, where every stabilizer is the shared identity."""
+        least coset. A stabilizer is the action of the product h of the 2x2
+        cocycles around its cycle, last coset first (the shared identity in
+        weight 2). Walking sigma's and tau's checks their orders o: g^o is
+        conjugate to H^m, the action of h^m, on every block of an orbit
+        (m = 0 where its length does not divide o), and must be 1."""
 
         def build():
-            bm, ident, out = self.block_map(name), self._identity[0][1], []
+            bm, ident, act = self.block_map(name), self._identity[0][1], self.weight.action_matrix
+            twists, sub, out = self.twists(name) if self.block > 1 else None, self.cosets.subgroup, []
             seen = [False] * self.mu
             for c0 in range(self.mu):
                 if seen[c0]:
@@ -188,37 +203,36 @@ class InducedModule:
                     seen[j] = True
                     cycle.append(j)
                     j = bm[j][0]
-                steps, Q = [ident], bm[c0][1]
-                for c in cycle[1:]:
-                    steps.append(Q)
-                    Q = self._then(Q, bm[c][1])
                 m, rest = divmod(self.orders[name], len(cycle))
-                out.append(Orbit(cycle, steps, Q if self.block > 1 else ident, 0 if rest else m))
+                H = ident
+                if twists:
+                    h = twists[c0][1]
+                    for c in cycle[1:]:
+                        h = sub.mul(twists[c][1], h)
+                    H = act(h)
+                if name != "T" and (rest or H != ident and act(mat2_pow(sub.ring, h, m, sub.mul)) != ident):
+                    raise UnsupportedRingError(
+                        "%s does not act with order %d on the induced module; the weight twist is "
+                        "incompatible with these cosets" % ({"s": "sigma", "t": "tau"}[name], self.orders[name]))
+                out.append(Orbit(cycle, [bm[c][1] for c in cycle], H, 0 if rest else m, ident))
             return out
 
         return self.cached("O" + name, build)
 
     def spread(self, orbit, K):
         """The rows of K placed in the block at c0 and carried around the
-        orbit: row v becomes the {column: value} row with block v Q_k at
-        each c_k."""
+        orbit block by block: row v becomes the {column: value} row with
+        block v B_0 ... B_(k-1) at each c_k (in weight 2, v at each)."""
         blk = self.block
         rows = [{} for _ in range(K.nrows)]
-        for k, (c, Q) in enumerate(zip(orbit.cycle, orbit.steps)):
+        for k, c in enumerate(orbit.cycle):
+            if k and blk > 1:
+                K = K.mul(orbit.blocks[k - 1])
             base = c * blk
-            for row, krow in zip(rows, (self._then(K, Q) if k else K).sparse_rows()):
+            for row, krow in zip(rows, K.sparse_rows()):
                 for b, x in krow.items():
                     row[base + b] = x
         return rows
-
-    def _then(self, A, B):
-        """A * B for blocks; in weight 2 every block is the identity."""
-        return A if self.block == 1 else A.mul(B)
-
-    def _compose(self, first, then):
-        """Block map of 'first, then then' (right actions compose in order).
-        In weight 2 every block is the identity, so only the cosets move."""
-        return [(then[j][0], self._then(B, then[j][1])) for j, B in first]
 
     def _assemble(self, terms):
         """Sparse-born matrix of a signed sum of block maps, terms
@@ -246,15 +260,6 @@ class InducedModule:
 
     # -- operators ---------------------------------------------------------
 
-    def block_map(self, name):
-        """Block map [(j, B)] of sigma ("s"), tau ("t") or T ("T"), listed
-        by source coset."""
-        if name == "s" or name == "t":
-            return self._letter(name)
-        if name == "T":
-            return self.cached("BT", lambda: self._compose(self._letter("t"), self._letter("s")))
-        raise ValueError(name)
-
     def right_matrix(self, name):
         """Matrix of the right action of sigma ("s"), tau ("t") or the
         translation T = tau sigma ("T")."""
@@ -270,13 +275,22 @@ class InducedModule:
     def norm_matrix(self, letter):
         """Sum of the right actions of the powers of a generator g below its
         order o (2 for sigma, n for tau): o / r times the sum below the first
-        power g^r that moves no coset and is the identity (r divides o)."""
+        power g^r that moves no coset and is the identity (r divides o).
+        g^k's cocycle at i is g's at g^(k-1)'s target times g^(k-1)'s; in
+        weight 2 only the cosets move."""
 
         def build():
-            order, g = self.orders[letter], self._letter(letter)
-            powers, fixed = [self._identity], list(range(self.mu))
+            order, g, act = self.orders[letter], self.block_map(letter), self.weight.action_matrix
+            twists, mul = self.twists(letter) if self.block > 1 else None, self.cosets.subgroup.mul
+            powers, cocycles, fixed = [self._identity], twists, list(range(self.mu))
             while len(powers) < order:
-                power = self._compose(powers[-1], g) if len(powers) > 1 else g
+                if len(powers) == 1:
+                    power = g
+                elif twists:
+                    cocycles = [(twists[j][0], mul(twists[j][1], c)) for j, c in cocycles]
+                    power = [(j, act(c)) for j, c in cocycles]
+                else:
+                    power = [(g[j][0], B) for j, B in powers[-1]]
                 if [j for j, _ in power] == fixed and power == self._identity:
                     c = self.ring.of_int(order // len(powers))
                     powers = [[(j, B.scale(c)) for j, B in bm] for bm in powers]
@@ -332,7 +346,7 @@ class InducedModule:
         fixed vectors of the transposed action, whose edges run j -> i
         with the transposed blocks, so no block is inverted."""
         cusp = self.orbits("T")[0]
-        start = left_kernel(_transpose(cusp.stabilizer).sub(cusp.steps[0])) if dual else cusp.fixed
+        start = left_kernel(_transpose(cusp.stabilizer).sub(cusp.one)) if dual else cusp.fixed
         mu, edges = self.mu, [[] for _ in range(self.mu)]
         for letter in "st":
             for i, (j, B) in enumerate(self.block_map(letter)):
@@ -346,7 +360,7 @@ class InducedModule:
             for j, B in edges[i]:
                 if not paths[0].nrows:
                     return paths[:1]
-                step = self._then(paths[i], B)
+                step = paths[i] if self.block == 1 else paths[i].mul(B)
                 if paths[j] is None:
                     paths[j] = step
                     queue.append(j)
@@ -364,9 +378,8 @@ class InducedModule:
         """Right action of an arbitrary determinant-1 integer matrix, on a
         congruence table; the diamond operators use hecke._operator_rows."""
         require_congruence(self.cosets, "matrix right actions")
-        twist_by = self.cosets.twist_by
-        bm = self._from_twists(twist_by(i, g) for i in range(self.mu))
-        return self._assemble([(1, bm)])
+        twist_by, act = self.cosets.twist_by, self.weight.action_matrix
+        return self._assemble([(1, [(j, act(c)) for j, c in (twist_by(i, g) for i in range(self.mu))])])
 
     def __repr__(self):
         return "InducedModule(mu=%d, block=%d, %s)" % (

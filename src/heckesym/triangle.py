@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 from .rings import GF, ZZ, QuotientExtension, ShapeError, poly_divmod, poly_gcd, poly_powmod
 from .linalg import InternalInvariantError
@@ -188,18 +189,19 @@ def mat2_neg(ring, A):
     return tuple(ring.neg(x) for x in A)
 
 
-def mat2_pow(ring, A, e):
+def mat2_pow(ring, A, e, mul=None):
+    """A^e by square-and-multiply, with `mul` the 2x2 product over the ring
+    (mat2_mul by default); a negative e inverts the determinant-1 A first."""
+    mul = mul or partial(mat2_mul, ring)
     out = mat2_identity(ring)
-    base = A
     if e < 0:
-        base = mat2_inv_det_one(ring, A)
-        e = -e
+        A, e = mat2_inv_det_one(ring, A), -e
     while e:
         if e & 1:
-            out = mat2_mul(ring, out, base)
+            out = mul(out, A)
         e >>= 1
         if e:
-            base = mat2_mul(ring, base, base)
+            A = mul(A, A)
     return out
 
 
@@ -444,22 +446,14 @@ class TriangleSubgroup:
 
     def word_matrix(self, word):
         """The matrix over Z[lam] of a word, a tuple of ('s', e) / ('t', e)
-        pairs, kept per word (letter powers by square-and-multiply)."""
+        pairs, kept per word (letter powers by mat2_pow)."""
         M = self._word_cache.get(word)
         if M is None:
             ring = self.ring
             if len(word) == 1:
                 (letter, e), = word
                 base = sigma_matrix(ring) if letter == "s" else tau_matrix(ring, self.lam)
-                if e < 0:
-                    base, e = mat2_inv_det_one(ring, base), -e
-                M = mat2_identity(ring)
-                while e:
-                    if e & 1:
-                        M = self.mul(M, base)
-                    e >>= 1
-                    if e:
-                        base = self.mul(base, base)
+                M = mat2_pow(ring, base, e, self.mul)
             else:
                 M = mat2_identity(ring)
                 for step in word:

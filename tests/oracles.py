@@ -744,6 +744,50 @@ def global_relations(module):
     return module.norm_matrix("s").stack(module.norm_matrix("t"))
 
 
+def block_walk(module):
+    """The orbits and generator norms of an induced module by d x d block
+    products, as the module found them before it multiplied 2x2 cocycles.
+    Each letter's block at a coset is the weight action of the table's
+    twist there; T's block at i is tau's at i times sigma's at tau's
+    target; an orbit's stabilizer is the product of the blocks around its
+    cycle from its least coset; and a generator norm sums all its letter
+    powers below its order, each the last one composed block by block with
+    the letter. Returns ({name: [(cycle, stabilizer)] by least coset},
+    {letter: dense norm matrix rows})."""
+    cosets, weight, ring = module.cosets, module.weight, module.ring
+    mu, b = cosets.mu, weight.dim
+
+    def compose(first, then):
+        return [(then[j][0], B.mul(then[j][1])) for j, B in first]
+
+    maps = {x: [(j, weight.action_matrix(c)) for j, c in (cosets.twist(i, x) for i in range(mu))]
+            for x in "st"}
+    maps["T"] = compose(maps["t"], maps["s"])
+    orbits = {}
+    for name, bm in maps.items():
+        seen, orbits[name] = set(), []
+        for c0 in range(mu):
+            if c0 not in seen:
+                cycle, (j, H) = [c0], bm[c0]
+                while j != c0:
+                    seen.add(j)
+                    cycle.append(j)
+                    H, j = H.mul(bm[j][1]), bm[j][0]
+                orbits[name].append((cycle, H))
+    norms = {}
+    for letter, order in (("s", 2), ("t", cosets.n)):
+        total = [[ring.zero] * (mu * b) for _ in range(mu * b)]
+        power = [(i, Matrix.identity(ring, b)) for i in range(mu)]
+        for _ in range(order):
+            for i, (j, B) in enumerate(power):
+                for a, row in enumerate(B.rows):
+                    out = total[i * b + a]
+                    out[j * b:(j + 1) * b] = [ring.add(x, y) for x, y in zip(out[j * b:(j + 1) * b], row)]
+            power = compose(power, maps[letter])
+        norms[letter] = total
+    return orbits, norms
+
+
 def smith_diagonal(mat):
     """The Smith diagonal of an integer matrix, padded with zeros to its
     column count, by diagonalizing every row and column of its Hermite

@@ -197,6 +197,18 @@ def test_dims_of_a_large_module_comes_from_local_terms(argv, name, seconds, mega
         assert int(maxrss) < megabytes * 1024
 
 
+def test_dims_at_weight_100_multiplies_cocycles_not_blocks():
+    # walking the orbits, checking the generator orders and composing T by
+    # d x d block products took 4.6-6.4 s on a 2-core VM; the JSON file is
+    # that code's output
+    proc, elapsed = _timed_subprocess(["dims", "--group", "gamma0:11", "--weight", "100",
+                                       "--format", "json"])
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(DATA, "dims_gamma0_11_k100.json")) as fh:
+        assert proc.stdout == fh.read()
+    assert elapsed < 2.0
+
+
 @pytest.mark.parametrize("group,op,name,seconds", [
     ("gamma0:11", "tp:10007", "hecke_gamma0_11_tp10007.json", 1.8),
     ("gamma1:13", "tp:1009", "hecke_gamma1_13_tp1009.json", 1.0),
@@ -255,13 +267,13 @@ def test_dims_over_a_field_builds_no_manin_pivot_form(capsys, monkeypatch, ring)
 
 def test_a_broken_local_invariant_exits_4(capsys, monkeypatch):
     # T acting as the identity makes every boundary class Eisenstein: at
-    # level one and weight 4, three of them, more than the symbols hold
+    # level one and weight 4, three of them, more than the symbols hold.
+    # The T blocks and orbits are read from T's cocycles, so those are broken
     init = InducedModule.__init__
 
     def corrupted(self, *args):
         init(self, *args)
-        one = Matrix.identity(self.ring, self.block)
-        self._cache["BT"] = [(j, one) for j, _B in self.block_map("T")]
+        self._cache["CT"] = [(j, (1, 0, 0, 1)) for j, _c in self.twists("T")]
 
     monkeypatch.setattr(InducedModule, "__init__", corrupted)
     assert cli.main(["dims", "--group", "gamma0:1", "--weight", "4"]) == 4

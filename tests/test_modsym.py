@@ -12,6 +12,7 @@ import pathlib
 import random
 import re
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -523,7 +524,7 @@ def test_orbit_lattices_match_the_global_forms(module):
     _check_orbit_lattices(module)
 
 
-@pytest.mark.parametrize("table, ring, k", [
+_PINNED_SPACES = pytest.mark.parametrize("table, ring, k", [
     (lambda tmp: gamma0_cosets(30), ZZ, 2),
     (lambda tmp: gamma0_cosets(23), ZZ, 4),
     (lambda tmp: gamma0_cosets(13), ZZ, 6),
@@ -535,17 +536,47 @@ def test_orbit_lattices_match_the_global_forms(module):
     (lambda tmp: _listed_perm_file(tmp, "n6-mu08-a"), GF(2), 4),
 ], ids=["gamma0-30-z-k2", "gamma0-23-z-k4", "gamma0-13-z-k6", "gamma0-27-f3-k6", "gamma1-13-f2-k2",
         "gamma1-7-f7-k5", "delta4-f2-k6", "n5-mu08-a-lambda-k6", "n6-mu08-a-f2-k4"])
-def test_orbit_lattices_match_the_global_forms_on_pinned_spaces(tmp_path, table, ring, k):
+
+
+def _pinned_module(tmp_path, table, ring, k):
     cosets = table(tmp_path)
     ring = rational_lambda_ring(cosets.n)[0] if ring == "lambda" else ring
-    _check_orbit_lattices(InducedModule(cosets, weight_module_for(cosets, ring, k)))
+    return InducedModule(cosets, weight_module_for(cosets, ring, k))
+
+
+@_PINNED_SPACES
+def test_orbit_lattices_match_the_global_forms_on_pinned_spaces(tmp_path, table, ring, k):
+    _check_orbit_lattices(_pinned_module(tmp_path, table, ring, k))
+
+
+def _check_block_walk(module):
+    # the cocycle walk's cycles, stabilizers and generator norms are those
+    # of the d x d block walk
+    orbits, norms = oracles.block_walk(module)
+    for name in "stT":
+        assert [(o.cycle, o.stabilizer) for o in module.orbits(name)] == orbits[name], name
+    for letter in "st":
+        assert module.norm_matrix(letter).rows == norms[letter], letter
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(induced_modules())
+def test_the_cocycle_walk_matches_the_block_walk(module):
+    _check_block_walk(module)
+
+
+@_PINNED_SPACES
+def test_the_cocycle_walk_matches_the_block_walk_on_pinned_spaces(tmp_path, table, ring, k):
+    _check_block_walk(_pinned_module(tmp_path, table, ring, k))
 
 
 class _OneCoset:
     """A one-coset table of signature 3 whose letters act through given
-    cocycles, read with exact signs."""
+    cocycles, read with exact signs; the subgroup multiplies them over Z."""
 
     n, mu, weight_variant = 3, 1, "plus-minus-one"
+    subgroup = SimpleNamespace(mul=partial(mat2_mul, ZZ), ring=ZZ, s=(0,), t=(0,))
 
     def __init__(self, s, t):
         self.cocycles = {"s": s, "t": t}
@@ -559,10 +590,10 @@ class _TwoCosets(_OneCoset):
     subgroup holds the coset permutations a weight-2 module reads."""
 
     mu = 2
-    subgroup = SimpleNamespace(apply_letter=lambda i, letter: 1 - i if letter == "t" else i)
+    subgroup = SimpleNamespace(mul=partial(mat2_mul, ZZ), ring=ZZ, s=(0, 1), t=(1, 0))
 
     def twist(self, i, letter):
-        return self.subgroup.apply_letter(i, letter), (1, 0, 0, 1)
+        return getattr(self.subgroup, letter)[i], (1, 0, 0, 1)
 
 
 @pytest.mark.parametrize("cosets, k, name", [
@@ -579,19 +610,23 @@ def test_a_failed_order_check_keeps_its_message(cosets, k, name):
     assert str(err.value) == msg
 
 
-@pytest.mark.parametrize("N, products", [(11, 14), (13, 20)])
-def test_building_a_module_takes_about_one_product_per_coset_and_letter(monkeypatch, N, products):
-    # a walk around each orbit of sigma and tau takes one block product per
-    # coset after the first, and each elliptic orbit raises its stabilizer
-    # to its order: gamma0(11) has 6 sigma pairs and 4 tau triples (6 + 8
-    # products), gamma0(13) has 6 pairs, 4 triples and two fixed points of
-    # each (6 + 8 + 2 * 1 + 2 * 2); composing every letter power took 3 mu
+@pytest.mark.parametrize("N", [11, 13])
+def test_building_a_module_and_its_orbits_takes_no_block_product(monkeypatch, N):
+    # every block, stabilizer and order check is the weight action of one
+    # 2x2 cocycle or cocycle product; walking the orbits by d x d block
+    # products took 14 and 20 of them here, and composing every letter power
+    # 3 mu
     cosets = gamma0_cosets(N)
     weight = weight_module_for(cosets, QQ, 50)
     count, mul = [], Matrix.mul
     monkeypatch.setattr(Matrix, "mul", lambda self, other: count.append(1) or mul(self, other))
-    InducedModule(cosets, weight)
-    assert len(count) == products
+    module = InducedModule(cosets, weight)
+    orbits = {name: module.orbits(name) for name in "stT"}
+    assert not count
+    ident = Matrix.identity(QQ, weight.dim)
+    elliptic = [o for x in "st" for o in orbits[x] if o.order > 1]
+    assert len(elliptic) == (0 if N == 11 else 4)
+    assert all(o.stabilizer != ident for o in elliptic + orbits["T"])
 
 
 # ---------------------------------------------------------------------------
